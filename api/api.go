@@ -6,9 +6,8 @@
 // visible to both, and the multi-node proxy forwards documents it never
 // has to re-encode.
 //
-// All endpoints live under the /v1 prefix; the unprefixed legacy paths
-// answer identically but carry a Deprecation header. Errors are always
-// the JSON envelope
+// All endpoints live under the /v1 prefix; any other path answers 404
+// not_found. Errors are always the JSON envelope
 //
 //	{"error":{"code":"not_found","message":"...","requestId":"..."}}
 //
@@ -114,13 +113,10 @@ type MineRequest struct {
 // ColocateRequest is the body of POST /v1/colocate and POST
 // /v1/colocate/jobs: which stored scene to mine and the co-location
 // configuration (neighborhood distance, minimum participation index,
-// optional size cap, worker fan-out, candidate engine, and top-k
-// truncation). The config's "engine" field ("joinless", the default,
-// or "clique") picks the candidate-evaluation strategy only — both
-// engines return identical results, so the server's result cache
-// deliberately ignores it and a clique run can be served from a
-// joinless run's cache entry. "topK" > 0 keeps only the k highest-PI
-// prevalent patterns (ties broken by smaller size, then name order).
+// optional size cap, worker fan-out, and top-k truncation). The config
+// decodes strictly: an unknown field is a 400 bad_request naming it.
+// "topK" > 0 keeps only the k highest-PI prevalent patterns (ties
+// broken by smaller size, then name order).
 type ColocateRequest struct {
 	// Dataset is the digest returned by a scene upload.
 	Dataset string `json:"dataset"`
@@ -392,8 +388,7 @@ type ErrorBody struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
-// ErrorEnvelope is the uniform error response body of every /v1 (and
-// legacy-alias) endpoint.
+// ErrorEnvelope is the uniform error response body of every endpoint.
 type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }

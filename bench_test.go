@@ -307,15 +307,12 @@ func BenchmarkScalingRows(b *testing.B) {
 	}
 }
 
-// BenchmarkFPGrowthVsApriori contrasts the engines on the dense
-// low-support end where tree projection and vertical diffsets pay off.
-func BenchmarkFPGrowthVsApriori(b *testing.B) {
+// BenchmarkEclatVsApriori contrasts the engines on the dense
+// low-support end where vertical diffsets pay off.
+func BenchmarkEclatVsApriori(b *testing.B) {
 	benchSetup(b)
 	b.Run("Apriori", func(b *testing.B) {
 		mineBench(b, benchData1, mining.Config{MinSupport: 0.03}, mining.Apriori)
-	})
-	b.Run("FPGrowth", func(b *testing.B) {
-		mineBench(b, benchData1, mining.Config{MinSupport: 0.03}, mining.FPGrowth)
 	})
 	b.Run("Eclat", func(b *testing.B) {
 		mineBench(b, benchData1, mining.Config{MinSupport: 0.03}, mining.Eclat)

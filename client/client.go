@@ -291,10 +291,8 @@ func (c *Client) Mine(ctx context.Context, req api.MineRequest) (*api.MineRespon
 }
 
 // Colocate runs a synchronous co-location mining request; the result's
-// Colocation block carries the prevalent feature-type sets. The
-// config's Engine knob ("joinless" or "clique") only picks the
-// candidate-evaluation strategy — results are identical, and the
-// server caches them under one entry regardless of engine.
+// Colocation block carries the prevalent feature-type sets, cached by
+// the server under the dataset digest and the full config.
 func (c *Client) Colocate(ctx context.Context, req api.ColocateRequest) (*api.MineResponse, error) {
 	var resp api.MineResponse
 	if err := c.doJSON(ctx, http.MethodPost, "/v1/colocate", req, &resp); err != nil {

@@ -34,7 +34,7 @@ func main() {
 	benchJSON := flag.String("bench-json", "", "measure the Figure 4-7 mining workloads and write JSON results (ns/op, allocs/op, pass stats) to this file, then exit")
 	benchExtractJSON := flag.String("bench-extract-json", "", "measure the spatial-join extraction workloads (per-pair relate and whole-scene extraction, prepared vs unprepared) and write JSON results to this file, then exit")
 	benchIncrementalJSON := flag.String("bench-incremental-json", "", "measure incremental re-extraction against from-scratch extraction over deterministic mutation chains and write JSON results to this file, then exit")
-	benchColocationJSON := flag.String("bench-colocation-json", "", "measure the co-location mining workloads (scene shape x engine x parallelism) and write JSON results to this file, then exit")
+	benchColocationJSON := flag.String("bench-colocation-json", "", "measure the co-location mining workloads (scene shape x parallelism) and write JSON results to this file, then exit")
 	benchDiff := flag.String("bench-diff", "", "re-measure the mining, extraction, and co-location workloads and compare ns/op against the committed baselines (BENCH_mining.json, BENCH_extract.json, BENCH_colocation.json) in this directory; exit 1 when a workload regresses beyond the tolerance or disappears")
 	updateBaseline := flag.Bool("update-baseline", false, "with -bench-diff: rewrite the baseline files from the fresh measurements instead of comparing")
 	flag.Parse()

@@ -34,16 +34,6 @@ func TestRunColocateSample(t *testing.T) {
 	if basePat, parPat := afterTimingLine(out), afterTimingLine(par.String()); basePat != parPat {
 		t.Errorf("patterns differ across parallelism:\n--- par=default\n%s\n--- par=4\n%s", basePat, parPat)
 	}
-
-	// Same flags on the clique engine: identical patterns (the default
-	// above ran joinless).
-	var clique bytes.Buffer
-	if err := run([]string{"-sample", "-colocate", "-dist", "3", "-minpi", "0.2", "-coloc-engine", "clique"}, &clique, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	if basePat, cliquePat := afterTimingLine(out), afterTimingLine(clique.String()); basePat != cliquePat {
-		t.Errorf("patterns differ across engines:\n--- joinless\n%s\n--- clique\n%s", basePat, cliquePat)
-	}
 }
 
 // TestRunColocateTopK: -coloc-topk truncates the report to k patterns.
@@ -125,7 +115,7 @@ func TestRunColocateFlagErrors(t *testing.T) {
 		{[]string{"-sample", "-colocate", "-dist", "-1"}, "distance"},
 		{[]string{"-sample", "-colocate", "-minpi", "0"}, "minPI"},
 		{[]string{"-sample", "-colocate", "-format", "sideways"}, "sideways"},
-		{[]string{"-sample", "-colocate", "-coloc-engine", "starjoin"}, "engine"},
+		{[]string{"-sample", "-colocate", "-coloc-engine", "clique"}, "coloc-engine"}, // removed flag
 		{[]string{"-sample", "-colocate", "-coloc-topk", "-2"}, "topK"},
 	}
 	for _, tc := range cases {

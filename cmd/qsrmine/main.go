@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		dist      = fs.Float64("dist", 1.0, "co-location neighborhood distance threshold (-colocate)")
 		minPI     = fs.Float64("minpi", 0.3, "minimum participation index in (0, 1] (-colocate)")
 		colocMax  = fs.Int("coloc-maxsize", 0, "largest co-location size to mine, 0 = unlimited (-colocate)")
-		colocEng  = fs.String("coloc-engine", "joinless", "co-location candidate engine: joinless (star-neighborhood upper-bound prune) or clique; results are identical (-colocate)")
 		colocTopK = fs.Int("coloc-topk", 0, "keep only the k highest-PI prevalent co-locations, 0 = all (-colocate)")
 		version   = fs.Bool("version", false, "print version and exit")
 	)
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// TextUnmarshaler, so the flag package parses and prints them
 	// directly.
 	alg := qsrmine.AprioriKCPlus
-	fs.TextVar(&alg, "alg", alg, "algorithm: apriori, apriori-kc, apriori-kc+, fpgrowth-kc+, eclat-kc+")
+	fs.TextVar(&alg, "alg", alg, "algorithm: apriori, apriori-kc, apriori-kc+, eclat-kc+")
 	postFilter := qsrmine.NoPostFilter
 	fs.TextVar(&postFilter, "postfilter", postFilter, "post filter: none, closed, maximal")
 	counting := qsrmine.VerticalCounting
@@ -163,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				MinPI:       *minPI,
 				MaxSize:     *colocMax,
 				Parallelism: *parallel,
-				Engine:      qsrmine.ColocationEngine(*colocEng),
 				TopK:        *colocTopK,
 			}
 			if err := runColocate(ctx, stdout, stderr, ds, ccfg, *format, *maxShow, *trace, collector, tr); err != nil {

@@ -1,14 +1,12 @@
 // Command qsrmined is the long-running HTTP mining service: upload
 // datasets (WKT-JSON scenes or transaction CSVs), mine them
 // synchronously or as cancellable async jobs, and scrape live metrics.
-// The API lives under /v1/; the unprefixed legacy paths still answer
-// but carry a Deprecation header.
+// The API lives under /v1/; any other path answers 404 not_found.
 //
 // Usage:
 //
 //	qsrmined -addr :8080
 //	qsrmined -addr :8080 -workers 4 -queue 128 -default-timeout 30s
-//	qsrmined -addr :8080 -batch-window 2ms -batch-max 32   # micro-batch small sync mines
 //	qsrmined -addr :8080 -data-dir /var/lib/qsrmined   # durable node: survive restarts
 //	qsrmined -addr :8090 -peers localhost:8081,localhost:8082   # front node: route, don't mine
 //	qsrmined -dump-sample scene.json   # write the Porto Alegre sample scene and exit
@@ -92,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxUpload    = fs.Int64("max-upload", 32<<20, "maximum request body bytes")
 		defTimeout   = fs.Duration("default-timeout", 60*time.Second, "default per-request mining deadline")
 		drainWait    = fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown drain deadline")
-		batchWindow  = fs.Duration("batch-window", 0, "micro-batch window for sync /v1/mine (0 = batching off)")
-		batchMax     = fs.Int("batch-max", 16, "maximum requests per micro-batch")
 		dataDir      = fs.String("data-dir", "", "directory for durable state (datasets, results, job journal); empty = memory-only")
 		peerList     = fs.String("peers", "", "comma-separated peer base URLs; non-empty makes this a routing front node")
 		replicas     = fs.Int("replicas", 2, "dataset replicas per digest (front node)")
@@ -149,8 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			CacheMaxEntries: *cacheEntries,
 			MaxUploadBytes:  *maxUpload,
 			DefaultTimeout:  *defTimeout,
-			BatchWindow:     *batchWindow,
-			BatchMax:        *batchMax,
 			AccessLog:       logw,
 		}
 		if *dataDir != "" {

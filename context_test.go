@@ -79,13 +79,13 @@ func TestPublicTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicFPGrowthTraced: the FP-growth engine also reports per-size
-// pass events (acceptance: per-pass counts for all four algorithms).
-func TestPublicFPGrowthTraced(t *testing.T) {
+// TestPublicEclatTraced: the Eclat engine also reports per-size pass
+// events (per-pass counts for every algorithm).
+func TestPublicEclatTraced(t *testing.T) {
 	collector := qsrmine.NewTraceCollector()
 	ctx := qsrmine.WithTrace(context.Background(), qsrmine.NewTrace(collector))
 	out, err := qsrmine.RunTableContext(ctx, qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm: qsrmine.FPGrowthKCPlus, MinSupport: 0.5,
+		Algorithm: qsrmine.EclatKCPlus, MinSupport: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,13 +19,11 @@
 // a Config.Parallelism worker pool with a deterministic merge, then
 // walks candidate type sets level by level, extending each prevalent
 // set's row-instance table by sorted-list intersection of the CSR rows.
-// Two engines share that walk: the clique engine materializes every
-// candidate's row table, while the joinless engine (the default) first
-// screens each candidate with the star participation index — an
-// anti-monotone upper bound on the clique PI computed from per-instance
-// star neighborhoods — and materializes rows only for candidates whose
-// upper bound clears MinPI. Both engines produce identical output at
-// any worker count.
+// The walk is joinless: it first screens each candidate with the star
+// participation index — an anti-monotone upper bound on the clique PI
+// computed from per-instance star neighborhoods — and materializes rows
+// only for candidates whose upper bound clears MinPI. Output is
+// identical at any worker count, and equal to MineBruteForce.
 package colocation
 
 import (
@@ -46,24 +44,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Engine selects the candidate-evaluation strategy. Both engines return
-// byte-identical results; they differ only in how much work candidate
-// evaluation does before a candidate is ruled out.
-type Engine string
-
-// Engines.
-const (
-	// EngineJoinless (the default) computes per-instance star
-	// neighborhoods from the CSR graph and prunes each candidate whose
-	// star participation index — an anti-monotone upper bound on the
-	// clique PI — falls below MinPI, materializing row tables only for
-	// the survivors.
-	EngineJoinless Engine = "joinless"
-	// EngineClique materializes the full clique row-instance table for
-	// every generated candidate, as the original level-wise engine did.
-	EngineClique Engine = "clique"
-)
-
 // Config parameterises a co-location mining run. Its JSON form is the
 // wire configuration of POST /v1/colocate.
 type Config struct {
@@ -79,12 +59,6 @@ type Config struct {
 	// candidate expansion: 1 = sequential, 0 = GOMAXPROCS. Output is
 	// byte-identical at any worker count.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Engine picks the candidate-evaluation strategy: "joinless" (the
-	// default when empty) screens candidates with the star
-	// participation upper bound before materializing rows; "clique"
-	// materializes every candidate. Results are identical either way,
-	// so the server's result cache deliberately ignores this knob.
-	Engine Engine `json:"engine,omitempty"`
 	// TopK, when positive, keeps only the k highest-PI prevalent
 	// patterns (ties broken by smaller size, then lexicographic type
 	// names; equal patterns cannot tie). 0 reports every prevalent
@@ -106,23 +80,10 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("colocation: parallelism must be >= 0 (got %d)", c.Parallelism)
 	}
-	switch c.Engine {
-	case "", EngineJoinless, EngineClique:
-	default:
-		return fmt.Errorf("colocation: unknown engine %q (want %q or %q)", c.Engine, EngineClique, EngineJoinless)
-	}
 	if c.TopK < 0 {
 		return fmt.Errorf("colocation: topK must be >= 0 (got %d)", c.TopK)
 	}
 	return nil
-}
-
-// engine resolves the Engine knob's default.
-func (c Config) engine() Engine {
-	if c.Engine == "" {
-		return EngineJoinless
-	}
-	return c.Engine
 }
 
 // Pattern is one prevalent co-location: a set of feature types, its
@@ -154,14 +115,12 @@ type Result struct {
 	CandidatePairs int64
 	RefinedPairs   int64
 	// Candidates counts candidate type sets (size >= 2) generated
-	// during the walk. Identical for both engines: the joinless engine
-	// generates the same candidates and only skips materializing rows
-	// for those its upper bound rules out.
+	// during the walk, including those the star upper bound rules out
+	// before their rows are materialized.
 	Candidates int
-	// StarPruned counts candidates the joinless engine discarded on the
-	// star-participation upper bound without materializing any rows
-	// (always 0 for the clique engine; diagnostic, not part of the wire
-	// result).
+	// StarPruned counts candidates discarded on the star-participation
+	// upper bound without materializing any rows (diagnostic, not part
+	// of the wire result).
 	StarPruned int
 	// Prevalent holds the patterns with PI >= MinPI, sorted by size
 	// then lexicographically by type names. With TopK set, only the k
@@ -540,17 +499,15 @@ func (e *expander) parts(cand []int, types []typeSet) [][]bool {
 // every type (each trivially prevalent, PI = 1); each next level joins
 // prevalent sets sharing a (k-2)-prefix, prunes candidates with a
 // non-prevalent subset (sound by PI anti-monotonicity), and evaluates
-// each survivor — the joinless engine first via the star participation
-// upper bound, materializing rows only when the bound clears MinPI; the
-// clique engine by materializing every candidate. Candidates shard
+// each survivor first via the star participation upper bound,
+// materializing rows only when the bound clears MinPI. Candidates shard
 // across workers via an atomic cursor; results land in per-candidate
 // slots and are merged in candidate order, so output is byte-identical
-// at any worker count and for either engine.
+// at any worker count.
 func prevalenceWalk(ctx context.Context, tr *obs.Trace, types []typeSet, g *neighborGraph, cfg Config, res *Result) error {
 	if len(types) < 2 {
 		return ctx.Err()
 	}
-	joinless := cfg.engine() == EngineJoinless
 	// Level 1: every type, with single-instance rows.
 	level := make([]candidateSet, len(types))
 	for i, t := range types {
@@ -600,7 +557,7 @@ func prevalenceWalk(ctx context.Context, tr *obs.Trace, types []typeSet, g *neig
 						break
 					}
 					cand := candidates[i]
-					if joinless && starPI(cand, types, g, cfg.MinPI) < cfg.MinPI {
+					if starPI(cand, types, g, cfg.MinPI) < cfg.MinPI {
 						// The star upper bound already rules the
 						// candidate out: skip the instance join.
 						expanded[i] = candidateSet{types: cand}

@@ -2,11 +2,13 @@ package colocation_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/colocation"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -168,7 +170,11 @@ func TestMaxSizeCapsWalk(t *testing.T) {
 }
 
 // TestParallelismByteIdentical: the full result is identical at any
-// worker count, including counters and pattern order.
+// worker count, including counters, the StarPruned diagnostic, and
+// pattern order. Beyond the lattice scene, generated scenes × distances
+// × minPI compare Parallelism 4 against 1. Run under -race in CI, this
+// also exercises the parallel CSR materialization and the sharded walk
+// for data races.
 func TestParallelismByteIdentical(t *testing.T) {
 	ds := gridScene()
 	base := mustMine(t, ds, colocation.Config{Distance: 1.5, MinPI: 0.2, Parallelism: 1})
@@ -177,6 +183,43 @@ func TestParallelismByteIdentical(t *testing.T) {
 		got.Duration = base.Duration
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("parallelism %d diverged:\n got %+v\nwant %+v", par, got, base)
+		}
+	}
+
+	scenes := []struct {
+		name string
+		cfg  datagen.ColocationSceneConfig
+	}{
+		{"default", datagen.DefaultColocationScene(19)},
+		{"clutter", datagen.ColocationSceneConfig{
+			Seed: 29, Types: []string{"a", "b", "c", "d"}, Extent: 12,
+			Clusters: 8, ClusterSpread: 0.6, Noise: 40,
+		}},
+		{"planted cliques", datagen.ColocationSceneConfig{
+			Seed: 31, Types: []string{"p", "q", "r"}, Extent: 50,
+			Clusters: 12, ClusterSpread: 0.4,
+			Planted: [][]string{{"p", "p", "q", "q", "r"}, {"q", "r"}},
+			Noise:   6,
+		}},
+	}
+	for _, sc := range scenes {
+		ds, err := datagen.GenerateColocationScene(sc.cfg)
+		if err != nil {
+			t.Fatalf("%s: generate: %v", sc.name, err)
+		}
+		for _, dist := range []float64{1, 4} {
+			for _, minPI := range []float64{0.2, 0.5} {
+				t.Run(fmt.Sprintf("%s/dist=%v/minpi=%v", sc.name, dist, minPI), func(t *testing.T) {
+					cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: 1}
+					want := mustMine(t, ds, cfg)
+					cfg.Parallelism = 4
+					got := mustMine(t, ds, cfg)
+					got.Duration = want.Duration
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("par=4 diverged from par=1:\n got %+v\nwant %+v", got, want)
+					}
+				})
+			}
 		}
 	}
 }
@@ -247,7 +290,6 @@ func TestConfigValidate(t *testing.T) {
 		{Distance: 1, MinPI: math.NaN()},
 		{Distance: 1, MinPI: 0.5, MaxSize: -1},
 		{Distance: 1, MinPI: 0.5, Parallelism: -2},
-		{Distance: 1, MinPI: 0.5, Engine: "starjoin"},
 		{Distance: 1, MinPI: 0.5, TopK: -1},
 	}
 	for _, cfg := range bad {
@@ -257,8 +299,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, good := range []colocation.Config{
 		{Distance: 0, MinPI: 1},
-		{Distance: 1, MinPI: 0.5, Engine: colocation.EngineClique},
-		{Distance: 1, MinPI: 0.5, Engine: colocation.EngineJoinless, TopK: 3},
+		{Distance: 1, MinPI: 0.5, TopK: 3},
 	} {
 		if err := good.Validate(); err != nil {
 			t.Errorf("Validate(%+v): %v", good, err)
@@ -268,12 +309,11 @@ func TestConfigValidate(t *testing.T) {
 
 // TestParseConfig: strictness of the wire decoder.
 func TestParseConfig(t *testing.T) {
-	cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"parallelism":2,"engine":"clique","topK":5}`))
+	cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"parallelism":2,"topK":5}`))
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	if cfg.Distance != 2 || cfg.MinPI != 0.4 || cfg.MaxSize != 3 || cfg.Parallelism != 2 ||
-		cfg.Engine != colocation.EngineClique || cfg.TopK != 5 {
+	if cfg.Distance != 2 || cfg.MinPI != 0.4 || cfg.MaxSize != 3 || cfg.Parallelism != 2 || cfg.TopK != 5 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	for _, bad := range []string{
@@ -285,7 +325,7 @@ func TestParseConfig(t *testing.T) {
 		`{"distance":-2,"minPI":0.5}`,         // invalid bounds
 		`{"distance":"far","minPI":0.5}`,      // wrong type
 		`[{"distance":1,"minPI":0.5}]`,        // wrong shape
-		`{"distance":1,"minPI":0.5,"engine":"starjoin"}`, // unknown engine
+		`{"distance":1,"minPI":0.5,"engine":"joinless"}`, // removed field
 		`{"distance":1,"minPI":0.5,"topK":-3}`,           // negative topK
 	} {
 		if _, err := colocation.ParseConfig([]byte(bad)); err == nil {

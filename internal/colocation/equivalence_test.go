@@ -11,10 +11,11 @@ import (
 
 // TestColocationMatchesBruteForceOnGeneratedScenes is the property test
 // mirroring TestEnginesEquivalentOnGeneratedScenes: across generated
-// planted scenes × distances × minPI × Parallelism ∈ {1, 4} × both
-// engines, the R-tree + participation-index engine must report exactly
+// planted scenes × distances × minPI × Parallelism ∈ {1, 4}, the
+// R-tree + participation-index engine must report exactly
 // the oracle's prevalent patterns — same sets, same PI floats, same row
-// counts, same order.
+// counts, same order — unrestricted, capped at MaxSize 2, and cut to
+// the top 3 by PI.
 func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
 	scenes := []struct {
 		name string
@@ -43,26 +44,45 @@ func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
 		}
 		for _, dist := range []float64{0.5, 2, 8} {
 			for _, minPI := range []float64{0.2, 0.5} {
-				cfg := colocation.Config{Distance: dist, MinPI: minPI}
-				want, err := colocation.MineBruteForce(ds, cfg)
+				full, err := colocation.MineBruteForce(ds, colocation.Config{Distance: dist, MinPI: minPI})
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", sc.name, err)
 				}
+				// Each variant restricts the walk; its expected patterns
+				// are derived from the unrestricted oracle result
+				// independently of the engine's own cap or selection.
+				variants := []struct {
+					name   string
+					adjust func(*colocation.Config)
+					expect func([]colocation.Pattern) []colocation.Pattern
+				}{
+					{"full", func(*colocation.Config) {}, func(p []colocation.Pattern) []colocation.Pattern { return p }},
+					{"maxsize=2", func(c *colocation.Config) { c.MaxSize = 2 }, func(p []colocation.Pattern) []colocation.Pattern { return maxSizeReference(p, 2) }},
+					{"topk=3", func(c *colocation.Config) { c.TopK = 3 }, func(p []colocation.Pattern) []colocation.Pattern { return topKReference(p, 3) }},
+				}
 				for _, par := range []int{1, 4} {
-					for _, eng := range []colocation.Engine{colocation.EngineClique, colocation.EngineJoinless} {
-						cfg.Parallelism = par
-						cfg.Engine = eng
-						t.Run(fmt.Sprintf("%s/dist=%v/minpi=%v/par=%d/%s", sc.name, dist, minPI, par, eng), func(t *testing.T) {
+					for _, v := range variants {
+						cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: par}
+						v.adjust(&cfg)
+						want := v.expect(full.Prevalent)
+						t.Run(fmt.Sprintf("%s/dist=%v/minpi=%v/par=%d/%s", sc.name, dist, minPI, par, v.name), func(t *testing.T) {
+							oracle, err := colocation.MineBruteForce(ds, cfg)
+							if err != nil {
+								t.Fatalf("oracle: %v", err)
+							}
+							if !reflect.DeepEqual(oracle.Prevalent, want) {
+								t.Fatalf("oracle != reference:\n got %+v\nwant %+v", oracle.Prevalent, want)
+							}
 							got, err := colocation.Mine(ds, cfg)
 							if err != nil {
 								t.Fatalf("Mine: %v", err)
 							}
-							if !reflect.DeepEqual(got.Prevalent, want.Prevalent) {
-								t.Fatalf("engine != oracle:\n got %+v\nwant %+v", got.Prevalent, want.Prevalent)
+							if !reflect.DeepEqual(got.Prevalent, want) {
+								t.Fatalf("engine != oracle:\n got %+v\nwant %+v", got.Prevalent, want)
 							}
-							if got.Instances != want.Instances || !reflect.DeepEqual(got.Types, want.Types) {
+							if got.Instances != full.Instances || !reflect.DeepEqual(got.Types, full.Types) {
 								t.Fatalf("world mismatch: got %d %v, want %d %v",
-									got.Instances, got.Types, want.Instances, want.Types)
+									got.Instances, got.Types, full.Instances, full.Types)
 							}
 						})
 					}
@@ -70,6 +90,19 @@ func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maxSizeReference keeps the patterns of at most max types, in their
+// original order — what a walk capped at MaxSize must report, since a
+// pattern's prevalence does not depend on the cap.
+func maxSizeReference(prevalent []colocation.Pattern, max int) []colocation.Pattern {
+	var out []colocation.Pattern
+	for _, p := range prevalent {
+		if len(p.Types) <= max {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // TestGeneratedSceneDeterministic: one seed, one scene.

@@ -143,7 +143,7 @@ func TestRunTableContextEmitsStages(t *testing.T) {
 }
 
 func TestAlgorithmTextRoundTrip(t *testing.T) {
-	for _, a := range []Algorithm{AlgApriori, AlgAprioriKC, AlgAprioriKCPlus, AlgFPGrowthKCPlus} {
+	for _, a := range []Algorithm{AlgApriori, AlgAprioriKC, AlgAprioriKCPlus, AlgEclatKCPlus} {
 		text, err := a.MarshalText()
 		if err != nil {
 			t.Fatal(err)

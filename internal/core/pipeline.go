@@ -23,8 +23,8 @@ import (
 // Algorithm selects the mining variant.
 type Algorithm int
 
-// The three algorithms the paper evaluates, plus an FP-growth engine
-// mining the same KC+ pattern set.
+// The three algorithms the paper evaluates, plus an Eclat engine mining
+// the same KC+ pattern set.
 const (
 	// AlgApriori is the classic baseline: no filtering.
 	AlgApriori Algorithm = iota
@@ -34,10 +34,6 @@ const (
 	// AlgAprioriKCPlus additionally removes every candidate pair whose
 	// predicates share a feature type — the paper's contribution.
 	AlgAprioriKCPlus
-	// AlgFPGrowthKCPlus mines the Apriori-KC+ pattern set with the
-	// FP-growth engine (independent implementation, faster on dense
-	// low-support workloads).
-	AlgFPGrowthKCPlus
 	// AlgEclatKCPlus mines the Apriori-KC+ pattern set with the vertical
 	// Eclat engine (tidset intersection with dEclat diffset switching).
 	AlgEclatKCPlus
@@ -52,8 +48,6 @@ func (a Algorithm) String() string {
 		return "apriori-kc"
 	case AlgAprioriKCPlus:
 		return "apriori-kc+"
-	case AlgFPGrowthKCPlus:
-		return "fpgrowth-kc+"
 	case AlgEclatKCPlus:
 		return "eclat-kc+"
 	}
@@ -69,12 +63,10 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return AlgAprioriKC, nil
 	case "apriori-kc+", "kc+", "kcplus":
 		return AlgAprioriKCPlus, nil
-	case "fpgrowth-kc+", "fpgrowth":
-		return AlgFPGrowthKCPlus, nil
 	case "eclat-kc+", "eclat":
 		return AlgEclatKCPlus, nil
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (want apriori, apriori-kc, apriori-kc+, fpgrowth-kc+, or eclat-kc+)", s)
+	return 0, fmt.Errorf("core: unknown algorithm %q (want apriori, apriori-kc, apriori-kc+, or eclat-kc+)", s)
 }
 
 // Config parameterises a full pipeline run.
@@ -90,7 +82,7 @@ type Config struct {
 	Dependencies []mining.Pair
 	// Counting selects the support-counting strategy of the Apriori
 	// engines (the Eclat engine is vertical by construction and rejects
-	// an explicit HorizontalCounting; FP-growth ignores it).
+	// an explicit HorizontalCounting).
 	Counting mining.CountingStrategy
 	// Parallelism bounds the mining fan-out (vertical counting workers,
 	// Eclat walk workers): 1 or negative is sequential, 0 uses
@@ -179,7 +171,7 @@ func EffectiveMiningConfig(cfg Config) (mining.Config, error) {
 	case AlgApriori:
 		mcfg.Dependencies = nil
 	case AlgAprioriKC:
-	case AlgAprioriKCPlus, AlgFPGrowthKCPlus, AlgEclatKCPlus:
+	case AlgAprioriKCPlus, AlgEclatKCPlus:
 		mcfg.FilterSameFeature = true
 	default:
 		return mining.Config{}, fmt.Errorf("core: unknown algorithm %d", cfg.Algorithm)
@@ -214,8 +206,6 @@ func RunTableContext(ctx context.Context, table *dataset.Table, cfg Config) (*Ou
 	switch cfg.Algorithm {
 	case AlgApriori, AlgAprioriKC, AlgAprioriKCPlus:
 		res, err = mining.MineContext(ctx, db, mcfg)
-	case AlgFPGrowthKCPlus:
-		res, err = mining.FPGrowthContext(ctx, db, mcfg)
 	case AlgEclatKCPlus:
 		res, err = mining.EclatContext(ctx, db, mcfg)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -153,30 +154,54 @@ func TestAlgorithmStringParse(t *testing.T) {
 	}
 }
 
-func TestFPGrowthAlgorithmMatchesKCPlus(t *testing.T) {
+func TestEclatAlgorithmMatchesKCPlus(t *testing.T) {
 	table := dataset.Table2Reconstruction()
 	ap, err := RunTable(table, Config{Algorithm: AlgAprioriKCPlus, MinSupport: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := RunTable(table, Config{Algorithm: AlgFPGrowthKCPlus, MinSupport: 0.5})
+	ec, err := RunTable(table, Config{Algorithm: AlgEclatKCPlus, MinSupport: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ap.Result.Frequent) != len(fp.Result.Frequent) {
-		t.Fatalf("apriori-kc+ %d vs fpgrowth-kc+ %d itemsets",
-			len(ap.Result.Frequent), len(fp.Result.Frequent))
+	if len(ap.Result.Frequent) != len(ec.Result.Frequent) {
+		t.Fatalf("apriori-kc+ %d vs eclat-kc+ %d itemsets",
+			len(ap.Result.Frequent), len(ec.Result.Frequent))
 	}
 	for i := range ap.Result.Frequent {
-		a, f := ap.Result.Frequent[i], fp.Result.Frequent[i]
-		if !a.Items.Equal(f.Items) || a.Support != f.Support {
-			t.Fatalf("result %d differs: %v/%d vs %v/%d", i, a.Items, a.Support, f.Items, f.Support)
+		a, e := ap.Result.Frequent[i], ec.Result.Frequent[i]
+		if !a.Items.Equal(e.Items) || a.Support != e.Support {
+			t.Fatalf("result %d differs: %v/%d vs %v/%d", i, a.Items, a.Support, e.Items, e.Support)
 		}
 	}
-	if alg, err := ParseAlgorithm("fpgrowth"); err != nil || alg != AlgFPGrowthKCPlus {
-		t.Errorf("ParseAlgorithm(fpgrowth) = %v, %v", alg, err)
+}
+
+// TestRemovedAlgorithmNamesRejected pins that the spellings of the
+// removed FP-growth engine (listed in testdata) no longer parse, and
+// that the error lists every valid name.
+func TestRemovedAlgorithmNamesRejected(t *testing.T) {
+	raw, err := os.ReadFile("testdata/retired_algorithms.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if AlgFPGrowthKCPlus.String() != "fpgrowth-kc+" {
-		t.Error("fpgrowth algorithm name")
+	var names []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			names = append(names, line)
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("no retired names in testdata")
+	}
+	for _, name := range names {
+		_, err := ParseAlgorithm(name)
+		if err == nil {
+			t.Fatalf("ParseAlgorithm(%q) succeeded", name)
+		}
+		for _, valid := range []string{"apriori", "apriori-kc", "apriori-kc+", "eclat-kc+"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("error %q does not list %q", err, valid)
+			}
+		}
 	}
 }

@@ -7,7 +7,7 @@ import "fmt"
 // decoders. Unknown values fail rather than leak "core.Algorithm(n)".
 func (a Algorithm) MarshalText() ([]byte, error) {
 	switch a {
-	case AlgApriori, AlgAprioriKC, AlgAprioriKCPlus, AlgFPGrowthKCPlus, AlgEclatKCPlus:
+	case AlgApriori, AlgAprioriKC, AlgAprioriKCPlus, AlgEclatKCPlus:
 		return []byte(a.String()), nil
 	}
 	return nil, fmt.Errorf("core: cannot marshal unknown algorithm %d", int(a))

@@ -51,7 +51,6 @@ var benchAlgorithms = []struct {
 }{
 	{"apriori", mining.Apriori, false},
 	{"apriori-kc+", mining.AprioriKCPlus, true},
-	{"fpgrowth-kc+", mining.FPGrowth, true},
 	{"eclat-kc+", mining.Eclat, true},
 }
 

@@ -12,15 +12,13 @@ import (
 )
 
 // ColocationBenchResult is one co-location mining measurement, written
-// to BENCH_colocation.json. The grid sweeps scene shape × engine ×
-// worker fan-out, so the perf gate tracks the parallel CSR neighbor
+// to BENCH_colocation.json. The grid sweeps scene shape × worker
+// fan-out, so the perf gate tracks the parallel CSR neighbor
 // materialization, the star-neighborhood prune, and the prevalence
-// walk separately from the transaction engines — and specifically pins
-// joinless against clique on the dense scenes where the clique
-// engine's instance tables blow up.
+// walk separately from the transaction engines.
 type ColocationBenchResult struct {
 	// Name identifies the workload:
-	// "colocation/scene=<s>/dist=<d>/minpi=<p>/engine=<e>/par=<w>".
+	// "colocation/scene=<s>/dist=<d>/minpi=<p>/par=<w>".
 	Name string `json:"name"`
 	// N is the number of timed iterations the harness settled on.
 	N int `json:"n"`
@@ -36,8 +34,8 @@ type ColocationBenchResult struct {
 	Prevalent int `json:"prevalent"`
 	// RefinedPairs is the materialized neighbor-pair count.
 	RefinedPairs int64 `json:"refinedPairs"`
-	// StarPruned counts candidates the joinless upper bound discarded
-	// (0 on clique rows) — how much work the prune actually saved.
+	// StarPruned counts candidates the star upper bound discarded — how
+	// much work the prune actually saved.
 	StarPruned int `json:"starPruned,omitempty"`
 }
 
@@ -56,10 +54,9 @@ type colocationBenchScene struct {
 // lists) and "cliques" (hot sites holding 8 instances per type —
 // multiplicative row-instance tables) are the dense scenes where
 // candidate evaluation dominates. The cliques scene is shaped so every
-// type pair is prevalent but the triple is not: the clique engine must
-// materialize the 8³-rows-per-site triple table to discover that,
-// while the joinless star bound rules it out from the CSR offsets
-// alone.
+// type pair is prevalent but the triple is not: the star bound rules
+// the triple out from the CSR offsets alone, without materializing its
+// 8³-rows-per-site table.
 func colocationBenchScenes() []colocationBenchScene {
 	base := datagen.DefaultColocationScene(datagen.DefaultSeed)
 	base.Clusters, base.Noise = 40, 20
@@ -97,8 +94,8 @@ func colocationBenchScenes() []colocationBenchScene {
 	}
 }
 
-// ColocationBench measures both co-location engines over the scene
-// grid. Scenes are generated once, outside the timed region.
+// ColocationBench measures the co-location engine over the scene grid.
+// Scenes are generated once, outside the timed region.
 func ColocationBench() ([]ColocationBenchResult, error) {
 	var out []ColocationBenchResult
 	for _, sc := range colocationBenchScenes() {
@@ -106,18 +103,13 @@ func ColocationBench() ([]ColocationBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, engine := range []colocation.Engine{colocation.EngineClique, colocation.EngineJoinless} {
-			for _, par := range []int{1, 4} {
-				mcfg := colocation.Config{
-					Distance: sc.dist, MinPI: sc.minPI,
-					Parallelism: par, Engine: engine,
-				}
-				res, err := benchColocationOne(ds, mcfg, sc.name)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, res)
+		for _, par := range []int{1, 4} {
+			mcfg := colocation.Config{Distance: sc.dist, MinPI: sc.minPI, Parallelism: par}
+			res, err := benchColocationOne(ds, mcfg, sc.name)
+			if err != nil {
+				return nil, err
 			}
+			out = append(out, res)
 		}
 	}
 	return out, nil
@@ -140,8 +132,8 @@ func benchColocationOne(ds *dataset.Dataset, cfg colocation.Config, scene string
 		}
 	})
 	return ColocationBenchResult{
-		Name: fmt.Sprintf("colocation/scene=%s/dist=%v/minpi=%v/engine=%s/par=%d",
-			scene, cfg.Distance, cfg.MinPI, cfg.Engine, cfg.Parallelism),
+		Name: fmt.Sprintf("colocation/scene=%s/dist=%v/minpi=%v/par=%d",
+			scene, cfg.Distance, cfg.MinPI, cfg.Parallelism),
 		N:            r.N,
 		NsPerOp:      float64(r.NsPerOp()),
 		AllocsPerOp:  r.AllocsPerOp(),

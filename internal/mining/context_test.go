@@ -61,41 +61,6 @@ func TestMineContextCancelBetweenPasses(t *testing.T) {
 	}
 }
 
-func TestFPGrowthContextPreCancelled(t *testing.T) {
-	db := itemset.NewDB(ctxTable())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := FPGrowthContext(ctx, db, Config{MinSupport: 0.2}); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestFPGrowthStatsAndDuration(t *testing.T) {
-	db := itemset.NewDB(dataset.Table2Reconstruction())
-	res, err := FPGrowthContext(context.Background(), db, Config{MinSupport: 0.5, FilterSameFeature: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Duration <= 0 {
-		t.Error("FP-growth result must record a duration")
-	}
-	if len(res.Stats) != res.MaxLen() {
-		t.Fatalf("stats = %d entries, want one per size up to %d", len(res.Stats), res.MaxLen())
-	}
-	bySize := res.CountBySize()
-	for _, s := range res.Stats {
-		if s.Frequent != bySize[s.K] {
-			t.Errorf("stat k=%d frequent = %d, want %d", s.K, s.Frequent, bySize[s.K])
-		}
-	}
-	if res.PrunedSameFeature == 0 {
-		t.Error("KC+ FP-growth run must count same-feature branch prunes")
-	}
-	if res.Stats[1].PrunedSameFeature != res.PrunedSameFeature {
-		t.Error("branch prune totals must surface on the k=2 stat")
-	}
-}
-
 // TestMineParallelismDeterministic asserts identical frequent itemsets
 // at Parallelism 1 and GOMAXPROCS — run under -race in CI, this is also
 // the data-race canary for the counting worker pool.

@@ -361,3 +361,57 @@ func popcount(b []uint64) int {
 	}
 	return n
 }
+
+// enumerationStats synthesizes per-size pass statistics from a sorted
+// result of the Eclat pattern enumeration, attributing the whole
+// enumeration's wall time to pass 1 (the walk has no per-pass phases)
+// and the branch-prune totals to k=2.
+func enumerationStats(res *Result, elapsed time.Duration) []PassStat {
+	bySize := res.CountBySize()
+	maxLen := res.MaxLen()
+	stats := make([]PassStat, 0, maxLen)
+	for k := 1; k <= maxLen; k++ {
+		s := PassStat{K: k, Candidates: bySize[k], Frequent: bySize[k]}
+		if k == 1 {
+			s.Duration = elapsed
+		}
+		if k == 2 {
+			s.PrunedDeps = res.PrunedDeps
+			s.PrunedSameFeature = res.PrunedSameFeature
+		}
+		stats = append(stats, s)
+	}
+	return stats
+}
+
+// violation classifies why a pattern extension is forbidden.
+type violation int
+
+// Violation kinds; violationNone means the extension is admissible.
+const (
+	violationNone violation = iota
+	violationDep
+	violationSameFeature
+)
+
+// violates reports whether adding item id to the pattern creates a
+// forbidden pair (Φ dependency or same feature type) with any existing
+// member, and which filter fired.
+func violates(ext itemset.Itemset, id int32, d *itemset.Dictionary, deps map[[2]int32]struct{}, sameFeature bool) violation {
+	for _, other := range ext {
+		if other == id {
+			continue
+		}
+		a, b := other, id
+		if a > b {
+			a, b = b, a
+		}
+		if _, bad := deps[[2]int32{a, b}]; bad {
+			return violationDep
+		}
+		if sameFeature && d.SameFeatureType(a, b) {
+			return violationSameFeature
+		}
+	}
+	return violationNone
+}

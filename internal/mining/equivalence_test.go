@@ -12,7 +12,7 @@ import (
 
 // TestEnginesEquivalentOnGeneratedScenes is the cross-engine property
 // test: on seeded datagen workloads of several sizes and minimum
-// supports, Apriori, Apriori-KC+, FP-growth, and Eclat produce identical
+// supports, Apriori, Apriori-KC+, and Eclat produce identical
 // frequent-itemset sets and supports, at sequential, GOMAXPROCS, and
 // forced-multi-worker parallelism alike (Parallelism drives both the
 // Apriori counting pool and the sharded Eclat walk). Run under -race in
@@ -81,16 +81,10 @@ func TestEnginesEquivalentOnGeneratedScenes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fp, err := FPGrowth(db, kcplus)
-					if err != nil {
-						t.Fatal(err)
-					}
 					ec, err := Eclat(db, kcplus)
 					if err != nil {
 						t.Fatal(err)
 					}
-					resultsEqual(t, "kc+-vs-fpgrowth", kc, fp, db.Dict)
-					resultsEqual(t, "fpgrowth-vs-kc+", fp, kc, db.Dict)
 					resultsEqual(t, "kc+-vs-eclat", kc, ec, db.Dict)
 					resultsEqual(t, "eclat-vs-kc+", ec, kc, db.Dict)
 				})

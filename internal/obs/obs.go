@@ -37,7 +37,7 @@ const (
 	KindPass
 	// KindAnnotation is a free-form note attached to a named subsystem —
 	// the server emits one per HTTP request (carrying the request ID) and
-	// one per micro-batch flush (carrying size and flush reason).
+	// the front node one per failover, upload, and patch.
 	KindAnnotation
 )
 

@@ -19,11 +19,7 @@ import (
 // wrapper keeps co-location keys disjoint from transaction-mining keys
 // for the same dataset (core.Config's canonical JSON never starts with
 // that member), while persist.splitKey still sees digest | config.
-// The Engine knob is stripped before marshalling: both engines return
-// identical results, so a clique run and a joinless run of the same
-// config share one cache entry.
 func ColocateCacheKey(digest string, cfg colocation.Config) (string, error) {
-	cfg.Engine = ""
 	canonical, err := json.Marshal(struct {
 		Colocate colocation.Config `json:"colocate"`
 	}{cfg})

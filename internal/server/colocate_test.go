@@ -14,6 +14,7 @@ import (
 	"repro/internal/colocation"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/mining"
 )
 
 func colocateBody(t *testing.T, digest string, cfg colocation.Config) []byte {
@@ -217,58 +218,50 @@ func TestColocateCacheKeyDisjoint(t *testing.T) {
 	}
 }
 
-// TestColocateCacheKeyIgnoresEngine: the Engine knob selects a
-// strategy, not a result, so every engine spelling of one config maps
-// to a single cache entry.
-func TestColocateCacheKeyIgnoresEngine(t *testing.T) {
-	base, err := ColocateCacheKey("d", colocation.Config{Distance: 1, MinPI: 0.5})
-	if err != nil {
-		t.Fatal(err)
+// TestCacheKeysGolden pins the exact bytes of both result-cache keys.
+// Persisted -data-dir results are filed under these keys, so a change in
+// their encoding would silently orphan every stored result. The golden
+// strings are what the keys were before the co-location engine knob and
+// the FP-growth algorithm were removed; removing them must not move any
+// surviving key.
+func TestCacheKeysGolden(t *testing.T) {
+	mine := []struct {
+		cfg  core.Config
+		want string
+	}{
+		{core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3},
+			`d1|{"algorithm":"eclat-kc+","minSupport":0.3}`},
+		{core.Config{Algorithm: core.AlgAprioriKC, MinSupport: 0.25,
+			Dependencies: []mining.Pair{{A: "y", B: "x"}, {A: "p", B: "q"}},
+			Counting:     mining.HorizontalCounting, Parallelism: 2,
+			GenerateRules: true, MinConfidence: 0.7, PostFilter: core.ClosedFilter},
+			`d1|{"algorithm":"apriori-kc","minSupport":0.25,"dependencies":[{"a":"p","b":"q"},{"a":"x","b":"y"}],"counting":"horizontal","parallelism":2,"minConfidence":0.7,"generateRules":true,"postFilter":"closed"}`},
 	}
-	for _, eng := range []colocation.Engine{colocation.EngineClique, colocation.EngineJoinless} {
-		key, err := ColocateCacheKey("d", colocation.Config{Distance: 1, MinPI: 0.5, Engine: eng})
+	for _, tc := range mine {
+		got, err := CacheKey("d1", tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if key != base {
-			t.Fatalf("engine %q forked the cache key: %q vs %q", eng, key, base)
+		if got != tc.want {
+			t.Errorf("CacheKey moved:\n got %s\nwant %s", got, tc.want)
 		}
 	}
-}
-
-// TestColocateEngineSharesCacheEntry: end to end, a clique request
-// followed by a joinless request of the same config is one engine run
-// and one cache entry — the second POST is a counter-verified cache
-// hit with an identical body.
-func TestColocateEngineSharesCacheEntry(t *testing.T) {
-	s := New(Options{})
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	info := uploadSampleScene(t, ts.Client(), ts.URL+"/v1")
-
-	cfg := colocation.Config{Distance: 3, MinPI: 0.2, Engine: colocation.EngineClique}
-	var first api.MineResponse
-	status, raw := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate", colocateBody(t, info.Digest, cfg), &first)
-	if status != http.StatusOK {
-		t.Fatalf("clique colocate: %d %s", status, raw)
+	coloc := []struct {
+		cfg  colocation.Config
+		want string
+	}{
+		{colocation.Config{Distance: 3, MinPI: 0.2},
+			`d2|{"colocate":{"distance":3,"minPI":0.2}}`},
+		{colocation.Config{Distance: 1, MinPI: 0.5, MaxSize: 3, Parallelism: 4, TopK: 2},
+			`d2|{"colocate":{"distance":1,"minPI":0.5,"maxSize":3,"parallelism":4,"topK":2}}`},
 	}
-	runs := s.trace.Counter("server.colocate.runs")
-
-	cfg.Engine = colocation.EngineJoinless
-	var second api.MineResponse
-	status, raw = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate", colocateBody(t, info.Digest, cfg), &second)
-	if status != http.StatusOK {
-		t.Fatalf("joinless colocate: %d %s", status, raw)
-	}
-	if !second.Cached {
-		t.Fatalf("joinless request after clique run not served from cache: %s", raw)
-	}
-	if got := s.trace.Counter("server.colocate.runs"); got != runs {
-		t.Fatalf("engine switch re-ran the miner: runs %d -> %d", runs, got)
-	}
-	second.Cached = false
-	if !reflect.DeepEqual(second, first) {
-		t.Fatalf("engines served different bodies:\n clique %+v\njoinless %+v", first, second)
+	for _, tc := range coloc {
+		got, err := ColocateCacheKey("d2", tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("ColocateCacheKey moved:\n got %s\nwant %s", got, tc.want)
+		}
 	}
 }

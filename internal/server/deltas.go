@@ -153,15 +153,10 @@ func resolveExtraction(cfg core.Config) transact.Options {
 // deltaEligible reports whether a cached mining result for cfg can be
 // patched forward by a row delta. Post-filters truncate the frequent
 // set (making additive correction unsound) and rule generation depends
-// on it, so both force the cold path. FP-growth is also excluded: its
-// cold runs tally the pair-filter prunes during the projection
-// recursion rather than over the k=2 pairs of frequent 1-items, so a
-// patched result (whose tallies follow the Apriori/Eclat definition)
-// could not reproduce its response byte-for-byte. Extraction-state
-// reuse is unaffected by any of these.
+// on it, so both force the cold path. Extraction-state reuse is
+// unaffected by either.
 func deltaEligible(cfg core.Config) bool {
-	return cfg.PostFilter == core.NoPostFilter && !cfg.GenerateRules &&
-		cfg.Algorithm != core.AlgFPGrowthKCPlus
+	return cfg.PostFilter == core.NoPostFilter && !cfg.GenerateRules
 }
 
 // computeScene is the scene branch of a cache-miss mine: it reuses (or

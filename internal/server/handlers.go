@@ -15,60 +15,45 @@ import (
 	"repro/internal/obs"
 )
 
-// route is one entry of the endpoint table: the canonical /v1 pattern
-// and its deprecated unprefixed alias. The table is data so the routing
-// test can enumerate both surfaces without guessing.
+// route is one entry of the endpoint table: the method and its /v1
+// pattern. The table is data so the routing test can enumerate the
+// surface without guessing.
 type route struct {
 	Method  string
 	V1      string
-	Legacy  string
 	handler http.HandlerFunc
 }
 
 // routeTable enumerates every endpoint once.
 func (s *Server) routeTable() []route {
 	return []route{
-		{"GET", "/v1/healthz", "/healthz", s.handleHealthz},
-		{"GET", "/v1/metrics", "/metrics", s.handleMetrics},
-		{"POST", "/v1/datasets/scene", "/datasets/scene", s.handleUploadScene},
-		{"POST", "/v1/datasets/table", "/datasets/table", s.handleUploadTable},
-		{"GET", "/v1/datasets", "/datasets", s.handleListDatasets},
-		{"GET", "/v1/datasets/{digest}", "/datasets/{digest}", s.handleGetDataset},
-		{"PATCH", "/v1/datasets/{digest}", "/datasets/{digest}", s.handlePatchDataset},
-		{"DELETE", "/v1/datasets/{digest}", "/datasets/{digest}", s.handleDeleteDataset},
-		{"POST", "/v1/mine", "/mine", s.handleMine},
-		{"POST", "/v1/colocate", "/colocate", s.handleColocate},
-		{"POST", "/v1/jobs", "/jobs", s.handleSubmitJob},
-		{"POST", "/v1/colocate/jobs", "/colocate/jobs", s.handleSubmitColocateJob},
-		{"GET", "/v1/jobs/{id}", "/jobs/{id}", s.handleGetJob},
-		{"DELETE", "/v1/jobs/{id}", "/jobs/{id}", s.handleCancelJob},
+		{"GET", "/v1/healthz", s.handleHealthz},
+		{"GET", "/v1/metrics", s.handleMetrics},
+		{"POST", "/v1/datasets/scene", s.handleUploadScene},
+		{"POST", "/v1/datasets/table", s.handleUploadTable},
+		{"GET", "/v1/datasets", s.handleListDatasets},
+		{"GET", "/v1/datasets/{digest}", s.handleGetDataset},
+		{"PATCH", "/v1/datasets/{digest}", s.handlePatchDataset},
+		{"DELETE", "/v1/datasets/{digest}", s.handleDeleteDataset},
+		{"POST", "/v1/mine", s.handleMine},
+		{"POST", "/v1/colocate", s.handleColocate},
+		{"POST", "/v1/jobs", s.handleSubmitJob},
+		{"POST", "/v1/colocate/jobs", s.handleSubmitColocateJob},
+		{"GET", "/v1/jobs/{id}", s.handleGetJob},
+		{"DELETE", "/v1/jobs/{id}", s.handleCancelJob},
 	}
 }
 
-// routes wires the endpoint table: every handler under its /v1 path,
-// plus the legacy unprefixed alias answering identically but with a
-// Deprecation header pointing at the successor.
+// routes wires the endpoint table: every handler under its /v1 path.
 func (s *Server) routes() {
 	for _, rt := range s.routeTable() {
 		s.mux.HandleFunc(rt.Method+" "+rt.V1, rt.handler)
-		s.mux.HandleFunc(rt.Method+" "+rt.Legacy, deprecatedAlias(s.trace, rt.V1, rt.handler))
 	}
 	// Unknown paths answer with the structured envelope instead of the
 	// mux's plain-text default.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, api.CodeNotFound, "no such endpoint %s %s", r.Method, r.URL.Path)
 	})
-}
-
-// deprecatedAlias wraps a /v1 handler for its legacy unprefixed path:
-// same behaviour, plus the Deprecation marker and a successor link.
-func deprecatedAlias(trace *obs.Trace, v1Path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+v1Path+`>; rel="successor-version"`)
-		trace.Add("server.legacy.requests", 1)
-		h(w, r)
-	}
 }
 
 // rejectDraining writes the shutdown 503 and reports whether it did.
@@ -288,8 +273,7 @@ func (s *Server) decodeMineRequest(w http.ResponseWriter, r *http.Request) (Mine
 	return req, true
 }
 
-// handleMine mines synchronously under the request deadline, routing
-// through the micro-batcher when one is configured.
+// handleMine mines synchronously under the request deadline.
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w, r) {
 		return
@@ -300,13 +284,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req))
 	defer cancel()
-	var resp *MineResponse
-	var err error
-	if s.batcher != nil {
-		resp, err = s.batcher.Do(ctx, req)
-	} else {
-		resp, err = s.mine(ctx, req)
-	}
+	resp, err := s.mine(ctx, req)
 	if err != nil {
 		s.writeMineError(w, r, err)
 		return
@@ -407,8 +385,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServerMetrics is the /metrics document: the obs snapshot (stage
-// spans, mining passes, counters — including the coalesce.*, batch.*
-// and eclat worker fan-out counters) plus the service-level
+// spans, mining passes, counters — including the coalesce.* and eclat
+// worker fan-out counters) plus the service-level
 // store/cache/job statistics and, on a node with -data-dir, the
 // persistence-tier block.
 type ServerMetrics struct {

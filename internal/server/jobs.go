@@ -339,10 +339,12 @@ const maxTerminalHistory = 1024
 // were submitted but never started are re-enqueued under their
 // original IDs; jobs the journal shows in flight when the process died
 // are marked failed with a lost: true detail (their partial work is
-// unrecoverable, but the ID stays pollable); terminal jobs keep their
-// recorded state (without results — those live in the result cache,
-// verified by digest chain). The journal is then compacted to exactly
-// the retained records. Call once, before serving traffic.
+// unrecoverable, but the ID stays pollable); jobs whose journaled
+// request no longer decodes are marked failed with the decode error;
+// terminal jobs keep their recorded state (without results — those
+// live in the result cache, verified by digest chain). The journal is
+// then compacted to exactly the retained records. Call once, before
+// serving traffic.
 func (m *JobManager) Recover(journal JobJournal) error {
 	recs, err := journal.ReplayJobs()
 	if err != nil {
@@ -392,6 +394,14 @@ func (m *JobManager) Recover(journal JobJournal) error {
 			a.fin = &persist.JobRecord{
 				Type: persist.RecFinished, ID: id, Time: time.Now(),
 				State: JobFailed, Error: lostError.Error(), Lost: true,
+			}
+			terminal = append(terminal, a)
+		case a.sub.ReqError != "":
+			// Journaled by a build that accepted a request this one
+			// rejects: fail just this job, with the reason.
+			a.fin = &persist.JobRecord{
+				Type: persist.RecFinished, ID: id, Time: time.Now(),
+				State: JobFailed, Error: "server: journaled request no longer decodes: " + a.sub.ReqError,
 			}
 			terminal = append(terminal, a)
 		default:

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,5 +268,40 @@ func TestWALToleratesTornTail(t *testing.T) {
 	}
 	if st := d2.PersistStats(); st.WALTruncated != 1 {
 		t.Errorf("walTruncated = %d, want 1", st.WALTruncated)
+	}
+}
+
+// TestWALReplayKeepsRecordsAfterUndecodableRequest: only a line that is
+// not valid JSON ends replay. A submitted record whose request no longer
+// decodes is returned with ReqError and a digest-only placeholder Req,
+// and the records after it still replay.
+func TestWALReplayKeepsRecordsAfterUndecodableRequest(t *testing.T) {
+	root := t.TempDir()
+	journal := `{"t":"submitted","id":"j1","time":"2026-01-02T03:04:05Z","req":{"dataset":"d1","config":{"algorithm":"quantum","minSupport":0.5}}}
+{"t":"submitted","id":"j2","time":"2026-01-02T03:04:05Z","req":{"dataset":"d2","config":{"algorithm":"eclat-kc+","minSupport":0.5}}}
+{"t":"started","id":"j2","ti`
+	if err := os.WriteFile(filepath.Join(root, "jobs.wal"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	recs, err := d.ReplayJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("replayed %d records, want 2: %+v", len(recs), recs)
+	}
+	if recs[0].ReqError == "" || !strings.Contains(recs[0].ReqError, "quantum") || recs[0].Req == nil || recs[0].Req.Dataset != "d1" {
+		t.Errorf("undecodable record = %+v, want ReqError naming the algorithm and a d1 placeholder", recs[0])
+	}
+	if recs[1].ReqError != "" || recs[1].Req == nil || recs[1].Req.Config.Algorithm.String() != "eclat-kc+" {
+		t.Errorf("valid record = %+v", recs[1])
+	}
+	if st := d.PersistStats(); st.WALTruncated != 1 {
+		t.Errorf("walTruncated = %d, want 1 (the torn tail only)", st.WALTruncated)
 	}
 }

@@ -23,8 +23,9 @@ import (
 //
 // Records are append-only and fsynced per append; replay folds them by
 // ID, last state winning. A half-written trailing record (torn by a
-// crash) is tolerated: replay stops at the first undecodable line and
-// the next compaction truncates it away.
+// crash) is tolerated: replay stops at the first line that is not valid
+// JSON and the next compaction truncates it away. A well-formed line is
+// never a torn tail, so it never stops replay (see decodeJobRecord).
 const (
 	RecSubmitted = "submitted"
 	RecStarted   = "started"
@@ -41,6 +42,10 @@ type JobRecord struct {
 	State api.JobState     `json:"state,omitempty"`
 	Error string           `json:"error,omitempty"`
 	Lost  bool             `json:"lost,omitempty"`
+	// ReqError is set by replay on a submitted record whose request no
+	// longer decodes (Req then holds only the dataset digest); recovery
+	// fails that job with it. It is never written to the journal.
+	ReqError string `json:"-"`
 }
 
 // maxWALLine bounds one journal record (a submitted record embeds the
@@ -75,7 +80,7 @@ func (d *Dir) AppendJob(rec JobRecord) error {
 }
 
 // ReplayJobs reads the journal back in append order. Replay stops at
-// the first record that does not decode — a torn tail write from a
+// the first line that is not valid JSON — a torn tail write from a
 // crash — and reports what was readable up to that point; the torn
 // tail is counted and dropped by the next CompactJobs.
 func (d *Dir) ReplayJobs() ([]JobRecord, error) {
@@ -95,17 +100,50 @@ func (d *Dir) ReplayJobs() ([]JobRecord, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec JobRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Type == "" || rec.ID == "" {
+		if !json.Valid(line) {
 			d.walTruncated.Add(1)
 			break
 		}
-		recs = append(recs, rec)
+		if rec, ok := decodeJobRecord(line); ok {
+			recs = append(recs, rec)
+		}
 	}
 	if err := sc.Err(); err != nil && len(recs) == 0 {
 		return nil, fmt.Errorf("persist: reading journal: %w", err)
 	}
 	return recs, nil
+}
+
+// decodeJobRecord decodes one well-formed journal line, reporting false
+// for JSON that is not a job record at all (no type or ID to fold it
+// under). A submitted record whose request no longer decodes — written
+// by a build that accepted an algorithm or field this one rejects —
+// still decodes: its Req becomes a placeholder carrying the dataset
+// digest and ReqError the decode error, so recovery fails that one job
+// instead of losing every record after it.
+func decodeJobRecord(line []byte) (JobRecord, bool) {
+	var raw struct {
+		JobRecord
+		Req json.RawMessage `json:"req,omitempty"`
+	}
+	if err := json.Unmarshal(line, &raw); err != nil || raw.Type == "" || raw.ID == "" {
+		return JobRecord{}, false
+	}
+	rec := raw.JobRecord
+	if len(raw.Req) == 0 || bytes.Equal(raw.Req, []byte("null")) {
+		return rec, true
+	}
+	var req api.MineRequest
+	if err := json.Unmarshal(raw.Req, &req); err != nil {
+		var digest struct {
+			Dataset string `json:"dataset"`
+		}
+		_ = json.Unmarshal(raw.Req, &digest) // best effort: the digest only labels the failed job
+		req = api.MineRequest{Dataset: digest.Dataset}
+		rec.ReqError = err.Error()
+	}
+	rec.Req = &req
+	return rec, true
 }
 
 // CompactJobs atomically replaces the journal with the given records

@@ -30,12 +30,12 @@ func TestStoreEvictionInvalidatesDerivedState(t *testing.T) {
 	client := ts.Client()
 
 	var a datasetInfo
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/datasets/table", []byte("r1,a,b\nr2,a,c\n"), &a); status != http.StatusCreated {
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/datasets/table", []byte("r1,a,b\nr2,a,c\n"), &a); status != http.StatusCreated {
 		t.Fatalf("upload A: %d %s", status, raw)
 	}
 	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}
 	var first MineResponse
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/mine", mineBody(t, a.Digest, cfg), &first); status != http.StatusOK {
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", mineBody(t, a.Digest, cfg), &first); status != http.StatusOK {
 		t.Fatalf("mine A: %d %s", status, raw)
 	}
 	// Seed delta-pipeline state derived from A.
@@ -51,7 +51,7 @@ func TestStoreEvictionInvalidatesDerivedState(t *testing.T) {
 
 	// Upload B: the 1-entry store evicts A.
 	var b datasetInfo
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/datasets/table", []byte("r9,x,y\n"), &b); status != http.StatusCreated {
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/datasets/table", []byte("r9,x,y\n"), &b); status != http.StatusCreated {
 		t.Fatalf("upload B: %d %s", status, raw)
 	}
 	if st := s.store.Stats(); st.Entries != 1 || st.Evictions != 1 {
@@ -64,7 +64,7 @@ func TestStoreEvictionInvalidatesDerivedState(t *testing.T) {
 		t.Error("evicted dataset's lineage record survived")
 	}
 	var m ServerMetrics
-	if status, raw := doJSON(t, client, "GET", ts.URL+"/metrics", nil, &m); status != http.StatusOK {
+	if status, raw := doJSON(t, client, "GET", ts.URL+"/v1/metrics", nil, &m); status != http.StatusOK {
 		t.Fatalf("metrics: %d %s", status, raw)
 	}
 	if got := m.Obs.Counters["server.cache.invalidated"]; got != 1 {
@@ -220,6 +220,80 @@ func TestJobManagerRecoverQueueOverflow(t *testing.T) {
 	close(release)
 }
 
+// TestJobManagerRecoverUndecodableRequest: a journal written by a build
+// that accepted an algorithm this one rejects (testdata holds one with
+// an FP-growth job) must not cost any other job. The well-formed record whose request no longer decodes becomes a
+// failed job naming the decode error; a line that is valid JSON but no
+// record is skipped; every later record still replays, so the queued
+// job after them runs; and nothing counts as a torn tail. A restart on
+// the compacted journal reports the same failure.
+func TestJobManagerRecoverUndecodableRequest(t *testing.T) {
+	journal, err := os.ReadFile("testdata/previous_build_jobs.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "jobs.wal"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := persist.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+
+	var ran atomic.Int64
+	run := func(ctx context.Context, req MineRequest) (*MineResponse, error) {
+		ran.Add(1)
+		return &MineResponse{Dataset: req.Dataset, Transactions: 7}, nil
+	}
+	m := NewJobManager(context.Background(), 1, 4, run)
+	defer m.Shutdown(context.Background())
+	if err := m.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	old, ok := m.Get("j-old")
+	if !ok {
+		t.Fatal("job with the undecodable request vanished")
+	}
+	st := m.Status(old)
+	if st.State != JobFailed || st.Lost || !strings.Contains(st.Error, "unknown algorithm") || st.Dataset != "d-old" {
+		t.Errorf("undecodable job = %+v, want failed naming the algorithm, not lost", st)
+	}
+	good, ok := m.Get("j-good")
+	if !ok {
+		t.Fatal("valid job after the undecodable record was dropped")
+	}
+	waitState(t, m, good, JobDone)
+	if got := m.Status(good); got.Result == nil || got.Result.Dataset != "d-good" {
+		t.Errorf("recovered job = %+v", got)
+	}
+	if ran.Load() != 1 {
+		t.Errorf("ran %d jobs, want only the valid one", ran.Load())
+	}
+	if recovered, lost := m.RecoveryStats(); recovered != 1 || lost != 0 {
+		t.Errorf("recovery stats = %d/%d, want 1 recovered / 0 lost", recovered, lost)
+	}
+	if st := dir.PersistStats(); st.WALTruncated != 0 {
+		t.Errorf("walTruncated = %d, want 0: no line was torn", st.WALTruncated)
+	}
+
+	// The compacted journal keeps the failure across another restart.
+	m2 := NewJobManager(context.Background(), 1, 4, run)
+	defer m2.Shutdown(context.Background())
+	if err := m2.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	old2, ok := m2.Get("j-old")
+	if !ok {
+		t.Fatal("failed job forgotten after compaction")
+	}
+	if st := m2.Status(old2); st.State != JobFailed || !strings.Contains(st.Error, "unknown algorithm") {
+		t.Errorf("after second restart = %+v", st)
+	}
+}
+
 // --- End-to-end restart ---------------------------------------------------
 
 // TestServerRestartDurability is the PR's acceptance path: against a
@@ -258,22 +332,22 @@ func TestServerRestartDurability(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 	client := ts1.Client()
 
-	info := uploadSampleScene(t, client, ts1.URL)
+	info := uploadSampleScene(t, client, ts1.URL+"/v1")
 	cfgMined := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3}
 	var before MineResponse
-	if status, raw := doJSON(t, client, "POST", ts1.URL+"/mine", mineBody(t, info.Digest, cfgMined), &before); status != http.StatusOK {
+	if status, raw := doJSON(t, client, "POST", ts1.URL+"/v1/mine", mineBody(t, info.Digest, cfgMined), &before); status != http.StatusOK {
 		t.Fatalf("pre-crash mine: %d %s", status, raw)
 	}
 
 	// One job mid-run, one queued behind the single worker.
 	block.Store(true)
 	var inflight, queued JobStatus
-	if status, raw := doJSON(t, client, "POST", ts1.URL+"/jobs",
+	if status, raw := doJSON(t, client, "POST", ts1.URL+"/v1/jobs",
 		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.4}), &inflight); status != http.StatusAccepted {
 		t.Fatalf("submit in-flight job: %d %s", status, raw)
 	}
 	<-blocked // its started record is journaled before the hook runs
-	if status, raw := doJSON(t, client, "POST", ts1.URL+"/jobs",
+	if status, raw := doJSON(t, client, "POST", ts1.URL+"/v1/jobs",
 		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}), &queued); status != http.StatusAccepted {
 		t.Fatalf("submit queued job: %d %s", status, raw)
 	}
@@ -296,7 +370,7 @@ func TestServerRestartDurability(t *testing.T) {
 	var list struct {
 		Datasets []datasetInfo `json:"datasets"`
 	}
-	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/datasets", nil, &list); status != http.StatusOK {
+	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/v1/datasets", nil, &list); status != http.StatusOK {
 		t.Fatalf("list: %d %s", status, raw)
 	}
 	if len(list.Datasets) != 1 || list.Datasets[0].Digest != info.Digest || list.Datasets[0].Rows != info.Rows {
@@ -304,7 +378,7 @@ func TestServerRestartDurability(t *testing.T) {
 	}
 	// Fetching by digest lazily re-parses the persisted body.
 	var meta datasetInfo
-	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/datasets/"+info.Digest, nil, &meta); status != http.StatusOK {
+	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/v1/datasets/"+info.Digest, nil, &meta); status != http.StatusOK {
 		t.Fatalf("dataset after restart: %d %s", status, raw)
 	}
 	if meta.Rows != info.Rows || meta.Bytes != info.Bytes {
@@ -314,7 +388,7 @@ func TestServerRestartDurability(t *testing.T) {
 	// The in-flight job is failed + lost; the queued one finishes under
 	// its original ID.
 	var st JobStatus
-	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/jobs/"+inflight.ID, nil, &st); status != http.StatusOK {
+	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/v1/jobs/"+inflight.ID, nil, &st); status != http.StatusOK {
 		t.Fatalf("poll lost job: %d %s", status, raw)
 	}
 	if st.State != JobFailed || !st.Lost || !strings.Contains(st.Error, "lost") {
@@ -323,7 +397,7 @@ func TestServerRestartDurability(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st = JobStatus{} // omitempty fields must not leak between polls
-		if status, raw := doJSON(t, client2, "GET", ts2.URL+"/jobs/"+queued.ID, nil, &st); status != http.StatusOK {
+		if status, raw := doJSON(t, client2, "GET", ts2.URL+"/v1/jobs/"+queued.ID, nil, &st); status != http.StatusOK {
 			t.Fatalf("poll recovered job: %d %s", status, raw)
 		}
 		if st.State == JobDone {
@@ -340,7 +414,7 @@ func TestServerRestartDurability(t *testing.T) {
 
 	// The pre-crash result is served from disk, digest chain verified.
 	var after MineResponse
-	if status, raw := doJSON(t, client2, "POST", ts2.URL+"/mine", mineBody(t, info.Digest, cfgMined), &after); status != http.StatusOK {
+	if status, raw := doJSON(t, client2, "POST", ts2.URL+"/v1/mine", mineBody(t, info.Digest, cfgMined), &after); status != http.StatusOK {
 		t.Fatalf("post-restart mine: %d %s", status, raw)
 	}
 	if !after.Cached {
@@ -352,7 +426,7 @@ func TestServerRestartDurability(t *testing.T) {
 	}
 
 	var m ServerMetrics
-	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/metrics", nil, &m); status != http.StatusOK {
+	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/v1/metrics", nil, &m); status != http.StatusOK {
 		t.Fatalf("metrics: %d %s", status, raw)
 	}
 	if m.Persist == nil || !m.Persist.Enabled {
@@ -373,7 +447,7 @@ func TestServerRestartDurability(t *testing.T) {
 
 	// Healthz advertises the durable role.
 	var h healthz
-	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/healthz", nil, &h); status != http.StatusOK || h.Persist != "disk" {
+	if status, raw := doJSON(t, client2, "GET", ts2.URL+"/v1/healthz", nil, &h); status != http.StatusOK || h.Persist != "disk" {
 		t.Fatalf("healthz = %d %s %+v, want persist: disk", status, raw, h)
 	}
 }
@@ -393,12 +467,12 @@ func TestPersistedResultVerifyFailureRecomputes(t *testing.T) {
 	client := ts1.Client()
 
 	var info datasetInfo
-	if status, raw := doJSON(t, client, "POST", ts1.URL+"/datasets/table", []byte("r1,a,b\nr2,a,b\nr3,a,c\n"), &info); status != http.StatusCreated {
+	if status, raw := doJSON(t, client, "POST", ts1.URL+"/v1/datasets/table", []byte("r1,a,b\nr2,a,b\nr3,a,c\n"), &info); status != http.StatusCreated {
 		t.Fatalf("upload: %d %s", status, raw)
 	}
 	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}
 	var before MineResponse
-	if status, raw := doJSON(t, client, "POST", ts1.URL+"/mine", mineBody(t, info.Digest, cfg), &before); status != http.StatusOK {
+	if status, raw := doJSON(t, client, "POST", ts1.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &before); status != http.StatusOK {
 		t.Fatalf("mine: %d %s", status, raw)
 	}
 	s1.Shutdown(context.Background())
@@ -425,7 +499,7 @@ func TestPersistedResultVerifyFailureRecomputes(t *testing.T) {
 	defer ts2.Close()
 
 	var resp MineResponse
-	if status, raw := doJSON(t, ts2.Client(), "POST", ts2.URL+"/mine", mineBody(t, info.Digest, cfg), &resp); status != http.StatusOK {
+	if status, raw := doJSON(t, ts2.Client(), "POST", ts2.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &resp); status != http.StatusOK {
 		t.Fatalf("mine after corruption: %d %s", status, raw)
 	}
 	if resp.Cached {
@@ -435,7 +509,7 @@ func TestPersistedResultVerifyFailureRecomputes(t *testing.T) {
 		t.Errorf("recomputed %d itemsets, want %d", len(resp.Frequent), len(before.Frequent))
 	}
 	var m ServerMetrics
-	if status, raw := doJSON(t, ts2.Client(), "GET", ts2.URL+"/metrics", nil, &m); status != http.StatusOK {
+	if status, raw := doJSON(t, ts2.Client(), "GET", ts2.URL+"/v1/metrics", nil, &m); status != http.StatusOK {
 		t.Fatalf("metrics: %d %s", status, raw)
 	}
 	if m.Persist == nil || m.Persist.VerifyFailures != 1 {
@@ -459,7 +533,7 @@ func TestPersistedResultVerifyFailureRecomputes(t *testing.T) {
 	ts3 := httptest.NewServer(s3.Handler())
 	defer ts3.Close()
 	var again MineResponse
-	if status, raw := doJSON(t, ts3.Client(), "POST", ts3.URL+"/mine", mineBody(t, info.Digest, cfg), &again); status != http.StatusOK {
+	if status, raw := doJSON(t, ts3.Client(), "POST", ts3.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &again); status != http.StatusOK {
 		t.Fatalf("third-generation mine: %d %s", status, raw)
 	}
 	if !again.Cached {

@@ -144,28 +144,27 @@ func NewProxy(opts ProxyOptions) (*Proxy, error) {
 	return p, nil
 }
 
-// routes wires the same endpoint table as a mining node (with legacy
-// aliases), backed by forwarding handlers.
+// routes wires the same endpoint table as a mining node, backed by
+// forwarding handlers.
 func (p *Proxy) routes() {
 	table := []route{
-		{"GET", "/v1/healthz", "/healthz", p.handleHealthz},
-		{"GET", "/v1/metrics", "/metrics", p.handleMetrics},
-		{"POST", "/v1/datasets/scene", "/datasets/scene", p.uploadHandler("/v1/datasets/scene")},
-		{"POST", "/v1/datasets/table", "/datasets/table", p.uploadHandler("/v1/datasets/table")},
-		{"GET", "/v1/datasets", "/datasets", p.handleListDatasets},
-		{"GET", "/v1/datasets/{digest}", "/datasets/{digest}", p.handleGetDataset},
-		{"PATCH", "/v1/datasets/{digest}", "/datasets/{digest}", p.handlePatchDataset},
-		{"DELETE", "/v1/datasets/{digest}", "/datasets/{digest}", p.handleDeleteDataset},
-		{"POST", "/v1/mine", "/mine", p.mineHandler("/v1/mine")},
-		{"POST", "/v1/colocate", "/colocate", p.mineHandler("/v1/colocate")},
-		{"POST", "/v1/jobs", "/jobs", p.mineHandler("/v1/jobs")},
-		{"POST", "/v1/colocate/jobs", "/colocate/jobs", p.mineHandler("/v1/colocate/jobs")},
-		{"GET", "/v1/jobs/{id}", "/jobs/{id}", p.handleJobByID},
-		{"DELETE", "/v1/jobs/{id}", "/jobs/{id}", p.handleJobByID},
+		{"GET", "/v1/healthz", p.handleHealthz},
+		{"GET", "/v1/metrics", p.handleMetrics},
+		{"POST", "/v1/datasets/scene", p.uploadHandler("/v1/datasets/scene")},
+		{"POST", "/v1/datasets/table", p.uploadHandler("/v1/datasets/table")},
+		{"GET", "/v1/datasets", p.handleListDatasets},
+		{"GET", "/v1/datasets/{digest}", p.handleGetDataset},
+		{"PATCH", "/v1/datasets/{digest}", p.handlePatchDataset},
+		{"DELETE", "/v1/datasets/{digest}", p.handleDeleteDataset},
+		{"POST", "/v1/mine", p.mineHandler("/v1/mine")},
+		{"POST", "/v1/colocate", p.mineHandler("/v1/colocate")},
+		{"POST", "/v1/jobs", p.mineHandler("/v1/jobs")},
+		{"POST", "/v1/colocate/jobs", p.mineHandler("/v1/colocate/jobs")},
+		{"GET", "/v1/jobs/{id}", p.handleJobByID},
+		{"DELETE", "/v1/jobs/{id}", p.handleJobByID},
 	}
 	for _, rt := range table {
 		p.mux.HandleFunc(rt.Method+" "+rt.V1, rt.handler)
-		p.mux.HandleFunc(rt.Method+" "+rt.Legacy, deprecatedAlias(p.trace, rt.V1, rt.handler))
 	}
 	p.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, api.CodeNotFound, "no such endpoint %s %s", r.Method, r.URL.Path)

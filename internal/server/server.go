@@ -1,16 +1,15 @@
 // Package server implements qsrmined: the HTTP/JSON mining service over
 // the qsrmine pipeline. It offers content-addressed dataset uploads
 // (WKT-JSON scenes, transaction-table CSVs) held in an LRU-capped
-// in-memory store, synchronous mining with single-flight coalescing and
-// optional micro-batching, an async job manager with a bounded worker
-// pool and cancellation wired to context cancellation mid-DFS, a result
-// cache keyed by (dataset digest, canonical config), and health/metrics
-// endpoints snapshotting the obs collector. A separate Proxy type turns
+// in-memory store, synchronous mining with single-flight coalescing, an
+// async job manager with a bounded worker pool and cancellation wired to
+// context cancellation mid-DFS, a result cache keyed by (dataset digest,
+// canonical config), and health/metrics endpoints snapshotting the obs
+// collector. A separate Proxy type turns
 // a node started with peers into a front router that consistent-hashes
 // requests across a cluster by dataset digest.
 //
-// Endpoints (canonical under /v1; the unprefixed legacy paths answer
-// identically with a Deprecation header):
+// Endpoints (all under /v1; any other path answers 404 not_found):
 //
 //	POST   /v1/datasets/scene    upload a WKT-JSON scene      -> {digest,...}
 //	POST   /v1/datasets/table    upload a transaction CSV     -> {digest,...}
@@ -19,7 +18,9 @@
 //	PATCH  /v1/datasets/{digest} mutate a scene               -> successor digest
 //	DELETE /v1/datasets/{digest} delete + invalidate results
 //	POST   /v1/mine              mine synchronously           -> MineResponse
+//	POST   /v1/colocate          co-location synchronously    -> MineResponse
 //	POST   /v1/jobs              submit an async mining job   -> JobStatus (202)
+//	POST   /v1/colocate/jobs     submit an async co-location  -> JobStatus (202)
 //	GET    /v1/jobs/{id}         poll job status/result
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/healthz           liveness + version
@@ -62,13 +63,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// EventLimit bounds the obs event ring (default 4096).
 	EventLimit int
-	// BatchWindow enables the sync-mine micro-batcher: requests arriving
-	// within this window are flushed as one batch. 0 (the default)
-	// disables batching.
-	BatchWindow time.Duration
-	// BatchMax caps one batch; a full batch flushes before the window
-	// expires (default 16; only meaningful with BatchWindow > 0).
-	BatchMax int
 	// AccessLog, when non-nil, receives one line per HTTP request
 	// (time, method, path, status, duration, request ID).
 	AccessLog io.Writer
@@ -104,9 +98,6 @@ func (o Options) withDefaults() Options {
 	if o.EventLimit <= 0 {
 		o.EventLimit = 4096
 	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 16
-	}
 	return o
 }
 
@@ -120,7 +111,6 @@ type Server struct {
 	persist   Persistence // nil = memory-only
 	jobs      *JobManager
 	flights   *flightGroup
-	batcher   *Batcher // nil when batching is disabled
 	trace     *obs.Trace
 	collector *obs.Collector
 	mux       *http.ServeMux
@@ -179,9 +169,6 @@ func New(opts Options) *Server {
 		s.trace.Add("server.persist.jobs_recovered", recovered)
 		s.trace.Add("server.persist.jobs_lost", lost)
 	}
-	if opts.BatchWindow > 0 {
-		s.batcher = newBatcher(opts.BatchWindow, opts.BatchMax, s.trace, s.mine)
-	}
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -217,15 +204,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // jobs are cancelled through their contexts — the mining engines
 // observe cancellation mid-DFS, so even that path returns promptly.
 // Cancelling the base context also unwinds any detached single-flight
-// computations, after which the batcher (if any) flushes and stops.
-// The HTTP listener itself is owned by the caller (cmd/qsrmined closes
-// it around this call). Safe to call more than once.
+// computations. The HTTP listener itself is owned by the caller
+// (cmd/qsrmined closes it around this call). Safe to call more than
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	err := s.jobs.Shutdown(ctx)
 	s.stopBase()
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
 	return err
 }

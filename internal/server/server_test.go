@@ -80,12 +80,12 @@ func TestEndToEndAsyncJobMatchesLibraryRun(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	client := ts.Client()
 
-	info := uploadSampleScene(t, client, ts.URL)
+	info := uploadSampleScene(t, client, ts.URL+"/v1")
 	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3, GenerateRules: true, MinConfidence: 0.7}
 
 	// Submit the async job.
 	var st JobStatus
-	status, raw := doJSON(t, client, "POST", ts.URL+"/jobs", mineBody(t, info.Digest, cfg), &st)
+	status, raw := doJSON(t, client, "POST", ts.URL+"/v1/jobs", mineBody(t, info.Digest, cfg), &st)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", status, raw)
 	}
@@ -100,7 +100,7 @@ func TestEndToEndAsyncJobMatchesLibraryRun(t *testing.T) {
 			t.Fatalf("job stuck in %q", st.State)
 		}
 		time.Sleep(5 * time.Millisecond)
-		if status, raw = doJSON(t, client, "GET", ts.URL+"/jobs/"+st.ID, nil, &st); status != http.StatusOK {
+		if status, raw = doJSON(t, client, "GET", ts.URL+"/v1/jobs/"+st.ID, nil, &st); status != http.StatusOK {
 			t.Fatalf("poll: %d %s", status, raw)
 		}
 		if st.State == JobFailed || st.State == JobCancelled {
@@ -141,7 +141,7 @@ func TestEndToEndAsyncJobMatchesLibraryRun(t *testing.T) {
 	// A second identical request — this time synchronous — must be a
 	// cache hit and not re-mine.
 	var second MineResponse
-	if status, raw = doJSON(t, client, "POST", ts.URL+"/mine", mineBody(t, info.Digest, cfg), &second); status != http.StatusOK {
+	if status, raw = doJSON(t, client, "POST", ts.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &second); status != http.StatusOK {
 		t.Fatalf("cached mine: %d %s", status, raw)
 	}
 	if !second.Cached {
@@ -151,7 +151,7 @@ func TestEndToEndAsyncJobMatchesLibraryRun(t *testing.T) {
 		t.Error("cached response differs from the original")
 	}
 	var m ServerMetrics
-	if status, raw = doJSON(t, client, "GET", ts.URL+"/metrics", nil, &m); status != http.StatusOK {
+	if status, raw = doJSON(t, client, "GET", ts.URL+"/v1/metrics", nil, &m); status != http.StatusOK {
 		t.Fatalf("metrics: %d %s", status, raw)
 	}
 	if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
@@ -192,7 +192,7 @@ func TestEndToEndAsyncJobMatchesLibraryRun(t *testing.T) {
 	other := cfg
 	other.MinSupport = 0.5
 	var third MineResponse
-	if status, raw = doJSON(t, client, "POST", ts.URL+"/mine", mineBody(t, info.Digest, other), &third); status != http.StatusOK {
+	if status, raw = doJSON(t, client, "POST", ts.URL+"/v1/mine", mineBody(t, info.Digest, other), &third); status != http.StatusOK {
 		t.Fatalf("third mine: %d %s", status, raw)
 	}
 	if third.Cached {
@@ -222,20 +222,20 @@ r2,a,c
 r3,b,c
 `)
 	var info datasetInfo
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/datasets/table", body, &info); status != http.StatusCreated {
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/datasets/table", body, &info); status != http.StatusCreated {
 		t.Fatalf("table upload: %d %s", status, raw)
 	}
 
 	before := runtime.NumGoroutine()
 	var st JobStatus
-	status, raw := doJSON(t, client, "POST", ts.URL+"/jobs",
+	status, raw := doJSON(t, client, "POST", ts.URL+"/v1/jobs",
 		mineBody(t, info.Digest, core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.5}), &st)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", status, raw)
 	}
 	<-started // the job is now provably mid-"DFS"
 
-	if status, raw = doJSON(t, client, "DELETE", ts.URL+"/jobs/"+st.ID, nil, nil); status != http.StatusOK {
+	if status, raw = doJSON(t, client, "DELETE", ts.URL+"/v1/jobs/"+st.ID, nil, nil); status != http.StatusOK {
 		t.Fatalf("cancel: %d %s", status, raw)
 	}
 	j, ok := s.jobs.Get(st.ID)
@@ -251,7 +251,7 @@ r3,b,c
 		t.Fatalf("state = %q, want cancelled", got.State)
 	}
 	// GET after cancel reports the terminal state to pollers.
-	if status, raw = doJSON(t, client, "GET", ts.URL+"/jobs/"+st.ID, nil, &st); status != http.StatusOK || st.State != JobCancelled {
+	if status, raw = doJSON(t, client, "GET", ts.URL+"/v1/jobs/"+st.ID, nil, &st); status != http.StatusOK || st.State != JobCancelled {
 		t.Fatalf("poll after cancel: %d %s", status, raw)
 	}
 	// No goroutines may outlive the cancelled job (HTTP keep-alive
@@ -290,7 +290,7 @@ func TestGracefulShutdown(t *testing.T) {
 	httpSrv := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
+	base := "http://" + ln.Addr().String() + "/v1"
 	client := &http.Client{}
 
 	var buf bytes.Buffer
@@ -380,9 +380,9 @@ func TestShutdownDeadlineCancelsStuckJob(t *testing.T) {
 
 	body := []byte("r1,a,b\n")
 	var info datasetInfo
-	doJSON(t, client, "POST", ts.URL+"/datasets/table", body, &info)
+	doJSON(t, client, "POST", ts.URL+"/v1/datasets/table", body, &info)
 	var st JobStatus
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/jobs",
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/jobs",
 		mineBody(t, info.Digest, core.Config{MinSupport: 0.5}), &st); status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", status, raw)
 	}
@@ -418,20 +418,20 @@ func TestRequestValidationAndErrors(t *testing.T) {
 		wantStatus         int
 		wantErr            string
 	}{
-		{"mine unknown dataset", "POST", "/mine", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, "unknown dataset"},
-		{"job unknown dataset", "POST", "/jobs", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, "unknown dataset"},
-		{"mine bad algorithm", "POST", "/mine", `{"dataset":"beef","config":{"algorithm":"quantum","minSupport":0.5}}`, 400, "unknown algorithm"},
-		{"mine unknown body field", "POST", "/mine", `{"dataset":"beef","config":{"minSupport":0.5},"cfg":{}}`, 400, "unknown field"},
-		{"mine missing dataset", "POST", "/mine", `{"config":{"minSupport":0.5}}`, 400, "dataset"},
-		{"mine bad minsup", "POST", "/mine", `{"dataset":"beef","config":{"minSupport":7}}`, 400, "minSupport"},
-		{"mine garbage body", "POST", "/mine", `}{`, 400, "decoding"},
-		{"scene garbage body", "POST", "/datasets/scene", `not json`, 400, "decoding"},
-		{"scene bad wkt", "POST", "/datasets/scene", `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT(huh)"}]}}`, 400, "parsing WKT"},
-		{"table empty", "POST", "/datasets/table", "\n# nothing\n", 400, "no transactions"},
-		{"table bad row", "POST", "/datasets/table", ",a,b\n", 400, "empty reference ID"},
-		{"poll unknown job", "GET", "/jobs/j777", "", 404, "unknown job"},
-		{"cancel unknown job", "DELETE", "/jobs/j777", "", 404, "unknown job"},
-		{"dataset metadata unknown", "GET", "/datasets/beef", "", 404, "unknown dataset"},
+		{"mine unknown dataset", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, "unknown dataset"},
+		{"job unknown dataset", "POST", "/v1/jobs", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, "unknown dataset"},
+		{"mine bad algorithm", "POST", "/v1/mine", `{"dataset":"beef","config":{"algorithm":"quantum","minSupport":0.5}}`, 400, "unknown algorithm"},
+		{"mine unknown body field", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5},"cfg":{}}`, 400, "unknown field"},
+		{"mine missing dataset", "POST", "/v1/mine", `{"config":{"minSupport":0.5}}`, 400, "dataset"},
+		{"mine bad minsup", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":7}}`, 400, "minSupport"},
+		{"mine garbage body", "POST", "/v1/mine", `}{`, 400, "decoding"},
+		{"scene garbage body", "POST", "/v1/datasets/scene", `not json`, 400, "decoding"},
+		{"scene bad wkt", "POST", "/v1/datasets/scene", `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT(huh)"}]}}`, 400, "parsing WKT"},
+		{"table empty", "POST", "/v1/datasets/table", "\n# nothing\n", 400, "no transactions"},
+		{"table bad row", "POST", "/v1/datasets/table", ",a,b\n", 400, "empty reference ID"},
+		{"poll unknown job", "GET", "/v1/jobs/j777", "", 404, "unknown job"},
+		{"cancel unknown job", "DELETE", "/v1/jobs/j777", "", 404, "unknown job"},
+		{"dataset metadata unknown", "GET", "/v1/datasets/beef", "", 404, "unknown dataset"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -449,9 +449,9 @@ func TestRequestValidationAndErrors(t *testing.T) {
 	// horizontal counting) maps to 422.
 	body := []byte("r1,a,b\nr2,a,b\n")
 	var info datasetInfo
-	doJSON(t, client, "POST", ts.URL+"/datasets/table", body, &info)
+	doJSON(t, client, "POST", ts.URL+"/v1/datasets/table", body, &info)
 	req := fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.5,"counting":"horizontal"}}`, info.Digest)
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/mine", []byte(req), nil); status != http.StatusUnprocessableEntity {
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", []byte(req), nil); status != http.StatusUnprocessableEntity {
 		t.Errorf("engine config error: %d %s, want 422", status, raw)
 	}
 	// Upload body cap: 413 with the limit named.
@@ -459,7 +459,7 @@ func TestRequestValidationAndErrors(t *testing.T) {
 	tss := httptest.NewServer(small.Handler())
 	defer tss.Close()
 	defer small.Shutdown(context.Background())
-	if status, raw := doJSON(t, client, "POST", tss.URL+"/datasets/table", bytes.Repeat([]byte("a"), 64), nil); status != http.StatusRequestEntityTooLarge {
+	if status, raw := doJSON(t, client, "POST", tss.URL+"/v1/datasets/table", bytes.Repeat([]byte("a"), 64), nil); status != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized upload: %d %s, want 413", status, raw)
 	}
 }
@@ -472,7 +472,7 @@ func TestHealthzReportsVersion(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	var h healthz
-	if status, raw := doJSON(t, ts.Client(), "GET", ts.URL+"/healthz", nil, &h); status != http.StatusOK {
+	if status, raw := doJSON(t, ts.Client(), "GET", ts.URL+"/v1/healthz", nil, &h); status != http.StatusOK {
 		t.Fatalf("healthz: %d %s", status, raw)
 	}
 	if h.Status != "ok" || h.Version == "" {
@@ -498,13 +498,13 @@ func TestMineRequestTimeout(t *testing.T) {
 	client := ts.Client()
 
 	var info datasetInfo
-	doJSON(t, client, "POST", ts.URL+"/datasets/table", []byte("r1,a,b\n"), &info)
+	doJSON(t, client, "POST", ts.URL+"/v1/datasets/table", []byte("r1,a,b\n"), &info)
 	req := fmt.Sprintf(`{"dataset":%q,"config":{"minSupport":0.5},"timeoutMillis":30}`, info.Digest)
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/mine", []byte(req), nil); status != http.StatusGatewayTimeout {
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", []byte(req), nil); status != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out mine: %d %s, want 504", status, raw)
 	}
 	var st JobStatus
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/jobs", []byte(req), &st); status != http.StatusAccepted {
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/jobs", []byte(req), &st); status != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", status, raw)
 	}
 	j, _ := s.jobs.Get(st.ID)

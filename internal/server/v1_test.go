@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -24,12 +25,10 @@ func decodeEnvelope(t *testing.T, raw string) api.ErrorBody {
 	return env.Error
 }
 
-// TestRouteTableBothSurfaces enumerates the endpoint table and requires
-// every route to answer on its /v1 path without deprecation markers and
-// on its legacy alias WITH them — same status either way. This is the
-// contract test for the /v1 migration: adding an endpoint to one
-// surface but not the other fails here.
-func TestRouteTableBothSurfaces(t *testing.T) {
+// TestUnprefixedPathsNotFound enumerates the endpoint table: every
+// route answers on its /v1 path, and its unprefixed form — the retired
+// pre-/v1 surface — falls through to the uniform 404 not_found envelope.
+func TestUnprefixedPathsNotFound(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -37,48 +36,70 @@ func TestRouteTableBothSurfaces(t *testing.T) {
 	client := ts.Client()
 
 	// Fill the path placeholders with values that at worst 404; the
-	// point is routing parity, not happy paths.
+	// point is routing, not happy paths.
 	fill := func(p string) string {
 		p = strings.ReplaceAll(p, "{digest}", "beef")
 		return strings.ReplaceAll(p, "{id}", "j000000-00000042")
 	}
 	for _, rt := range s.routeTable() {
-		rt := rt
 		t.Run(rt.Method+" "+rt.V1, func(t *testing.T) {
-			do := func(path string) *http.Response {
-				req, err := http.NewRequest(rt.Method, ts.URL+fill(path), strings.NewReader(""))
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := client.Do(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				return resp
-			}
-			v1 := do(rt.V1)
-			legacy := do(rt.Legacy)
-			if v1.StatusCode != legacy.StatusCode {
-				t.Errorf("status diverges: /v1 %d vs legacy %d", v1.StatusCode, legacy.StatusCode)
-			}
-			if v1.StatusCode == http.StatusMethodNotAllowed {
+			if status, _ := doJSON(t, client, rt.Method, ts.URL+fill(rt.V1), nil, nil); status == http.StatusMethodNotAllowed {
 				t.Errorf("%s %s not routed", rt.Method, rt.V1)
 			}
-			if got := v1.Header.Get("Deprecation"); got != "" {
-				t.Errorf("/v1 path carries Deprecation %q", got)
+			bare := fill(strings.TrimPrefix(rt.V1, "/v1"))
+			status, raw := doJSON(t, client, rt.Method, ts.URL+bare, nil, nil)
+			if status != http.StatusNotFound {
+				t.Fatalf("%s %s: status %d, want 404", rt.Method, bare, status)
 			}
-			if got := legacy.Header.Get("Deprecation"); got != "true" {
-				t.Errorf("legacy alias Deprecation = %q, want true", got)
-			}
-			wantLink := "<" + rt.V1 + `>; rel="successor-version"`
-			if got := legacy.Header.Get("Link"); got != wantLink {
-				t.Errorf("legacy Link = %q, want %q", got, wantLink)
+			if eb := decodeEnvelope(t, raw); eb.Code != api.CodeNotFound || !strings.Contains(eb.Message, "no such endpoint") {
+				t.Errorf("%s %s: envelope %+v, want not_found for the endpoint", rt.Method, bare, eb)
 			}
 		})
 	}
-	if n := s.trace.Counters()["server.legacy.requests"]; n != int64(len(s.routeTable())) {
-		t.Errorf("server.legacy.requests = %d, want %d", n, len(s.routeTable()))
+}
+
+// TestRemovedKnobsRejected pins the wire contract for the removed
+// co-location engine field and FP-growth algorithm names: each request
+// in testdata/removed_knobs.json is a 400 bad_request whose message
+// names the offending field or the values that remain valid.
+func TestRemovedKnobsRejected(t *testing.T) {
+	raw, err := os.ReadFile("testdata/removed_knobs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name     string          `json:"name"`
+		Path     string          `json:"path"`
+		Body     json.RawMessage `json:"body"`
+		Mentions []string        `json:"mentions"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+	client := ts.Client()
+	info := uploadSampleScene(t, client, ts.URL+"/v1")
+
+	for _, tc := range cases {
+		t.Run(tc.Name, func(t *testing.T) {
+			body := strings.ReplaceAll(string(tc.Body), "DIGEST", info.Digest)
+			status, raw := doJSON(t, client, "POST", ts.URL+tc.Path, []byte(body), nil)
+			if status != http.StatusBadRequest {
+				t.Fatalf("status %d %s, want 400", status, raw)
+			}
+			eb := decodeEnvelope(t, raw)
+			if eb.Code != api.CodeBadRequest {
+				t.Errorf("code %q, want bad_request", eb.Code)
+			}
+			for _, want := range tc.Mentions {
+				if !strings.Contains(eb.Message, want) {
+					t.Errorf("message %q does not mention %s", eb.Message, want)
+				}
+			}
+		})
 	}
 }
 

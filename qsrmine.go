@@ -303,9 +303,6 @@ const (
 	// AprioriKCPlus additionally filters same-feature-type pairs — the
 	// paper's contribution.
 	AprioriKCPlus = core.AlgAprioriKCPlus
-	// FPGrowthKCPlus mines the Apriori-KC+ pattern set with the
-	// FP-growth engine.
-	FPGrowthKCPlus = core.AlgFPGrowthKCPlus
 	// EclatKCPlus mines the Apriori-KC+ pattern set with the vertical
 	// Eclat engine (tidsets with dEclat diffset switching).
 	EclatKCPlus = core.AlgEclatKCPlus
@@ -367,25 +364,13 @@ var (
 // pipeline (every layer a peer type, no extraction, no transactions).
 type (
 	// ColocationConfig parameterises a co-location run (distance, minPI,
-	// optional maxSize, parallelism, engine, and topK); its JSON form is
-	// the wire configuration of POST /v1/colocate.
+	// optional maxSize, parallelism, and topK); its JSON form is the wire
+	// configuration of POST /v1/colocate.
 	ColocationConfig = colocation.Config
-	// ColocationEngine selects the candidate-evaluation strategy
-	// (joinless or clique); both return identical results.
-	ColocationEngine = colocation.Engine
 	// ColocationResult is a co-location run's output.
 	ColocationResult = colocation.Result
 	// ColocationPattern is one prevalent co-location.
 	ColocationPattern = colocation.Pattern
-)
-
-// Co-location engines.
-const (
-	// ColocationJoinless screens candidates with the star-participation
-	// upper bound before materializing row instances (the default).
-	ColocationJoinless = colocation.EngineJoinless
-	// ColocationClique materializes every candidate's row table.
-	ColocationClique = colocation.EngineClique
 )
 
 var (
