@@ -55,21 +55,6 @@ func TestExtractContextDeadline(t *testing.T) {
 	}
 }
 
-func TestExtractContextMatchesExtract(t *testing.T) {
-	d := wideDataset(25)
-	plain, err := Extract(d, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := ExtractContext(context.Background(), d, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Len() != traced.Len() {
-		t.Fatalf("rows = %d vs %d", plain.Len(), traced.Len())
-	}
-}
-
 func TestExtractCounters(t *testing.T) {
 	tr := obs.New(nil)
 	ctx := obs.WithTrace(context.Background(), tr)

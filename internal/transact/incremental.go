@@ -1,8 +1,9 @@
-// Incremental extraction: a State keeps everything ExtractContext
-// computes — fitted discretizers, per-layer prepared geometries and
-// spatial indexes, and each reference row's item parts — so that a
-// mutated successor dataset re-extracts only its dirty region instead
-// of the whole scene.
+// Incremental extraction: a State is the one extraction driver. It keeps
+// everything a full extraction computes — fitted discretizers, per-layer
+// prepared geometries and spatial indexes, and each reference row's items
+// split into parts — so that a mutated successor dataset re-extracts only
+// its dirty region instead of the whole scene. ExtractContext is a State
+// build that returns the table and drops the state.
 //
 // The dirty-region math inverts gatherCandidates: a changed relevant
 // feature can only affect a reference row if the row's candidate gather
@@ -21,8 +22,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -49,17 +50,36 @@ type State struct {
 	// indexes[li] is the candidate-filter index over layer li.
 	indexes []index.SpatialIndex
 	// refIndex answers the reverse dirty-row query: which reference
-	// rows can a changed envelope affect.
+	// rows can a changed envelope affect. It is built by the first
+	// Apply that needs it and dropped when the reference layer changes,
+	// so a one-shot extraction never pays for it.
 	refIndex index.SpatialIndex
 	// prepRef[j] is row j's prepared reference geometry (nil entries
 	// when unprepared).
 	prepRef []*geom.Prepared
 
-	// attr[j] holds row j's non-spatial items (is_a + attributes);
-	// spatial[j][li] holds row j's spatial items against layer li. The
-	// transaction is their concatenation, normalised by dataset.NewTable.
-	attr    [][]string
-	spatial [][][]string
+	// rows[j] holds reference row j's items before normalisation.
+	rows []row
+}
+
+// row is one transaction's items in a single slice: the non-spatial
+// part (is_a + attributes), then each relevant layer's spatial part in
+// layer order. ends[k] closes part k (0 is the attribute part, 1+li is
+// layer li). A row's items are never written after it is built; Apply
+// splices a fresh slice for every row it re-renders, so predecessor rows
+// stay intact for the delta's Old items.
+type row struct {
+	items []string
+	ends  []int
+}
+
+// part returns part k of the row.
+func (r *row) part(k int) []string {
+	start := 0
+	if k > 0 {
+		start = r.ends[k-1]
+	}
+	return r.items[start:r.ends[k]]
 }
 
 // RowChange records one row whose normalised items differ between a
@@ -102,9 +122,10 @@ func NewState(d *dataset.Dataset, opts Options) (*State, error) {
 }
 
 // NewStateContext performs a full extraction of d under opts, keeping
-// every intermediate the delta path reuses. The table it produces is
-// identical to ExtractContext's (the incremental equivalence tests pin
-// this), and it reports the same extract.* counters.
+// every intermediate the delta path reuses, and reports the extract.*
+// counters to any obs.Trace attached to ctx. Reference rows fan out
+// over a worker pool of Options.Parallelism workers; cancellation is
+// checked between rows.
 func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*State, error) {
 	if d.Reference == nil {
 		return nil, fmt.Errorf("transact: dataset has no reference layer")
@@ -129,6 +150,10 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	}
 	tr := obs.FromContext(ctx)
 
+	// Prepare each relevant layer's features once up front: every
+	// reference row reuses the same immutable geom.Prepared values,
+	// read-only across the worker pool, and the index build below takes
+	// their envelopes for free.
 	var preparedBuilds, preparedEdges int64
 	if s.anyFamily && !opts.NoPrepare {
 		sp := tr.Stage("extract.prepare")
@@ -157,53 +182,43 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 			}
 			s.indexes[i] = idx
 		}
-		s.refIndex = buildRefIndex(d.Reference)
 	}
 
 	n := d.Reference.Len()
-	s.attr = make([][]string, n)
-	s.spatial = make([][][]string, n)
+	stride := 1 + len(d.Relevant)
+	ends := make([]int, n*stride)
+	s.rows = make([]row, n)
 	s.prepRef = make([]*geom.Prepared, n)
-
-	var candidatesExamined, itemsEmitted atomic.Int64
-	var relatesRefined, refinesSkipped atomic.Int64
-	var refPreparedBuilds, refPreparedEdges atomic.Int64
-	rows := make([]int, n)
-	for j := range rows {
-		rows[j] = j
-	}
 	workers := workerCount(opts.Parallelism, n)
 	bufs := make([][]int, workers)
-	err = forEachRow(ctx, rows, workers, func(w, j int) {
-		var st refineStats
-		attr, spatial, pref, nCand := s.extractRowParts(d, s.cuts, j, &bufs[w], &st)
-		s.attr[j] = attr
-		s.spatial[j] = spatial
-		s.prepRef[j] = pref
-		candidatesExamined.Add(nCand)
-		items := int64(len(attr))
-		for _, part := range spatial {
-			items += int64(len(part))
-		}
-		itemsEmitted.Add(items)
-		relatesRefined.Add(st.relates)
-		refinesSkipped.Add(st.skipped)
+	stats := make([]extractStats, workers)
+	err = forEachRow(ctx, n, workers, func(w, j int) {
+		pref := s.prepareRef(d, j)
 		if pref != nil {
-			refPreparedBuilds.Add(1)
-			refPreparedEdges.Add(int64(pref.NumEdges()))
+			stats[w].preparedBuilds++
+			stats[w].preparedEdges += int64(pref.NumEdges())
 		}
+		r := &s.rows[j]
+		r.ends = ends[j*stride : (j+1)*stride : (j+1)*stride]
+		r.items = s.renderRow(d, s.cuts, j, pref, nil, false, nil, r.ends, &bufs[w], &stats[w])
+		s.prepRef[j] = pref
+		stats[w].items += int64(len(r.items))
 	})
 	if err != nil {
 		return nil, err
 	}
+	var total extractStats
+	for _, st := range stats {
+		total.add(st)
+	}
 	tr.Add("extract.rows", int64(n))
-	tr.Add("extract.candidates", candidatesExamined.Load())
-	tr.Add("extract.items", itemsEmitted.Load())
-	tr.Add("extract.relates", relatesRefined.Load())
-	tr.Add("extract.refine.skipped", refinesSkipped.Load())
+	tr.Add("extract.candidates", total.candidates)
+	tr.Add("extract.items", total.items)
+	tr.Add("extract.relates", total.relates)
+	tr.Add("extract.refine.skipped", total.skipped)
 	if s.prep != nil {
-		tr.Add("extract.prepared.builds", preparedBuilds+refPreparedBuilds.Load())
-		tr.Add("extract.prepared.edges", preparedEdges+refPreparedEdges.Load())
+		tr.Add("extract.prepared.builds", preparedBuilds+total.preparedBuilds)
+		tr.Add("extract.prepared.edges", preparedEdges+total.preparedEdges)
 	}
 	return s, nil
 }
@@ -214,19 +229,13 @@ func (s *State) Dataset() *dataset.Dataset { return s.d }
 // Options returns the extraction options the state was built with.
 func (s *State) Options() Options { return s.opts }
 
-// Table assembles the current transaction table. Each row concatenates
-// its non-spatial part with the per-layer spatial parts; NewTable's
-// normalisation (sort + dedupe) makes the result independent of part
-// boundaries, hence identical to a from-scratch ExtractContext.
+// Table assembles the current transaction table. Each row's item slice
+// goes straight to dataset.NewTable, whose normalisation (sort + dedupe)
+// copies it once and makes the result independent of part boundaries.
 func (s *State) Table() *dataset.Table {
-	rows := make([]dataset.Transaction, len(s.attr))
+	rows := make([]dataset.Transaction, len(s.rows))
 	for j := range rows {
-		items := make([]string, 0, len(s.attr[j])+8)
-		items = append(items, s.attr[j]...)
-		for _, part := range s.spatial[j] {
-			items = append(items, part...)
-		}
-		rows[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: items}
+		rows[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: s.rows[j].items}
 	}
 	return dataset.NewTable(rows)
 }
@@ -238,6 +247,9 @@ func (s *State) Table() *dataset.Table {
 //   - a changed relevant feature re-extracts exactly the (row, layer)
 //     pairs whose candidate gather can see its old or new envelope;
 //   - a changed reference feature re-extracts its own row fully;
+//   - a feature deleted and re-inserted under the same ID in one batch
+//     (reported as deleted + inserted) counts as changed: its row, or
+//     its prepared geometry, is rebuilt, never carried over by ID;
 //   - a discretizer cut change re-renders every row's attribute items
 //     (no geometry work);
 //   - everything else — item parts, prepared geometries, indexes of
@@ -269,14 +281,11 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 
 	// Map successor reference rows onto predecessor rows by feature ID.
 	oldRef := s.d.Reference
-	oldByID := make(map[string]int, oldRef.Len())
-	for i := range oldRef.Features {
-		oldByID[oldRef.Features[i].ID] = i
-	}
+	oldByID := featureIndex(oldRef)
 	refDiff := cs.Layer(oldRef.Type)
-	var refUpdated map[string]bool
+	var refChanged map[string]bool
 	if refDiff != nil {
-		refUpdated = stringSet(refDiff.Updated)
+		refChanged = stringSet(refDiff.Updated, refDiff.Inserted)
 	}
 	n := nd.Reference.Len()
 	newFromOld := make([]int, n)
@@ -295,9 +304,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		}
 		newFromOld[j] = old
 		oldToNew[old] = j
-		if refUpdated[id] {
-			fullRow[j] = true
-		}
+		fullRow[j] = refChanged[id]
 	}
 
 	// Advance changed relevant layers (prepared cache + index) and mark
@@ -308,19 +315,17 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	var queryBuf []int
 	for li := range nd.Relevant {
 		ld := cs.Layer(nd.Relevant[li].Type)
-		if ld.Empty() {
+		if !s.anyFamily || ld.Empty() {
 			continue
 		}
 		oldLayer, newLayer := s.d.Relevant[li], nd.Relevant[li]
-		oldIdx := make(map[string]int, oldLayer.Len())
-		for i := range oldLayer.Features {
-			oldIdx[oldLayer.Features[i].ID] = i
-		}
-		updated := stringSet(ld.Updated)
+		oldIdx := featureIndex(oldLayer)
+		changed := stringSet(ld.Updated, ld.Inserted)
 		if s.prep != nil {
 			newPrep := make([]*geom.Prepared, newLayer.Len())
 			for j := range newLayer.Features {
-				if oi, ok := oldIdx[newLayer.Features[j].ID]; ok && !updated[newLayer.Features[j].ID] {
+				id := newLayer.Features[j].ID
+				if oi, ok := oldIdx[id]; ok && !changed[id] {
 					newPrep[j] = s.prep[li][oi]
 					preparedReused++
 				} else {
@@ -330,192 +335,146 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 			}
 			s.prep[li] = newPrep
 		}
-		if s.anyFamily {
-			idx, err := buildLayerIndex(s.opts.Index, newLayer, s.layerPrep(li))
-			if err != nil {
-				return nil, err
-			}
-			s.indexes[li] = idx
+		idx, err := buildLayerIndex(s.opts.Index, newLayer, s.layerPrep(li))
+		if err != nil {
+			return nil, err
+		}
+		s.indexes[li] = idx
 
-			dirty := make([]bool, n)
-			if allDirty {
-				for j := range dirty {
-					dirty[j] = true
-				}
-			} else {
-				mark := func(env geom.Envelope) {
-					queryBuf = s.dirtyRowQuery(env, queryBuf[:0])
-					for _, oldRow := range queryBuf {
-						if nj := oldToNew[oldRow]; nj >= 0 {
-							dirty[nj] = true
-						}
-					}
-				}
-				for _, id := range ld.Updated {
-					if oi, ok := oldIdx[id]; ok {
-						mark(oldLayer.Features[oi].Geometry.Envelope())
-					}
-					if ni, ok := layerFeatureIdx(newLayer, id); ok {
-						mark(newLayer.Features[ni].Geometry.Envelope())
-					}
-				}
-				for _, id := range ld.Inserted {
-					if ni, ok := layerFeatureIdx(newLayer, id); ok {
-						mark(newLayer.Features[ni].Geometry.Envelope())
-					}
-				}
-				for _, id := range ld.Deleted {
-					if oi, ok := oldIdx[id]; ok {
-						mark(oldLayer.Features[oi].Geometry.Envelope())
-					}
+		dirty := make([]bool, n)
+		layerDirty[li] = dirty
+		if allDirty {
+			for j := range dirty {
+				dirty[j] = true
+			}
+			continue
+		}
+		if s.refIndex == nil {
+			s.refIndex = buildRefIndex(oldRef)
+		}
+		mark := func(env geom.Envelope) {
+			queryBuf = s.dirtyRowQuery(env, queryBuf[:0])
+			for _, oldRow := range queryBuf {
+				if nj := oldToNew[oldRow]; nj >= 0 {
+					dirty[nj] = true
 				}
 			}
-			layerDirty[li] = dirty
+		}
+		// Old envelopes of updated and deleted features, new envelopes
+		// of updated and inserted ones.
+		for _, ids := range [][]string{ld.Updated, ld.Deleted} {
+			for _, id := range ids {
+				if oi, ok := oldIdx[id]; ok {
+					mark(oldLayer.Features[oi].Geometry.Envelope())
+				}
+			}
+		}
+		for j := range newLayer.Features {
+			if changed[newLayer.Features[j].ID] {
+				mark(newLayer.Features[j].Geometry.Envelope())
+			}
 		}
 	}
+	rowDirty := func(j int) bool {
+		for _, dirty := range layerDirty {
+			if dirty != nil && dirty[j] {
+				return true
+			}
+		}
+		return false
+	}
 
-	// Assemble the successor row parts: carry untouched parts over,
-	// collect the rows that need (partial or full) re-extraction.
-	oldAttr, oldSpatial, oldPrepRef := s.attr, s.spatial, s.prepRef
-	newAttr := make([][]string, n)
-	newSpatial := make([][][]string, n)
+	// Carry untouched rows over and collect the rows to re-render: full
+	// rows, rows with dirty layers, and (on a refit) attribute-only rows.
+	stride := 1 + len(nd.Relevant)
+	ends := make([]int, n*stride)
+	newRows := make([]row, n)
 	newPrepRef := make([]*geom.Prepared, n)
-	dirtyLayersOf := make([][]int, n)
 	var jobs []int
-	var attrJobs []int
 	dirtyRows := 0
 	for j := 0; j < n; j++ {
+		newRows[j].ends = ends[j*stride : (j+1)*stride : (j+1)*stride]
 		if fullRow[j] {
 			jobs = append(jobs, j)
 			dirtyRows++
 			continue
 		}
 		old := newFromOld[j]
-		newAttr[j] = oldAttr[old]
-		newSpatial[j] = oldSpatial[old]
-		newPrepRef[j] = oldPrepRef[old]
-		var dls []int
-		for li := range layerDirty {
-			if layerDirty[li] != nil && layerDirty[li][j] {
-				dls = append(dls, li)
-			}
-		}
-		if len(dls) > 0 {
-			dirtyLayersOf[j] = dls
-			// Copy the part slice so overwriting dirty entries cannot
-			// alias the predecessor's (still needed for Old items).
-			newSpatial[j] = append([][]string{}, oldSpatial[old]...)
+		copy(newRows[j].ends, s.rows[old].ends)
+		newRows[j].items = s.rows[old].items
+		newPrepRef[j] = s.prepRef[old]
+		if rowDirty(j) {
 			jobs = append(jobs, j)
 			dirtyRows++
 		} else if attrsChanged {
-			attrJobs = append(attrJobs, j)
+			jobs = append(jobs, j)
 		}
 	}
 
-	var refPreparedBuilds, prefReused atomic.Int64
 	workers := workerCount(s.opts.Parallelism, len(jobs))
 	bufs := make([][]int, workers)
-	err = forEachRow(ctx, jobs, workers, func(w, j int) {
-		var st refineStats
+	stats := make([]extractStats, workers)
+	err = forEachRow(ctx, len(jobs), workers, func(w, i int) {
+		j := jobs[i]
+		var old *row
 		if fullRow[j] {
-			attr, spatial, pref, _ := s.extractRowParts(nd, newCuts, j, &bufs[w], &st)
-			newAttr[j] = attr
-			newSpatial[j] = spatial
-			newPrepRef[j] = pref
-			if pref != nil {
-				refPreparedBuilds.Add(1)
+			newPrepRef[j] = s.prepareRef(nd, j)
+			if newPrepRef[j] != nil {
+				stats[w].preparedBuilds++
 			}
-			return
+		} else {
+			old = &s.rows[newFromOld[j]]
+			if newPrepRef[j] != nil && rowDirty(j) {
+				stats[w].preparedReused++
+			}
 		}
-		// Partial re-extraction: reuse the prepared reference geometry,
-		// redo only the dirty layers.
-		pref := newPrepRef[j]
-		if pref != nil {
-			prefReused.Add(1)
-		}
-		ref := &nd.Reference.Features[j]
-		refEnv := ref.Geometry.Envelope()
-		if pref != nil {
-			refEnv = pref.Envelope()
-		}
-		for _, li := range dirtyLayersOf[j] {
-			bufs[w] = gatherCandidates(s.indexes[li], refEnv, s.opts, bufs[w][:0])
-			newSpatial[j][li] = appendSpatialItems(nil, ref, pref, nd.Relevant[li], s.prep, li, refEnv, bufs[w], s.opts, &st)
-		}
-		if attrsChanged {
-			newAttr[j] = s.computeAttrPart(nd, newCuts, j)
-		}
+		r := &newRows[j]
+		r.items = s.renderRow(nd, newCuts, j, newPrepRef[j], old, attrsChanged, layerDirty, r.ends, &bufs[w], &stats[w])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, j := range attrJobs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		newAttr[j] = s.computeAttrPart(nd, newCuts, j)
+	var total extractStats
+	for _, st := range stats {
+		total.add(st)
 	}
 
-	// Diff the tables row by row (normalised) to produce the exact
-	// mining delta; untouched rows are equal by construction and are
-	// not compared.
+	// Diff the re-rendered rows (normalised) to produce the exact mining
+	// delta; carried-over rows are equal by construction and are not
+	// compared.
 	delta := &TableDelta{
 		NewFromOld:     newFromOld,
 		RowsTotal:      n,
 		RowsDirty:      dirtyRows,
 		RowsReused:     n - dirtyRows,
-		PreparedReused: int(preparedReused + prefReused.Load()),
-		PreparedBuilt:  int(preparedBuilt + refPreparedBuilds.Load()),
+		PreparedReused: int(preparedReused + total.preparedReused),
+		PreparedBuilt:  int(preparedBuilt + total.preparedBuilds),
 	}
-	oldRowItems := func(old int) []string {
-		items := append([]string{}, oldAttr[old]...)
-		for _, part := range oldSpatial[old] {
-			items = append(items, part...)
-		}
-		return dataset.NormalizeItems(items)
-	}
-	newRowItems := func(j int) []string {
-		items := append([]string{}, newAttr[j]...)
-		for _, part := range newSpatial[j] {
-			items = append(items, part...)
-		}
-		return dataset.NormalizeItems(items)
-	}
-	recomputed := make(map[int]bool, len(jobs)+len(attrJobs))
 	for _, j := range jobs {
-		recomputed[j] = true
-	}
-	for _, j := range attrJobs {
-		recomputed[j] = true
-	}
-	for j := 0; j < n; j++ {
-		if !recomputed[j] {
-			continue
-		}
-		newItems := newRowItems(j)
-		if newFromOld[j] < 0 {
+		newItems := dataset.NormalizeItems(newRows[j].items)
+		old := newFromOld[j]
+		if old < 0 {
 			delta.Changed = append(delta.Changed, RowChange{Row: j, New: newItems})
 			continue
 		}
-		oldItems := oldRowItems(newFromOld[j])
-		if !stringSlicesEqual(oldItems, newItems) {
+		oldItems := dataset.NormalizeItems(s.rows[old].items)
+		if !slices.Equal(oldItems, newItems) {
 			delta.Changed = append(delta.Changed, RowChange{Row: j, Old: oldItems, New: newItems})
 		}
 	}
 	for old := range oldToNew {
 		if oldToNew[old] < 0 {
-			delta.Deleted = append(delta.Deleted, RowChange{Row: old, Old: oldRowItems(old)})
+			delta.Deleted = append(delta.Deleted, RowChange{Row: old, Old: dataset.NormalizeItems(s.rows[old].items)})
 		}
 	}
 
 	// Commit the successor state.
 	s.d = nd
 	s.cuts = newCuts
-	s.attr = newAttr
-	s.spatial = newSpatial
+	s.rows = newRows
 	s.prepRef = newPrepRef
-	if s.anyFamily && !refDiff.Empty() {
-		s.refIndex = buildRefIndex(nd.Reference)
+	if !refDiff.Empty() {
+		s.refIndex = nil
 	}
 
 	tr.Add("delta.rows.total", int64(delta.RowsTotal))
@@ -529,42 +488,61 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	return delta, nil
 }
 
-// extractRowParts performs a full single-row extraction under the given
-// fitted cuts, returning the non-spatial part, per-layer spatial parts,
-// the prepared reference geometry (nil when unprepared), and the
-// candidate count. The cuts are a parameter, not s.cuts: Apply renders
-// full rows under the successor's refit before committing it.
-func (s *State) extractRowParts(d *dataset.Dataset, cuts map[string]*FittedDiscretizer, j int, buf *[]int, st *refineStats) ([]string, [][]string, *geom.Prepared, int64) {
-	attr := s.computeAttrPart(d, cuts, j)
-	if !s.anyFamily {
-		return attr, make([][]string, len(d.Relevant)), nil, 0
-	}
+// renderRow builds row j of d into a fresh item slice under the given
+// fitted cuts, writing its part ends into ends. With old == nil every
+// part is computed. Otherwise old is the row's predecessor: the
+// attribute part is re-rendered only when redoAttr, and layer li's part
+// is re-extracted only when layerDirty[li][j], every other part being
+// copied from old. pref is the row's prepared reference geometry (nil
+// when unprepared). The cuts are a parameter, not s.cuts: Apply renders
+// rows under the successor's refit before committing it.
+func (s *State) renderRow(d *dataset.Dataset, cuts map[string]*FittedDiscretizer, j int, pref *geom.Prepared, old *row, redoAttr bool, layerDirty [][]bool, ends []int, buf *[]int, st *extractStats) []string {
 	ref := &d.Reference.Features[j]
-	var pref *geom.Prepared
+	var items []string
+	if old == nil {
+		items = make([]string, 0, 8)
+	} else {
+		items = make([]string, 0, len(old.items)+4)
+	}
+	if old == nil || redoAttr {
+		if s.opts.IncludeIsA {
+			items = append(items, "is_a_"+d.Reference.Type)
+		}
+		items = appendAttrItems(items, ref, d.NonSpatialAttrs, cuts)
+	} else {
+		items = append(items, old.part(0)...)
+	}
+	ends[0] = len(items)
+	if !s.anyFamily {
+		for li := range d.Relevant {
+			ends[1+li] = len(items)
+		}
+		return items
+	}
 	refEnv := ref.Geometry.Envelope()
-	if s.prep != nil {
-		pref = geom.Prepare(ref.Geometry)
+	if pref != nil {
 		refEnv = pref.Envelope()
 	}
-	spatial := make([][]string, len(d.Relevant))
-	var nCand int64
 	for li := range d.Relevant {
-		*buf = gatherCandidates(s.indexes[li], refEnv, s.opts, (*buf)[:0])
-		nCand += int64(len(*buf))
-		spatial[li] = appendSpatialItems(nil, ref, pref, d.Relevant[li], s.prep, li, refEnv, *buf, s.opts, st)
+		if old == nil || (layerDirty[li] != nil && layerDirty[li][j]) {
+			*buf = gatherCandidates(s.indexes[li], refEnv, s.opts, (*buf)[:0])
+			st.candidates += int64(len(*buf))
+			items = appendSpatialItems(items, ref, pref, d.Relevant[li], s.layerPrep(li), refEnv, *buf, s.opts, st)
+		} else {
+			items = append(items, old.part(1+li)...)
+		}
+		ends[1+li] = len(items)
 	}
-	return attr, spatial, pref, nCand
+	return items
 }
 
-// computeAttrPart renders row j's non-spatial items under the given
-// fitted cuts.
-func (s *State) computeAttrPart(d *dataset.Dataset, cuts map[string]*FittedDiscretizer, j int) []string {
-	ref := &d.Reference.Features[j]
-	items := make([]string, 0, 4)
-	if s.opts.IncludeIsA {
-		items = append(items, "is_a_"+d.Reference.Type)
+// prepareRef prepares row j's reference geometry for the refine stage;
+// nil when prepared geometries are off.
+func (s *State) prepareRef(d *dataset.Dataset, j int) *geom.Prepared {
+	if s.prep == nil {
+		return nil
 	}
-	return appendAttrItems(items, ref, d.NonSpatialAttrs, cuts)
+	return geom.Prepare(d.Reference.Features[j].Geometry)
 }
 
 // dirtyRowQuery returns the predecessor reference rows whose candidate
@@ -619,6 +597,15 @@ func buildRefIndex(ref *dataset.Layer) index.SpatialIndex {
 	return index.NewRTreeBulk(items)
 }
 
+// featureIndex maps each feature ID of a layer to its position.
+func featureIndex(l *dataset.Layer) map[string]int {
+	m := make(map[string]int, l.Len())
+	for i := range l.Features {
+		m[l.Features[i].ID] = i
+	}
+	return m
+}
+
 // cutsEqual compares two fitted discretizer maps field-wise.
 func cutsEqual(a, b map[string]*FittedDiscretizer) bool {
 	if len(a) != len(b) {
@@ -633,39 +620,15 @@ func cutsEqual(a, b map[string]*FittedDiscretizer) bool {
 	return true
 }
 
-// stringSet builds a membership set.
-func stringSet(ss []string) map[string]bool {
-	if len(ss) == 0 {
-		return nil
-	}
-	set := make(map[string]bool, len(ss))
-	for _, s := range ss {
-		set[s] = true
+// stringSet builds a membership set over the given lists.
+func stringSet(lists ...[]string) map[string]bool {
+	set := make(map[string]bool)
+	for _, ss := range lists {
+		for _, s := range ss {
+			set[s] = true
+		}
 	}
 	return set
-}
-
-// stringSlicesEqual compares two string slices element-wise.
-func stringSlicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// layerFeatureIdx finds a feature by ID within a layer.
-func layerFeatureIdx(l *dataset.Layer, id string) (int, bool) {
-	for i := range l.Features {
-		if l.Features[i].ID == id {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // workerCount resolves the effective worker-pool size for n jobs.
@@ -674,25 +637,23 @@ func workerCount(parallelism, n int) int {
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w < 1 {
-		w = 1
-	}
-	if n < 2 {
+	if w < 1 || n < 2 {
 		w = 1
 	}
 	return w
 }
 
-// forEachRow fans the given rows out over a fixed worker pool (fn
-// receives the worker index for per-worker scratch). Sequential when
-// workers is 1. Returns ctx.Err() if cancelled.
-func forEachRow(ctx context.Context, rows []int, workers int, fn func(worker, row int)) error {
+// forEachRow calls fn for every i in [0, n), fanned out over a fixed
+// worker pool (fn receives the worker index for per-worker scratch).
+// Sequential when workers is 1. Cancellation stops the feeder and each
+// worker between rows; returns ctx.Err() if cancelled.
+func forEachRow(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if workers <= 1 {
-		for _, r := range rows {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(0, r)
+			fn(0, i)
 		}
 		return ctx.Err()
 	}
@@ -702,19 +663,21 @@ func forEachRow(ctx context.Context, rows []int, workers int, fn func(worker, ro
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for r := range next {
+			for i := range next {
 				if ctx.Err() != nil {
+					// Keep draining so the feeder never blocks; the
+					// caller discards the partial rows.
 					continue
 				}
-				fn(w, r)
+				fn(w, i)
 			}
 		}(w)
 	}
-	for _, r := range rows {
+	for i := 0; i < n; i++ {
 		if ctx.Err() != nil {
 			break
 		}
-		next <- r
+		next <- i
 	}
 	close(next)
 	wg.Wait()

@@ -2,8 +2,12 @@ package transact
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -53,20 +57,56 @@ func assertTablesEqual(t *testing.T, got, want *dataset.Table, label string) {
 	}
 }
 
-func TestStateTableMatchesExtract(t *testing.T) {
-	d := sceneForState(t, 7)
+// tableDigest hashes a normalised table, one "RefID<TAB>items" line per
+// row with the items space-joined.
+func tableDigest(table *dataset.Table) string {
+	h := sha256.New()
+	for _, tx := range table.Transactions {
+		fmt.Fprintf(h, "%s\t%s\n", tx.RefID, strings.Join(tx.Items, " "))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestExtractGoldenDigests pins the exact extracted tables: the digests
+// were recorded when the one-shot extraction still ran its own driver,
+// beside the incremental State. Now that Extract is a State build, a
+// State-vs-Extract comparison would compare the code with itself; these
+// digests keep the extraction output anchored to the old driver for
+// every option set, two scenes, and sequential as well as parallel rows.
+func TestExtractGoldenDigests(t *testing.T) {
+	golden := map[string]string{
+		"topological/seed=7":   "50281a577aba34191a293b521d8b3c431d2c79ec70ca4dd0ceaea0191982b3bd",
+		"topological/seed=13":  "1dcb543910bff1a090fce5d4922ecc6083e7698f5584ed1d5f5626a1896fb7c5",
+		"withDisjoint/seed=7":  "cf35f725eed403f4c6b0fac53845802b9810042d510b2716cdce9dee799bc90a",
+		"withDisjoint/seed=13": "2767990e8d264b2aa1062bb7e701e4c7c46cf4ec58cd078931be94eb14879c5d",
+		"distance/seed=7":      "07aef76043623375b0a7d5eb49182369266be3b149dd4376a362a287a700bfc9",
+		"distance/seed=13":     "46e5b543e90684885450e072ad4bbd4905d8b30931b0e35b7978dc0e76bf3552",
+		"farFrom/seed=7":       "6964b260440655abe4d8d9ec67fed1e4cf5c44e7b6b7460728afb10b4849fb2d",
+		"farFrom/seed=13":      "f0acd4cd5fa369374c2af45e7fb4b1ac2c0d1861fa1fc16252313ed21609e1df",
+		"directional/seed=7":   "d11df88657046ecdbfa0e07004c294280a1f89c28e373c2c167c135e363ba69a",
+		"directional/seed=13":  "c0e9708a2d7c397d9e0ca367a9bdde89c483073e0a3240e9831c34fade6d5f49",
+		"combined/seed=7":      "a25f26b03891c668d78ee46981433ce8df0d5d9d48d1ad81d2741515ca29339a",
+		"combined/seed=13":     "2ef749c1ba7d2adfb25050030db97a15e048cbbd629a23e764d9510fb1d794ce",
+		"unprepared/seed=7":    "402982b836c56d4d192b7826d786a0e9fe86a1b84c31e456d5dd40a93e204f5c",
+		"unprepared/seed=13":   "9a6d094fd526f220df54459c18795207d1f5ae07a0ab2e2818a4e77a074e415f",
+	}
 	for name, opts := range stateOptionsUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			want, err := Extract(d, opts)
-			if err != nil {
-				t.Fatalf("Extract: %v", err)
+		for _, seed := range []int64{7, 13} {
+			d := sceneForState(t, seed)
+			key := fmt.Sprintf("%s/seed=%d", name, seed)
+			for _, par := range []int{1, 4} {
+				opts.Parallelism = par
+				t.Run(fmt.Sprintf("%s/par=%d", key, par), func(t *testing.T) {
+					table, err := Extract(d, opts)
+					if err != nil {
+						t.Fatalf("Extract: %v", err)
+					}
+					if got := tableDigest(table); got != golden[key] {
+						t.Errorf("table digest moved:\n got %s\nwant %s", got, golden[key])
+					}
+				})
 			}
-			st, err := NewState(d, opts)
-			if err != nil {
-				t.Fatalf("NewState: %v", err)
-			}
-			assertTablesEqual(t, st.Table(), want, "state table")
-		})
+		}
 	}
 }
 
@@ -96,7 +136,18 @@ func randomSceneOps(rng *rand.Rand, d *dataset.Dataset, nOps int, tag string) []
 		}
 		f := layer.Features[rng.Intn(layer.Len())]
 		key := layer.Type + "/" + f.ID
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
+		case 4: // delete and re-insert under the same ID: ApplyOps reports
+			// deleted + inserted and moves the feature to the end of its
+			// layer, with a fresh geometry (and no attributes)
+			if deleted[key] {
+				continue
+			}
+			deleted[key] = true
+			x, y := rng.Float64()*40, rng.Float64()*30
+			ops = append(ops,
+				dataset.Op{Action: dataset.OpDelete, Layer: layer.Type, ID: f.ID},
+				dataset.Op{Action: dataset.OpInsert, Layer: layer.Type, ID: f.ID, WKT: rectWKT(x, y, x+3, y+3)})
 		case 3: // attribute update on a reference district: a numeric
 			// value shifts (or first creates) the crimeRate column's
 			// fitted cuts, exercising the refit path
@@ -284,6 +335,136 @@ func TestStateApplyAttributeShiftMatchesFromScratch(t *testing.T) {
 		t.Fatalf("Extract: %v", err)
 	}
 	assertTablesEqual(t, st.Table(), want, "attribute shift")
+}
+
+// reinsertOps deletes a feature and re-inserts it under the same ID with
+// the geometry wkt, in one batch.
+func reinsertOps(layer, id, wkt string) []dataset.Op {
+	return []dataset.Op{
+		{Action: dataset.OpDelete, Layer: layer, ID: id},
+		{Action: dataset.OpInsert, Layer: layer, ID: id, WKT: wkt},
+	}
+}
+
+// TestStateApplyReinsertedReferenceRow: a district deleted and
+// re-inserted under the same ID in one batch is reported as deleted +
+// inserted. Its row must be extracted afresh — carrying the predecessor
+// row over by ID keeps the old district's predicates and attributes —
+// on the prepared and on the raw path.
+func TestStateApplyReinsertedReferenceRow(t *testing.T) {
+	d := sceneForState(t, 13)
+	nd, cs, err := d.ApplyOps(reinsertOps("district", "district_0_0", rectWKT(100, 100, 101, 101)))
+	if err != nil {
+		t.Fatalf("ApplyOps: %v", err)
+	}
+	for _, noPrepare := range []bool{false, true} {
+		opts := Options{Topological: true, Index: RTreeIndex, NoPrepare: noPrepare}
+		st, err := NewState(d, opts)
+		if err != nil {
+			t.Fatalf("NewState: %v", err)
+		}
+		prev := st.Table()
+		delta, err := st.Apply(context.Background(), nd, cs)
+		if err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		want, err := Extract(nd, opts)
+		if err != nil {
+			t.Fatalf("Extract: %v", err)
+		}
+		label := fmt.Sprintf("noPrepare=%v", noPrepare)
+		assertTablesEqual(t, st.Table(), want, label)
+		verifyDelta(t, delta, prev, st.Table(), 0)
+	}
+}
+
+// TestStateApplyReinsertedRelevantFeature: a slum deleted and
+// re-inserted elsewhere under the same ID must get a fresh prepared
+// geometry. Reusing the predecessor's by ID indexes and relates the old
+// shape: the district at the old spot keeps the slum, the one at the new
+// spot never sees it.
+func TestStateApplyReinsertedRelevantFeature(t *testing.T) {
+	d := sceneForState(t, 13)
+	slum := d.Relevant[0]
+	// district_3_2 spans (30,20)-(40,30); slum 0 lies in district_0_0.
+	nd, cs, err := d.ApplyOps(reinsertOps(slum.Type, slum.Features[0].ID, rectWKT(31, 21, 33, 23)))
+	if err != nil {
+		t.Fatalf("ApplyOps: %v", err)
+	}
+	opts := Options{Topological: true, Granularity: InstanceLevel, Index: RTreeIndex}
+	st, err := NewState(d, opts)
+	if err != nil {
+		t.Fatalf("NewState: %v", err)
+	}
+	delta, err := st.Apply(context.Background(), nd, cs)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if delta.PreparedBuilt == 0 {
+		t.Errorf("re-inserted slum reused its predecessor's prepared geometry")
+	}
+	want, err := Extract(nd, opts)
+	if err != nil {
+		t.Fatalf("Extract: %v", err)
+	}
+	assertTablesEqual(t, st.Table(), want, "re-inserted slum")
+}
+
+// FuzzStateApply decodes the input as a PATCH op batch and applies it to
+// a small generated scene. Whenever dataset.ApplyOps accepts the batch,
+// the incremental State must land on exactly the table a from-scratch
+// extraction of the successor produces, with prepared geometries and on
+// the raw NoPrepare path.
+func FuzzStateApply(f *testing.F) {
+	d, err := datagen.GenerateScene(datagen.DefaultScene(3, 2, 13))
+	if err != nil {
+		f.Fatal(err)
+	}
+	slum := d.Relevant[0]
+	school := d.Relevant[1]
+	for _, ops := range [][]dataset.Op{
+		reinsertOps("district", "district_0_0", rectWKT(100, 100, 101, 101)),
+		reinsertOps(slum.Type, slum.Features[0].ID, rectWKT(21, 11, 23, 13)),
+		{{Action: dataset.OpUpdate, Layer: school.Type, ID: school.Features[0].ID, WKT: "POINT (15 5)"}},
+		{{Action: dataset.OpInsert, Layer: slum.Type, ID: "s_new", WKT: rectWKT(9, 9, 11, 11)},
+			{Action: dataset.OpUpdate, Layer: "district", ID: "district_1_1", Attrs: map[string]dataset.Value{"crimeRate": 7.0}}},
+	} {
+		seed, err := json.Marshal(dataset.Mutation{Ops: ops})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	base := Options{
+		Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(10),
+		IncludeIsA: true, Granularity: InstanceLevel, Index: RTreeIndex, Parallelism: 1,
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m dataset.Mutation
+		if err := json.Unmarshal(data, &m); err != nil || len(m.Ops) > 16 {
+			return
+		}
+		nd, cs, err := d.ApplyOps(m.Ops)
+		if err != nil {
+			return
+		}
+		for _, noPrepare := range []bool{false, true} {
+			opts := base
+			opts.NoPrepare = noPrepare
+			st, err := NewState(d, opts)
+			if err != nil {
+				t.Fatalf("NewState: %v", err)
+			}
+			if _, err := st.Apply(context.Background(), nd, cs); err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			want, err := Extract(nd, opts)
+			if err != nil {
+				t.Fatalf("Extract: %v", err)
+			}
+			assertTablesEqual(t, st.Table(), want, fmt.Sprintf("noPrepare=%v", noPrepare))
+		}
+	})
 }
 
 func TestStateApplySingleEditIsSparse(t *testing.T) {
