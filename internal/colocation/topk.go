@@ -63,6 +63,6 @@ func (h *patternHeap) Len() int { return len(h.idx) }
 func (h *patternHeap) Less(i, j int) bool {
 	return betterPattern(&h.pats[h.idx[j]], &h.pats[h.idx[i]])
 }
-func (h *patternHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *patternHeap) Push(x any)         { h.idx = append(h.idx, x.(int)) }
-func (h *patternHeap) Pop() any           { n := len(h.idx) - 1; v := h.idx[n]; h.idx = h.idx[:n]; return v }
+func (h *patternHeap) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+func (h *patternHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
+func (h *patternHeap) Pop() any      { n := len(h.idx) - 1; v := h.idx[n]; h.idx = h.idx[:n]; return v }

@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -244,6 +247,55 @@ func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(
 		`{"reference": {"type": "d", "features": [{"id": "x", "wkt": "JUNK"}]}}`)); err == nil {
 		t.Error("bad WKT should fail")
+	}
+}
+
+func TestDecodeCanonicalTakesWriteJSONOutput(t *testing.T) {
+	for _, d := range []*Dataset{PortoAlegreScene(), Table2ReconstructionScene()} {
+		var buf bytes.Buffer
+		if err := d.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := decodeCanonical(buf.Bytes())
+		if !ok {
+			t.Fatalf("one-pass decode rejected WriteJSON output:\n%s", buf.Bytes())
+		}
+		var want jsonDataset
+		if err := json.Unmarshal(buf.Bytes(), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("one-pass decode differs from encoding/json:\n got %#v\nwant %#v", got, want)
+		}
+	}
+}
+
+func TestDecodeCanonicalFallsBack(t *testing.T) {
+	for name, in := range canonicalFallbacks {
+		if _, ok := decodeCanonical([]byte(in)); ok {
+			t.Errorf("%s: one-pass decode accepted %q", name, in)
+		}
+	}
+	// encoding/json merges a repeated key into the value decoded so far:
+	// the second "features" array reuses the first element, keeping its ID.
+	d, err := ReadJSON(strings.NewReader(canonicalFallbacks["duplicate merge"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := d.Reference.Features; len(f) != 1 || f[0].ID != "a" || f[0].Geometry.WKT() != "POINT (2 2)" {
+		t.Errorf("duplicate-key merge = %+v, want one feature a at POINT (2 2)", f)
+	}
+}
+
+func TestWriteJSONErrorLeavesWriterUntouched(t *testing.T) {
+	d := PortoAlegreScene()
+	d.Relevant[0].Features[0].SetAttr("bad", math.NaN())
+	buf := bytes.NewBufferString("kept")
+	if err := d.WriteJSON(buf); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Errorf("WriteJSON error = %v, want encoding/json's unsupported value", err)
+	}
+	if buf.String() != "kept" {
+		t.Errorf("failed WriteJSON wrote %q", buf.String())
 	}
 }
 

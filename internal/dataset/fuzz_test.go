@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,8 +13,38 @@ import (
 // rejected with an error, but none may panic, and anything that parses
 // must survive Validate and a write/re-read round trip.
 
+// canonicalFallbacks are inputs outside the canonical form, one per
+// reason decodeCanonical hands a document to encoding/json.
+var canonicalFallbacks = map[string]string{
+	"quote escape":      `{"reference":{"type":"d","features":[{"id":"a\"b","wkt":"POINT (1 1)"}]}}`,
+	"u2028 escape":      `{"reference":{"type":"d","features":[{"id":"a\u2028","wkt":"POINT (1 1)"}]}}`,
+	"non-ASCII ID":      `{"reference":{"type":"d","features":[{"id":"café","wkt":"POINT (1 1)"}]}}`,
+	"duplicate merge":   `{"reference":{"features":[{"id":"a","wkt":"POINT (1 1)"}],"features":[{"wkt":"POINT (2 2)"}]}}`,
+	"duplicate id":      `{"reference":{"features":[{"id":"a","id":"b","wkt":"POINT (1 1)"}]}}`,
+	"case-variant key":  `{"Reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)"}]}}`,
+	"unknown key":       `{"reference":{"type":"d","features":[]},"extra":1}`,
+	"null features":     `{"reference":{"type":"d","features":null},"relevant":null}`,
+	"null attr":         `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)","attrs":{"a":null}}]}}`,
+	"nested attr":       `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)","attrs":{"a":{"b":[1]}}}]}}`,
+	"out-of-range":      `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)","attrs":{"a":1e400}}]}}`,
+	"leading zero":      `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)","attrs":{"a":01}}]}}`,
+	"trailing bytes":    `{"reference":{"type":"d","features":[]}} trailing`,
+	"leading BOM":       "\xef\xbb\xbf" + `{"reference":{"type":"d","features":[]}}`,
+	"trailing comma":    `{"reference":{"type":"d","features":[],}}`,
+	"top-level null":    `null`,
+	"truncated":         `{"reference":{"type":"d"`,
+	"control character": "{\"reference\":{\"type\":\"d\tx\"}}",
+}
+
+// FuzzReadJSON checks the one-pass decoder against encoding/json:
+// whatever decodeCanonical accepts, encoding/json must decode to the
+// same value, and ReadJSON as a whole must accept exactly the documents
+// an encoding/json decode followed by WKT parsing accepts, with the same
+// result. Accepted documents must also survive Validate and reach a
+// fixed point after one write/re-read round trip.
 func FuzzReadJSON(f *testing.F) {
-	// A real scene, hand-written corner cases, and plain garbage.
+	// A real scene, hand-written corner cases, every fallback trigger,
+	// and plain garbage.
 	var buf bytes.Buffer
 	if err := PortoAlegreScene().WriteJSON(&buf); err != nil {
 		f.Fatal(err)
@@ -24,23 +56,51 @@ func FuzzReadJSON(f *testing.F) {
 		`"relevant":[{"type":"w","features":[{"id":"y","wkt":"LINESTRING(0 0, 1 1)"}]}]}`))
 	f.Add([]byte(`{"reference":{"features":[{"wkt":"POLYGON((0 0, 1 0, 1 1, 0 0))"}]}}`))
 	f.Add([]byte(`{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT(NaN Inf)"}]}}`))
-	f.Add([]byte(`null`))
+	f.Add([]byte(`{"relevant":[],"nonSpatialAttrs":[],"reference":{"features":[{"attrs":{"n":-0.5e+3,"t":true,"f":false,"s":"v","n":1}}]}}`))
 	f.Add([]byte(`[`))
 	f.Add([]byte("\x00\xff"))
+	for _, in := range canonicalFallbacks {
+		f.Add([]byte(in))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var want jsonDataset
+		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+		if got, ok := decodeCanonical(data); ok {
+			if wantErr != nil {
+				t.Fatalf("one-pass decode accepted what encoding/json rejects (%v): %q", wantErr, data)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("one-pass decode differs from encoding/json:\n got %#v\nwant %#v\ninput: %q", got, want, data)
+			}
+		}
+		var ref *Dataset
+		if wantErr == nil {
+			ref, wantErr = want.dataset()
+		}
 		ds, err := ReadJSON(bytes.NewReader(data))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadJSON error %v, encoding/json path error %v, input: %q", err, wantErr, data)
+		}
 		if err != nil {
 			return
 		}
 		// Accepted input must be internally consistent and re-encodable.
 		_ = ds.Validate()
-		var out bytes.Buffer
+		var out, refOut bytes.Buffer
 		if err := ds.WriteJSON(&out); err != nil {
 			return
 		}
-		if _, err := ReadJSON(&out); err != nil {
+		if err := ref.WriteJSON(&refOut); err != nil || !bytes.Equal(out.Bytes(), refOut.Bytes()) {
+			t.Fatalf("ReadJSON result differs from the encoding/json path (%v), input: %q", err, data)
+		}
+		back, err := ReadJSON(bytes.NewReader(out.Bytes()))
+		if err != nil {
 			t.Fatalf("round trip broke: %v\ninput: %q", err, data)
+		}
+		var again bytes.Buffer
+		if err := back.WriteJSON(&again); err != nil || !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatalf("second round trip changed the bytes (%v)\nfirst:  %q\nsecond: %q", err, out.Bytes(), again.Bytes())
 		}
 	})
 }

@@ -2,10 +2,12 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/geom"
@@ -30,18 +32,26 @@ type jsonFeature struct {
 	Attrs map[string]Value `json:"attrs,omitempty"`
 }
 
-// WriteJSON serialises the dataset to w as indented JSON.
+// WriteJSON serialises the dataset to w as two-space-indented JSON.
+//
+// The bytes are exactly those json.Encoder with SetIndent("", "  ")
+// writes for jsonDataset, because their SHA-256 is the dataset's content
+// address. They are produced in one pass: keys and layout are literal,
+// plain strings are copied, and only attrs maps and strings that need
+// escaping go through encoding/json. Like the Encoder, WriteJSON makes a
+// single Write, so an attribute that cannot be encoded leaves w
+// untouched. A *bytes.Buffer is appended to in place.
 func (d *Dataset) WriteJSON(w io.Writer) error {
-	jd := jsonDataset{
-		Reference:       layerToJSON(d.Reference),
-		NonSpatialAttrs: d.NonSpatialAttrs,
+	var b []byte
+	if buf, ok := w.(*bytes.Buffer); ok {
+		b = buf.AvailableBuffer()
 	}
-	for _, l := range d.Relevant {
-		jd.Relevant = append(jd.Relevant, layerToJSON(l))
+	b, err := d.appendJSON(b)
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jd)
+	_, err = w.Write(b)
+	return err
 }
 
 // SaveJSON writes the dataset to a file.
@@ -57,26 +67,179 @@ func (d *Dataset) SaveJSON(path string) error {
 	return f.Close()
 }
 
-func layerToJSON(l *Layer) jsonLayer {
-	jl := jsonLayer{Type: l.Type}
-	for i := range l.Features {
-		f := &l.Features[i]
-		jf := jsonFeature{ID: f.ID, Attrs: f.Attrs}
-		if f.Geometry != nil {
-			jf.WKT = f.Geometry.WKT()
-		}
-		jl.Features = append(jl.Features, jf)
+// indentSpaces is sliced for every line's indentation; the deepest line
+// WriteJSON writes outside an attrs map is indented by 10.
+const indentSpaces = "          "
+
+func (d *Dataset) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, "{\n  \"reference\": "...)
+	b, err := appendLayerJSON(b, d.Reference, 2)
+	if err != nil {
+		return nil, err
 	}
-	return jl
+	b = append(b, ",\n  \"relevant\": "...)
+	if len(d.Relevant) == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, l := range d.Relevant {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    "...)
+			if b, err = appendLayerJSON(b, l, 4); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, "\n  ]"...)
+	}
+	if len(d.NonSpatialAttrs) > 0 {
+		b = append(b, ",\n  \"nonSpatialAttrs\": ["...)
+		for i, a := range d.NonSpatialAttrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(append(b, "\n    "...), a)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...), nil
+}
+
+// appendLayerJSON appends l as an object whose closing brace is
+// indented by ind.
+func appendLayerJSON(b []byte, l *Layer, ind int) ([]byte, error) {
+	in := indentSpaces[:ind+2]
+	b = append(append(append(b, "{\n"...), in...), "\"type\": "...)
+	b = appendJSONString(b, l.Type)
+	b = append(append(append(b, ",\n"...), in...), "\"features\": "...)
+	if len(l.Features) == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		var err error
+		for i := range l.Features {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendFeatureJSON(b, &l.Features[i], ind+4); err != nil {
+				return nil, err
+			}
+		}
+		b = append(append(append(b, '\n'), in...), ']')
+	}
+	return append(append(append(b, '\n'), indentSpaces[:ind]...), '}'), nil
+}
+
+// appendFeatureJSON appends f as an array element whose braces are
+// indented by ind.
+func appendFeatureJSON(b []byte, f *Feature, ind int) ([]byte, error) {
+	in := indentSpaces[:ind+2]
+	b = append(append(b, '\n'), indentSpaces[:ind]...)
+	b = append(append(append(b, "{\n"...), in...), "\"id\": "...)
+	b = appendJSONString(b, f.ID)
+	b = append(append(append(b, ",\n"...), in...), "\"wkt\": "...)
+	b = appendWKTString(b, f.Geometry)
+	if len(f.Attrs) > 0 {
+		attrs, err := json.MarshalIndent(f.Attrs, in, "  ")
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(append(append(b, ",\n"...), in...), "\"attrs\": "...), attrs...)
+	}
+	return append(append(append(b, '\n'), indentSpaces[:ind]...), '}'), nil
+}
+
+// appendWKTString appends g's WKT as a JSON string, "" for a nil
+// geometry. The text is rendered in place and re-quoted only when a
+// geometry from outside package geom returns text that needs escaping.
+func appendWKTString(b []byte, g geom.Geometry) []byte {
+	b = append(b, '"')
+	if g == nil {
+		return append(b, '"')
+	}
+	start := len(b)
+	if b = geom.AppendWKT(b, g); plainJSON(b[start:]) {
+		return append(b, '"')
+	}
+	return appendJSONString(b[:start-1], string(b[start:]))
+}
+
+// appendJSONString appends s as a JSON string: verbatim when plainJSON,
+// otherwise as json.Marshal quotes it (HTML-escaped, invalid UTF-8
+// replaced), which is what the Encoder writes.
+func appendJSONString(b []byte, s string) []byte {
+	if plainJSON(s) {
+		return append(append(append(b, '"'), s...), '"')
+	}
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
+}
+
+// plainJSON reports whether s is printable ASCII that encoding/json
+// writes unescaped: no quote, backslash, or HTML-sensitive <, >, &.
+func plainJSON[T string | []byte](s T) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // ReadJSON parses a dataset from r; see WriteJSON for the format.
 func ReadJSON(r io.Reader) (*Dataset, error) {
-	var jd jsonDataset
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&jd); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("dataset: decoding JSON: %w", err)
 	}
+	return decodeJSON(data)
+}
+
+// LoadJSON reads a dataset from a file.
+func LoadJSON(path string) (*Dataset, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
+	}
+	d, err := decodeJSON(data)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
+	}
+	return d, nil
+}
+
+// readAll reads r to EOF. A reader that reports its remaining length is
+// read into one buffer of that size; io.ReadAll's doubling would hold up
+// to twice the document.
+func readAll(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, sized.Len()+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// decodeJSON decodes one document. The canonical form WriteJSON emits
+// takes the one-pass decodeCanonical; anything else goes to
+// encoding/json, whose case-folded keys and merged duplicate keys the
+// fast path never re-implements.
+func decodeJSON(data []byte) (*Dataset, error) {
+	jd, ok := decodeCanonical(data)
+	if !ok {
+		jd = jsonDataset{}
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&jd); err != nil {
+			return nil, fmt.Errorf("dataset: decoding JSON: %w", err)
+		}
+	}
+	return jd.dataset()
+}
+
+// dataset parses the WKT of every feature into a Dataset.
+func (jd *jsonDataset) dataset() (*Dataset, error) {
 	ref, err := layerFromJSON(jd.Reference)
 	if err != nil {
 		return nil, err
@@ -92,20 +255,6 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// LoadJSON reads a dataset from a file.
-func LoadJSON(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
-	}
-	defer f.Close()
-	d, err := ReadJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
-	}
-	return d, nil
-}
-
 func layerFromJSON(jl jsonLayer) (*Layer, error) {
 	l := NewLayer(jl.Type)
 	for _, jf := range jl.Features {
@@ -116,6 +265,244 @@ func layerFromJSON(jl jsonLayer) (*Layer, error) {
 		l.Add(Feature{ID: jf.ID, Geometry: g, Attrs: jf.Attrs})
 	}
 	return l, nil
+}
+
+// decodeCanonical decodes data in one pass when it is in canonical form:
+// one JSON object with the exact lowercase keys of jsonDataset, each at
+// most once, strings of printable ASCII without escapes, and attrs
+// values that are strings, numbers or booleans; only whitespace may
+// follow. It reports false for any other input, which encoding/json then
+// decodes; where it reports true, encoding/json decodes the same value.
+func decodeCanonical(data []byte) (jsonDataset, bool) {
+	s := &canonicalScanner{data: data}
+	var jd jsonDataset
+	var seen uint8
+	ok := s.object(func(key []byte) bool {
+		switch string(key) {
+		case "reference":
+			return once(&seen, 1) && s.layer(&jd.Reference)
+		case "relevant":
+			return once(&seen, 2) && list(s, &jd.Relevant, s.layer)
+		case "nonSpatialAttrs":
+			return once(&seen, 4) && list(s, &jd.NonSpatialAttrs, s.str)
+		}
+		return false
+	})
+	s.space()
+	return jd, ok && s.pos == len(data)
+}
+
+// once sets bit in *seen and reports whether it was clear: the check
+// that a key appears at most once in its object.
+func once(seen *uint8, bit uint8) bool {
+	first := *seen&bit == 0
+	*seen |= bit
+	return first
+}
+
+// canonicalScanner is decodeCanonical's cursor. Its methods report false
+// when the input leaves the canonical form; all but accept and digits,
+// which work inside a number, skip the whitespace before their token.
+type canonicalScanner struct {
+	data []byte
+	pos  int
+}
+
+func (s *canonicalScanner) space() {
+	for s.pos < len(s.data) {
+		switch s.data[s.pos] {
+		case ' ', '\t', '\n', '\r':
+			s.pos++
+		default:
+			return
+		}
+	}
+}
+
+// next consumes c if it is the next non-space byte.
+func (s *canonicalScanner) next(c byte) bool {
+	s.space()
+	return s.accept(c)
+}
+
+// accept consumes c if it is the next byte.
+func (s *canonicalScanner) accept(c byte) bool {
+	if s.pos < len(s.data) && s.data[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// object consumes an object, handing each key to member, which must
+// consume the value.
+func (s *canonicalScanner) object(member func(key []byte) bool) bool {
+	if !s.next('{') {
+		return false
+	}
+	if s.next('}') {
+		return true
+	}
+	for {
+		key, ok := s.raw()
+		if !ok || !s.next(':') || !member(key) {
+			return false
+		}
+		if s.next('}') {
+			return true
+		}
+		if !s.next(',') {
+			return false
+		}
+	}
+}
+
+// list consumes an array into *dst, decoding each element with elem.
+// Like encoding/json, it makes *dst non-nil even for [].
+func list[T any](s *canonicalScanner, dst *[]T, elem func(*T) bool) bool {
+	if !s.next('[') {
+		return false
+	}
+	*dst = []T{}
+	if s.next(']') {
+		return true
+	}
+	for {
+		var zero T
+		*dst = append(*dst, zero)
+		if !elem(&(*dst)[len(*dst)-1]) {
+			return false
+		}
+		if s.next(']') {
+			return true
+		}
+		if !s.next(',') {
+			return false
+		}
+	}
+}
+
+// raw consumes a string and returns its bytes, which alias data.
+func (s *canonicalScanner) raw() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	for i := s.pos; i < len(s.data); i++ {
+		switch c := s.data[i]; {
+		case c == '"':
+			str := s.data[s.pos:i]
+			s.pos = i + 1
+			return str, true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+func (s *canonicalScanner) str(dst *string) bool {
+	b, ok := s.raw()
+	*dst = string(b)
+	return ok
+}
+
+func (s *canonicalScanner) layer(jl *jsonLayer) bool {
+	var seen uint8
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "type":
+			return once(&seen, 1) && s.str(&jl.Type)
+		case "features":
+			return once(&seen, 2) && list(s, &jl.Features, s.feature)
+		}
+		return false
+	})
+}
+
+func (s *canonicalScanner) feature(jf *jsonFeature) bool {
+	var seen uint8
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "id":
+			return once(&seen, 1) && s.str(&jf.ID)
+		case "wkt":
+			return once(&seen, 2) && s.str(&jf.WKT)
+		case "attrs":
+			return once(&seen, 4) && s.attrs(&jf.Attrs)
+		}
+		return false
+	})
+}
+
+func (s *canonicalScanner) attrs(dst *map[string]Value) bool {
+	m := map[string]Value{}
+	*dst = m
+	return s.object(func(name []byte) bool {
+		v, ok := s.scalar()
+		m[string(name)] = v
+		return ok
+	})
+}
+
+// scalar consumes an attrs value: a string, a number in strict JSON
+// grammar that ParseFloat accepts, true or false.
+func (s *canonicalScanner) scalar() (Value, bool) {
+	s.space()
+	if s.pos == len(s.data) {
+		return nil, false
+	}
+	switch c := s.data[s.pos]; {
+	case c == '"':
+		var str string
+		return str, s.str(&str)
+	case c == 't':
+		return true, s.literal("true")
+	case c == 'f':
+		return false, s.literal("false")
+	case c == '-' || ('0' <= c && c <= '9'):
+		return s.number()
+	}
+	return nil, false
+}
+
+func (s *canonicalScanner) literal(lit string) bool {
+	if !bytes.HasPrefix(s.data[s.pos:], []byte(lit)) {
+		return false
+	}
+	s.pos += len(lit)
+	return true
+}
+
+// number consumes -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? and
+// converts it as encoding/json does for an interface value.
+func (s *canonicalScanner) number() (Value, bool) {
+	start := s.pos
+	s.accept('-')
+	if !s.accept('0') && s.digits() == 0 {
+		return nil, false
+	}
+	if s.accept('.') && s.digits() == 0 {
+		return nil, false
+	}
+	if s.accept('e') || s.accept('E') {
+		if !s.accept('+') {
+			s.accept('-')
+		}
+		if s.digits() == 0 {
+			return nil, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(s.data[start:s.pos]), 64)
+	return f, err == nil
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (s *canonicalScanner) digits() int {
+	start := s.pos
+	for s.pos < len(s.data) && '0' <= s.data[s.pos] && s.data[s.pos] <= '9' {
+		s.pos++
+	}
+	return s.pos - start
 }
 
 // WriteTableCSV writes the transaction table in a simple CSV-ish format:

@@ -32,8 +32,8 @@ func randomRelateGeometry(rng *rand.Rand) geom.Geometry {
 	case 2: // donut
 		x, y := half(8), half(8)
 		return geom.Polygon{
-			Shell: geom.Ring{Coords: []geom.Point{geom.Pt(x, y), geom.Pt(x + 4, y), geom.Pt(x + 4, y + 4), geom.Pt(x, y + 4)}},
-			Holes: []geom.Ring{{Coords: []geom.Point{geom.Pt(x + 1.5, y + 1.5), geom.Pt(x + 2.5, y + 1.5), geom.Pt(x + 2.5, y + 2.5), geom.Pt(x + 1.5, y + 2.5)}}},
+			Shell: geom.Ring{Coords: []geom.Point{geom.Pt(x, y), geom.Pt(x+4, y), geom.Pt(x+4, y+4), geom.Pt(x, y+4)}},
+			Holes: []geom.Ring{{Coords: []geom.Point{geom.Pt(x+1.5, y+1.5), geom.Pt(x+2.5, y+1.5), geom.Pt(x+2.5, y+2.5), geom.Pt(x+1.5, y+2.5)}}},
 		}
 	case 3: // multipolygon
 		x, y := half(6), half(6)

@@ -37,8 +37,8 @@ func preparedTestGeometries(rng *rand.Rand) []Geometry {
 	for i := 0; i < 3; i++ {
 		x, y := half(8), half(8)
 		gs = append(gs, Polygon{
-			Shell: Ring{Coords: []Point{Pt(x, y), Pt(x + 4, y), Pt(x + 4, y + 4), Pt(x, y + 4)}},
-			Holes: []Ring{{Coords: []Point{Pt(x + 1.5, y + 1.5), Pt(x + 2.5, y + 1.5), Pt(x + 2.5, y + 2.5), Pt(x + 1.5, y + 2.5)}}},
+			Shell: Ring{Coords: []Point{Pt(x, y), Pt(x+4, y), Pt(x+4, y+4), Pt(x, y+4)}},
+			Holes: []Ring{{Coords: []Point{Pt(x+1.5, y+1.5), Pt(x+2.5, y+1.5), Pt(x+2.5, y+2.5), Pt(x+1.5, y+2.5)}}},
 		})
 	}
 	// Multipolygons of two disjoint parts.

@@ -7,91 +7,112 @@ import (
 )
 
 // WKT implements Geometry for Point.
-func (p Point) WKT() string {
-	return "POINT (" + fmtCoord(p) + ")"
-}
+func (p Point) WKT() string { return string(AppendWKT(nil, p)) }
 
 // WKT implements Geometry for MultiPoint.
-func (m MultiPoint) WKT() string {
-	if m.IsEmpty() {
-		return "MULTIPOINT EMPTY"
-	}
-	parts := make([]string, len(m.Points))
-	for i, p := range m.Points {
-		parts[i] = "(" + fmtCoord(p) + ")"
-	}
-	return "MULTIPOINT (" + strings.Join(parts, ", ") + ")"
-}
+func (m MultiPoint) WKT() string { return string(AppendWKT(nil, m)) }
 
 // WKT implements Geometry for LineString.
-func (l LineString) WKT() string {
-	if l.IsEmpty() {
-		return "LINESTRING EMPTY"
-	}
-	return "LINESTRING " + fmtCoordSeq(l.Coords)
-}
+func (l LineString) WKT() string { return string(AppendWKT(nil, l)) }
 
 // WKT implements Geometry for MultiLineString.
-func (m MultiLineString) WKT() string {
-	if m.IsEmpty() {
-		return "MULTILINESTRING EMPTY"
-	}
-	parts := make([]string, len(m.Lines))
-	for i, l := range m.Lines {
-		parts[i] = fmtCoordSeq(l.Coords)
-	}
-	return "MULTILINESTRING (" + strings.Join(parts, ", ") + ")"
-}
+func (m MultiLineString) WKT() string { return string(AppendWKT(nil, m)) }
 
 // WKT implements Geometry for Polygon.
-func (p Polygon) WKT() string {
-	if p.IsEmpty() {
-		return "POLYGON EMPTY"
-	}
-	return "POLYGON " + fmtPolyBody(p)
-}
+func (p Polygon) WKT() string { return string(AppendWKT(nil, p)) }
 
 // WKT implements Geometry for MultiPolygon.
-func (m MultiPolygon) WKT() string {
-	if m.IsEmpty() {
-		return "MULTIPOLYGON EMPTY"
+func (m MultiPolygon) WKT() string { return string(AppendWKT(nil, m)) }
+
+// AppendWKT appends the well-known text of g to dst and returns the
+// extended buffer. Coordinates are shortest round-trip decimals ('g', -1),
+// rings repeat their first coordinate to close, and empty geometries
+// render as "<TYPE> EMPTY". Geometries from outside this package append
+// their own WKT().
+func AppendWKT(dst []byte, g Geometry) []byte {
+	switch g := g.(type) {
+	case Point:
+		dst = appendCoord(append(dst, "POINT ("...), g)
+		return append(dst, ')')
+	case MultiPoint:
+		if g.IsEmpty() {
+			return append(dst, "MULTIPOINT EMPTY"...)
+		}
+		dst = append(dst, "MULTIPOINT ("...)
+		for i, p := range g.Points {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendCoord(append(dst, '('), p)
+			dst = append(dst, ')')
+		}
+		return append(dst, ')')
+	case LineString:
+		if g.IsEmpty() {
+			return append(dst, "LINESTRING EMPTY"...)
+		}
+		return appendCoordSeq(append(dst, "LINESTRING "...), g.Coords, false)
+	case MultiLineString:
+		if g.IsEmpty() {
+			return append(dst, "MULTILINESTRING EMPTY"...)
+		}
+		dst = append(dst, "MULTILINESTRING ("...)
+		for i, l := range g.Lines {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendCoordSeq(dst, l.Coords, false)
+		}
+		return append(dst, ')')
+	case Polygon:
+		if g.IsEmpty() {
+			return append(dst, "POLYGON EMPTY"...)
+		}
+		return appendPolyBody(append(dst, "POLYGON "...), g)
+	case MultiPolygon:
+		if g.IsEmpty() {
+			return append(dst, "MULTIPOLYGON EMPTY"...)
+		}
+		dst = append(dst, "MULTIPOLYGON ("...)
+		for i, p := range g.Polygons {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendPolyBody(dst, p)
+		}
+		return append(dst, ')')
+	default:
+		return append(dst, g.WKT()...)
 	}
-	parts := make([]string, len(m.Polygons))
-	for i, p := range m.Polygons {
-		parts[i] = fmtPolyBody(p)
-	}
-	return "MULTIPOLYGON (" + strings.Join(parts, ", ") + ")"
 }
 
-func fmtPolyBody(p Polygon) string {
-	parts := make([]string, 0, 1+len(p.Holes))
-	parts = append(parts, fmtCoordSeq(closedCoords(p.Shell)))
+func appendPolyBody(dst []byte, p Polygon) []byte {
+	dst = appendCoordSeq(append(dst, '('), p.Shell.Coords, true)
 	for _, h := range p.Holes {
-		parts = append(parts, fmtCoordSeq(closedCoords(h)))
+		dst = appendCoordSeq(append(dst, ", "...), h.Coords, true)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(dst, ')')
 }
 
-// closedCoords returns ring coordinates with an explicit closing
-// coordinate, as WKT requires.
-func closedCoords(r Ring) []Point {
-	if len(r.Coords) == 0 {
-		return nil
-	}
-	return append(append([]Point{}, r.Coords...), r.Coords[0])
-}
-
-func fmtCoord(p Point) string {
-	return strconv.FormatFloat(p.X, 'g', -1, 64) + " " +
-		strconv.FormatFloat(p.Y, 'g', -1, 64)
-}
-
-func fmtCoordSeq(coords []Point) string {
-	parts := make([]string, len(coords))
+// appendCoordSeq appends "(x y, x y, ...)"; closed repeats the first
+// coordinate at the end, as WKT rings require.
+func appendCoordSeq(dst []byte, coords []Point, closed bool) []byte {
+	dst = append(dst, '(')
 	for i, p := range coords {
-		parts[i] = fmtCoord(p)
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendCoord(dst, p)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	if closed && len(coords) > 0 {
+		dst = appendCoord(append(dst, ", "...), coords[0])
+	}
+	return append(dst, ')')
+}
+
+func appendCoord(dst []byte, p Point) []byte {
+	dst = strconv.AppendFloat(dst, p.X, 'g', -1, 64)
+	return strconv.AppendFloat(append(dst, ' '), p.Y, 'g', -1, 64)
 }
 
 // ParseWKT parses a well-known-text geometry. It accepts the subset of WKT

@@ -127,3 +127,37 @@ func TestMustParseWKT(t *testing.T) {
 	}
 	MustParseWKT("NOPE")
 }
+
+// foreignGeometry stands in for a Geometry implemented outside package
+// geom, which AppendWKT renders through its own WKT method.
+type foreignGeometry struct{ Point }
+
+func (foreignGeometry) WKT() string { return "CIRCLE (0 0, 1)" }
+
+func TestAppendWKT(t *testing.T) {
+	holed := Polygon{
+		Shell: Ring{Coords: []Point{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)}},
+		Holes: []Ring{{Coords: []Point{Pt(2, 2), Pt(4, 2), Pt(4, 4)}}, {}},
+	}
+	cases := []struct {
+		g    Geometry
+		want string
+	}{
+		{Pt(-0.5, 1e21), "POINT (-0.5 1e+21)"},
+		{Pt(1e-7, 0.30000000000000004), "POINT (1e-07 0.30000000000000004)"},
+		{MultiPoint{Points: []Point{Pt(0, 0), Pt(3, 4)}}, "MULTIPOINT ((0 0), (3 4))"},
+		{MultiLineString{Lines: []LineString{Line(Pt(0, 0), Pt(1, 0)), {}}}, "MULTILINESTRING ((0 0, 1 0), ())"},
+		{holed, "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 2), ())"},
+		{MultiPolygon{Polygons: []Polygon{Rect(0, 0, 1, 1), {}}}, "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), (()))"},
+		{foreignGeometry{Pt(0, 0)}, "CIRCLE (0 0, 1)"},
+		{&holed, holed.WKT()},
+	}
+	for _, tc := range cases {
+		if got := string(AppendWKT([]byte("x="), tc.g)); got != "x="+tc.want {
+			t.Errorf("AppendWKT = %q, want %q", got, "x="+tc.want)
+		}
+		if got := tc.g.WKT(); got != tc.want {
+			t.Errorf("WKT = %q, want %q", got, tc.want)
+		}
+	}
+}

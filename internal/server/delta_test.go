@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/geom"
 )
 
 // uploadSampleTable uploads a small transaction-table CSV.
@@ -35,6 +36,12 @@ func uploadGeneratedScene(t *testing.T, client *http.Client, base string, seed i
 	if err != nil {
 		t.Fatalf("GenerateScene: %v", err)
 	}
+	return uploadScene(t, client, base, d), d
+}
+
+// uploadScene uploads d as a WKT-JSON scene.
+func uploadScene(t *testing.T, client *http.Client, base string, d *dataset.Dataset) datasetInfo {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -44,7 +51,41 @@ func uploadGeneratedScene(t *testing.T, client *http.Client, base string, seed i
 	if status != http.StatusCreated {
 		t.Fatalf("scene upload: %d %s", status, raw)
 	}
-	return info, d
+	return info
+}
+
+// mineCold uploads d to a fresh server and mines it from scratch: the
+// reference a delta-served response must equal.
+func mineCold(t *testing.T, d *dataset.Dataset, cfg core.Config) (datasetInfo, MineResponse) {
+	t.Helper()
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+	info := uploadScene(t, ts.Client(), ts.URL+"/v1", d)
+	var resp MineResponse
+	if status, raw := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &resp); status != http.StatusOK {
+		t.Fatalf("cold mine: %d %s", status, raw)
+	}
+	return info, resp
+}
+
+// assertSameMine requires a delta-served response to report the cold
+// response's table and itemsets.
+func assertSameMine(t *testing.T, got, cold MineResponse) {
+	t.Helper()
+	if got.Transactions != cold.Transactions || got.MinSupportCount != cold.MinSupportCount {
+		t.Fatalf("headline mismatch: delta %+v cold %+v", got, cold)
+	}
+	if len(got.Frequent) != len(cold.Frequent) {
+		t.Fatalf("frequent count %d, cold %d", len(got.Frequent), len(cold.Frequent))
+	}
+	for i := range cold.Frequent {
+		g, w := got.Frequent[i], cold.Frequent[i]
+		if g.Support != w.Support || fmt.Sprint(g.Items) != fmt.Sprint(w.Items) {
+			t.Fatalf("frequent[%d] = %v(%d), cold %v(%d)", i, g.Items, g.Support, w.Items, w.Support)
+		}
+	}
 }
 
 // singleMoveOps nudges the first feature of the first relevant layer.
@@ -116,43 +157,15 @@ func TestPatchThenMineUsesDeltaPipeline(t *testing.T) {
 	}
 
 	// Cold reference: a fresh server mining the successor from scratch.
-	s2 := New(Options{Workers: 1})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	defer s2.Shutdown(context.Background())
-	client2 := ts2.Client()
-
 	nd, _, err := scene.ApplyOps(singleMoveOps(scene))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := nd.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var info2 datasetInfo
-	if status, raw := doJSON(t, client2, "POST", ts2.URL+"/v1/datasets/scene", buf.Bytes(), &info2); status != http.StatusCreated {
-		t.Fatalf("cold upload: %d %s", status, raw)
-	}
+	info2, coldResp := mineCold(t, nd, cfg)
 	if info2.Digest != patched.Dataset.Digest {
 		t.Fatalf("successor digest %s differs from independent serialisation %s", patched.Dataset.Digest, info2.Digest)
 	}
-	var coldResp MineResponse
-	if status, raw := doJSON(t, client2, "POST", ts2.URL+"/v1/mine", mineBody(t, info2.Digest, cfg), &coldResp); status != http.StatusOK {
-		t.Fatalf("cold mine: %d %s", status, raw)
-	}
-	if deltaResp.Transactions != coldResp.Transactions || deltaResp.MinSupportCount != coldResp.MinSupportCount {
-		t.Fatalf("headline mismatch: delta %+v cold %+v", deltaResp, coldResp)
-	}
-	if len(deltaResp.Frequent) != len(coldResp.Frequent) {
-		t.Fatalf("frequent count %d, cold %d", len(deltaResp.Frequent), len(coldResp.Frequent))
-	}
-	for i := range coldResp.Frequent {
-		g, w := deltaResp.Frequent[i], coldResp.Frequent[i]
-		if g.Support != w.Support || fmt.Sprint(g.Items) != fmt.Sprint(w.Items) {
-			t.Fatalf("frequent[%d] = %v(%d), cold %v(%d)", i, g.Items, g.Support, w.Items, w.Support)
-		}
-	}
+	assertSameMine(t, deltaResp, coldResp)
 
 	// The delta-served response is cached: an identical re-request hits.
 	var again MineResponse
@@ -162,6 +175,56 @@ func TestPatchThenMineUsesDeltaPipeline(t *testing.T) {
 	if !again.Cached {
 		t.Errorf("second successor mine should be a cache hit")
 	}
+}
+
+// TestPatchRepeatedIDMinesCold: uploads accept a scene whose reference
+// layer repeats a feature ID, but its rows cannot carry over by ID. The
+// successor's mine must take the cold pipeline (delta.apply.errors) and
+// agree with a fresh server, which finds 143 itemsets where a delta
+// extraction matching rows by ID serves 125.
+func TestPatchRepeatedIDMinesCold(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+	client := ts.Client()
+
+	scene, err := datagen.GenerateScene(datagen.DefaultScene(4, 3, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene.Reference.Features[1].ID = scene.Reference.Features[0].ID
+	info := uploadScene(t, client, ts.URL+"/v1", scene)
+	cfg := core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.2}
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", mineBody(t, info.Digest, cfg), &MineResponse{}); status != http.StatusOK {
+		t.Fatalf("parent mine: %d %s", status, raw)
+	}
+
+	slum := scene.Relevant[0].Features[2]
+	move := []dataset.Op{{Action: dataset.OpUpdate, Layer: scene.Relevant[0].Type, ID: slum.ID,
+		WKT: geom.Translate(slum.Geometry, 0.25, 0).WKT()}}
+	ops, err := json.Marshal(api.PatchRequest{Ops: move})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patched api.PatchResponse
+	if status, raw := doJSON(t, client, "PATCH", ts.URL+"/v1/datasets/"+info.Digest, ops, &patched); status != http.StatusCreated {
+		t.Fatalf("patch: %d %s", status, raw)
+	}
+	var deltaResp MineResponse
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", mineBody(t, patched.Dataset.Digest, cfg), &deltaResp); status != http.StatusOK {
+		t.Fatalf("successor mine: %d %s", status, raw)
+	}
+	if n := s.Metrics().Obs.Counters["delta.apply.errors"]; n != 1 {
+		t.Errorf("delta.apply.errors = %d, want 1", n)
+	}
+
+	nd, _, err := scene.ApplyOps(move)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, coldResp := mineCold(t, nd, cfg)
+	assertSameMine(t, deltaResp, coldResp)
 }
 
 // TestPatchChainMinesIncrementally mines after every patch in a chain

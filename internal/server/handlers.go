@@ -197,6 +197,7 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var buf bytes.Buffer
+	buf.Grow(int(sd.Bytes) + len(body)) // the successor is about the parent plus the ops
 	if err := nd.WriteJSON(&buf); err != nil {
 		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "serialising successor: %v", err)
 		return

@@ -255,6 +255,11 @@ func (s *State) Table() *dataset.Table {
 //   - everything else — item parts, prepared geometries, indexes of
 //     untouched layers — is carried over.
 //
+// Rows and prepared geometries carry over by feature ID, so Apply fails,
+// leaving the state as it was, when the current dataset repeats an ID in
+// its reference layer or in a layer cs changes; callers fall back to a
+// cold extraction.
+//
 // The returned TableDelta is the exact row-level difference of the
 // transaction tables, ready for itemset.DB.ApplyDelta and
 // mining.PatchResultContext. Counters delta.rows.total/dirty/reused and
@@ -279,9 +284,25 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	}
 	attrsChanged := !cutsEqual(newCuts, s.cuts)
 
-	// Map successor reference rows onto predecessor rows by feature ID.
+	// Rows, prepared geometries and dirty envelopes are matched by feature
+	// ID, which needs unique IDs in the predecessor's reference layer and
+	// in every changed relevant layer (ApplyOps never creates a repeat).
+	// Check them all before touching any state.
 	oldRef := s.d.Reference
-	oldByID := featureIndex(oldRef)
+	oldByID, err := featureIndex(oldRef)
+	if err != nil {
+		return nil, err
+	}
+	oldIdxs := make([]map[string]int, len(nd.Relevant))
+	for li := range nd.Relevant {
+		if s.anyFamily && !cs.Layer(nd.Relevant[li].Type).Empty() {
+			if oldIdxs[li], err = featureIndex(s.d.Relevant[li]); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	// Map successor reference rows onto predecessor rows by feature ID.
 	refDiff := cs.Layer(oldRef.Type)
 	var refChanged map[string]bool
 	if refDiff != nil {
@@ -318,8 +339,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		if !s.anyFamily || ld.Empty() {
 			continue
 		}
-		oldLayer, newLayer := s.d.Relevant[li], nd.Relevant[li]
-		oldIdx := featureIndex(oldLayer)
+		oldLayer, newLayer, oldIdx := s.d.Relevant[li], nd.Relevant[li], oldIdxs[li]
 		changed := stringSet(ld.Updated, ld.Inserted)
 		if s.prep != nil {
 			newPrep := make([]*geom.Prepared, newLayer.Len())
@@ -597,13 +617,18 @@ func buildRefIndex(ref *dataset.Layer) index.SpatialIndex {
 	return index.NewRTreeBulk(items)
 }
 
-// featureIndex maps each feature ID of a layer to its position.
-func featureIndex(l *dataset.Layer) map[string]int {
+// featureIndex maps each feature ID of a layer to its position. A
+// repeated ID is an error: it would alias two features.
+func featureIndex(l *dataset.Layer) (map[string]int, error) {
 	m := make(map[string]int, l.Len())
 	for i := range l.Features {
-		m[l.Features[i].ID] = i
+		id := l.Features[i].ID
+		if _, dup := m[id]; dup {
+			return nil, fmt.Errorf("transact: delta: layer %q repeats feature ID %q", l.Type, id)
+		}
+		m[id] = i
 	}
-	return m
+	return m, nil
 }
 
 // cutsEqual compares two fitted discretizer maps field-wise.

@@ -410,6 +410,64 @@ func TestStateApplyReinsertedRelevantFeature(t *testing.T) {
 	assertTablesEqual(t, st.Table(), want, "re-inserted slum")
 }
 
+// assertApplyRejectsRepeatedID requires Apply to refuse the successor of
+// a predecessor that repeats a feature ID, on the prepared and the raw
+// path, and to leave the state's table as it was.
+func assertApplyRejectsRepeatedID(t *testing.T, d *dataset.Dataset, ops []dataset.Op, label string) {
+	t.Helper()
+	nd, cs, err := d.ApplyOps(ops)
+	if err != nil {
+		t.Fatalf("%s: ApplyOps: %v", label, err)
+	}
+	for _, noPrepare := range []bool{false, true} {
+		st, err := NewState(d, Options{Topological: true, Index: RTreeIndex, NoPrepare: noPrepare})
+		if err != nil {
+			t.Fatalf("%s: NewState: %v", label, err)
+		}
+		before := tableDigest(st.Table())
+		if _, err := st.Apply(context.Background(), nd, cs); err == nil || !strings.Contains(err.Error(), "repeats feature ID") {
+			t.Errorf("%s noPrepare=%v: Apply error = %v, want a repeated-ID error", label, noPrepare, err)
+		}
+		if tableDigest(st.Table()) != before {
+			t.Errorf("%s noPrepare=%v: a rejected Apply changed the table", label, noPrepare)
+		}
+	}
+}
+
+// TestStateApplyRejectsRepeatedReferenceID: rows carry over by reference
+// feature ID. With district_1_0 renamed to district_0_0, carrying rows
+// over through a slum edit that leaves the row clean hands row
+// district_0_0 the other district's items (contains_river1 ...) where a
+// cold extraction gives contains_slum0 ....
+func TestStateApplyRejectsRepeatedReferenceID(t *testing.T) {
+	d := sceneForState(t, 13)
+	d.Reference.Features[1].ID = d.Reference.Features[0].ID
+	slum := d.Relevant[0].Features[2]
+	assertApplyRejectsRepeatedID(t, d, []dataset.Op{{
+		Action: dataset.OpUpdate, Layer: d.Relevant[0].Type, ID: slum.ID,
+		WKT: geom.Translate(slum.Geometry, 0.25, 0).WKT(),
+	}}, "reference")
+}
+
+// TestStateApplyRejectsRepeatedRelevantID: prepared geometries and dirty
+// envelopes are matched by relevant feature ID. With the last slum
+// renamed to the first slum's ID, matching through an insert beside the
+// first slum hands the first slum the last one's prepared geometry,
+// costing district_0_1 its covers_slum on the prepared path.
+func TestStateApplyRejectsRepeatedRelevantID(t *testing.T) {
+	for _, seed := range []int64{17, 21} {
+		d := sceneForState(t, seed)
+		slums := d.Relevant[0]
+		first := slums.Features[0]
+		slums.Features[slums.Len()-1].ID = first.ID
+		c := first.Geometry.Envelope().Center()
+		assertApplyRejectsRepeatedID(t, d, []dataset.Op{{
+			Action: dataset.OpInsert, Layer: slums.Type, ID: "slum_beside",
+			WKT: rectWKT(c.X-0.1, c.Y-0.1, c.X+0.1, c.Y+0.1),
+		}}, fmt.Sprintf("seed %d", seed))
+	}
+}
+
 // FuzzStateApply decodes the input as a PATCH op batch and applies it to
 // a small generated scene. Whenever dataset.ApplyOps accepts the batch,
 // the incremental State must land on exactly the table a from-scratch
