@@ -1,11 +1,15 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // The parsers below face untrusted bytes directly in the qsrmined
@@ -136,38 +140,137 @@ func FuzzReadGeoJSON(f *testing.F) {
 	})
 }
 
+// readTableCSVOracle is ReadTableCSV as it was before the one-body
+// reader, kept verbatim: a bufio.Scanner over lines, strings.Split per
+// line and NewTable's normalising copy. The reader is held to it.
+func readTableCSVOracle(r io.Reader) (*Table, error) {
+	var rows []Transaction
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Split(line, ",")
+		if fields[0] == "" {
+			return nil, fmt.Errorf("dataset: line %d: empty reference ID", lineNo)
+		}
+		items := make([]string, 0, len(fields)-1)
+		for _, f := range fields[1:] {
+			if f = strings.TrimSpace(f); f != "" {
+				items = append(items, f)
+			}
+		}
+		rows = append(rows, Transaction{RefID: fields[0], Items: items})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: reading table: %w", err)
+	}
+	return NewTable(rows), nil
+}
+
+// tableCSVSeeds are the reader's edge cases: line endings, Unicode and
+// invalid UTF-8 around items, comments, empty fields, and line lengths
+// around the first buffer size of the reader's predecessor.
+var tableCSVSeeds = []string{
+	"r1,a,b\nr2,a,c\n",
+	"# comment\nr1,a\n\nr2,b,b,b\n",
+	"r1, padded , items \n",
+	"r1,a\nr1,b\n", // duplicate reference IDs
+	",missing-ref\n",
+	"lonely-ref\n",
+	"r1,\"quoted,item\",b\n",
+	"\x00",
+	strings.Repeat(",", 100),
+	"r1,b,a\r\nr2,c\r\n",               // CRLF
+	"r1,a\rb,c\rr2,d\n",                // lone CR
+	"r1,\tb\t,\ta\n\t\n",               // tabs
+	"r1,\u00a0b\u00a0,a\u00a0\n",       // NBSP
+	"r1,\u0085b,a\u0085\n\u0085r2,c\n", // U+0085
+	"r1,\u2028b,a\u2028\n\u2028\n",     // U+2028
+	"r1,caf\xe9,\xff\xfe,a\n\xff,b\n",  // invalid UTF-8
+	"  # comment\nr1,a\n",
+	",,,\n",
+	"r1,,a\n",
+	"r1\nr2,\n",          // rows with only a reference ID
+	"r1 ,a\nr2 \nr3 ,\n", // reference IDs with a trailing space
+	"r1,b,a\nr2,c",       // no final newline
+	"r1," + strings.Repeat("x", 70*1024) + ",a\nr2,b\n", // a 70 KB line
+}
+
+// sameTableResult reports whether two ReadTableCSV outcomes agree: the
+// same error text, or no error and deeply equal tables.
+func sameTableResult(got *Table, gotErr error, want *Table, wantErr error) bool {
+	if gotErr != nil || wantErr != nil {
+		return gotErr != nil && wantErr != nil && gotErr.Error() == wantErr.Error()
+	}
+	return reflect.DeepEqual(got, want)
+}
+
+// rawTable cuts data into a table no reader produces: rows at '\x00',
+// the reference ID and items at '\x01'.
+func rawTable(data string) *Table {
+	t := &Table{}
+	for _, line := range strings.Split(data, "\x00") {
+		fields := strings.Split(line, "\x01")
+		t.Transactions = append(t.Transactions, Transaction{RefID: fields[0], Items: fields[1:]})
+	}
+	return t
+}
+
+// checkTableRoundTrip requires that WriteTableCSV either refuses tab or
+// writes bytes ReadTableCSV reads back as tab, items normalised.
+func checkTableRoundTrip(t *testing.T, tab *Table) error {
+	var out bytes.Buffer
+	if err := tab.WriteTableCSV(&out); err != nil {
+		if out.Len() != 0 {
+			t.Fatalf("refused table %q but wrote %q", tab.Transactions, out.Bytes())
+		}
+		return err
+	}
+	back, err := ReadTableCSV(&out)
+	if err != nil || !reflect.DeepEqual(back, NewTable(tab.Transactions)) {
+		t.Fatalf("round trip of %q gave %q, %v", tab.Transactions, back, err)
+	}
+	return nil
+}
+
+// FuzzReadTableCSV holds ReadTableCSV to its predecessor on every input
+// (the same error text, or deeply equal tables) and checks the writer's
+// representability rule: WriteTableCSV either refuses a table or the
+// table survives a write and re-read, and of a parsed table it refuses
+// only an itemless row whose reference ID ends in white space.
 func FuzzReadTableCSV(f *testing.F) {
-	f.Add("r1,a,b\nr2,a,c\n")
-	f.Add("# comment\nr1,a\n\nr2,b,b,b\n")
-	f.Add("r1, padded , items \n")
-	f.Add("r1,a\nr1,b\n") // duplicate reference IDs
-	f.Add(",missing-ref\n")
-	f.Add("lonely-ref\n")
-	f.Add("r1,\"quoted,item\",b\n")
-	f.Add("\x00")
-	f.Add(strings.Repeat(",", 100))
+	for _, seed := range tableCSVSeeds {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data string) {
 		tab, err := ReadTableCSV(strings.NewReader(data))
+		want, wantErr := readTableCSVOracle(strings.NewReader(data))
+		if !sameTableResult(tab, err, want, wantErr) {
+			t.Fatalf("ReadTableCSV differs from its predecessor on %q:\n got %q, %v\nwant %q, %v", data, tab, err, want, wantErr)
+		}
+		checkTableRoundTrip(t, rawTable(data))
 		if err != nil {
 			return
 		}
-		// Accepted tables must be well-formed and re-encodable.
 		for _, tx := range tab.Transactions {
 			if tx.RefID == "" {
 				t.Fatalf("accepted transaction with empty reference ID from %q", data)
 			}
 		}
-		var out bytes.Buffer
-		if err := tab.WriteTableCSV(&out); err != nil {
-			t.Fatalf("re-encoding accepted table: %v", err)
-		}
-		back, err := ReadTableCSV(&out)
-		if err != nil {
-			t.Fatalf("round trip broke: %v\ninput: %q", err, data)
-		}
-		if back.Len() != tab.Len() {
-			t.Fatalf("round trip changed row count %d -> %d for %q", tab.Len(), back.Len(), data)
+		if err := checkTableRoundTrip(t, tab); err != nil {
+			lossy := false
+			for _, tx := range tab.Transactions {
+				lossy = lossy || len(tx.Items) == 0 && strings.TrimRightFunc(tx.RefID, unicode.IsSpace) != tx.RefID
+			}
+			if !lossy {
+				t.Fatalf("refused a parsed table that round-trips (%v): %q", err, data)
+			}
 		}
 	})
 }

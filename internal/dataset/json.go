@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/geom"
 )
@@ -505,56 +508,103 @@ func (s *canonicalScanner) digits() int {
 	return s.pos - start
 }
 
-// WriteTableCSV writes the transaction table in a simple CSV-ish format:
-// one line per transaction, reference ID first, then comma-separated
-// items. Readable by ReadTableCSV and by eyeball.
+// maxTableLine is the length in bytes, without its '\n', from which
+// ReadTableCSV refuses a line with bufio.ErrTooLong: the token limit of
+// the 16 MiB bufio.Scanner buffer it used to read through.
+const maxTableLine = 16 * 1024 * 1024
+
+// WriteTableCSV writes the transaction table in the format ReadTableCSV
+// reads: one line per transaction, reference ID first, then the items,
+// comma-separated. It writes only tables that ReadTableCSV reads back as
+// they are, up to item normalisation, and otherwise returns an error
+// naming the first row that would not survive, before writing anything.
+// Such a row has a reference ID that is empty, starts with '#', contains
+// ',' or '\n', or has leading white space (or trailing white space
+// where the row has no items); or an item that is empty, contains ',' or
+// '\n', or has leading or trailing white space; or a line of 16 MiB or
+// more. The output is built in one buffer and written with one Write.
 func (t *Table) WriteTableCSV(w io.Writer) error {
-	for _, tx := range t.Transactions {
-		if _, err := fmt.Fprintf(w, "%s", tx.RefID); err != nil {
-			return err
+	n := 0
+	for i, tx := range t.Transactions {
+		line, err := tx.csvLineLen()
+		if err != nil {
+			return fmt.Errorf("dataset: writing table: row %d (reference ID %q): %w", i+1, tx.RefID, err)
 		}
-		for _, it := range tx.Items {
-			if _, err := fmt.Fprintf(w, ",%s", it); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		n += line + 1
 	}
-	return nil
+	b := make([]byte, 0, n)
+	for _, tx := range t.Transactions {
+		b = append(b, tx.RefID...)
+		for _, it := range tx.Items {
+			b = append(append(b, ','), it...)
+		}
+		b = append(b, '\n')
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// csvLineLen returns the length of tx's WriteTableCSV line without its
+// '\n', or why ReadTableCSV would not read that line back as tx.
+func (tx Transaction) csvLineLen() (int, error) {
+	id := tx.RefID
+	switch {
+	case id == "":
+		return 0, fmt.Errorf("empty reference ID")
+	case id[0] == '#':
+		return 0, fmt.Errorf("reference ID starts with '#'")
+	case breaksLine(id):
+		return 0, fmt.Errorf("reference ID contains ',' or a newline")
+	case strings.TrimLeftFunc(id, unicode.IsSpace) != id:
+		return 0, fmt.Errorf("reference ID has leading white space")
+	case len(tx.Items) == 0 && strings.TrimRightFunc(id, unicode.IsSpace) != id:
+		return 0, fmt.Errorf("reference ID has trailing white space and the row has no items")
+	}
+	n := len(id)
+	for _, it := range tx.Items {
+		switch {
+		case it == "":
+			return 0, fmt.Errorf("empty item")
+		case breaksLine(it):
+			return 0, fmt.Errorf("item %q contains ',' or a newline", it)
+		case strings.TrimSpace(it) != it:
+			return 0, fmt.Errorf("item %q has leading or trailing white space", it)
+		}
+		n += 1 + len(it)
+	}
+	if n >= maxTableLine {
+		return 0, fmt.Errorf("line of %d bytes reaches the 16 MiB line limit", n)
+	}
+	return n, nil
+}
+
+// breaksLine reports whether s holds a ',' or '\n', which would split
+// it when read back.
+func breaksLine(s string) bool {
+	return strings.IndexByte(s, ',') >= 0 || strings.IndexByte(s, '\n') >= 0
 }
 
 // ReadTableCSV parses the WriteTableCSV format: one transaction per line,
-// "refID,item,item,...". Blank lines and lines starting with '#' are
-// skipped; items are normalised (sorted, deduplicated).
+// "refID,item,item,...". Each line is trimmed of surrounding white
+// space; blank lines and lines starting with '#' are skipped but still
+// counted in error line numbers. The reference ID is the text before the
+// first comma, untrimmed; the items are the fields after it, trimmed,
+// with empty ones dropped, then normalised (sorted, deduplicated). A
+// line of 16 MiB or more fails with bufio.ErrTooLong. If r fails, the
+// bytes read before the failure are parsed first, so a bad line among
+// them is reported before the read error.
+//
+// The body is read into one string, in one allocation when r reports
+// its remaining length with a Len method. Reference IDs and items are
+// substrings of it, and all items share one backing array in which each
+// row is a capacity-capped slice, so an append to one row's items can
+// never overwrite the next row's.
 func ReadTableCSV(r io.Reader) (*Table, error) {
-	var rows []Transaction
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if fields[0] == "" {
-			return nil, fmt.Errorf("dataset: line %d: empty reference ID", lineNo)
-		}
-		items := make([]string, 0, len(fields)-1)
-		for _, f := range fields[1:] {
-			if f = strings.TrimSpace(f); f != "" {
-				items = append(items, f)
-			}
-		}
-		rows = append(rows, Transaction{RefID: fields[0], Items: items})
+	size := 0
+	if sized, ok := r.(interface{ Len() int }); ok {
+		size = sized.Len()
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: reading table: %w", err)
-	}
-	return NewTable(rows), nil
+	return readTableCSV(r, size)
 }
 
 // LoadTableCSV reads a transaction table from a file.
@@ -564,9 +614,100 @@ func LoadTableCSV(path string) (*Table, error) {
 		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
 	}
 	defer f.Close()
-	t, err := ReadTableCSV(f)
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		size = int(fi.Size())
+	}
+	t, err := readTableCSV(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
 	}
 	return t, nil
+}
+
+// readTableCSV reads r into a string of initial capacity size and
+// parses it.
+func readTableCSV(r io.Reader, size int) (*Table, error) {
+	var body strings.Builder
+	body.Grow(size)
+	_, readErr := io.Copy(&body, r)
+	t, err := parseTableCSV(body.String())
+	if err != nil {
+		return nil, err
+	}
+	if readErr != nil {
+		return nil, fmt.Errorf("dataset: reading table: %w", readErr)
+	}
+	return t, nil
+}
+
+// parseTableCSV parses a whole ReadTableCSV body.
+func parseTableCSV(body string) (*Table, error) {
+	// Sized for one row per line and one item per comma, which ordinary
+	// tables never outgrow; the caps keep a body of bare newlines or
+	// commas from reserving more than two to three times its own size.
+	rows := make([]Transaction, 0, min(strings.Count(body, "\n")+1, len(body)/16+1))
+	items := make([]string, 0, min(strings.Count(body, ","), len(body)/8))
+	lineNo := 0
+	for rest := body; rest != ""; {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		lineNo++
+		if len(line) >= maxTableLine {
+			return nil, fmt.Errorf("dataset: reading table: %w", bufio.ErrTooLong)
+		}
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		refID, fields, more := cutComma(line)
+		if refID == "" {
+			return nil, fmt.Errorf("dataset: line %d: empty reference ID", lineNo)
+		}
+		lo := len(items)
+		for more {
+			var f string
+			f, fields, more = cutComma(fields)
+			if f = strings.TrimSpace(f); f != "" {
+				items = append(items, f)
+			}
+		}
+		if row := items[lo:]; !strictlyAscending(row) {
+			sort.Strings(row)
+			items = items[:lo+len(slices.Compact(row))]
+		}
+		rows = append(rows, Transaction{RefID: refID, Items: items[lo:]})
+	}
+	// Point every row at the final backing (items may have outgrown its
+	// first), capped so an append to one row cannot reach the next.
+	off := 0
+	for i := range rows {
+		end := off + len(rows[i].Items)
+		rows[i].Items = items[off:end:end]
+		off = end
+	}
+	return &Table{Transactions: rows}, nil
+}
+
+// cutComma is strings.Cut(s, ",") without the general substring search.
+func cutComma(s string) (before, after string, found bool) {
+	if i := strings.IndexByte(s, ','); i >= 0 {
+		return s[:i], s[i+1:], true
+	}
+	return s, "", false
+}
+
+// strictlyAscending reports whether items is sorted without repeats, the
+// form WriteTableCSV writes a normalised table in.
+func strictlyAscending(items []string) bool {
+	for i := 1; i < len(items); i++ {
+		if items[i-1] >= items[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -9,6 +9,7 @@ package itemset
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,11 +58,14 @@ func NewDictionary() *Dictionary {
 // Intern returns the ID for name, assigning one on first sight. Spatial
 // predicate semantics are parsed from the name: anything of the form
 // "<relation>_<featureType>" with a known relation is spatial; everything
-// else (notably "attr=value" items) is non-spatial.
+// else (notably "attr=value" items) is non-spatial. The dictionary keeps
+// a copy of each new name, so it never pins the larger string a name is
+// cut from, such as the body of a parsed table.
 func (d *Dictionary) Intern(name string) int32 {
 	if id, ok := d.byName[name]; ok {
 		return id
 	}
+	name = strings.Clone(name)
 	id := int32(len(d.metas))
 	meta := Meta{Name: name, Kind: KindNonSpatial}
 	if !strings.ContainsRune(name, '=') {
@@ -105,16 +109,15 @@ type Itemset []int32
 
 // NewItemset builds a normalised itemset from IDs.
 func NewItemset(ids ...int32) Itemset {
-	s := append(Itemset{}, ids...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	j := 0
-	for i, v := range s {
-		if i == 0 || v != s[j-1] {
-			s[j] = v
-			j++
-		}
-	}
-	return s[:j]
+	return sortUnique(append(Itemset{}, ids...))
+}
+
+// sortUnique normalises s in place — sorted ascending, repeats dropped —
+// and returns the normalised prefix. slices.Sort insertion-sorts short
+// inputs such as transaction rows, without sort.Slice's reflection.
+func sortUnique(s Itemset) Itemset {
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // FromNames interns the names and builds the itemset.
@@ -189,17 +192,6 @@ func (s Itemset) Union(o Itemset) Itemset {
 	return append(out, o[j:]...)
 }
 
-// Minus returns s with all members of o removed.
-func (s Itemset) Minus(o Itemset) Itemset {
-	out := make(Itemset, 0, len(s))
-	for _, v := range s {
-		if !o.Contains(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // JoinPrefix implements the Apriori join: if s and o have length k-1,
 // share their first k-2 items, and s's last item is smaller than o's, the
 // join is their k-item union. ok is false otherwise.
@@ -222,13 +214,20 @@ func (s Itemset) JoinPrefix(o Itemset) (Itemset, bool) {
 	return out, true
 }
 
-// Key returns a compact map key for the itemset.
-func (s Itemset) Key() string {
-	buf := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+// AppendKey appends the itemset's compact map key, each ID as four
+// little-endian bytes, to dst. A caller can look a key up as
+// m[string(s.AppendKey(buf[:0]))] without allocating.
+func (s Itemset) AppendKey(dst []byte) []byte {
+	for _, v := range s {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	return string(buf)
+	return dst
+}
+
+// Key returns the itemset's compact map key (see AppendKey).
+func (s Itemset) Key() string {
+	var buf [64]byte
+	return string(s.AppendKey(buf[:0]))
 }
 
 // Names renders the member item strings.
@@ -277,15 +276,30 @@ type DB struct {
 	tidsets []bitset
 }
 
-// NewDB interns a dataset table into a mining-ready database.
+// NewDB interns a dataset table into a mining-ready database. IDs are
+// assigned in first-seen order, row by row and item by item; they order
+// Result.Frequent. All rows share one backing array and each row is a
+// capacity-capped slice of it, so an append to one row can never
+// overwrite the next. An empty table gives nil Rows.
 func NewDB(t *dataset.Table) *DB {
 	db := &DB{Dict: NewDictionary()}
+	if len(t.Transactions) == 0 {
+		return db
+	}
+	total := 0
 	for _, tx := range t.Transactions {
-		ids := make([]int32, len(tx.Items))
-		for i, name := range tx.Items {
-			ids[i] = db.Dict.Intern(name)
+		total += len(tx.Items)
+	}
+	backing := make([]int32, 0, total)
+	db.Rows = make([]Itemset, len(t.Transactions))
+	for i, tx := range t.Transactions {
+		lo := len(backing)
+		for _, name := range tx.Items {
+			backing = append(backing, db.Dict.Intern(name))
 		}
-		db.Rows = append(db.Rows, NewItemset(ids...))
+		row := sortUnique(backing[lo:])
+		backing = backing[:lo+len(row)]
+		db.Rows[i] = row[:len(row):len(row)]
 	}
 	return db
 }

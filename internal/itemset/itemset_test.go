@@ -88,9 +88,6 @@ func TestItemsetOps(t *testing.T) {
 	if got := s.Union(Itemset{2, 3, 9}); !got.Equal(Itemset{1, 2, 3, 5, 9}) {
 		t.Errorf("Union = %v", got)
 	}
-	if got := s.Minus(Itemset{3}); !got.Equal(Itemset{1, 5}) {
-		t.Errorf("Minus = %v", got)
-	}
 }
 
 func TestJoinPrefix(t *testing.T) {

@@ -149,22 +149,41 @@ type Result struct {
 	// PrunedDeps / PrunedSameFeature total the k=2 removals.
 	PrunedDeps, PrunedSameFeature int
 
+	// supportOnce guards the one-time build of supportByKey, so racing
+	// first calls to Support are safe.
+	supportOnce  sync.Once
 	supportByKey map[string]int
 }
 
 // Support returns the absolute support count of a frequent itemset from
 // the result, and whether the set is frequent. The lookup index is built
-// lazily on first use (mining itself never needs it), so the first call
-// is not safe for concurrent use.
+// on first use (mining itself never needs it); Support is safe for
+// concurrent use, and a lookup does not allocate.
 func (r *Result) Support(s itemset.Itemset) (int, bool) {
-	if r.supportByKey == nil {
-		r.supportByKey = make(map[string]int, len(r.Frequent))
-		for _, f := range r.Frequent {
-			r.supportByKey[f.Items.Key()] = f.Support
-		}
-	}
-	c, ok := r.supportByKey[s.Key()]
+	r.supportOnce.Do(r.indexSupports)
+	var buf [64]byte
+	c, ok := r.supportByKey[string(s.AppendKey(buf[:0]))]
 	return c, ok
+}
+
+// indexSupports builds supportByKey. The keys are cut from one string
+// holding every frequent itemset's key back to back.
+func (r *Result) indexSupports() {
+	n := 0
+	for _, f := range r.Frequent {
+		n += len(f.Items)
+	}
+	buf := make([]byte, 0, 4*n)
+	for _, f := range r.Frequent {
+		buf = f.Items.AppendKey(buf)
+	}
+	keys := string(buf)
+	r.supportByKey = make(map[string]int, len(r.Frequent))
+	for _, f := range r.Frequent {
+		end := 4 * len(f.Items)
+		r.supportByKey[keys[:end]] = f.Support
+		keys = keys[end:]
+	}
 }
 
 // CountBySize returns a map from itemset size to the number of frequent

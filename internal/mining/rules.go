@@ -36,15 +36,35 @@ func (r Rule) Format(d *itemset.Dictionary) string {
 // GenerateRules derives all association rules with confidence >= minConf
 // from the frequent itemsets of a mining result. Rules are ordered by
 // descending confidence, then descending support, then antecedent size.
+//
+// Every frequent itemset is split by every mask in ascending order into
+// an antecedent and its complement, written to reused scratch buffers;
+// only an emitted rule is copied out. sort.Slice is not stable, so this
+// emission order decides how ties come out, and rule order reaches CLI
+// output, /v1/mine bodies, the result cache and persisted results: keep
+// both the order and the comparator as they are.
 func GenerateRules(res *Result, minConf float64) []Rule {
 	n := float64(res.NumTransactions)
 	var rules []Rule
+	var anteBuf, consBuf [16]int32
+	ante, cons := anteBuf[:0], consBuf[:0]
+	// The emitted sides are carved from a chunked arena, one k-item
+	// block per rule.
+	var arena []int32
 	for _, f := range res.Frequent {
-		if len(f.Items) < 2 {
+		k := len(f.Items)
+		if k < 2 {
 			continue
 		}
-		for _, ante := range properSubsets(f.Items) {
-			cons := f.Items.Minus(ante)
+		for mask := 1; mask < (1<<k)-1; mask++ {
+			ante, cons = ante[:0], cons[:0]
+			for i, v := range f.Items {
+				if mask&(1<<i) != 0 {
+					ante = append(ante, v)
+				} else {
+					cons = append(cons, v)
+				}
+			}
 			anteSup, ok := res.Support(ante)
 			if !ok || anteSup == 0 {
 				continue
@@ -57,10 +77,17 @@ func GenerateRules(res *Result, minConf float64) []Rule {
 			if !ok {
 				continue
 			}
+			if len(arena)+k > cap(arena) {
+				arena = make([]int32, 0, max(ruleArenaChunk, k))
+			}
+			lo, mid := len(arena), len(arena)+len(ante)
+			arena = append(append(arena, ante...), cons...)
 			consFrac := float64(consSup) / n
 			rule := Rule{
-				Antecedent:   ante,
-				Consequent:   cons,
+				// Capacity-capped, so an append to one side never
+				// reaches the other side or the next rule.
+				Antecedent:   itemset.Itemset(arena[lo:mid:mid]),
+				Consequent:   itemset.Itemset(arena[mid:len(arena):len(arena)]),
 				SupportCount: f.Support,
 				Support:      float64(f.Support) / n,
 				Confidence:   conf,
@@ -89,19 +116,6 @@ func GenerateRules(res *Result, minConf float64) []Rule {
 	return rules
 }
 
-// properSubsets enumerates the non-empty proper subsets of s. Sizes are
-// bounded by frequent-itemset lengths, so the 2^n enumeration is fine.
-func properSubsets(s itemset.Itemset) []itemset.Itemset {
-	n := len(s)
-	out := make([]itemset.Itemset, 0, (1<<n)-2)
-	for mask := 1; mask < (1<<n)-1; mask++ {
-		sub := make(itemset.Itemset, 0, n-1)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sub = append(sub, s[i])
-			}
-		}
-		out = append(out, sub)
-	}
-	return out
-}
+// ruleArenaChunk is the number of item IDs one arena chunk of
+// GenerateRules holds.
+const ruleArenaChunk = 4096
