@@ -316,12 +316,9 @@ func materializeNeighbors(types []typeSet, dist float64, parallelism int) (*neig
 				if i >= n {
 					return
 				}
-				t := types[i]
-				pg := make([]*geom.Prepared, len(t.geoms))
-				items := make([]index.Item, len(t.geoms))
-				for a, g := range t.geoms {
-					p := geom.Prepare(g)
-					pg[a] = p
+				pg := geom.PrepareAll(types[i].geoms)
+				items := make([]index.Item, len(pg))
+				for a, p := range pg {
 					items[a] = index.Item{Env: p.Envelope(), ID: a}
 				}
 				prepared[i] = pg

@@ -99,3 +99,32 @@ func BenchmarkClassify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepareAll prepares every layer of one 28×28 cli-scene scene,
+// one PrepareAll per layer, as extraction does at Parallelism 1.
+func BenchmarkPrepareAll(b *testing.B) {
+	layers := sceneLayers(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, gs := range layers {
+			geom.PrepareAll(gs)
+		}
+	}
+}
+
+// BenchmarkRelatePreparedDistrict relates a prepared 10×10 district with
+// a prepared point, line and polygon strictly inside it: the commonest
+// refine of a scene extraction.
+func BenchmarkRelatePreparedDistrict(b *testing.B) {
+	district := geom.Prepare(geom.Rect(0, 0, 10, 10))
+	for _, op := range districtOperands[:3] {
+		pg := geom.Prepare(op.g)
+		b.Run(op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RelatePrepared(district, pg)
+			}
+		})
+	}
+}

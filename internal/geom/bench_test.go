@@ -76,3 +76,16 @@ func BenchmarkParseWKT(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDistanceToDisjointPolygons measures the prepared distance
+// kernel on a district and a disjoint slum 3 units east of it, one edge
+// tree leaf each.
+func BenchmarkDistanceToDisjointPolygons(b *testing.B) {
+	district := Prepare(Rect(0, 0, 10, 10))
+	slum := Prepare(Rect(13, 0, 14, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		district.DistanceTo(slum)
+	}
+}

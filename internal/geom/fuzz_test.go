@@ -1,6 +1,9 @@
 package geom
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseWKT hardens the WKT parser: arbitrary input must never panic,
 // and successfully parsed geometries must round-trip through their own
@@ -70,6 +73,52 @@ func FuzzRelateRectangles(f *testing.F) {
 		}
 		if Distance(a, b) == 0 != Intersects(a, b) {
 			t.Fatal("Distance and Intersects disagree")
+		}
+	})
+}
+
+// FuzzDistancePrepared requires the prepared distance kernel to return
+// exactly the brute-force Distance, bit for bit, on arbitrary WKT pairs.
+func FuzzDistancePrepared(f *testing.F) {
+	seeds := [][2]string{
+		{"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "POLYGON ((7 1, 9 1, 9 3, 7 3, 7 1))"},
+		{"LINESTRING (0 0, 3 1, 6 0)", "POINT (3 1.5)"},
+		{"MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))", "LINESTRING (2 0, 3 4, 4 4.5)"},
+		{"MULTIPOINT ((1 3), (4 -2))", "LINESTRING (0 0, 5 0)"},
+		// Two one-leaf trees: the second pair touches within Eps (distance
+		// 0) though its envelopes lie farther apart than the first pair's
+		// distance, so an unguarded entry-level prune skips it.
+		{"MULTILINESTRING ((0 0, 50 0), (100 0, 101 0))",
+			"MULTILINESTRING ((0 0.00000000105, -10 10), (101.0000000009 0.0000000009, 102 0.0000000009))"},
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, wa, wb string) {
+		a, err := ParseWKT(wa)
+		if err != nil {
+			return
+		}
+		b, err := ParseWKT(wb)
+		if err != nil {
+			return
+		}
+		// As in FuzzRelatePrepared: the kernels are only meaningful on
+		// coordinates whose arithmetic cannot overflow into NaN/Inf.
+		for _, g := range []Geometry{a, b} {
+			env := g.Envelope()
+			if !g.IsEmpty() {
+				for _, v := range []float64{env.MinX, env.MinY, env.MaxX, env.MaxY} {
+					if math.IsNaN(v) || math.Abs(v) > 1e9 {
+						return
+					}
+				}
+			}
+		}
+		want := Distance(a, b)
+		got := Prepare(a).DistanceTo(Prepare(b))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DistanceTo=%v Distance=%v\n a=%s\n b=%s", got, want, wa, wb)
 		}
 	})
 }

@@ -322,6 +322,15 @@ func (p Polygon) Rings() []Ring {
 	return rings
 }
 
+// ring returns ring i of the polygon in Rings order (0 is the shell), for
+// loops over i <= len(p.Holes) that should not allocate.
+func (p Polygon) ring(i int) Ring {
+	if i == 0 {
+		return p.Shell
+	}
+	return p.Holes[i-1]
+}
+
 // Centroid returns the area-weighted centroid of the polygon. Degenerate
 // polygons fall back to the mean of the shell coordinates.
 func (p Polygon) Centroid() Point {

@@ -252,7 +252,8 @@ func polygonInteriorPoint(poly Polygon) (Point, bool) {
 // polygon rings and returns the midpoint of the widest interior span.
 func scanlineInteriorPoint(poly Polygon, y float64) (Point, bool) {
 	var xs []float64
-	for _, r := range poly.Rings() {
+	for ri := 0; ri <= len(poly.Holes); ri++ {
+		r := poly.ring(ri)
 		n := len(r.Coords)
 		for i := 0; i < n; i++ {
 			a := r.Coords[i]

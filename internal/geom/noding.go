@@ -3,7 +3,9 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // EdgeRole describes which part of a geometry's point-set a segment of
@@ -50,24 +52,28 @@ type Soup struct {
 
 // BuildSoup decomposes g into its tagged primitive parts.
 func BuildSoup(g Geometry) *Soup {
-	s := &Soup{Geometry: g}
-	var addLine func(l LineString)
-	endpointCount := map[Point]int{}
-	addLine = func(l LineString) {
+	s := &Soup{}
+	fillSoup(s, g, nil, nil)
+	return s
+}
+
+// fillSoup decomposes g into s, appending its segments to segs and its
+// interior points, then its boundary points, to pts. The soup's slices
+// are capacity-capped windows of the appended runs, so PrepareAll can
+// hand in arena windows sized by its counting pass and BuildSoup nil
+// slices that grow as needed. The extended slices are returned.
+func fillSoup(s *Soup, g Geometry, segs []TaggedSegment, pts []Point) ([]TaggedSegment, []Point) {
+	s.Geometry = g
+	seg0, pt0 := len(segs), len(pts)
+	addLine := func(l LineString) {
 		if len(l.Coords) == 0 {
 			return
 		}
 		s.HasLine = true
 		for i := 0; i < l.NumSegments(); i++ {
-			seg := l.Segment(i)
-			if seg.IsDegenerate() {
-				continue
+			if seg := l.Segment(i); !seg.IsDegenerate() {
+				segs = append(segs, TaggedSegment{seg, RoleLineInterior})
 			}
-			s.Segments = append(s.Segments, TaggedSegment{seg, RoleLineInterior})
-		}
-		if !l.IsClosed() && len(l.Coords) >= 2 {
-			endpointCount[l.Coords[0]]++
-			endpointCount[l.Coords[len(l.Coords)-1]]++
 		}
 	}
 	addPoly := func(p Polygon) {
@@ -75,30 +81,45 @@ func BuildSoup(g Geometry) *Soup {
 			return
 		}
 		s.HasArea = true
-		for _, r := range p.Rings() {
+		for ri := 0; ri <= len(p.Holes); ri++ {
+			r := p.ring(ri)
 			for i := 0; i < r.NumSegments(); i++ {
-				seg := r.Segment(i)
-				if seg.IsDegenerate() {
-					continue
+				if seg := r.Segment(i); !seg.IsDegenerate() {
+					segs = append(segs, TaggedSegment{seg, RoleRingBoundary})
 				}
-				s.Segments = append(s.Segments, TaggedSegment{seg, RoleRingBoundary})
 			}
 		}
 	}
+	interior := 0
 	switch t := g.(type) {
 	case Point:
 		s.HasPoint = true
-		s.InteriorPoints = append(s.InteriorPoints, t)
+		pts = append(pts, t)
+		interior = 1
 	case MultiPoint:
-		if len(t.Points) > 0 {
-			s.HasPoint = true
-		}
-		s.InteriorPoints = append(s.InteriorPoints, t.Points...)
+		s.HasPoint = len(t.Points) > 0
+		pts = append(pts, t.Points...)
+		interior = len(t.Points)
 	case LineString:
 		addLine(t)
+		// The boundary of one open line is its two endpoints, unless
+		// they coincide (the mod-2 rule then cancels them).
+		if n := len(t.Coords); n >= 2 && !t.IsClosed() && !t.Coords[0].Equal(t.Coords[n-1]) {
+			pts = append(pts, t.Coords[0], t.Coords[n-1])
+		}
 	case MultiLineString:
+		endpointCount := map[Point]int{}
 		for _, l := range t.Lines {
 			addLine(l)
+			if !l.IsClosed() && len(l.Coords) >= 2 {
+				endpointCount[l.Coords[0]]++
+				endpointCount[l.Coords[len(l.Coords)-1]]++
+			}
+		}
+		for p, c := range endpointCount {
+			if c%2 == 1 {
+				pts = append(pts, p)
+			}
 		}
 	case Polygon:
 		addPoly(t)
@@ -109,30 +130,75 @@ func BuildSoup(g Geometry) *Soup {
 	default:
 		panic(fmt.Sprintf("geom: unknown geometry type %T", g))
 	}
-	for p, c := range endpointCount {
-		if c%2 == 1 {
-			s.BoundaryPoints = append(s.BoundaryPoints, p)
-		}
-	}
-	// Deterministic order for reproducibility (map iteration is random).
-	sort.Slice(s.BoundaryPoints, func(i, j int) bool {
-		a, b := s.BoundaryPoints[i], s.BoundaryPoints[j]
+	// Deterministic boundary order for reproducibility (map iteration is
+	// random). The keys are unique, so any sort gives this order.
+	bnd := pts[pt0+interior:]
+	slices.SortFunc(bnd, func(a, b Point) int {
 		if a.X != b.X {
-			return a.X < b.X
+			return cmpLess(a.X, b.X)
 		}
-		return a.Y < b.Y
+		return cmpLess(a.Y, b.Y)
 	})
-	return s
+	s.Segments = capped(segs[seg0:])
+	s.InteriorPoints = capped(pts[pt0 : pt0+interior])
+	s.BoundaryPoints = capped(bnd)
+	return segs, pts
+}
+
+// cmpLess is the three-way form of a < b: it reports a before b exactly
+// when a < b holds, so a sort makes the same decisions as with the
+// boolean comparison, NaN included.
+func cmpLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // NodeResult is the outcome of noding two soups against each other.
+// A side that no cut reaches aliases its soup's Segments slice, so the
+// result must be treated as read-only.
 type NodeResult struct {
 	// SubA and SubB hold the segments of each soup split at every
-	// intersection with the other soup's linework.
+	// intersection with the other soup's linework. They must not be
+	// modified.
 	SubA, SubB []TaggedSegment
 	// Nodes is the deduplicated set of intersection points between the
 	// two soups' linework.
 	Nodes []Point
+}
+
+// nodeScratch holds the per-segment cut lists of one noding call. The
+// lists keep their capacity from call to call, so a warm scratch lets the
+// cuts of a feature pair accumulate without allocating.
+type nodeScratch struct {
+	cutsA, cutsB [][]float64
+}
+
+var nodeScratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+
+// reset empties the scratch for soups of na and nb segments.
+func (sc *nodeScratch) reset(na, nb int) (cutsA, cutsB [][]float64) {
+	sc.cutsA = resetCuts(sc.cutsA, na)
+	sc.cutsB = resetCuts(sc.cutsB, nb)
+	return sc.cutsA, sc.cutsB
+}
+
+// resetCuts returns n empty cut lists, reusing cuts' lists and capacity.
+func resetCuts(cuts [][]float64, n int) [][]float64 {
+	if cap(cuts) < n {
+		grown := make([][]float64, n)
+		copy(grown, cuts[:cap(cuts)])
+		cuts = grown
+	}
+	cuts = cuts[:n]
+	for i := range cuts {
+		cuts[i] = cuts[i][:0]
+	}
+	return cuts
 }
 
 // NodeSoups splits the segments of a and b at all mutual intersection
@@ -142,11 +208,10 @@ type NodeResult struct {
 // have tens of vertices; the cross-feature candidate filtering happens in
 // the spatial index, not here).
 func NodeSoups(a, b *Soup) NodeResult {
-	var res NodeResult
-	nodeSet := newPointSet()
-
-	cutsA := make([][]float64, len(a.Segments))
-	cutsB := make([][]float64, len(b.Segments))
+	sc := nodeScratchPool.Get().(*nodeScratch)
+	defer nodeScratchPool.Put(sc)
+	cutsA, cutsB := sc.reset(len(a.Segments), len(b.Segments))
+	var nodeSet pointSet
 
 	for i, sa := range a.Segments {
 		ea := sa.Seg.Envelope().Buffer(Eps)
@@ -188,10 +253,7 @@ func NodeSoups(a, b *Soup) NodeResult {
 	splitAtPoints(a.Segments, cutsA, bPts)
 	splitAtPoints(b.Segments, cutsB, aPts)
 
-	res.SubA = splitAll(a.Segments, cutsA)
-	res.SubB = splitAll(b.Segments, cutsB)
-	res.Nodes = nodeSet.points
-	return res
+	return NodeResult{SubA: splitAll(a.Segments, cutsA), SubB: splitAll(b.Segments, cutsB), Nodes: nodeSet.points}
 }
 
 // paramOn returns the parameter of p along segment s in [0, 1].
@@ -205,10 +267,18 @@ func paramOn(s Segment, p Point) float64 {
 	return math.Max(0, math.Min(1, t))
 }
 
-// splitAll splits every segment at its sorted cut parameters, dropping
-// degenerate pieces.
+// splitAll splits every segment at its cut parameters (sorted in place),
+// dropping degenerate pieces. Without any cut it returns segs itself;
+// otherwise it allocates the output once, with room for every piece.
 func splitAll(segs []TaggedSegment, cuts [][]float64) []TaggedSegment {
-	out := make([]TaggedSegment, 0, len(segs))
+	total := 0
+	for _, cs := range cuts {
+		total += len(cs)
+	}
+	if total == 0 {
+		return segs
+	}
+	out := make([]TaggedSegment, 0, len(segs)+total)
 	for i, ts := range segs {
 		cs := cuts[i]
 		if len(cs) == 0 {
@@ -241,8 +311,6 @@ func splitAll(segs []TaggedSegment, cuts [][]float64) []TaggedSegment {
 type pointSet struct {
 	points []Point
 }
-
-func newPointSet() *pointSet { return &pointSet{} }
 
 func (s *pointSet) add(p Point) {
 	for _, q := range s.points {

@@ -3,7 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Prepared caches the derived structures of a geometry that the relate /
@@ -77,23 +77,160 @@ const (
 // relate/distance/locate calls against the same geometry. Preparing a nil
 // or empty geometry is allowed and yields an empty Prepared.
 func Prepare(g Geometry) *Prepared {
-	pg := &Prepared{g: g, empty: g == nil || g.IsEmpty(), env: EmptyEnvelope()}
+	return PrepareAll([]Geometry{g})[0]
+}
+
+// PrepareAll prepares every geometry of gs, each exactly as Prepare would,
+// in a fixed number of allocations however long gs is. A counting pass
+// sizes one backing array per table (soup segments, points, edge-tree
+// entries and nodes, rings, lines, polygons) and one slice holds every
+// Prepared beside its Soup; each Prepared then takes capacity-capped
+// windows of those arrays. The arrays stay reachable while any of the
+// returned values is.
+func PrepareAll(gs []Geometry) []*Prepared {
+	var total prepSizes
+	for _, g := range gs {
+		total.add(sizesOf(g))
+	}
+	ar := prepArena{
+		segs:    make([]TaggedSegment, 0, total.edges),
+		points:  make([]Point, 0, total.points),
+		entries: make([]segEntry, 0, total.edges),
+		nodes:   make([]segNode, 0, total.nodes),
+		rings:   make([]prepRing, 0, total.rings),
+		lines:   make([]prepLine, 0, total.lines),
+		polys:   make([]prepPoly, 0, total.polys),
+	}
+	blocks := make([]prepBlock, len(gs))
+	out := make([]*Prepared, len(gs))
+	for i, g := range gs {
+		out[i] = ar.prepare(&blocks[i], g)
+	}
+	return out
+}
+
+// prepBlock is one geometry's Prepared and its Soup, allocated together.
+type prepBlock struct {
+	p Prepared
+	s Soup
+}
+
+// prepSizes sizes one geometry's share of the arena tables. The edge
+// count bounds the soup segments (degenerate edges are not soup
+// segments) and the point count bounds the points: interior points twice
+// (soup and distance samples), up to two boundary points per line, one
+// area sample per polygon, and one distance sample per soup segment.
+type prepSizes struct {
+	edges, points, nodes, rings, lines, polys int
+}
+
+func (z *prepSizes) add(o prepSizes) {
+	z.edges += o.edges
+	z.points += o.points
+	z.nodes += o.nodes
+	z.rings += o.rings
+	z.lines += o.lines
+	z.polys += o.polys
+}
+
+func sizesOf(g Geometry) prepSizes {
+	var z prepSizes
+	addLine := func(l LineString) {
+		z.lines++
+		z.edges += l.NumSegments()
+		z.points += 2
+	}
+	addPoly := func(p Polygon) {
+		z.polys++
+		z.points++
+		if !p.IsEmpty() {
+			z.rings += 1 + len(p.Holes)
+			for ri := 0; ri <= len(p.Holes); ri++ {
+				z.edges += p.ring(ri).NumSegments()
+			}
+		}
+	}
+	switch t := g.(type) {
+	case Point:
+		z.points = 2
+	case MultiPoint:
+		z.points = 2 * len(t.Points)
+	case LineString:
+		addLine(t)
+	case MultiLineString:
+		for _, l := range t.Lines {
+			addLine(l)
+		}
+	case Polygon:
+		addPoly(t)
+	case MultiPolygon:
+		for _, p := range t.Polygons {
+			addPoly(p)
+		}
+	}
+	z.points += z.edges
+	z.nodes = segTreeNodes(z.edges)
+	return z
+}
+
+// prepArena holds the backing arrays PrepareAll carves its geometries'
+// tables from.
+type prepArena struct {
+	segs    []TaggedSegment
+	points  []Point
+	entries []segEntry
+	nodes   []segNode
+	rings   []prepRing
+	lines   []prepLine
+	polys   []prepPoly
+}
+
+// grab returns an empty window with room for n elements at the end of
+// *table and advances the table past it. The counting pass sized every
+// table, so a table without room is a miscount and panics.
+func grab[T any](table *[]T, n int) []T {
+	t := *table
+	*table = t[:len(t)+n]
+	return t[len(t) : len(t) : len(t)+n]
+}
+
+// capped returns s with its capacity cut to its length, so an append by a
+// holder of the window can never overwrite a neighbour's elements.
+func capped[T any](s []T) []T { return s[:len(s):len(s)] }
+
+// prepare builds the Prepared of g in b from the arena's tables. It
+// takes g's share of them by counting g again: sizesOf only walks ring
+// and line headers, which is cheaper than keeping every geometry's
+// sizes from the counting pass.
+func (ar *prepArena) prepare(b *prepBlock, g Geometry) *Prepared {
+	pg := &b.p
+	pg.g, pg.empty, pg.env, pg.tree.root = g, g == nil || g.IsEmpty(), EmptyEnvelope(), -1
 	if g == nil {
 		return pg
 	}
+	z := sizesOf(g)
 	pg.env = g.Envelope()
-	pg.soup = BuildSoup(g)
+	pg.soup = &b.s
+	segs, pts := fillSoup(pg.soup, g, grab(&ar.segs, z.edges), grab(&ar.points, z.points))
 	pg.centroid = Centroid(g)
-	pg.areaSamples = AreaSamples(g)
-	pg.distSamples = pointSamples(pg.soup)
-	pg.allPoints = append(append(make([]Point, 0, len(pg.soup.InteriorPoints)+len(pg.soup.BoundaryPoints)), pg.soup.InteriorPoints...), pg.soup.BoundaryPoints...)
+	soupPts := len(pts)
+	pts = appendAreaSamples(pts, g)
+	areaEnd := len(pts)
+	pts = append(pts, pg.soup.InteriorPoints...)
+	for _, ts := range segs {
+		pts = append(pts, ts.Seg.A)
+	}
+	pg.allPoints = capped(pts[:soupPts])
+	pg.areaSamples = capped(pts[soupPts:areaEnd])
+	pg.distSamples = capped(pts[areaEnd:])
 
-	// Enumerate the edges in exactly BuildSoup's order, assigning each
+	// Enumerate the edges in exactly fillSoup's order, assigning each
 	// non-degenerate edge its index into soup.Segments. Degenerate edges
-	// (skipped by BuildSoup) still enter the tree with soup == -1: the
+	// (skipped by the soup) still enter the tree with soup == -1: the
 	// unprepared Locate scans them too, so the stabbing and ray queries
 	// must see them; noding and distance filter them out.
-	var entries []segEntry
+	entries := grab(&ar.entries, z.edges)
+	rings, lines, polys := grab(&ar.rings, z.rings), grab(&ar.lines, z.lines), grab(&ar.polys, z.polys)
 	soupIdx := int32(0)
 	addSeg := func(seg Segment, slot int32) {
 		si := int32(-1)
@@ -104,29 +241,30 @@ func Prepare(g Geometry) *Prepared {
 		entries = append(entries, segEntry{seg: seg, env: seg.Envelope(), slot: slot, soup: si})
 	}
 	addLine := func(l LineString) {
-		slot := int32(len(pg.lines))
-		pg.lines = append(pg.lines, prepLine{empty: len(l.Coords) == 0, closed: l.IsClosed()})
+		slot := int32(len(lines))
+		ln := prepLine{empty: len(l.Coords) == 0, closed: l.IsClosed()}
 		if len(l.Coords) > 0 {
-			pg.lines[slot].first = l.Coords[0]
-			pg.lines[slot].last = l.Coords[len(l.Coords)-1]
+			ln.first, ln.last = l.Coords[0], l.Coords[len(l.Coords)-1]
 		}
+		lines = append(lines, ln)
 		for i := 0; i < l.NumSegments(); i++ {
 			addSeg(l.Segment(i), slot)
 		}
 	}
 	addPoly := func(p Polygon) {
-		comp := prepPoly{ringFirst: int32(len(pg.rings))}
+		comp := prepPoly{ringFirst: int32(len(rings))}
 		if !p.IsEmpty() {
-			for _, r := range p.Rings() {
-				slot := int32(len(pg.rings))
-				pg.rings = append(pg.rings, prepRing{env: r.Envelope()})
+			for ri := 0; ri <= len(p.Holes); ri++ {
+				r := p.ring(ri)
+				slot := int32(len(rings))
+				rings = append(rings, prepRing{env: r.Envelope()})
 				for i := 0; i < r.NumSegments(); i++ {
 					addSeg(r.Segment(i), slot)
 				}
 			}
 		}
-		comp.ringCount = int32(len(pg.rings)) - comp.ringFirst
-		pg.polys = append(pg.polys, comp)
+		comp.ringCount = int32(len(rings)) - comp.ringFirst
+		polys = append(polys, comp)
 	}
 	switch t := g.(type) {
 	case Point, MultiPoint:
@@ -143,13 +281,12 @@ func Prepare(g Geometry) *Prepared {
 		for _, p := range t.Polygons {
 			addPoly(p)
 		}
-	default:
-		panic(fmt.Sprintf("geom: unknown geometry type %T", g))
 	}
 	if int(soupIdx) != len(pg.soup.Segments) {
-		panic(fmt.Sprintf("geom: prepared edge walk found %d soup segments, BuildSoup produced %d", soupIdx, len(pg.soup.Segments)))
+		panic(fmt.Sprintf("geom: prepared edge walk found %d soup segments, the soup holds %d", soupIdx, len(pg.soup.Segments)))
 	}
-	pg.tree = buildSegTree(entries)
+	pg.rings, pg.lines, pg.polys = capped(rings), capped(lines), capped(polys)
+	pg.tree = buildSegTree(capped(entries), grab(&ar.nodes, z.nodes))
 	return pg
 }
 
@@ -363,9 +500,9 @@ func (pg *Prepared) DistanceTo(o *Prepared) float64 {
 		return 0
 	}
 	best := math.Inf(1)
-	// Segment-to-segment: branch-and-bound. Only pairs whose envelope
-	// distance exceeds the running best are pruned; such pairs cannot
-	// hold the minimum, so the result equals the brute-force scan.
+	// Segment-to-segment: branch-and-bound. Only pairs that cannot
+	// measure below the running best are pruned (see segPairDist), so
+	// the result equals the brute-force scan.
 	if pg.tree.root >= 0 && o.tree.root >= 0 {
 		best = segPairDist(&pg.tree, &o.tree, pg.tree.root, o.tree.root, best)
 		if best == 0 {
@@ -420,11 +557,10 @@ func (pg *Prepared) containsAny(pts []Point) bool {
 // deduplication produce identical results.
 func NodePrepared(a, b *Prepared) NodeResult {
 	sa, sb := a.soup, b.soup
-	var res NodeResult
-	nodeSet := newPointSet()
-
-	cutsA := make([][]float64, len(sa.Segments))
-	cutsB := make([][]float64, len(sb.Segments))
+	sc := nodeScratchPool.Get().(*nodeScratch)
+	defer nodeScratchPool.Put(sc)
+	cutsA, cutsB := sc.reset(len(sa.Segments), len(sb.Segments))
+	var nodeSet pointSet
 
 	var candBuf [prepStackCands]int32
 	var jBuf [prepStackCands]int32
@@ -455,50 +591,41 @@ func NodePrepared(a, b *Prepared) NodeResult {
 			}
 		}
 	}
-	splitAtPointsPrepared(a, cutsA, b.allPoints, nodeSet)
-	splitAtPointsPrepared(b, cutsB, a.allPoints, nodeSet)
+	splitAtPointsPrepared(a, cutsA, b.allPoints, &nodeSet)
+	splitAtPointsPrepared(b, cutsB, a.allPoints, &nodeSet)
 
-	res.SubA = splitAll(sa.Segments, cutsA)
-	res.SubB = splitAll(sb.Segments, cutsB)
-	res.Nodes = nodeSet.points
-	return res
+	return NodeResult{SubA: splitAll(sa.Segments, cutsA), SubB: splitAll(sb.Segments, cutsB), Nodes: nodeSet.points}
 }
 
 // splitAtPointsPrepared splits pg's segments at the other soup's isolated
 // points, finding the candidate segments per point through the edge tree.
 // The (segment, point) pairs are then processed in segment-major,
 // point-ascending order — the visiting order of the unprepared
-// splitAtPoints — so cut lists and node deduplication match exactly.
+// splitAtPoints — so cut lists and node deduplication match exactly. Each
+// pair is packed into one key, segment index high, point index low, so
+// that order is the keys' numeric order.
 func splitAtPointsPrepared(pg *Prepared, cuts [][]float64, pts []Point, nodeSet *pointSet) {
 	if len(pts) == 0 || pg.tree.root < 0 {
 		return
 	}
-	type segPoint struct {
-		seg int32
-		pt  int32
-	}
-	var pairBuf [prepStackCands]segPoint
+	var pairBuf [prepStackCands]uint64
 	pairs := pairBuf[:0]
 	var candBuf [prepStackCands]int32
 	for pi, p := range pts {
 		for _, ei := range pg.tree.pointCandidates(p, candBuf[:0]) {
 			if s := pg.tree.entries[ei].soup; s >= 0 {
-				pairs = append(pairs, segPoint{seg: s, pt: int32(pi)})
+				pairs = append(pairs, uint64(s)<<32|uint64(pi))
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].seg != pairs[j].seg {
-			return pairs[i].seg < pairs[j].seg
-		}
-		return pairs[i].pt < pairs[j].pt
-	})
+	slices.Sort(pairs)
 	for _, pr := range pairs {
-		ts := pg.soup.Segments[pr.seg]
-		p := pts[pr.pt]
+		seg := int32(pr >> 32)
+		ts := pg.soup.Segments[seg]
+		p := pts[uint32(pr)]
 		env := ts.Seg.Envelope().Buffer(Eps)
 		if env.ContainsPoint(p) && ts.Seg.OnSegment(p) {
-			cuts[pr.seg] = append(cuts[pr.seg], paramOn(ts.Seg, p))
+			cuts[seg] = append(cuts[seg], paramOn(ts.Seg, p))
 			nodeSet.add(p)
 		}
 	}
@@ -508,21 +635,24 @@ func splitAtPointsPrepared(pg *Prepared, cuts [][]float64, pts []Point, nodeSet 
 // of g, or nil for non-areal geometries. These are the witnesses the
 // DE-9IM area entries are decided with.
 func AreaSamples(g Geometry) []Point {
+	return appendAreaSamples(nil, g)
+}
+
+// appendAreaSamples appends g's area samples (see AreaSamples) to dst.
+func appendAreaSamples(dst []Point, g Geometry) []Point {
 	switch t := g.(type) {
 	case Polygon:
-		if p, ok := InteriorPoint(t); ok {
-			return []Point{p}
+		if p, ok := polygonInteriorPoint(t); ok {
+			dst = append(dst, p)
 		}
 	case MultiPolygon:
-		var pts []Point
 		for _, poly := range t.Polygons {
 			if p, ok := polygonInteriorPoint(poly); ok {
-				pts = append(pts, p)
+				dst = append(dst, p)
 			}
 		}
-		return pts
 	}
-	return nil
+	return dst
 }
 
 // ---------------------------------------------------------------------------
@@ -561,21 +691,41 @@ type segTree struct {
 	entries []segEntry
 	nodes   []segNode
 	root    int32
+	// slack is how far segPairDist grows this tree's envelopes before it
+	// prunes on their distance: Eps plus 1e-12 of the largest coordinate.
+	slack float64
+}
+
+// segTreeNodes is the number of nodes buildSegTree makes over n entries.
+func segTreeNodes(n int) int {
+	if n == 0 {
+		return 0
+	}
+	level := (n + segTreeFan - 1) / segTreeFan
+	total := level
+	for level > 1 {
+		level = (level + segTreeFan - 1) / segTreeFan
+		total += level
+	}
+	return total
 }
 
 // buildSegTree bulk-loads the entries sort-tile-recursively: entries are
 // sorted by envelope center X, tiled into vertical strips, each strip
 // sorted by center Y, and packed into leaves of segTreeFan entries. Upper
 // levels group consecutive nodes (the STR order keeps neighbours
-// spatially close), giving a pointer-free array layout.
-func buildSegTree(entries []segEntry) segTree {
-	t := segTree{entries: entries, root: -1}
+// spatially close), giving a pointer-free array layout. The nodes are
+// appended to nodes, which PrepareAll sizes with segTreeNodes. The order
+// of entries with equal centers reaches no output: Locate folds per-slot
+// flags, noding sorts its candidates, and distance takes a minimum.
+func buildSegTree(entries []segEntry, nodes []segNode) segTree {
+	t := segTree{entries: entries, nodes: nodes, root: -1}
 	n := len(entries)
 	if n == 0 {
 		return t
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].env.Center().X < entries[j].env.Center().X
+	slices.SortFunc(entries, func(a, b segEntry) int {
+		return cmpLess(a.env.Center().X, b.env.Center().X)
 	})
 	leafCount := (n + segTreeFan - 1) / segTreeFan
 	strips := int(math.Ceil(math.Sqrt(float64(leafCount))))
@@ -585,9 +735,8 @@ func buildSegTree(entries []segEntry) segTree {
 		if e > n {
 			e = n
 		}
-		strip := entries[s:e]
-		sort.Slice(strip, func(i, j int) bool {
-			return strip[i].env.Center().Y < strip[j].env.Center().Y
+		slices.SortFunc(entries[s:e], func(a, b segEntry) int {
+			return cmpLess(a.env.Center().Y, b.env.Center().Y)
 		})
 	}
 	for o := 0; o < n; o += segTreeFan {
@@ -617,7 +766,10 @@ func buildSegTree(entries []segEntry) segTree {
 		}
 		levelStart, levelCount = next, len(t.nodes)-next
 	}
+	t.nodes = capped(t.nodes)
 	t.root = int32(levelStart)
+	r := t.nodes[t.root].env
+	t.slack = Eps + 1e-12*math.Max(math.Max(math.Abs(r.MinX), math.Abs(r.MaxX)), math.Max(math.Abs(r.MinY), math.Abs(r.MaxY)))
 	return t
 }
 
@@ -727,11 +879,22 @@ func (t *segTree) rayFlags(p Point, flags []uint8) {
 
 // segPairDist is the dual-tree branch-and-bound kernel: the minimum
 // segment-to-segment distance between the two subtrees, no larger than
-// best. Degenerate edges (soup < 0) are not soup segments and are skipped,
-// as the brute-force scan never sees them.
+// best. Degenerate edges (soup < 0) are not soup segments and are
+// skipped, as the brute-force scan never sees them.
+//
+// A node or entry pair is pruned when its envelopes, each grown by its
+// tree's slack, lie farther apart than best. Such a pair cannot measure
+// below best, so the result is the brute-force minimum in any visiting
+// order. The Eps part of the slack covers touching: Intersect, and so
+// DistanceToSegment, puts two segments at 0 when their Eps-grown
+// envelopes meet and the orientation tests agree, even though the
+// envelopes themselves may be up to 2·Eps apart on each axis. The part
+// relative to the largest coordinate covers the rounding by which
+// ClosestPoint and Hypot may measure a pair a few ulps below its
+// envelopes' distance.
 func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
 	na, nb := &ta.nodes[ia], &tb.nodes[ib]
-	if na.env.Distance(nb.env) > best {
+	if na.env.Buffer(ta.slack).Distance(nb.env.Buffer(tb.slack)) > best {
 		return best
 	}
 	switch {
@@ -741,9 +904,10 @@ func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
 			if ea.soup < 0 {
 				continue
 			}
+			envA := ea.env.Buffer(ta.slack)
 			for j := nb.first; j < nb.first+nb.count; j++ {
 				eb := &tb.entries[j]
-				if eb.soup < 0 {
+				if eb.soup < 0 || envA.Distance(eb.env.Buffer(tb.slack)) > best {
 					continue
 				}
 				if d := ea.seg.DistanceToSegment(eb.seg); d < best {

@@ -3,7 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -168,7 +168,7 @@ func TestNodePreparedMatchesNodeSoups(t *testing.T) {
 			}
 			want := NodeSoups(BuildSoup(a), BuildSoup(b))
 			got := NodePrepared(prepared[i], prepared[j])
-			if !reflect.DeepEqual(got, want) {
+			if !nodeResultsEqual(got, want) {
 				t.Fatalf("NodePrepared(%s, %s) diverges:\n got  %+v\n want %+v",
 					a.WKT(), b.WKT(), got, want)
 			}
@@ -178,6 +178,13 @@ func TestNodePreparedMatchesNodeSoups(t *testing.T) {
 	if pairs == 0 {
 		t.Fatal("no pairs noded")
 	}
+}
+
+// nodeResultsEqual compares two noding results element-wise, so a nil
+// slice equals an empty one: an arena-backed soup's empty windows are
+// not nil.
+func nodeResultsEqual(a, b NodeResult) bool {
+	return slices.Equal(a.SubA, b.SubA) && slices.Equal(a.SubB, b.SubB) && slices.Equal(a.Nodes, b.Nodes)
 }
 
 func TestPreparedDistanceMatchesDistance(t *testing.T) {
@@ -227,9 +234,12 @@ func TestPreparedEmptyAndNil(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrentUse drives one shared Prepared from many
-// goroutines; run with -race this pins the read-only sharing contract
-// the extraction worker pool relies on.
+// TestPreparedConcurrentUse drives shared Prepared values from many
+// goroutines, each result against the unprepared one; run with -race
+// this pins the read-only sharing contract the extraction worker pool
+// relies on, and the pooled noding scratch. The partners of the donut
+// lie inside it, in its hole, outside it, across its boundary, and
+// overlapping it, so some noded pairs have cuts and some have none.
 func TestPreparedConcurrentUse(t *testing.T) {
 	donut := Polygon{
 		Shell: Ring{Coords: []Point{Pt(0, 0), Pt(8, 0), Pt(8, 8), Pt(0, 8)}},
@@ -237,6 +247,20 @@ func TestPreparedConcurrentUse(t *testing.T) {
 	}
 	pg := Prepare(donut)
 	other := Prepare(Rect(6, 6, 10, 10))
+	partners := []Geometry{
+		Pt(1, 1),
+		Line(Pt(1, 1), Pt(2, 6), Pt(6, 2)),
+		Rect(3.5, 3.5, 4.5, 4.5),
+		Rect(20, 20, 23, 23),
+		Line(Pt(-2, 4), Pt(12, 4)),
+		other.Geometry(),
+	}
+	prepared := make([]*Prepared, len(partners))
+	wantNodes := make([][2]NodeResult, len(partners))
+	for i, g := range partners {
+		prepared[i] = Prepare(g)
+		wantNodes[i] = [2]NodeResult{NodeSoups(BuildSoup(donut), BuildSoup(g)), NodeSoups(BuildSoup(g), BuildSoup(donut))}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -253,7 +277,12 @@ func TestPreparedConcurrentUse(t *testing.T) {
 					t.Errorf("DistanceTo = %v, want %v", got, want)
 					return
 				}
-				_ = NodePrepared(pg, other)
+				j := i % len(partners)
+				if !nodeResultsEqual(NodePrepared(pg, prepared[j]), wantNodes[j][0]) ||
+					!nodeResultsEqual(NodePrepared(prepared[j], pg), wantNodes[j][1]) {
+					t.Errorf("NodePrepared with %s diverges from NodeSoups", partners[j].WKT())
+					return
+				}
 			}
 		}(int64(w))
 	}

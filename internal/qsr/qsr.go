@@ -12,6 +12,7 @@ package qsr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/de9im"
@@ -197,6 +198,20 @@ func DefaultThresholds(referenceExtent float64) DistanceThresholds {
 		VeryCloseMax: 0.1 * referenceExtent,
 		CloseMax:     0.5 * referenceExtent,
 	}
+}
+
+// Validate reports thresholds that cannot cut distances consistently:
+// both must be finite and 0 <= VeryCloseMax <= CloseMax. Extraction
+// prunes candidates by CloseMax and short-cuts farFrom by envelope
+// distance, which agrees with Classify only under these conditions.
+func (t DistanceThresholds) Validate() error {
+	if math.IsNaN(t.VeryCloseMax) || math.IsInf(t.VeryCloseMax, 0) || math.IsNaN(t.CloseMax) || math.IsInf(t.CloseMax, 0) {
+		return fmt.Errorf("qsr: distance thresholds must be finite, got veryCloseMax %v, closeMax %v", t.VeryCloseMax, t.CloseMax)
+	}
+	if !(0 <= t.VeryCloseMax && t.VeryCloseMax <= t.CloseMax) {
+		return fmt.Errorf("qsr: distance thresholds need 0 <= veryCloseMax <= closeMax, got veryCloseMax %v, closeMax %v", t.VeryCloseMax, t.CloseMax)
+	}
+	return nil
 }
 
 // Classify maps a distance to its qualitative relation.

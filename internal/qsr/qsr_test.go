@@ -1,6 +1,7 @@
 package qsr
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -184,5 +185,23 @@ func TestSameFeatureType(t *testing.T) {
 	// Identical predicates trivially share the type.
 	if !SameFeatureType(a, a) {
 		t.Error("self comparison")
+	}
+}
+
+func TestDistanceThresholdsValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, th := range []DistanceThresholds{
+		DefaultThresholds(10), {1, 5}, {0, 15}, {1, 6}, {0.5, 1}, {0, 0}, {1, 8}, {1, 12}, {10, 50}, {3, 3},
+	} {
+		if err := th.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", th, err)
+		}
+	}
+	for _, th := range []DistanceThresholds{
+		{1, -1}, {5, 2}, {-1, 5}, {-1, -1}, {nan, 5}, {1, nan}, {0, inf}, {-inf, 0}, {inf, inf},
+	} {
+		if err := th.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want an error", th)
+		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/api"
+	"repro/internal/dataset"
+	"repro/internal/geom"
 )
 
 // decodeEnvelope parses a /v1 error body, failing the test on anything
@@ -263,4 +265,37 @@ func TestRetryAfterOn503(t *testing.T) {
 			t.Errorf("code %q, want queue_full", env.Error.Code)
 		}
 	})
+}
+
+// TestMineRejectsBadDistanceThresholds: distance thresholds that break
+// 0 <= veryCloseMax <= closeMax used to mine silently wrong rows; a mine
+// naming them is now a 422 config_invalid, with or without farFrom.
+func TestMineRejectsBadDistanceThresholds(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+	client := ts.Client()
+
+	districts := dataset.NewLayer("district")
+	districts.Add(dataset.Feature{ID: "d", Geometry: geom.Rect(0, 0, 10, 10)})
+	slums := dataset.NewLayer("slum")
+	slums.Add(dataset.Feature{ID: "s1", Geometry: geom.Rect(2, 2, 4, 4)})
+	slums.Add(dataset.Feature{ID: "s2", Geometry: geom.Rect(13, 0, 14, 1)})
+	info := uploadScene(t, client, ts.URL+"/v1", &dataset.Dataset{Reference: districts, Relevant: []*dataset.Layer{slums}})
+
+	for _, th := range []string{`{"veryCloseMax":1,"closeMax":-1}`, `{"veryCloseMax":5,"closeMax":2}`} {
+		for _, farFrom := range []bool{false, true} {
+			body := fmt.Sprintf(`{"dataset":%q,"config":{"minSupport":0.5,"extraction":{"topological":true,"distance":true,"includeFarFrom":%v,"thresholds":%s}}}`,
+				info.Digest, farFrom, th)
+			status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", []byte(body), nil)
+			if status != http.StatusUnprocessableEntity {
+				t.Errorf("thresholds %s, farFrom %v: status %d %s, want 422", th, farFrom, status, raw)
+				continue
+			}
+			if eb := decodeEnvelope(t, raw); eb.Code != api.CodeConfigInvalid || !strings.Contains(eb.Message, "closeMax") {
+				t.Errorf("thresholds %s, farFrom %v: envelope %+v, want config_invalid naming closeMax", th, farFrom, eb)
+			}
+		}
+	}
 }

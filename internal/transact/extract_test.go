@@ -261,3 +261,36 @@ func TestTable2SceneReproducesReconstruction(t *testing.T) {
 		}
 	}
 }
+
+// TestExtractRejectsBadThresholds: a negative CloseMax, or a VeryCloseMax
+// above CloseMax, made the candidate gather and the farFrom short-cut
+// disagree with qsr.DistanceRelation and silently lost or mislabelled
+// predicates. Extraction now refuses them, with or without farFrom.
+func TestExtractRejectsBadThresholds(t *testing.T) {
+	districts := dataset.NewLayer("district")
+	districts.Add(dataset.Feature{ID: "d", Geometry: geom.Rect(0, 0, 10, 10)})
+	slums := dataset.NewLayer("slum")
+	slums.Add(dataset.Feature{ID: "s1", Geometry: geom.Rect(2, 2, 4, 4)})   // inside d
+	slums.Add(dataset.Feature{ID: "s2", Geometry: geom.Rect(13, 0, 14, 1)}) // 3 east of d
+	d := &dataset.Dataset{Reference: districts, Relevant: []*dataset.Layer{slums}}
+	for _, th := range []qsr.DistanceThresholds{{VeryCloseMax: 1, CloseMax: -1}, {VeryCloseMax: 5, CloseMax: 2}} {
+		for _, farFrom := range []bool{false, true} {
+			opts := Options{Topological: true, Distance: true, Thresholds: th, IncludeFarFrom: farFrom, Index: RTreeIndex}
+			if table, err := Extract(d, opts); err == nil {
+				t.Errorf("thresholds %+v, farFrom %v: extracted %v, want an error", th, farFrom, table.Transactions)
+			}
+		}
+	}
+	// The same scene under valid thresholds: s1 is contained and very
+	// close, s2 close.
+	opts := Options{Topological: true, Distance: true, Thresholds: qsr.DistanceThresholds{VeryCloseMax: 1, CloseMax: 5}, Index: RTreeIndex}
+	table, err := Extract(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"contains_slum", "veryCloseTo_slum", "closeTo_slum"} {
+		if !hasItem(table.Transactions[0].Items, want) {
+			t.Errorf("items = %v, want %s", table.Transactions[0].Items, want)
+		}
+	}
+}

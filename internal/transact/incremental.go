@@ -57,6 +57,9 @@ type State struct {
 	// prepRef[j] is row j's prepared reference geometry (nil entries
 	// when unprepared).
 	prepRef []*geom.Prepared
+	// names[li] is layer li's predicate table at type granularity (nil
+	// at instance granularity); see predicateNames.
+	names [][]string
 
 	// rows[j] holds reference row j's items before normalisation.
 	rows []row
@@ -123,15 +126,21 @@ func NewState(d *dataset.Dataset, opts Options) (*State, error) {
 
 // NewStateContext performs a full extraction of d under opts, keeping
 // every intermediate the delta path reuses, and reports the extract.*
-// counters to any obs.Trace attached to ctx. Reference rows fan out
-// over a worker pool of Options.Parallelism workers; cancellation is
-// checked between rows.
+// counters to any obs.Trace attached to ctx. Layer preparation and then
+// the reference rows fan out over a worker pool of Options.Parallelism
+// workers; cancellation is checked between chunks and rows. Distance
+// thresholds are validated first (qsr.DistanceThresholds.Validate).
 func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*State, error) {
 	if d.Reference == nil {
 		return nil, fmt.Errorf("transact: dataset has no reference layer")
 	}
 	if opts.IsZero() {
 		return nil, fmt.Errorf("transact: zero Options (enable a relation family, or configure attributes-only extraction explicitly)")
+	}
+	if opts.Distance {
+		if err := opts.Thresholds.Validate(); err != nil {
+			return nil, fmt.Errorf("transact: %w", err)
+		}
 	}
 	disc := opts.Discretizer
 	if disc == nil {
@@ -150,28 +159,23 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	}
 	tr := obs.FromContext(ctx)
 
-	// Prepare each relevant layer's features once up front: every
-	// reference row reuses the same immutable geom.Prepared values,
-	// read-only across the worker pool, and the index build below takes
-	// their envelopes for free.
-	var preparedBuilds, preparedEdges int64
+	n := d.Reference.Len()
+	s.prepRef = make([]*geom.Prepared, n)
+	if s.anyFamily && opts.Granularity == TypeLevel {
+		s.names = predicateNames(d.Relevant)
+	}
+	// Prepare every relevant layer and the reference layer once up
+	// front: every reference row reuses the same immutable
+	// geom.Prepared values, read-only across the worker pool, and the
+	// index build below takes their envelopes for free.
+	var prepStats extractStats
 	if s.anyFamily && !opts.NoPrepare {
 		sp := tr.Stage("extract.prepare")
-		s.prep = make([][]*geom.Prepared, len(d.Relevant))
-		for i, layer := range d.Relevant {
-			if err := ctx.Err(); err != nil {
-				sp.End()
-				return nil, err
-			}
-			prep := make([]*geom.Prepared, layer.Len())
-			for j := range layer.Features {
-				prep[j] = geom.Prepare(layer.Features[j].Geometry)
-				preparedBuilds++
-				preparedEdges += int64(prep[j].NumEdges())
-			}
-			s.prep[i] = prep
-		}
+		prepStats, err = s.prepareLayers(ctx, d)
 		sp.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 	if s.anyFamily {
 		s.indexes = make([]index.SpatialIndex, len(d.Relevant))
@@ -184,24 +188,16 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 		}
 	}
 
-	n := d.Reference.Len()
 	stride := 1 + len(d.Relevant)
 	ends := make([]int, n*stride)
 	s.rows = make([]row, n)
-	s.prepRef = make([]*geom.Prepared, n)
 	workers := workerCount(opts.Parallelism, n)
 	bufs := make([][]int, workers)
 	stats := make([]extractStats, workers)
 	err = forEachRow(ctx, n, workers, func(w, j int) {
-		pref := s.prepareRef(d, j)
-		if pref != nil {
-			stats[w].preparedBuilds++
-			stats[w].preparedEdges += int64(pref.NumEdges())
-		}
 		r := &s.rows[j]
 		r.ends = ends[j*stride : (j+1)*stride : (j+1)*stride]
-		r.items = s.renderRow(d, s.cuts, j, pref, nil, false, nil, r.ends, &bufs[w], &stats[w])
-		s.prepRef[j] = pref
+		r.items = s.renderRow(d, s.cuts, j, s.prepRef[j], nil, false, nil, r.ends, &bufs[w], &stats[w])
 		stats[w].items += int64(len(r.items))
 	})
 	if err != nil {
@@ -217,10 +213,53 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	tr.Add("extract.relates", total.relates)
 	tr.Add("extract.refine.skipped", total.skipped)
 	if s.prep != nil {
-		tr.Add("extract.prepared.builds", preparedBuilds+total.preparedBuilds)
-		tr.Add("extract.prepared.edges", preparedEdges+total.preparedEdges)
+		tr.Add("extract.prepared.builds", prepStats.preparedBuilds)
+		tr.Add("extract.prepared.edges", prepStats.preparedEdges)
 	}
 	return s, nil
+}
+
+// prepareLayers prepares every relevant layer into s.prep and the
+// reference layer into s.prepRef on a pool of Options.Parallelism
+// workers. Each layer is cut into one contiguous chunk per worker, and
+// each chunk is one geom.PrepareAll, so its geometries share one arena.
+// The returned stats count the geometries prepared and their edges.
+func (s *State) prepareLayers(ctx context.Context, d *dataset.Dataset) (extractStats, error) {
+	s.prep = make([][]*geom.Prepared, len(d.Relevant))
+	for li, l := range d.Relevant {
+		s.prep[li] = make([]*geom.Prepared, l.Len())
+	}
+	layers := append(slices.Clip(d.Relevant), d.Reference)
+	out := append(slices.Clip(s.prep), s.prepRef)
+	type chunk struct{ layer, lo, hi int }
+	var chunks []chunk
+	workers := workerCount(s.opts.Parallelism, len(layers))
+	for li, l := range layers {
+		per := (l.Len() + workers - 1) / workers
+		for lo := 0; lo < l.Len(); lo += per {
+			chunks = append(chunks, chunk{li, lo, min(lo+per, l.Len())})
+		}
+	}
+	stats := make([]extractStats, workerCount(s.opts.Parallelism, len(chunks)))
+	err := forEachRow(ctx, len(chunks), len(stats), func(w, i int) {
+		c := chunks[i]
+		feats := layers[c.layer].Features[c.lo:c.hi]
+		gs := make([]geom.Geometry, len(feats))
+		for k := range feats {
+			gs[k] = feats[k].Geometry
+		}
+		prepared := geom.PrepareAll(gs)
+		copy(out[c.layer][c.lo:c.hi], prepared)
+		stats[w].preparedBuilds += int64(len(prepared))
+		for _, pg := range prepared {
+			stats[w].preparedEdges += int64(pg.NumEdges())
+		}
+	})
+	var total extractStats
+	for _, st := range stats {
+		total.add(st)
+	}
+	return total, err
 }
 
 // Dataset returns the dataset the state currently reflects.
@@ -547,7 +586,7 @@ func (s *State) renderRow(d *dataset.Dataset, cuts map[string]*FittedDiscretizer
 		if old == nil || (layerDirty[li] != nil && layerDirty[li][j]) {
 			*buf = gatherCandidates(s.indexes[li], refEnv, s.opts, (*buf)[:0])
 			st.candidates += int64(len(*buf))
-			items = appendSpatialItems(items, ref, pref, d.Relevant[li], s.layerPrep(li), refEnv, *buf, s.opts, st)
+			items = appendSpatialItems(items, ref, pref, d.Relevant[li], s.layerPrep(li), s.layerNames(li), refEnv, *buf, s.opts, st)
 		} else {
 			items = append(items, old.part(1+li)...)
 		}
@@ -582,6 +621,15 @@ func (s *State) layerPrep(li int) []*geom.Prepared {
 		return nil
 	}
 	return s.prep[li]
+}
+
+// layerNames returns the predicate table of layer li, nil at instance
+// granularity.
+func (s *State) layerNames(li int) []string {
+	if s.names == nil {
+		return nil
+	}
+	return s.names[li]
 }
 
 // buildLayerIndex builds the candidate-filter index for one layer,

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/dataset"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/qsr"
 )
@@ -64,6 +66,39 @@ func TestExtractPreparedMatchesUnprepared(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestExtractPreparedMatchesUnpreparedNearTouch: the second line of s
+// touches the second line of d within Eps (distance 0), though their
+// envelopes lie farther apart than the first lines' 1.05e-9. With
+// VeryCloseMax 0 only an exact 0 is veryCloseTo, so a prepared distance
+// kernel that skipped the touching pair would say closeTo instead.
+func TestExtractPreparedMatchesUnpreparedNearTouch(t *testing.T) {
+	ref := dataset.NewLayer("road")
+	ref.Add(dataset.Feature{ID: "d", Geometry: geom.MultiLineString{Lines: []geom.LineString{
+		geom.Line(geom.Pt(0, 0), geom.Pt(50, 0)),
+		geom.Line(geom.Pt(100, 0), geom.Pt(101, 0)),
+	}}})
+	rel := dataset.NewLayer("river")
+	rel.Add(dataset.Feature{ID: "s", Geometry: geom.MultiLineString{Lines: []geom.LineString{
+		geom.Line(geom.Pt(0, 0.00000000105), geom.Pt(-10, 10)),
+		geom.Line(geom.Pt(101.0000000009, 0.0000000009), geom.Pt(102, 0.0000000009)),
+	}}})
+	d := &dataset.Dataset{Reference: ref, Relevant: []*dataset.Layer{rel}}
+	opts := Options{Distance: true, Thresholds: qsr.DistanceThresholds{VeryCloseMax: 0, CloseMax: 15}, Index: RTreeIndex}
+	prepared, err := Extract(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.NoPrepare = true
+	unprepared, err := Extract(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := prepared.Transactions[0].Items, unprepared.Transactions[0].Items
+	if !reflect.DeepEqual(got, want) || !hasItem(want, "veryCloseTo_river") {
+		t.Errorf("prepared %v, unprepared %v, want both [veryCloseTo_river]", got, want)
 	}
 }
 
