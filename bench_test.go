@@ -12,7 +12,7 @@
 //	BenchmarkFigure6And7* — dataset 2, two algorithms, minsup sweep
 //	BenchmarkCounting*    — tidset vs horizontal support counting
 //	BenchmarkFilterPlacement* — apriori (k=2) vs aposteriori filtering
-//	BenchmarkJoin*        — R-tree vs grid vs nested-loop extraction
+//	BenchmarkJoin*        — R-tree vs nested-loop extraction
 //	BenchmarkSensitivity* — gain vs number of same-feature relations
 package qsrmine_test
 
@@ -219,8 +219,8 @@ func BenchmarkFilterPlacement(b *testing.B) {
 	})
 }
 
-// BenchmarkJoin compares the spatial-join candidate filters during
-// predicate extraction (DESIGN.md ablation 3).
+// BenchmarkJoin compares the R-tree candidate filter with the nested
+// loop during predicate extraction (DESIGN.md ablation 3).
 func BenchmarkJoin(b *testing.B) {
 	benchSetup(b)
 	for _, idx := range []struct {
@@ -228,7 +228,6 @@ func BenchmarkJoin(b *testing.B) {
 		kind transact.IndexKind
 	}{
 		{"RTree", transact.RTreeIndex},
-		{"Grid", transact.GridIndex},
 		{"NestedLoop", transact.NoIndex},
 	} {
 		b.Run(idx.name, func(b *testing.B) {
@@ -320,11 +319,10 @@ func BenchmarkEclatVsApriori(b *testing.B) {
 }
 
 // BenchmarkEclatParallelScaling measures the sharded equivalence-class
-// walk across worker counts on a large generated dataset — the scaling
-// series appended to BENCH_mining.json. Each top-level subtree is
-// independent, so on multi-core hardware wall time drops with
-// Parallelism; the frequent-sets metric pins output equivalence across
-// all settings.
+// walk across worker counts on a large generated dataset. Each
+// top-level subtree is independent, so on multi-core hardware wall time
+// drops with Parallelism; the frequent-sets metric pins output
+// equivalence across all settings.
 func BenchmarkEclatParallelScaling(b *testing.B) {
 	table, err := datagen.PaperDataset1(datagen.DefaultSeed, 8000)
 	if err != nil {

@@ -34,7 +34,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 				Directional:     true,
 				IncludeIsA:      true,
 				Granularity:     transact.InstanceLevel,
-				Index:           transact.GridIndex,
+				Index:           transact.NoIndex,
 				Discretizer:     transact.EqualWidth{Bins: 4},
 				Parallelism:     3,
 			},

@@ -115,6 +115,19 @@ func (e Envelope) Buffer(d float64) Envelope {
 	return Envelope{e.MinX - d, e.MinY - d, e.MaxX + d, e.MaxY + d}
 }
 
+// Slack is how far a distance filter grows e before comparing it with
+// another envelope: Eps plus 1e-12 of e's largest coordinate magnitude
+// (+Inf when e is empty). Distance puts two segments at 0 when their
+// Eps-grown envelopes meet (Segment.Intersect), so the envelopes of
+// touching geometries can lie up to 2·Eps apart on each axis; the
+// relative part covers the rounding by which ClosestPoint and Hypot may
+// measure a pair a few ulps below its envelopes' distance. Two
+// geometries whose envelopes, each grown by its own slack, lie farther
+// apart than d are therefore farther apart than d.
+func (e Envelope) Slack() float64 {
+	return Eps + 1e-12*math.Max(math.Max(math.Abs(e.MinX), math.Abs(e.MaxX)), math.Max(math.Abs(e.MinY), math.Abs(e.MaxY)))
+}
+
 // Distance returns the minimal distance between the two envelopes, 0 when
 // they intersect.
 func (e Envelope) Distance(o Envelope) float64 {

@@ -131,3 +131,38 @@ func clampF(f float64) float64 {
 	}
 	return math.Mod(f, 1e6)
 }
+
+// TestEnvelopeSlack pins the distance filters' slack: Eps plus 1e-12 of
+// the largest coordinate magnitude, +Inf when empty, and enough to
+// bridge the gap between the envelopes of two lines that Distance
+// puts at 0 because they touch within Eps.
+func TestEnvelopeSlack(t *testing.T) {
+	if s := EmptyEnvelope().Slack(); !math.IsInf(s, 1) {
+		t.Errorf("empty Slack = %g, want +Inf", s)
+	}
+	for _, c := range []struct {
+		e    Envelope
+		want float64
+	}{
+		{Envelope{0, 0, 0, 0}, Eps},
+		{Envelope{-1, 0, 1, 0.5}, Eps + 1e-12},
+		{Envelope{-5e6, 2, 1, 3}, Eps + 5e-6},
+		{Envelope{0, 0, 1, 4e7}, Eps + 4e-5},
+	} {
+		if s := c.e.Slack(); math.Abs(s-c.want) > 1e-12*c.want {
+			t.Errorf("%+v.Slack() = %g, want %g", c.e, s, c.want)
+		}
+	}
+	a := Line(Pt(100, 0), Pt(101, 0))
+	b := Line(Pt(101.0000000009, 0.0000000015), Pt(102, 0.0000000015))
+	if d := Distance(a, b); d != 0 {
+		t.Fatalf("Distance = %g, want 0 (the lines touch within Eps)", d)
+	}
+	ea, eb := a.Envelope(), b.Envelope()
+	if d := ea.Distance(eb); d <= Eps {
+		t.Fatalf("envelope distance = %g, want more than Eps", d)
+	}
+	if d := ea.Buffer(ea.Slack()).Distance(eb.Buffer(eb.Slack())); d != 0 {
+		t.Errorf("slack-grown envelope distance = %g, want 0", d)
+	}
+}

@@ -692,7 +692,7 @@ type segTree struct {
 	nodes   []segNode
 	root    int32
 	// slack is how far segPairDist grows this tree's envelopes before it
-	// prunes on their distance: Eps plus 1e-12 of the largest coordinate.
+	// prunes on their distance: the root envelope's Slack.
 	slack float64
 }
 
@@ -768,8 +768,7 @@ func buildSegTree(entries []segEntry, nodes []segNode) segTree {
 	}
 	t.nodes = capped(t.nodes)
 	t.root = int32(levelStart)
-	r := t.nodes[t.root].env
-	t.slack = Eps + 1e-12*math.Max(math.Max(math.Abs(r.MinX), math.Abs(r.MaxX)), math.Max(math.Abs(r.MinY), math.Abs(r.MaxY)))
+	t.slack = t.nodes[t.root].env.Slack()
 	return t
 }
 
@@ -883,15 +882,9 @@ func (t *segTree) rayFlags(p Point, flags []uint8) {
 // skipped, as the brute-force scan never sees them.
 //
 // A node or entry pair is pruned when its envelopes, each grown by its
-// tree's slack, lie farther apart than best. Such a pair cannot measure
-// below best, so the result is the brute-force minimum in any visiting
-// order. The Eps part of the slack covers touching: Intersect, and so
-// DistanceToSegment, puts two segments at 0 when their Eps-grown
-// envelopes meet and the orientation tests agree, even though the
-// envelopes themselves may be up to 2·Eps apart on each axis. The part
-// relative to the largest coordinate covers the rounding by which
-// ClosestPoint and Hypot may measure a pair a few ulps below its
-// envelopes' distance.
+// tree's slack (see Envelope.Slack), lie farther apart than best. Such a
+// pair cannot measure below best, so the result is the brute-force
+// minimum in any visiting order.
 func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
 	na, nb := &ta.nodes[ia], &tb.nodes[ib]
 	if na.env.Buffer(ta.slack).Distance(nb.env.Buffer(tb.slack)) > best {

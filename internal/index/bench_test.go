@@ -18,7 +18,6 @@ func benchIndexes(n int) map[string]SpatialIndex {
 	items := makeItems(n, 100, 42)
 	return map[string]SpatialIndex{
 		"rtree":  NewRTreeBulk(items),
-		"grid":   NewGridBulk(items),
 		"linear": NewLinear(items),
 	}
 }
@@ -51,42 +50,9 @@ func BenchmarkSearchDistance(b *testing.B) {
 	}
 }
 
-func BenchmarkNearest(b *testing.B) {
-	items := makeItems(10000, 100, 42)
-	impls := map[string]NearestNeighborer{
-		"rtree":  NewRTreeBulk(items),
-		"grid":   NewGridBulk(items),
-		"linear": NewLinear(items),
-	}
-	for name, idx := range impls {
-		b.Run(name, func(b *testing.B) {
-			q := geom.Envelope{MinX: 33, MinY: 66, MaxX: 34, MaxY: 67}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.Nearest(q, 10)
-			}
-		})
-	}
-}
-
 func BenchmarkBuild(b *testing.B) {
 	items := makeItems(10000, 100, 42)
-	b.Run("rtree-bulk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewRTreeBulk(items)
-		}
-	})
-	b.Run("rtree-insert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t := &RTree{}
-			for _, it := range items {
-				t.Insert(it)
-			}
-		}
-	})
-	b.Run("grid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewGridBulk(items)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		NewRTreeBulk(items)
+	}
 }

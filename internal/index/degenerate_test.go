@@ -7,10 +7,10 @@ import (
 )
 
 // The co-location neighborhood materialization leans on SearchDistance
-// and kNN edges harder than extraction does: zero-distance thresholds
-// (only coincident instances are neighbors), piles of exactly
-// coincident points, and empty layers. These tests pin those edges on
-// every index implementation.
+// edges harder than extraction does: zero-distance thresholds (only
+// coincident instances are neighbors), piles of exactly coincident
+// points, and empty layers. These tests pin those edges on every index
+// implementation.
 
 func pointItems(coords ...float64) []Item {
 	var items []Item
@@ -22,16 +22,8 @@ func pointItems(coords ...float64) []Item {
 
 func degenerateBuilders() map[string]func([]Item) SpatialIndex {
 	return map[string]func([]Item) SpatialIndex{
-		"rtree-bulk": func(items []Item) SpatialIndex { return NewRTreeBulk(items) },
-		"rtree-insert": func(items []Item) SpatialIndex {
-			tr := &RTree{}
-			for _, it := range items {
-				tr.Insert(it)
-			}
-			return tr
-		},
-		"grid-bulk": func(items []Item) SpatialIndex { return NewGridBulk(items) },
-		"linear":    func(items []Item) SpatialIndex { return NewLinear(items) },
+		"rtree":  func(items []Item) SpatialIndex { return NewRTreeBulk(items) },
+		"linear": func(items []Item) SpatialIndex { return NewLinear(items) },
 	}
 }
 
@@ -72,7 +64,7 @@ func TestSearchDistanceExactBoundary(t *testing.T) {
 }
 
 // TestCoincidentPointPile: hundreds of items at one location must all
-// come back from both distance search and kNN, at any k.
+// come back from distance search.
 func TestCoincidentPointPile(t *testing.T) {
 	const n = 300
 	items := make([]Item, n)
@@ -81,22 +73,8 @@ func TestCoincidentPointPile(t *testing.T) {
 	}
 	q := geom.Pt(7, 7).Envelope()
 	for name, build := range degenerateBuilders() {
-		idx := build(items)
-		if got := idx.SearchDistance(q, 0, nil); len(got) != n {
+		if got := build(items).SearchDistance(q, 0, nil); len(got) != n {
 			t.Errorf("%s: SearchDistance over pile returned %d, want %d", name, len(got), n)
-		}
-		nn, ok := idx.(NearestNeighborer)
-		if !ok {
-			continue
-		}
-		for _, k := range []int{1, n / 2, n, n + 50} {
-			want := k
-			if want > n {
-				want = n
-			}
-			if got := nn.Nearest(q, k); len(got) != want {
-				t.Errorf("%s: Nearest(k=%d) over pile returned %d, want %d", name, k, len(got), want)
-			}
 		}
 	}
 }
@@ -111,22 +89,6 @@ func TestSearchDistanceEmptyIndex(t *testing.T) {
 			if got := idx.SearchDistance(q, d, nil); len(got) != 0 {
 				t.Errorf("%s: empty index SearchDistance(d=%v) = %v", name, d, got)
 			}
-		}
-	}
-}
-
-// TestNearestOnCoincidentTies: kNN over exact ties is complete (every
-// returned item really is at distance zero) even when k splits the tie.
-func TestNearestOnCoincidentTies(t *testing.T) {
-	items := append(pointItems(4, 4, 4, 4, 4, 4), Item{Env: geom.Pt(50, 50).Envelope(), ID: 9})
-	rt := NewRTreeBulk(items)
-	got := rt.Nearest(geom.Pt(4, 4).Envelope(), 3)
-	if len(got) != 3 {
-		t.Fatalf("Nearest(3) = %v", got)
-	}
-	for _, id := range got {
-		if id == 9 {
-			t.Fatalf("Nearest(3) returned the far item over a zero-distance tie: %v", got)
 		}
 	}
 }

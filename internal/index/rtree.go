@@ -1,8 +1,10 @@
-// Package index provides spatial indexes over envelope-keyed items: an
-// R-tree (STR bulk load plus dynamic quadratic-split insertion) and a
-// uniform grid, both behind a common interface. The predicate-extraction
-// spatial join uses them to enumerate candidate feature pairs before the
-// exact DE-9IM test, exactly as a GIS would.
+// Package index provides the candidate filter of the spatial join over
+// envelope-keyed items: an immutable R-tree bulk-loaded with the
+// sort-tile-recursive (STR) algorithm, and Linear, the nested-loop oracle
+// it is checked against. Both answer window and distance queries behind
+// one interface. Predicate extraction and co-location mining use them to
+// enumerate candidate feature pairs before the exact test, as a GIS
+// would.
 package index
 
 import (
@@ -21,8 +23,6 @@ type Item struct {
 
 // SpatialIndex enumerates stored items by spatial predicate.
 type SpatialIndex interface {
-	// Insert adds an item.
-	Insert(item Item)
 	// Search appends to dst the IDs of all items whose envelope
 	// intersects query, and returns the extended slice. Order is
 	// unspecified.
@@ -34,14 +34,12 @@ type SpatialIndex interface {
 	Len() int
 }
 
-const (
-	rtreeMaxEntries = 9
-	rtreeMinEntries = 3
-)
+// rtreeMaxEntries is the node fan-out.
+const rtreeMaxEntries = 9
 
-// RTree is an R-tree over envelope items. The zero value is an empty tree
-// ready for Insert; NewRTreeBulk builds a packed tree with the
-// sort-tile-recursive (STR) algorithm.
+// RTree is an immutable R-tree over envelope items, built once by
+// NewRTreeBulk with the sort-tile-recursive (STR) algorithm. The zero
+// value is an empty tree.
 type RTree struct {
 	root *rtreeNode
 	size int
@@ -57,8 +55,7 @@ type rtreeNode struct {
 var _ SpatialIndex = (*RTree)(nil)
 
 // NewRTreeBulk builds an STR-packed R-tree from the given items. The
-// resulting tree is balanced and has near-minimal overlap, which makes it
-// faster to query than one built by repeated insertion.
+// resulting tree is balanced and has near-minimal overlap.
 func NewRTreeBulk(items []Item) *RTree {
 	t := &RTree{size: len(items)}
 	if len(items) == 0 {
@@ -142,166 +139,6 @@ func (n *rtreeNode) recomputeEnv() {
 
 // Len implements SpatialIndex.
 func (t *RTree) Len() int { return t.size }
-
-// Insert implements SpatialIndex using the classic choose-leaf descent
-// with quadratic split on overflow.
-func (t *RTree) Insert(item Item) {
-	t.size++
-	if t.root == nil {
-		t.root = &rtreeNode{leaf: true, items: []Item{item}, env: item.Env}
-		return
-	}
-	split := t.root.insert(item)
-	if split != nil {
-		newRoot := &rtreeNode{children: []*rtreeNode{t.root, split}}
-		newRoot.recomputeEnv()
-		t.root = newRoot
-	}
-}
-
-// insert adds the item below n; if n overflows it splits and returns the
-// new sibling, otherwise nil.
-func (n *rtreeNode) insert(item Item) *rtreeNode {
-	n.env = n.env.Union(item.Env)
-	if n.leaf {
-		n.items = append(n.items, item)
-		if len(n.items) > rtreeMaxEntries {
-			return n.splitLeaf()
-		}
-		return nil
-	}
-	best := n.chooseChild(item.Env)
-	if split := best.insert(item); split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > rtreeMaxEntries {
-			return n.splitInternal()
-		}
-	}
-	return nil
-}
-
-// chooseChild picks the child whose envelope needs the least enlargement,
-// breaking ties by smaller area.
-func (n *rtreeNode) chooseChild(e geom.Envelope) *rtreeNode {
-	var best *rtreeNode
-	bestEnl := math.Inf(1)
-	bestArea := math.Inf(1)
-	for _, c := range n.children {
-		enl := c.env.Union(e).Area() - c.env.Area()
-		area := c.env.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = c, enl, area
-		}
-	}
-	return best
-}
-
-// splitLeaf splits an overflowing leaf with quadratic seed picking.
-func (n *rtreeNode) splitLeaf() *rtreeNode {
-	envs := make([]geom.Envelope, len(n.items))
-	for i, it := range n.items {
-		envs[i] = it.Env
-	}
-	g1, g2 := quadraticSplit(envs)
-	items := n.items
-	n.items = pickItems(items, g1)
-	sibling := &rtreeNode{leaf: true, items: pickItems(items, g2)}
-	n.recomputeEnv()
-	sibling.recomputeEnv()
-	return sibling
-}
-
-// splitInternal splits an overflowing internal node.
-func (n *rtreeNode) splitInternal() *rtreeNode {
-	envs := make([]geom.Envelope, len(n.children))
-	for i, c := range n.children {
-		envs[i] = c.env
-	}
-	g1, g2 := quadraticSplit(envs)
-	children := n.children
-	n.children = pickNodes(children, g1)
-	sibling := &rtreeNode{children: pickNodes(children, g2)}
-	n.recomputeEnv()
-	sibling.recomputeEnv()
-	return sibling
-}
-
-func pickItems(items []Item, idx []int) []Item {
-	out := make([]Item, len(idx))
-	for i, j := range idx {
-		out[i] = items[j]
-	}
-	return out
-}
-
-func pickNodes(nodes []*rtreeNode, idx []int) []*rtreeNode {
-	out := make([]*rtreeNode, len(idx))
-	for i, j := range idx {
-		out[i] = nodes[j]
-	}
-	return out
-}
-
-// quadraticSplit partitions envelope indices into two groups using
-// Guttman's quadratic algorithm: seed with the pair wasting the most area,
-// then assign each remaining entry to the group whose envelope grows
-// least, forcing assignment when a group must absorb the rest to reach the
-// minimum fill.
-func quadraticSplit(envs []geom.Envelope) (g1, g2 []int) {
-	// Pick seeds.
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(envs); i++ {
-		for j := i + 1; j < len(envs); j++ {
-			waste := envs[i].Union(envs[j]).Area() - envs[i].Area() - envs[j].Area()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	g1 = append(g1, s1)
-	g2 = append(g2, s2)
-	e1, e2 := envs[s1], envs[s2]
-	remaining := make([]int, 0, len(envs)-2)
-	for i := range envs {
-		if i != s1 && i != s2 {
-			remaining = append(remaining, i)
-		}
-	}
-	for len(remaining) > 0 {
-		// Force assignment if one group must take all the rest.
-		if len(g1)+len(remaining) == rtreeMinEntries {
-			g1 = append(g1, remaining...)
-			break
-		}
-		if len(g2)+len(remaining) == rtreeMinEntries {
-			g2 = append(g2, remaining...)
-			break
-		}
-		// Pick the entry with the strongest preference.
-		bestIdx, bestDiff := 0, math.Inf(-1)
-		for k, i := range remaining {
-			d1 := e1.Union(envs[i]).Area() - e1.Area()
-			d2 := e2.Union(envs[i]).Area() - e2.Area()
-			diff := math.Abs(d1 - d2)
-			if diff > bestDiff {
-				bestDiff, bestIdx = diff, k
-			}
-		}
-		i := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		d1 := e1.Union(envs[i]).Area() - e1.Area()
-		d2 := e2.Union(envs[i]).Area() - e2.Area()
-		if d1 < d2 || (d1 == d2 && len(g1) < len(g2)) {
-			g1 = append(g1, i)
-			e1 = e1.Union(envs[i])
-		} else {
-			g2 = append(g2, i)
-			e2 = e2.Union(envs[i])
-		}
-	}
-	return g1, g2
-}
 
 // Search implements SpatialIndex.
 func (t *RTree) Search(query geom.Envelope, dst []int) []int {

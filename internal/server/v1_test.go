@@ -61,9 +61,10 @@ func TestUnprefixedPathsNotFound(t *testing.T) {
 }
 
 // TestRemovedKnobsRejected pins the wire contract for the removed
-// co-location engine field and FP-growth algorithm names: each request
-// in testdata/removed_knobs.json is a 400 bad_request whose message
-// names the offending field or the values that remain valid.
+// co-location engine field, FP-growth algorithm names and grid index:
+// each request in testdata/removed_knobs.json is a 400 bad_request
+// whose message names the offending field or the values that remain
+// valid.
 func TestRemovedKnobsRejected(t *testing.T) {
 	raw, err := os.ReadFile("testdata/removed_knobs.json")
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // TestPortoAlegreSceneReproducesTable1 is the pipeline's golden test: the
 // crafted geometric scene must extract to exactly the paper's Table 1.
 func TestPortoAlegreSceneReproducesTable1(t *testing.T) {
-	for _, idx := range []IndexKind{RTreeIndex, GridIndex, NoIndex} {
+	for _, idx := range []IndexKind{RTreeIndex, NoIndex} {
 		opts := DefaultOptions()
 		opts.Index = idx
 		got, err := Extract(dataset.PortoAlegreScene(), opts)

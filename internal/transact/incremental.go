@@ -5,16 +5,16 @@
 // its dirty region instead of the whole scene. ExtractContext is a State
 // build that returns the table and drops the state.
 //
-// The dirty-region math inverts gatherCandidates: a changed relevant
-// feature can only affect a reference row if the row's candidate gather
-// could include the feature's old or new envelope. An R-tree over the
-// reference envelopes answers that reverse query with the same radius
-// the forward gather uses (everything for directional/disjoint/farFrom
-// families, CloseMax+Eps for distance, Eps for pure topology), so the
-// set of re-extracted rows is exactly the set whose candidate lists can
-// change. Prepared geometries of untouched features — both relevant-
-// layer features and the reference geometries of partially re-extracted
-// rows — are reused, never rebuilt.
+// The dirty-region math inverts the candidate filters: a changed
+// relevant feature can only affect a reference row if the row's filters
+// could let the feature's old or new envelope through. An R-tree over
+// the reference envelopes answers that reverse query with the same
+// reach the forward filters have (everything for directional/disjoint/
+// farFrom families, CloseMax between slack-grown envelopes for
+// distance, Eps for pure topology), so every row whose items can change
+// is re-extracted. Prepared geometries of untouched features — both
+// relevant-layer features and the reference geometries of partially
+// re-extracted rows — are reused, never rebuilt.
 package transact
 
 import (
@@ -47,13 +47,17 @@ type State struct {
 	// feature j; nil when prepared geometries are disabled or no
 	// relation family is on.
 	prep [][]*geom.Prepared
-	// indexes[li] is the candidate-filter index over layer li.
+	// indexes[li] is the candidate-filter index over layer li, and
+	// slack[li] the largest Envelope.Slack of its features.
 	indexes []index.SpatialIndex
+	slack   []float64
 	// refIndex answers the reverse dirty-row query: which reference
 	// rows can a changed envelope affect. It is built by the first
 	// Apply that needs it and dropped when the reference layer changes,
-	// so a one-shot extraction never pays for it.
+	// so a one-shot extraction never pays for it. refSlack is the
+	// largest Envelope.Slack of the reference envelopes it holds.
 	refIndex index.SpatialIndex
+	refSlack float64
 	// prepRef[j] is row j's prepared reference geometry (nil entries
 	// when unprepared).
 	prepRef []*geom.Prepared
@@ -179,12 +183,11 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	}
 	if s.anyFamily {
 		s.indexes = make([]index.SpatialIndex, len(d.Relevant))
+		s.slack = make([]float64, len(d.Relevant))
 		for i, layer := range d.Relevant {
-			idx, err := buildLayerIndex(opts.Index, layer, s.layerPrep(i))
-			if err != nil {
+			if s.indexes[i], s.slack[i], err = buildLayerIndex(opts.Index, layer, s.layerPrep(i)); err != nil {
 				return nil, err
 			}
-			s.indexes[i] = idx
 		}
 	}
 
@@ -394,11 +397,9 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 			}
 			s.prep[li] = newPrep
 		}
-		idx, err := buildLayerIndex(s.opts.Index, newLayer, s.layerPrep(li))
-		if err != nil {
+		if s.indexes[li], s.slack[li], err = buildLayerIndex(s.opts.Index, newLayer, s.layerPrep(li)); err != nil {
 			return nil, err
 		}
-		s.indexes[li] = idx
 
 		dirty := make([]bool, n)
 		layerDirty[li] = dirty
@@ -409,7 +410,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 			continue
 		}
 		if s.refIndex == nil {
-			s.refIndex = buildRefIndex(oldRef)
+			s.refIndex, s.refSlack = buildRefIndex(oldRef)
 		}
 		mark := func(env geom.Envelope) {
 			queryBuf = s.dirtyRowQuery(env, queryBuf[:0])
@@ -584,7 +585,7 @@ func (s *State) renderRow(d *dataset.Dataset, cuts map[string]*FittedDiscretizer
 	}
 	for li := range d.Relevant {
 		if old == nil || (layerDirty[li] != nil && layerDirty[li][j]) {
-			*buf = gatherCandidates(s.indexes[li], refEnv, s.opts, (*buf)[:0])
+			*buf = gatherCandidates(s.indexes[li], refEnv, s.slack[li], s.opts, (*buf)[:0])
 			st.candidates += int64(len(*buf))
 			items = appendSpatialItems(items, ref, pref, d.Relevant[li], s.layerPrep(li), s.layerNames(li), refEnv, *buf, s.opts, st)
 		} else {
@@ -605,12 +606,13 @@ func (s *State) prepareRef(d *dataset.Dataset, j int) *geom.Prepared {
 }
 
 // dirtyRowQuery returns the predecessor reference rows whose candidate
-// gather can include a feature with envelope env — the reverse of
-// gatherCandidates, with the same per-family radius. Callers handle the
-// take-everything families before getting here.
+// filters can let through a feature with envelope env — the reverse of
+// gatherCandidates and the farFrom filter: under distance predicates,
+// env grown by its own slack plus the reference layer's largest one.
+// Callers handle the take-everything families before getting here.
 func (s *State) dirtyRowQuery(env geom.Envelope, dst []int) []int {
 	if s.opts.Distance {
-		return s.refIndex.SearchDistance(env, s.opts.Thresholds.CloseMax+geom.Eps, dst)
+		return s.refIndex.SearchDistance(env.Buffer(env.Slack()+s.refSlack), s.opts.Thresholds.CloseMax, dst)
 	}
 	return s.refIndex.Search(env.Buffer(geom.Eps), dst)
 }
@@ -633,8 +635,9 @@ func (s *State) layerNames(li int) []string {
 }
 
 // buildLayerIndex builds the candidate-filter index for one layer,
-// reusing prepared envelopes when available.
-func buildLayerIndex(kind IndexKind, layer *dataset.Layer, prep []*geom.Prepared) (index.SpatialIndex, error) {
+// reusing prepared envelopes when available, and returns it with the
+// layer's largest envelope slack.
+func buildLayerIndex(kind IndexKind, layer *dataset.Layer, prep []*geom.Prepared) (index.SpatialIndex, float64, error) {
 	items := make([]index.Item, layer.Len())
 	for j := range layer.Features {
 		if prep != nil {
@@ -645,24 +648,36 @@ func buildLayerIndex(kind IndexKind, layer *dataset.Layer, prep []*geom.Prepared
 	}
 	switch kind {
 	case RTreeIndex:
-		return index.NewRTreeBulk(items), nil
-	case GridIndex:
-		return index.NewGridBulk(items), nil
+		return index.NewRTreeBulk(items), maxSlack(items), nil
 	case NoIndex:
-		return index.NewLinear(items), nil
+		return index.NewLinear(items), maxSlack(items), nil
 	}
-	return nil, fmt.Errorf("transact: unknown index kind %d", kind)
+	return nil, 0, fmt.Errorf("transact: unknown index kind %d", kind)
 }
 
 // buildRefIndex builds the reverse-query R-tree over the reference
-// envelopes. Always an R-tree regardless of Options.Index: it only
-// accelerates dirty-row discovery and never affects extraction output.
-func buildRefIndex(ref *dataset.Layer) index.SpatialIndex {
+// envelopes and returns it with their largest slack. Always an R-tree
+// regardless of Options.Index: it only accelerates dirty-row discovery
+// and never affects extraction output.
+func buildRefIndex(ref *dataset.Layer) (index.SpatialIndex, float64) {
 	items := make([]index.Item, ref.Len())
 	for j := range ref.Features {
 		items[j] = index.Item{Env: ref.Features[j].Geometry.Envelope(), ID: j}
 	}
-	return index.NewRTreeBulk(items)
+	return index.NewRTreeBulk(items), maxSlack(items)
+}
+
+// maxSlack returns the largest Envelope.Slack among the items'
+// non-empty envelopes (an empty envelope is never within any distance),
+// 0 when there is none.
+func maxSlack(items []index.Item) float64 {
+	var m float64
+	for _, it := range items {
+		if !it.Env.IsEmpty() {
+			m = max(m, it.Env.Slack())
+		}
+	}
+	return m
 }
 
 // featureIndex maps each feature ID of a layer to its position. A

@@ -21,9 +21,9 @@ import (
 func stateOptionsUnderTest() map[string]Options {
 	return map[string]Options{
 		"topological":  {Topological: true, IncludeIsA: true, Index: RTreeIndex},
-		"withDisjoint": {Topological: true, IncludeDisjoint: true, Index: GridIndex},
+		"withDisjoint": {Topological: true, IncludeDisjoint: true, Index: NoIndex},
 		"distance":     {Distance: true, Thresholds: qsr.DefaultThresholds(10), Index: RTreeIndex},
-		"farFrom":      {Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeFarFrom: true, Index: GridIndex},
+		"farFrom":      {Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeFarFrom: true, Index: NoIndex},
 		"directional":  {Directional: true, Index: NoIndex},
 		"combined":     {Topological: true, Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeIsA: true, Index: RTreeIndex},
 		"unprepared":   {Topological: true, NoPrepare: true, Index: RTreeIndex},
@@ -525,42 +525,154 @@ func FuzzStateApply(f *testing.F) {
 	})
 }
 
+// TestStateApplySingleEditIsSparse pins that a one-feature edit
+// re-extracts only the rows around it. The second case is a chain of 24
+// one-feature edits on a 400-row scene: a delta beats a full
+// re-extraction because it touches few rows, so the rows it re-extracts
+// are bounded, a count that cannot flake the way a timed speedup can.
 func TestStateApplySingleEditIsSparse(t *testing.T) {
-	d := sceneForState(t, 29)
-	opts := Options{Topological: true, IncludeIsA: true, Index: RTreeIndex}
-	st, err := NewState(d, opts)
-	if err != nil {
-		t.Fatalf("NewState: %v", err)
+	t.Run("slum", func(t *testing.T) {
+		d := sceneForState(t, 29)
+		opts := Options{Topological: true, IncludeIsA: true, Index: RTreeIndex}
+		st, err := NewState(d, opts)
+		if err != nil {
+			t.Fatalf("NewState: %v", err)
+		}
+		// Move one slum within its district: only nearby rows may re-extract.
+		layer := d.Relevant[0]
+		f := layer.Features[0]
+		env := f.Geometry.Envelope()
+		wkt := fmt.Sprintf("POLYGON ((%g %g, %g %g, %g %g, %g %g, %g %g))",
+			env.MinX+1, env.MinY, env.MaxX+1, env.MinY,
+			env.MaxX+1, env.MaxY, env.MinX+1, env.MaxY, env.MinX+1, env.MinY)
+		nd, cs, err := d.ApplyOps([]dataset.Op{{Action: dataset.OpUpdate, Layer: layer.Type, ID: f.ID, WKT: wkt}})
+		if err != nil {
+			t.Fatalf("ApplyOps: %v", err)
+		}
+		delta, err := st.Apply(context.Background(), nd, cs)
+		if err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		if delta.RowsDirty >= delta.RowsTotal {
+			t.Errorf("single topological edit dirtied every row (%d/%d)", delta.RowsDirty, delta.RowsTotal)
+		}
+		if delta.RowsReused == 0 {
+			t.Errorf("expected reused rows, got none")
+		}
+		if delta.PreparedReused == 0 {
+			t.Errorf("expected reused prepared geometries, got none")
+		}
+		want, err := Extract(nd, opts)
+		if err != nil {
+			t.Fatalf("Extract: %v", err)
+		}
+		assertTablesEqual(t, st.Table(), want, "sparse apply")
+	})
+	t.Run("chain400", func(t *testing.T) {
+		d, err := datagen.GenerateScene(datagen.DefaultScene(20, 20, 1))
+		if err != nil {
+			t.Fatalf("GenerateScene: %v", err)
+		}
+		opts := DefaultOptions()
+		st, err := NewState(d, opts)
+		if err != nil {
+			t.Fatalf("NewState: %v", err)
+		}
+		// Step s edits relevant feature (13·s) mod N, counting features
+		// in layer order: the feature becomes its envelope, each side
+		// padded to at least 0.5, moved 0.75 right on even steps and
+		// left on odd ones.
+		type slot struct{ layer, id int }
+		var slots []slot
+		for li, l := range d.Relevant {
+			for j := range l.Features {
+				slots = append(slots, slot{li, j})
+			}
+		}
+		cur, dirty := d, 0
+		for s := 0; s < 24; s++ {
+			sl := slots[(13*s)%len(slots)]
+			layer := cur.Relevant[sl.layer]
+			f := layer.Features[sl.id]
+			env := f.Geometry.Envelope()
+			if env.MaxX-env.MinX < 0.5 {
+				env.MaxX = env.MinX + 0.5
+			}
+			if env.MaxY-env.MinY < 0.5 {
+				env.MaxY = env.MinY + 0.5
+			}
+			dx := 0.75
+			if s%2 == 1 {
+				dx = -0.75
+			}
+			wkt := geom.Rect(env.MinX+dx, env.MinY, env.MaxX+dx, env.MaxY).WKT()
+			nd, cs, err := cur.ApplyOps([]dataset.Op{{Action: dataset.OpUpdate, Layer: layer.Type, ID: f.ID, WKT: wkt}})
+			if err != nil {
+				t.Fatalf("step %d: ApplyOps: %v", s, err)
+			}
+			delta, err := st.Apply(context.Background(), nd, cs)
+			if err != nil {
+				t.Fatalf("step %d: Apply: %v", s, err)
+			}
+			if delta.RowsDirty > 2 {
+				t.Errorf("step %d: %d of %d rows re-extracted, want at most 2", s, delta.RowsDirty, delta.RowsTotal)
+			}
+			dirty += delta.RowsDirty
+			cur = nd
+		}
+		if dirty > 38 {
+			t.Errorf("the chain re-extracted %d rows, want at most 38", dirty)
+		}
+		want, err := Extract(cur, opts)
+		if err != nil {
+			t.Fatalf("Extract: %v", err)
+		}
+		assertTablesEqual(t, st.Table(), want, "chain400")
+	})
+}
+
+// TestStateApplyNearTouch PATCHes s of the near-touch scene (see
+// nearTouchScene) from 5 units above d into the Eps band and back out.
+// Each Apply must match a cold extraction, so the dirty-row query has to
+// reach as far as the slack-grown distance filters.
+func TestStateApplyNearTouch(t *testing.T) {
+	for _, y := range nearTouchHeights {
+		d, far := nearTouchScene(y, 5)
+		_, near := nearTouchScene(y, 0)
+		start := &dataset.Dataset{
+			Reference: dataset.NewLayer("road").Add(dataset.Feature{ID: "d", Geometry: d}),
+			Relevant:  []*dataset.Layer{dataset.NewLayer("river").Add(dataset.Feature{ID: "s", Geometry: far})},
+		}
+		for _, th := range nearTouchThresholds {
+			t.Run(nearTouchCaseName(y, th), func(t *testing.T) {
+				for _, farFrom := range []bool{false, true} {
+					for _, noPrepare := range []bool{false, true} {
+						opts := Options{Distance: true, Thresholds: th, IncludeFarFrom: farFrom, Index: RTreeIndex, NoPrepare: noPrepare}
+						st, err := NewState(start, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cur := start
+						for step, g := range []geom.Geometry{near, far} {
+							nd, cs, err := cur.ApplyOps([]dataset.Op{{Action: dataset.OpUpdate, Layer: "river", ID: "s", WKT: g.WKT()}})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, err := st.Apply(context.Background(), nd, cs); err != nil {
+								t.Fatal(err)
+							}
+							want, err := Extract(nd, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							assertTablesEqual(t, st.Table(), want, fmt.Sprintf("farFrom=%v noPrepare=%v step %d", farFrom, noPrepare, step))
+							cur = nd
+						}
+					}
+				}
+			})
+		}
 	}
-	// Move one slum within its district: only nearby rows may re-extract.
-	layer := d.Relevant[0]
-	f := layer.Features[0]
-	env := f.Geometry.Envelope()
-	wkt := fmt.Sprintf("POLYGON ((%g %g, %g %g, %g %g, %g %g, %g %g))",
-		env.MinX+1, env.MinY, env.MaxX+1, env.MinY,
-		env.MaxX+1, env.MaxY, env.MinX+1, env.MaxY, env.MinX+1, env.MinY)
-	nd, cs, err := d.ApplyOps([]dataset.Op{{Action: dataset.OpUpdate, Layer: layer.Type, ID: f.ID, WKT: wkt}})
-	if err != nil {
-		t.Fatalf("ApplyOps: %v", err)
-	}
-	delta, err := st.Apply(context.Background(), nd, cs)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if delta.RowsDirty >= delta.RowsTotal {
-		t.Errorf("single topological edit dirtied every row (%d/%d)", delta.RowsDirty, delta.RowsTotal)
-	}
-	if delta.RowsReused == 0 {
-		t.Errorf("expected reused rows, got none")
-	}
-	if delta.PreparedReused == 0 {
-		t.Errorf("expected reused prepared geometries, got none")
-	}
-	want, err := Extract(nd, opts)
-	if err != nil {
-		t.Fatalf("Extract: %v", err)
-	}
-	assertTablesEqual(t, st.Table(), want, "sparse apply")
 }
 
 func TestStateApplyParallelism(t *testing.T) {

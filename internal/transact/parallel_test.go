@@ -50,7 +50,7 @@ func TestParallelExtractionWithDistance(t *testing.T) {
 		Distance:    true,
 		Thresholds:  qsr.DistanceThresholds{VeryCloseMax: 1, CloseMax: 8},
 		Parallelism: 1,
-		Index:       GridIndex,
+		Index:       NoIndex,
 	}
 	par := seq
 	par.Parallelism = 4

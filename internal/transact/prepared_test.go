@@ -24,7 +24,7 @@ func TestExtractPreparedMatchesUnprepared(t *testing.T) {
 	}
 	families := map[string]Options{
 		"topological":  {Topological: true, Index: RTreeIndex},
-		"withDisjoint": {Topological: true, IncludeDisjoint: true, Index: GridIndex},
+		"withDisjoint": {Topological: true, IncludeDisjoint: true, Index: NoIndex},
 		"distance":     {Distance: true, Thresholds: qsr.DefaultThresholds(10), IncludeFarFrom: true, Index: RTreeIndex},
 		"directional":  {Directional: true, Index: NoIndex},
 		"all": {
@@ -69,36 +69,70 @@ func TestExtractPreparedMatchesUnprepared(t *testing.T) {
 	}
 }
 
-// TestExtractPreparedMatchesUnpreparedNearTouch: the second line of s
-// touches the second line of d within Eps (distance 0), though their
-// envelopes lie farther apart than the first lines' 1.05e-9. With
-// VeryCloseMax 0 only an exact 0 is veryCloseTo, so a prepared distance
-// kernel that skipped the touching pair would say closeTo instead.
-func TestExtractPreparedMatchesUnpreparedNearTouch(t *testing.T) {
-	ref := dataset.NewLayer("road")
-	ref.Add(dataset.Feature{ID: "d", Geometry: geom.MultiLineString{Lines: []geom.LineString{
+// nearTouchScene is one road d and one river s. s's first line starts
+// 1.05e-9 above d's first line; its second line runs at height y from
+// 0.9e-9 to the right of d's second line. For y up to 2·Eps the second
+// lines touch within Eps, so the distance is 0, although the envelopes
+// of s and d lie up to 2·Eps apart. dy moves s up.
+func nearTouchScene(y, dy float64) (d, s geom.Geometry) {
+	d = geom.MultiLineString{Lines: []geom.LineString{
 		geom.Line(geom.Pt(0, 0), geom.Pt(50, 0)),
 		geom.Line(geom.Pt(100, 0), geom.Pt(101, 0)),
-	}}})
-	rel := dataset.NewLayer("river")
-	rel.Add(dataset.Feature{ID: "s", Geometry: geom.MultiLineString{Lines: []geom.LineString{
-		geom.Line(geom.Pt(0, 0.00000000105), geom.Pt(-10, 10)),
-		geom.Line(geom.Pt(101.0000000009, 0.0000000009), geom.Pt(102, 0.0000000009)),
-	}}})
-	d := &dataset.Dataset{Reference: ref, Relevant: []*dataset.Layer{rel}}
-	opts := Options{Distance: true, Thresholds: qsr.DistanceThresholds{VeryCloseMax: 0, CloseMax: 15}, Index: RTreeIndex}
-	prepared, err := Extract(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.NoPrepare = true
-	unprepared, err := Extract(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := prepared.Transactions[0].Items, unprepared.Transactions[0].Items
-	if !reflect.DeepEqual(got, want) || !hasItem(want, "veryCloseTo_river") {
-		t.Errorf("prepared %v, unprepared %v, want both [veryCloseTo_river]", got, want)
+	}}
+	s = geom.MultiLineString{Lines: []geom.LineString{
+		geom.Line(geom.Pt(0, 0.00000000105+dy), geom.Pt(-10, 10+dy)),
+		geom.Line(geom.Pt(101.0000000009, y+dy), geom.Pt(102, y+dy)),
+	}}
+	return d, s
+}
+
+// nearTouchCases are the heights of s's second line and the thresholds
+// of the near-touch tests. At y = 1.5e-9 the envelopes lie more than
+// Eps apart.
+var (
+	nearTouchHeights    = []float64{0.0000000009, 0.0000000015}
+	nearTouchThresholds = []qsr.DistanceThresholds{{VeryCloseMax: 0, CloseMax: 15}, {VeryCloseMax: 0, CloseMax: 0}, {VeryCloseMax: 0, CloseMax: 1e-9}}
+)
+
+// nearTouchCaseName names the subtest of one height and thresholds.
+func nearTouchCaseName(y float64, th qsr.DistanceThresholds) string {
+	return fmt.Sprintf("y=%g,close=%g", y, th.CloseMax)
+}
+
+// TestExtractPreparedMatchesUnpreparedNearTouch: s touches d within Eps
+// (distance 0), though their second lines' envelopes lie farther apart
+// than the first lines' 1.05e-9. With VeryCloseMax 0 only an exact 0 is
+// veryCloseTo, so a prepared distance kernel that skipped the touching
+// pair would say closeTo instead. With CloseMax 0, a farFrom filter or
+// a candidate gather that ignored the Eps band would call the pair
+// farFrom or drop it. Prepared and unprepared extraction must both give
+// what qsr.DistanceRelation says, with and without farFrom.
+func TestExtractPreparedMatchesUnpreparedNearTouch(t *testing.T) {
+	for _, y := range nearTouchHeights {
+		d, s := nearTouchScene(y, 0)
+		if dist := geom.Distance(d, s); dist != 0 {
+			t.Fatalf("y=%g: Distance = %g, want 0", y, dist)
+		}
+		ref := dataset.NewLayer("road").Add(dataset.Feature{ID: "d", Geometry: d})
+		rel := dataset.NewLayer("river").Add(dataset.Feature{ID: "s", Geometry: s})
+		ds := &dataset.Dataset{Reference: ref, Relevant: []*dataset.Layer{rel}}
+		for _, th := range nearTouchThresholds {
+			t.Run(nearTouchCaseName(y, th), func(t *testing.T) {
+				want := []string{qsr.Predicate{Relation: qsr.DistanceRelation(d, s, th), FeatureType: "river"}.String()}
+				for _, farFrom := range []bool{false, true} {
+					for _, noPrepare := range []bool{false, true} {
+						opts := Options{Distance: true, Thresholds: th, IncludeFarFrom: farFrom, Index: RTreeIndex, NoPrepare: noPrepare}
+						table, err := Extract(ds, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := table.Transactions[0].Items; !reflect.DeepEqual(got, want) {
+							t.Errorf("farFrom=%v noPrepare=%v: items %v, want %v", farFrom, noPrepare, got, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

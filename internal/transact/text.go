@@ -49,8 +49,6 @@ func (k IndexKind) String() string {
 	switch k {
 	case RTreeIndex:
 		return "rtree"
-	case GridIndex:
-		return "grid"
 	case NoIndex:
 		return "none"
 	}
@@ -62,18 +60,16 @@ func ParseIndexKind(s string) (IndexKind, error) {
 	switch s {
 	case "rtree", "":
 		return RTreeIndex, nil
-	case "grid":
-		return GridIndex, nil
 	case "none":
 		return NoIndex, nil
 	}
-	return 0, fmt.Errorf("transact: unknown index kind %q (want rtree, grid, or none)", s)
+	return 0, fmt.Errorf("transact: unknown index kind %q (want rtree or none)", s)
 }
 
 // MarshalText implements encoding.TextMarshaler.
 func (k IndexKind) MarshalText() ([]byte, error) {
 	switch k {
-	case RTreeIndex, GridIndex, NoIndex:
+	case RTreeIndex, NoIndex:
 		return []byte(k.String()), nil
 	}
 	return nil, fmt.Errorf("transact: cannot marshal unknown index kind %d", int(k))

@@ -86,10 +86,6 @@ var (
 	ParseWKT = geom.ParseWKT
 	// MustParseWKT parses WKT and panics on error.
 	MustParseWKT = geom.MustParseWKT
-	// MarshalWKB encodes a geometry as well-known binary.
-	MarshalWKB = geom.MarshalWKB
-	// UnmarshalWKB decodes well-known binary.
-	UnmarshalWKB = geom.UnmarshalWKB
 	// ValidateGeometry checks structural validity.
 	ValidateGeometry = geom.Validate
 	// GeomDistance returns the minimal distance between two geometries.
