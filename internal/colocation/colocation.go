@@ -31,17 +31,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Config parameterises a co-location mining run. Its JSON form is the
@@ -56,8 +54,9 @@ type Config struct {
 	// MaxSize caps the largest pattern size mined (0 = unlimited).
 	MaxSize int `json:"maxSize,omitempty"`
 	// Parallelism shards the neighbor-graph materialization and the
-	// candidate expansion: 1 = sequential, 0 = GOMAXPROCS. Output is
-	// byte-identical at any worker count.
+	// candidate expansion: 1 = sequential, 0 = GOMAXPROCS, and each
+	// pool is capped at its work (types, units or candidates). Output
+	// is byte-identical at any worker count.
 	Parallelism int `json:"parallelism,omitempty"`
 	// TopK, when positive, keeps only the k highest-PI prevalent
 	// patterns (ties broken by smaller size, then lexicographic type
@@ -157,8 +156,11 @@ func MineContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result,
 	}
 
 	sp := tr.Stage("colocate.neighbors")
-	graph, cand, refined, workers := materializeNeighbors(types, cfg.Distance, cfg.Parallelism)
+	graph, cand, refined, workers, err := materializeNeighbors(ctx, types, cfg.Distance, cfg.Parallelism)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	tr.Add("coloc.pairs.candidates", cand)
 	tr.Add("coloc.pairs.refined", refined)
 	tr.Add("coloc.neighbors.workers", int64(workers))
@@ -166,7 +168,7 @@ func MineContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result,
 	res.RefinedPairs = refined
 
 	sp = tr.Stage("colocate.walk")
-	err := prevalenceWalk(ctx, tr, types, graph, cfg, res)
+	err = prevalenceWalk(ctx, tr, types, graph, cfg, res)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -290,47 +292,36 @@ type neighborUnitResult struct {
 // type pair: an STR R-tree over each type's envelopes serves
 // SearchDistance as the filter stage, and prepared-geometry DistanceTo
 // refines each candidate exactly. Geometry preparation, tree builds,
-// and the filter→refine loop all shard across a parallelism-sized
-// worker pool; the merge walks work units in their deterministic order,
-// so the graph is identical at any worker count. Returns the graph, the
-// filter/refine pair counts, and the worker count used.
-func materializeNeighbors(types []typeSet, dist float64, parallelism int) (*neighborGraph, int64, int64, int) {
+// and the filter→refine loop all shard across a par pool of
+// parallelism workers, which stops between units once ctx is done; the
+// merge walks work units in their deterministic order, so the graph is
+// identical at any worker count. Returns the graph, the filter/refine
+// pair counts, and the worker count used.
+func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, parallelism int) (*neighborGraph, int64, int64, int, error) {
 	n := len(types)
 	graph := &neighborGraph{n: n, pairs: make([]csrPair, n*n)}
 	if n < 2 {
-		return graph, 0, 0, 0
+		return graph, 0, 0, 0, nil
 	}
 
 	// Phase 1: prepared geometries + one R-tree per type, type-sharded.
 	prepared := make([][]*geom.Prepared, n)
 	trees := make([]*index.RTree, n)
-	prepWorkers := colocWorkers(parallelism, n)
-	var prepCursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < prepWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(prepCursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				pg := geom.PrepareAll(types[i].geoms)
-				items := make([]index.Item, len(pg))
-				for a, p := range pg {
-					items[a] = index.Item{Env: p.Envelope(), ID: a}
-				}
-				prepared[i] = pg
-				trees[i] = index.NewRTreeBulk(items)
-			}
-		}()
+	if err := par.For(ctx, n, par.Workers(parallelism, n), func(_, i int) {
+		pg := geom.PrepareAll(types[i].geoms)
+		items := make([]index.Item, len(pg))
+		for a, p := range pg {
+			items[a] = index.Item{Env: p.Envelope(), ID: a}
+		}
+		prepared[i] = pg
+		trees[i] = index.NewRTreeBulk(items)
+	}); err != nil {
+		return nil, 0, 0, 0, err
 	}
-	wg.Wait()
 
 	// Phase 2: the filter→refine loop over unordered pairs, chunked by
-	// first-type instance ranges into units claimed off an atomic
-	// cursor. Each unit's output lands in its own slot.
+	// first-type instance ranges into units on the par pool. Each unit's
+	// output lands in its own slot.
 	type orderedPair struct{ i, j int }
 	var pairList []orderedPair
 	var units []neighborUnit
@@ -345,44 +336,36 @@ func materializeNeighbors(types []typeSet, dist float64, parallelism int) (*neig
 		}
 	}
 	results := make([]neighborUnitResult, len(units))
-	workers := colocWorkers(parallelism, len(units))
-	var cursor atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []int
-			for {
-				u := int(cursor.Add(1)) - 1
-				if u >= len(units) {
-					return
+	workers := par.Workers(parallelism, len(units))
+	bufs := make([][]int, workers)
+	if err := par.For(ctx, len(units), workers, func(w, u int) {
+		unit := units[u]
+		i, j := pairList[unit.pair].i, pairList[unit.pair].j
+		out := &results[u]
+		out.counts = make([]int32, unit.aHi-unit.aLo)
+		// The workers' buffers share a cache line: work on a local copy.
+		buf := bufs[w]
+		for a := unit.aLo; a < unit.aHi; a++ {
+			pa := prepared[i][a]
+			buf = trees[j].SearchDistance(pa.Envelope(), dist, buf[:0])
+			out.candidates += int64(len(buf))
+			start := len(out.ids)
+			for _, b := range buf {
+				if pa.DistanceTo(prepared[j][b]) > dist {
+					continue
 				}
-				unit := units[u]
-				i, j := pairList[unit.pair].i, pairList[unit.pair].j
-				out := &results[u]
-				out.counts = make([]int32, unit.aHi-unit.aLo)
-				for a := unit.aLo; a < unit.aHi; a++ {
-					pa := prepared[i][a]
-					buf = trees[j].SearchDistance(pa.Envelope(), dist, buf[:0])
-					out.candidates += int64(len(buf))
-					start := len(out.ids)
-					for _, b := range buf {
-						if pa.DistanceTo(prepared[j][b]) > dist {
-							continue
-						}
-						out.ids = append(out.ids, int32(b))
-					}
-					// SearchDistance returns tree order; the walk
-					// intersects these lists, which must be sorted
-					// ascending.
-					slices.Sort(out.ids[start:])
-					out.counts[a-unit.aLo] = int32(len(out.ids) - start)
-				}
-				out.refined += int64(len(out.ids))
+				out.ids = append(out.ids, int32(b))
 			}
-		}()
+			// SearchDistance returns tree order; the walk intersects
+			// these lists, which must be sorted ascending.
+			slices.Sort(out.ids[start:])
+			out.counts[a-unit.aLo] = int32(len(out.ids) - start)
+		}
+		bufs[w] = buf
+		out.refined += int64(len(out.ids))
+	}); err != nil {
+		return nil, 0, 0, 0, err
 	}
-	wg.Wait()
 
 	// Phase 3: deterministic merge. Units are ordered by (pair,
 	// ascending instance range), so concatenating per pair yields the
@@ -434,7 +417,7 @@ func materializeNeighbors(types []typeSet, dist float64, parallelism int) (*neig
 		}
 		*graph.at(j, i) = csrPair{offsets: roffsets, ids: rids}
 	}
-	return graph, candidates, refined, workers
+	return graph, candidates, refined, workers, nil
 }
 
 // candidateSet is one candidate type set during the walk, with the row
@@ -446,23 +429,6 @@ type candidateSet struct {
 	rows  []int32 // flat row instances, stride len(types)
 	nrows int
 	pi    float64
-}
-
-// colocWorkers resolves the Parallelism knob exactly like the Eclat
-// pool: 0 means GOMAXPROCS, never more workers than work items, at
-// least one.
-func colocWorkers(parallelism, items int) int {
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // expander is one walk worker's pooled scratch: the intersection buffer
@@ -498,9 +464,8 @@ func (e *expander) parts(cand []int, types []typeSet) [][]bool {
 // non-prevalent subset (sound by PI anti-monotonicity), and evaluates
 // each survivor first via the star participation upper bound,
 // materializing rows only when the bound clears MinPI. Candidates shard
-// across workers via an atomic cursor; results land in per-candidate
-// slots and are merged in candidate order, so output is byte-identical
-// at any worker count.
+// across a par pool; results land in per-candidate slots and are merged
+// in candidate order, so output is byte-identical at any worker count.
 func prevalenceWalk(ctx context.Context, tr *obs.Trace, types []typeSet, g *neighborGraph, cfg Config, res *Result) error {
 	if len(types) < 2 {
 		return ctx.Err()
@@ -535,40 +500,33 @@ func prevalenceWalk(ctx context.Context, tr *obs.Trace, types []typeSet, g *neig
 		}
 
 		expanded := make([]candidateSet, len(candidates))
-		workers := colocWorkers(cfg.Parallelism, len(candidates))
+		workers := par.Workers(cfg.Parallelism, len(candidates))
 		if k == 2 {
 			tr.Add("coloc.workers", int64(workers))
 		}
+		scratch := make([]expander, workers)
 		pruned := make([]int64, workers)
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var e expander
-				var done int64
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(candidates) || ctx.Err() != nil {
-						break
-					}
-					cand := candidates[i]
-					if starPI(cand, types, g, cfg.MinPI) < cfg.MinPI {
-						// The star upper bound already rules the
-						// candidate out: skip the instance join.
-						expanded[i] = candidateSet{types: cand}
-						pruned[w]++
-					} else {
-						expanded[i] = expandCandidate(&e, cand, parents, types, g)
-					}
-					done++
-				}
-				tr.Add(obs.WorkerCounter("coloc", w, "candidates"), done)
-			}(w)
+		done := make([]int64, workers)
+		err := par.For(ctx, len(candidates), workers, func(w, i int) {
+			cand := candidates[i]
+			if starPI(cand, types, g, cfg.MinPI) < cfg.MinPI {
+				// The star upper bound already rules the candidate
+				// out: skip the instance join.
+				expanded[i] = candidateSet{types: cand}
+				pruned[w]++
+			} else {
+				// The workers' expanders share a cache line: work on a
+				// local copy.
+				e := scratch[w]
+				expanded[i] = expandCandidate(&e, cand, parents, types, g)
+				scratch[w] = e
+			}
+			done[w]++
+		})
+		for w, d := range done {
+			tr.Add(obs.WorkerCounter("coloc", w, "candidates"), d)
 		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		if err != nil {
 			return err
 		}
 		for _, p := range pruned {

@@ -2,6 +2,7 @@ package colocation_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -240,13 +241,18 @@ func gridScene() *dataset.Dataset {
 	return &dataset.Dataset{Reference: layers[0], Relevant: layers[1:]}
 }
 
-// TestCancellation: a pre-cancelled context aborts the walk.
+// TestCancellation: a pre-cancelled context aborts the run before the
+// neighbour search examines a single candidate pair.
 func TestCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+	tr := obs.New(nil)
+	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
 	cancel()
 	_, err := colocation.MineContext(ctx, gridScene(), colocation.Config{Distance: 1.5, MinPI: 0.2})
-	if err == nil {
-		t.Fatalf("expected context error")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := tr.Counter("coloc.pairs.candidates"); got != 0 {
+		t.Fatalf("coloc.pairs.candidates = %d after cancellation, want 0", got)
 	}
 }
 

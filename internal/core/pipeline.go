@@ -86,7 +86,8 @@ type Config struct {
 	Counting mining.CountingStrategy
 	// Parallelism bounds the mining fan-out (vertical counting workers,
 	// Eclat walk workers): 1 or negative is sequential, 0 uses
-	// GOMAXPROCS. Results are identical at any setting.
+	// GOMAXPROCS, and no pool grows past its work. Results are
+	// identical at any setting.
 	Parallelism int
 	// MinConfidence gates rule generation; rules are skipped when 0 and
 	// GenerateRules is false.

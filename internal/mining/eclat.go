@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/itemset"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Eclat mines the same frequent itemsets as Apriori with the vertical
@@ -37,10 +35,10 @@ func Eclat(db *itemset.DB, cfg Config) (*Result, error) {
 // stats report Candidates equal to Frequent; prunes from the Φ and
 // same-feature filters are totalled on the k=2 stat.
 //
-// Config.Parallelism shards the root equivalence class across a worker
+// Config.Parallelism shards the root equivalence class across a par
 // pool: each top-level subtree is independent (later siblings only ever
-// combine among themselves against read-only bitmaps), so workers pull
-// subtrees from a shared queue, mine them with private bitmap pools and
+// combine among themselves against read-only bitmaps), so workers claim
+// subtrees one at a time, mine them with private bitmap pools and
 // result buffers, and the buffers are merged and sorted afterwards —
 // the output is identical to the sequential walk at any setting.
 // Config.Counting does not apply: the walk is vertical by construction,
@@ -101,23 +99,6 @@ func EclatContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, err
 	return res, nil
 }
 
-// eclatWorkers resolves the Parallelism knob exactly like countVertical:
-// 0 means GOMAXPROCS, negative or 1 means sequential, and the pool is
-// never wider than the number of root subtrees to hand out.
-func eclatWorkers(parallelism, roots int) int {
-	w := parallelism
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > roots {
-		w = roots
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // eclatWalk runs the depth-first walk below the root class, sequentially
 // or sharded over a worker pool, and merges the outcome into res.
 func eclatWalk(ctx context.Context, tr *obs.Trace, db *itemset.DB, cfg Config, minCount int, root []eclatNode, res *Result) error {
@@ -135,61 +116,34 @@ func eclatWalk(ctx context.Context, tr *obs.Trace, db *itemset.DB, cfg Config, m
 		}
 	}
 	numTx := db.NumTransactions()
-	workers := eclatWorkers(cfg.Parallelism, len(root))
-	if workers <= 1 {
-		m := newMiner()
-		for i := range root {
-			// The root sets are the DB's shared tidsets, never pooled.
-			if err := m.mineMember(nil, root, i, false, numTx, false); err != nil {
-				return err
-			}
-		}
-		m.merge(res)
-		return nil
-	}
-
-	// Shared-queue fan-out: the unit of work is one root member's whole
-	// subtree. next is the queue head; workers steal the next unclaimed
-	// subtree as they drain, so a skewed subtree (low item IDs see the
-	// most siblings) never idles the rest of the pool. Root bitmaps are
-	// the DB's shared read-only tidsets; everything deeper is built from
-	// the worker's private pool.
-	var next atomic.Int64
+	// The unit of work is one root member's whole subtree, claimed one
+	// at a time, so a skewed subtree (low item IDs see the most
+	// siblings) never idles the rest of the pool. Root bitmaps are the
+	// DB's shared read-only tidsets, never pooled; everything deeper is
+	// built from the worker's private pool.
+	workers := par.Workers(cfg.Parallelism, len(root))
 	miners := make([]*eclatMiner, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		m := newMiner()
-		miners[w] = m
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(root) {
-					return
-				}
-				if err := m.mineMember(nil, root, i, false, numTx, false); err != nil {
-					errs[w] = err
-					return
-				}
-				m.roots++
-			}
-		}(w)
+	for w := range miners {
+		miners[w] = newMiner()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := par.For(ctx, len(root), workers, func(w, i int) {
+		// mineMember fails only with ctx.Err(), which For returns.
+		_ = miners[w].mineMember(nil, root, i, false, numTx, false)
+		miners[w].roots++
+	}); err != nil {
+		return err
 	}
-	tr.Add("eclat.workers", int64(workers))
-	for w, m := range miners {
+	for _, m := range miners {
 		m.merge(res)
-		// Per-worker fan-out balance: how many subtrees each worker
-		// claimed and how many itemsets they yielded.
-		tr.Add(obs.WorkerCounter("eclat", w, "roots"), int64(m.roots))
-		tr.Add(obs.WorkerCounter("eclat", w, "itemsets"), int64(len(m.frequent)))
+	}
+	if workers > 1 {
+		tr.Add("eclat.workers", int64(workers))
+		for w, m := range miners {
+			// Per-worker fan-out balance: how many subtrees each
+			// worker claimed and how many itemsets they yielded.
+			tr.Add(obs.WorkerCounter("eclat", w, "roots"), int64(m.roots))
+			tr.Add(obs.WorkerCounter("eclat", w, "itemsets"), int64(len(m.frequent)))
+		}
 	}
 	return nil
 }
@@ -222,7 +176,7 @@ type eclatMiner struct {
 	frequent   []FrequentItemset
 	prunedDeps int
 	prunedSame int
-	// roots counts top-level subtrees claimed from the shared queue.
+	// roots counts the top-level subtrees this miner claimed.
 	roots int
 }
 

@@ -17,12 +17,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/itemset"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Pair is an unordered pair of item names, used for the dependency set Φ.
@@ -96,8 +96,9 @@ type Config struct {
 	MaxLen int
 	// Parallelism bounds the mining fan-out: vertical support counting
 	// in the Apriori engines and the equivalence-class walk in Eclat
-	// both shard over this many workers. 1 (or negative) is sequential,
-	// 0 uses GOMAXPROCS. Results are identical at any setting.
+	// both shard over this many workers, capped at the candidates or
+	// root subtrees to hand out. 1 (or negative) is sequential, 0 uses
+	// GOMAXPROCS. Results are identical at any setting.
 	Parallelism int
 }
 
@@ -564,52 +565,30 @@ func compareItems(a, b itemset.Itemset) int {
 const cancelCheckStride = 256
 
 // countVertical computes candidate supports with a prefix-cached
-// vertical counter, fanning large candidate sets out over a worker pool
-// (candidates are independent, and each worker's contiguous chunk of the
-// sorted stream keeps its own counter's prefix cache warm). A cancelled
-// ctx makes the counters bail out early; the caller must check ctx
-// before using the (then partial) supports.
+// vertical counter, fanning large candidate sets out over a par pool:
+// candidates are independent, and the sorted stream is cut into one
+// contiguous chunk per worker so each chunk's counter keeps its prefix
+// cache warm. A cancelled ctx makes the counters bail out early; the
+// caller must check ctx before using the (then partial) supports.
 func countVertical(ctx context.Context, db *itemset.DB, candidates []itemset.Itemset, parallelism int) []int {
 	supports := make([]int, len(candidates))
-	workers := parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(parallelism, len(candidates))
 	// Below a few hundred candidates the goroutine overhead dominates.
-	if workers <= 1 || len(candidates) < 256 {
-		vc := db.NewVerticalCounter()
-		for i, c := range candidates {
-			if i%cancelCheckStride == 0 && ctx.Err() != nil {
-				return supports
-			}
-			supports[i] = vc.Support(c)
-		}
-		return supports
+	if len(candidates) < 256 {
+		workers = 1
 	}
-	var wg sync.WaitGroup
 	chunk := (len(candidates) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(candidates) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			vc := db.NewVerticalCounter()
-			for i := lo; i < hi; i++ {
-				if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
-					return
-				}
-				supports[i] = vc.Support(candidates[i])
+	// The caller checks ctx, so For's error adds nothing.
+	_ = par.For(ctx, workers, workers, func(_, c int) {
+		vc := db.NewVerticalCounter()
+		lo, hi := min(c*chunk, len(candidates)), min((c+1)*chunk, len(candidates))
+		for i := lo; i < hi; i++ {
+			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+				return
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			supports[i] = vc.Support(candidates[i])
+		}
+	})
 	return supports
 }
 

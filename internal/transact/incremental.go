@@ -18,17 +18,17 @@
 package transact
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // State is a reusable extraction context bound to one dataset and one
@@ -130,10 +130,11 @@ func NewState(d *dataset.Dataset, opts Options) (*State, error) {
 
 // NewStateContext performs a full extraction of d under opts, keeping
 // every intermediate the delta path reuses, and reports the extract.*
-// counters to any obs.Trace attached to ctx. Layer preparation and then
-// the reference rows fan out over a worker pool of Options.Parallelism
-// workers; cancellation is checked between chunks and rows. Distance
-// thresholds are validated first (qsr.DistanceThresholds.Validate).
+// counters to any obs.Trace attached to ctx. Layer preparation, the
+// per-layer index builds and then the reference rows fan out over a
+// par pool of Options.Parallelism workers; cancellation is checked
+// before each chunk, layer and row. Distance thresholds are validated
+// first (qsr.DistanceThresholds.Validate).
 func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*State, error) {
 	if d.Reference == nil {
 		return nil, fmt.Errorf("transact: dataset has no reference layer")
@@ -182,26 +183,36 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 		}
 	}
 	if s.anyFamily {
-		s.indexes = make([]index.SpatialIndex, len(d.Relevant))
-		s.slack = make([]float64, len(d.Relevant))
-		for i, layer := range d.Relevant {
-			if s.indexes[i], s.slack[i], err = buildLayerIndex(opts.Index, layer, s.layerPrep(i)); err != nil {
-				return nil, err
-			}
+		nl := len(d.Relevant)
+		s.indexes = make([]index.SpatialIndex, nl)
+		s.slack = make([]float64, nl)
+		errs := make([]error, nl)
+		if err := par.For(ctx, nl, par.Workers(opts.Parallelism, nl), func(_, i int) {
+			s.indexes[i], s.slack[i], errs[i] = buildLayerIndex(opts.Index, d.Relevant[i], s.layerPrep(i))
+		}); err != nil {
+			return nil, err
+		}
+		if err := cmp.Or(errs...); err != nil {
+			return nil, err
 		}
 	}
 
 	stride := 1 + len(d.Relevant)
 	ends := make([]int, n*stride)
 	s.rows = make([]row, n)
-	workers := workerCount(opts.Parallelism, n)
+	workers := par.Workers(opts.Parallelism, n)
 	bufs := make([][]int, workers)
 	stats := make([]extractStats, workers)
-	err = forEachRow(ctx, n, workers, func(w, j int) {
+	err = par.For(ctx, n, workers, func(w, j int) {
 		r := &s.rows[j]
 		r.ends = ends[j*stride : (j+1)*stride : (j+1)*stride]
-		r.items = s.renderRow(d, s.cuts, j, s.prepRef[j], nil, false, nil, r.ends, &bufs[w], &stats[w])
-		stats[w].items += int64(len(r.items))
+		// The workers' slots share a cache line, so the row works on
+		// local copies and writes them back once.
+		buf, st := bufs[w], extractStats{}
+		r.items = s.renderRow(d, s.cuts, j, s.prepRef[j], nil, false, nil, r.ends, &buf, &st)
+		st.items = int64(len(r.items))
+		bufs[w] = buf
+		stats[w].add(st)
 	})
 	if err != nil {
 		return nil, err
@@ -223,7 +234,7 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 }
 
 // prepareLayers prepares every relevant layer into s.prep and the
-// reference layer into s.prepRef on a pool of Options.Parallelism
+// reference layer into s.prepRef on a par pool of Options.Parallelism
 // workers. Each layer is cut into one contiguous chunk per worker, and
 // each chunk is one geom.PrepareAll, so its geometries share one arena.
 // The returned stats count the geometries prepared and their edges.
@@ -236,15 +247,15 @@ func (s *State) prepareLayers(ctx context.Context, d *dataset.Dataset) (extractS
 	out := append(slices.Clip(s.prep), s.prepRef)
 	type chunk struct{ layer, lo, hi int }
 	var chunks []chunk
-	workers := workerCount(s.opts.Parallelism, len(layers))
 	for li, l := range layers {
+		workers := par.Workers(s.opts.Parallelism, l.Len())
 		per := (l.Len() + workers - 1) / workers
 		for lo := 0; lo < l.Len(); lo += per {
 			chunks = append(chunks, chunk{li, lo, min(lo+per, l.Len())})
 		}
 	}
-	stats := make([]extractStats, workerCount(s.opts.Parallelism, len(chunks)))
-	err := forEachRow(ctx, len(chunks), len(stats), func(w, i int) {
+	stats := make([]extractStats, par.Workers(s.opts.Parallelism, len(chunks)))
+	err := par.For(ctx, len(chunks), len(stats), func(w, i int) {
 		c := chunks[i]
 		feats := layers[c.layer].Features[c.lo:c.hi]
 		gs := make([]geom.Geometry, len(feats))
@@ -271,15 +282,18 @@ func (s *State) Dataset() *dataset.Dataset { return s.d }
 // Options returns the extraction options the state was built with.
 func (s *State) Options() Options { return s.opts }
 
-// Table assembles the current transaction table. Each row's item slice
-// goes straight to dataset.NewTable, whose normalisation (sort + dedupe)
-// copies it once and makes the result independent of part boundaries.
+// Table assembles the current transaction table. Each row's items are
+// normalised (sorted, deduplicated) into a fresh slice, which makes the
+// result independent of part boundaries; rows normalise on a par pool
+// of Options.Parallelism workers.
 func (s *State) Table() *dataset.Table {
-	rows := make([]dataset.Transaction, len(s.rows))
-	for j := range rows {
-		rows[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: s.rows[j].items}
-	}
-	return dataset.NewTable(rows)
+	n := len(s.rows)
+	t := &dataset.Table{Transactions: make([]dataset.Transaction, n)}
+	// context.TODO never cancels, so For always runs every row.
+	_ = par.For(context.TODO(), n, par.Workers(s.opts.Parallelism, n), func(_, j int) {
+		t.Transactions[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: dataset.NormalizeItems(s.rows[j].items)}
+	})
+	return t
 }
 
 // Apply advances the state to the mutated successor dataset nd, whose
@@ -471,10 +485,10 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		}
 	}
 
-	workers := workerCount(s.opts.Parallelism, len(jobs))
+	workers := par.Workers(s.opts.Parallelism, len(jobs))
 	bufs := make([][]int, workers)
 	stats := make([]extractStats, workers)
-	err = forEachRow(ctx, len(jobs), workers, func(w, i int) {
+	err = par.For(ctx, len(jobs), workers, func(w, i int) {
 		j := jobs[i]
 		var old *row
 		if fullRow[j] {
@@ -717,57 +731,4 @@ func stringSet(lists ...[]string) map[string]bool {
 		}
 	}
 	return set
-}
-
-// workerCount resolves the effective worker-pool size for n jobs.
-func workerCount(parallelism, n int) int {
-	w := parallelism
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 || n < 2 {
-		w = 1
-	}
-	return w
-}
-
-// forEachRow calls fn for every i in [0, n), fanned out over a fixed
-// worker pool (fn receives the worker index for per-worker scratch).
-// Sequential when workers is 1. Cancellation stops the feeder and each
-// worker between rows; returns ctx.Err() if cancelled.
-func forEachRow(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(0, i)
-		}
-		return ctx.Err()
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					// Keep draining so the feeder never blocks; the
-					// caller discards the partial rows.
-					continue
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return ctx.Err()
 }

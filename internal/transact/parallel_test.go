@@ -2,6 +2,7 @@ package transact
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -64,5 +65,36 @@ func TestParallelExtractionWithDistance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Transactions, b.Transactions) {
 		t.Error("parallel distance extraction differs from sequential")
+	}
+}
+
+// TestParallelismCappedAtWork: a Parallelism far above the row count
+// extracts the same table without a goroutine or scratch slot per unit
+// of it; the pool never grows past the work.
+func TestParallelismCappedAtWork(t *testing.T) {
+	scene, err := datagen.GenerateScene(datagen.DefaultScene(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Distance = true
+	opts.Thresholds = qsr.DefaultThresholds(10)
+	want, err := Extract(scene, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Parallelism = 1 << 17
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Extract(scene, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Parallelism 1<<17 extracts a different table than Parallelism 0")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("Parallelism 1<<17 allocated %d bytes on a %d-row scene, want under 4 MB", alloc, scene.Reference.Len())
 	}
 }
