@@ -3,6 +3,8 @@ package dataset
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +16,7 @@ import (
 	"unicode"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 )
 
 // jsonDataset is the on-disk representation of a Dataset: geometries are
@@ -241,33 +244,57 @@ func decodeJSON(data []byte) (*Dataset, error) {
 	return jd.dataset()
 }
 
-// dataset parses the WKT of every feature into a Dataset.
+// dataset parses the WKT of every feature into a Dataset on a par pool
+// of GOMAXPROCS workers. Each layer is cut into par.Workers(0, n)
+// contiguous chunks of its n features, as State.prepareLayers cuts
+// preparation, and each chunk is one geom.ParseWKTAll, so the chunk's
+// coordinate sequences share one arena. Every layer's Features is
+// allocated once at its final length. Of the features that fail to
+// parse, the first in document order is reported: the reference layer
+// first, then the relevant layers, each in feature order.
 func (jd *jsonDataset) dataset() (*Dataset, error) {
-	ref, err := layerFromJSON(jd.Reference)
-	if err != nil {
+	jls := append([]jsonLayer{jd.Reference}, jd.Relevant...)
+	layers := make([]*Layer, len(jls))
+	type chunk struct{ layer, lo, hi int }
+	var chunks []chunk
+	for li, jl := range jls {
+		n := len(jl.Features)
+		layers[li] = NewLayer(jl.Type)
+		if n == 0 {
+			continue
+		}
+		layers[li].Features = make([]Feature, n)
+		workers := par.Workers(0, n)
+		per := (n + workers - 1) / workers
+		for lo := 0; lo < n; lo += per {
+			chunks = append(chunks, chunk{li, lo, min(lo+per, n)})
+		}
+	}
+	errs := make([]error, len(chunks))
+	// context.TODO never cancels, so For always runs every chunk.
+	_ = par.For(context.TODO(), len(chunks), par.Workers(0, len(chunks)), func(_, i int) {
+		c := chunks[i]
+		jfs, feats := jls[c.layer].Features[c.lo:c.hi], layers[c.layer].Features[c.lo:c.hi]
+		srcs := make([]string, len(jfs))
+		for k := range jfs {
+			srcs[k] = jfs[k].WKT
+		}
+		gs, err := geom.ParseWKTAll(srcs)
+		for k, g := range gs {
+			feats[k] = Feature{ID: jfs[k].ID, Geometry: g, Attrs: jfs[k].Attrs}
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("dataset: layer %q feature %q: %w", jls[c.layer].Type, jfs[len(gs)].ID, err)
+		}
+	})
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
-	d := &Dataset{Reference: ref, NonSpatialAttrs: jd.NonSpatialAttrs}
-	for _, jl := range jd.Relevant {
-		l, err := layerFromJSON(jl)
-		if err != nil {
-			return nil, err
-		}
-		d.Relevant = append(d.Relevant, l)
+	d := &Dataset{Reference: layers[0], NonSpatialAttrs: jd.NonSpatialAttrs}
+	if len(layers) > 1 {
+		d.Relevant = layers[1:]
 	}
 	return d, nil
-}
-
-func layerFromJSON(jl jsonLayer) (*Layer, error) {
-	l := NewLayer(jl.Type)
-	for _, jf := range jl.Features {
-		g, err := geom.ParseWKT(jf.WKT)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: layer %q feature %q: %w", jl.Type, jf.ID, err)
-		}
-		l.Add(Feature{ID: jf.ID, Geometry: g, Attrs: jf.Attrs})
-	}
-	return l, nil
 }
 
 // decodeCanonical decodes data in one pass when it is in canonical form:

@@ -2,12 +2,17 @@ package geom
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
 // FuzzParseWKT hardens the WKT parser: arbitrary input must never panic,
 // and successfully parsed geometries must round-trip through their own
-// WKT rendering.
+// WKT rendering. The input is also cut at each ';' into a batch, which
+// ParseWKTAll must parse exactly as ParseWKT parses each source (the
+// same geometries, and at the first bad source the same error text),
+// with no two of its geometries sharing a slice an append could reach.
 func FuzzParseWKT(f *testing.F) {
 	seeds := []string{
 		"POINT (1 2)",
@@ -24,11 +29,18 @@ func FuzzParseWKT(f *testing.F) {
 		"POLYGON ((",
 		"POINT (a b)",
 		"",
+		"POINT (1 2);LINESTRING (0 0, 1 1);POLYGON ((0 0, 1 0, 1 1, 0 0), (0.2 0.1, 0.8 0.1, 0.8 0.7))",
+		"MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5 5, 6 5, 6 6, 5 5), (5.2 5.1, 5.8 5.1, 5.8 5.7)));MULTIPOINT (1 1, 2 2);POINT (3 4)",
+		"LINESTRING (0 0, 1 1);POINT (a b);MULTILINESTRING ((0 0, 1 0), (0 1, 1 1))",
+		"MULTIPOINT ((1 1), 2 2);MULTILINESTRING ((0 0), (1 1, 2 2, 3 3));POLYGON EMPTY;POLYGON ((0 0, 0 0))",
+		"POLYGON ((0 0, 9 0, 9 9, 0 0), (1 0.5, 2 0.5, 2 1.5));MULTILINESTRING ((0 0, 1 1));MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5 5, 9 5, 9 9, 5 5), (7 6, 8 6, 8 7)));" +
+			"POLYGON ((0 0, 9 0, 9 9, 0 0), (3 1, 4 1, 4 2));MULTILINESTRING ((2 2, 3 3), (4 4, 5 5));MULTIPOLYGON (((2 2, 3 2, 3 3, 2 2)))",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		checkBatch(t, strings.Split(s, ";"))
 		g, err := ParseWKT(s)
 		if err != nil {
 			return
@@ -42,6 +54,76 @@ func FuzzParseWKT(f *testing.F) {
 			t.Fatalf("WKT not a fixed point: %q -> %q", wkt, back.WKT())
 		}
 	})
+}
+
+// checkBatch requires ParseWKTAll(srcs) to equal ParseWKT on each source
+// up to the first that fails, with that source's error, and appends to
+// every slice of every returned geometry to check that none reaches
+// another geometry's elements.
+func checkBatch(t *testing.T, srcs []string) {
+	t.Helper()
+	gs, err := ParseWKTAll(srcs)
+	want := make([]Geometry, len(gs))
+	for i, s := range srcs {
+		g, e := ParseWKT(s)
+		if i == len(gs) {
+			if err == nil || e == nil || e.Error() != err.Error() {
+				t.Fatalf("source %d of %q: ParseWKTAll error %v, ParseWKT error %v", i, srcs, err, e)
+			}
+			break
+		}
+		if e != nil {
+			t.Fatalf("source %d of %q: ParseWKTAll parsed it, ParseWKT: %v", i, srcs, e)
+		}
+		if !reflect.DeepEqual(gs[i], g) {
+			t.Fatalf("source %d of %q: ParseWKTAll %#v, ParseWKT %#v", i, srcs, gs[i], g)
+		}
+		want[i] = g
+	}
+	if err == nil && len(gs) != len(srcs) {
+		t.Fatalf("%d geometries for %d sources and no error", len(gs), len(srcs))
+	}
+	for i := range gs {
+		appendToEach(gs[i])
+		if !reflect.DeepEqual(gs, want) {
+			t.Fatalf("appending to geometry %d of %q changed the batch", i, srcs)
+		}
+	}
+}
+
+// appendSink keeps appendToEach's appends from being optimised away.
+var appendSink []any
+
+// appendToEach appends one element to every slice g holds.
+func appendToEach(g Geometry) {
+	junk := Pt(-7, -7)
+	ring := func(r Ring) { appendSink = append(appendSink, append(r.Coords, junk)) }
+	poly := func(p Polygon) {
+		ring(p.Shell)
+		for _, h := range p.Holes {
+			ring(h)
+		}
+		appendSink = append(appendSink, append(p.Holes, Ring{Coords: []Point{junk}}))
+	}
+	switch t := g.(type) {
+	case MultiPoint:
+		appendSink = append(appendSink, append(t.Points, junk))
+	case LineString:
+		appendSink = append(appendSink, append(t.Coords, junk))
+	case MultiLineString:
+		for _, l := range t.Lines {
+			appendSink = append(appendSink, append(l.Coords, junk))
+		}
+		appendSink = append(appendSink, append(t.Lines, LineString{Coords: []Point{junk}}))
+	case Polygon:
+		poly(t)
+	case MultiPolygon:
+		for _, p := range t.Polygons {
+			poly(p)
+		}
+		appendSink = append(appendSink, append(t.Polygons, Polygon{Shell: Ring{Coords: []Point{junk}}}))
+	}
+	appendSink = appendSink[:0]
 }
 
 // FuzzRelateRectangles stresses the DE-9IM machinery with arbitrary

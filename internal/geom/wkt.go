@@ -118,14 +118,61 @@ func appendCoord(dst []byte, p Point) []byte {
 // ParseWKT parses a well-known-text geometry. It accepts the subset of WKT
 // produced by this package: POINT, MULTIPOINT (with or without per-point
 // parentheses), LINESTRING, MULTILINESTRING, POLYGON, MULTIPOLYGON, and
-// the EMPTY keyword.
+// the EMPTY keyword. It is the one-source case of ParseWKTAll.
 func ParseWKT(s string) (Geometry, error) {
-	p := &wktParser{src: s}
-	g, err := p.parse()
+	gs, err := ParseWKTAll([]string{s})
 	if err != nil {
-		return nil, fmt.Errorf("geom: parsing WKT %q: %w", s, err)
+		return nil, err
 	}
-	return g, nil
+	return gs[0], nil
+}
+
+// ParseWKTAll parses every source as ParseWKT would. Beside the one
+// allocation each geometry takes, it allocates a fixed number of arrays
+// however many coordinate sequences the sources hold: a counting pass
+// sizes one backing array per table (coordinates, holes, member lines,
+// member polygons), and every sequence is a capacity-capped window of
+// its table, so an append to one geometry's slice can never overwrite
+// another's. A POINT keeps no slice. The arrays stay reachable while any
+// of the returned geometries is.
+//
+// At the first source that fails to parse, ParseWKTAll stops and returns
+// the geometries of the sources before it with that source's error, so
+// the length of the result is the index of the failing source.
+func ParseWKTAll(srcs []string) ([]Geometry, error) {
+	var z wktSizes
+	for _, s := range srcs {
+		z.add(sizeWKT(s))
+	}
+	p := wktParser{
+		points: make([]Point, 0, z.points),
+		holes:  make([]Ring, 0, z.holes),
+		lines:  make([]LineString, 0, z.lines),
+		polys:  make([]Polygon, 0, z.polys),
+	}
+	out := make([]Geometry, 0, len(srcs))
+	for _, s := range srcs {
+		p.src, p.pos = s, 0
+		g, err := p.parse()
+		if err != nil {
+			return out, fmt.Errorf("geom: parsing WKT %s: %w", quoteClipped(s), err)
+		}
+		out = append(out, g)
+	}
+	return out, nil
+}
+
+// maxQuoted is the most bytes of its input a parse error quotes.
+const maxQuoted = 64
+
+// quoteClipped quotes s for an error message as %q would. Past maxQuoted
+// bytes it quotes only the first maxQuoted and adds the length, so an
+// error never copies a large input.
+func quoteClipped(s string) string {
+	if len(s) <= maxQuoted {
+		return strconv.Quote(s)
+	}
+	return fmt.Sprintf("%q... (%d bytes)", s[:maxQuoted], len(s))
 }
 
 // MustParseWKT is ParseWKT that panics on error; for tests and static data.
@@ -137,9 +184,83 @@ func MustParseWKT(s string) Geometry {
 	return g
 }
 
+// wktSizes counts the table elements one or more sources take.
+type wktSizes struct {
+	points, holes, lines, polys int
+}
+
+func (z *wktSizes) add(o wktSizes) {
+	z.points += o.points
+	z.holes += o.holes
+	z.lines += o.lines
+	z.polys += o.polys
+}
+
+// sizeWKT counts the table elements s takes. The count is exact for the
+// WKT this package writes. Every geometry but a POINT has one coordinate
+// more than s has commas, since a comma separates each two coordinates
+// of a sequence and each two sequences, lines or polygons. A POLYGON
+// opens one parenthesis per ring besides its own, a MULTILINESTRING one
+// per line, and a MULTIPOLYGON one per polygon (those at depth two) and
+// one per ring. Other text may be miscounted, which costs the parse an
+// allocation but never changes its result. Each count is capped at what
+// valid text of s's length could hold, so text that will not parse
+// cannot reserve more: a coordinate takes at least 4 bytes ("0 0,"), a
+// ring or a line 6 ("(0 0),"), a polygon 8 ("((0 0)),").
+func sizeWKT(s string) wktSizes {
+	p := wktParser{src: s}
+	kw := p.ident()
+	if p.empty() {
+		return wktSizes{}
+	}
+	z := wktSizes{points: strings.Count(s, ",") + 1}
+	switch {
+	case strings.EqualFold(kw, "MULTIPOINT"), strings.EqualFold(kw, "LINESTRING"):
+	case strings.EqualFold(kw, "MULTILINESTRING"):
+		z.lines = strings.Count(s, "(") - 1
+	case strings.EqualFold(kw, "POLYGON"):
+		z.holes = strings.Count(s, "(") - 2
+	case strings.EqualFold(kw, "MULTIPOLYGON"):
+		z.polys = depthTwoOpens(s)
+		z.holes = strings.Count(s, "(") - 1 - 2*z.polys
+	default:
+		return wktSizes{}
+	}
+	return wktSizes{
+		points: max(0, min(z.points, len(s)/4+1)),
+		holes:  max(0, min(z.holes, len(s)/6+1)),
+		lines:  max(0, min(z.lines, len(s)/6+1)),
+		polys:  max(0, min(z.polys, len(s)/8+1)),
+	}
+}
+
+// depthTwoOpens counts the parentheses s opens at depth two.
+func depthTwoOpens(s string) int {
+	n, depth := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '(':
+			if depth++; depth == 2 {
+				n++
+			}
+		case ')':
+			depth--
+		}
+	}
+	return n
+}
+
+// wktParser parses one source at a time; ParseWKTAll points it at each
+// in turn. Coordinates, holes, lines and polygons are appended to its
+// tables, and each sequence is handed out as a capped window of them.
 type wktParser struct {
 	src string
 	pos int
+
+	points []Point
+	holes  []Ring
+	lines  []LineString
+	polys  []Polygon
 }
 
 func (p *wktParser) parse() (Geometry, error) {
@@ -149,7 +270,9 @@ func (p *wktParser) parse() (Geometry, error) {
 		if p.empty() {
 			return MultiPoint{}, nil
 		}
-		coords, err := p.coordSeq()
+		// Parsed into a one-element buffer: a POINT keeps no slice.
+		var buf [1]Point
+		coords, err := p.appendSeq(buf[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -182,13 +305,13 @@ func (p *wktParser) parse() (Geometry, error) {
 		if err := p.expect('('); err != nil {
 			return nil, err
 		}
-		var lines []LineString
+		start := len(p.lines)
 		for {
 			coords, err := p.coordSeq()
 			if err != nil {
 				return nil, err
 			}
-			lines = append(lines, LineString{Coords: coords})
+			p.lines = append(p.lines, LineString{Coords: coords})
 			if !p.accept(',') {
 				break
 			}
@@ -196,7 +319,7 @@ func (p *wktParser) parse() (Geometry, error) {
 		if err := p.expect(')'); err != nil {
 			return nil, err
 		}
-		return MultiLineString{Lines: lines}, nil
+		return MultiLineString{Lines: capped(p.lines[start:])}, nil
 	case "POLYGON":
 		if p.empty() {
 			return Polygon{}, nil
@@ -209,13 +332,13 @@ func (p *wktParser) parse() (Geometry, error) {
 		if err := p.expect('('); err != nil {
 			return nil, err
 		}
-		var polys []Polygon
+		start := len(p.polys)
 		for {
 			poly, err := p.polygonBody()
 			if err != nil {
 				return nil, err
 			}
-			polys = append(polys, poly)
+			p.polys = append(p.polys, poly)
 			if !p.accept(',') {
 				break
 			}
@@ -223,55 +346,67 @@ func (p *wktParser) parse() (Geometry, error) {
 		if err := p.expect(')'); err != nil {
 			return nil, err
 		}
-		return MultiPolygon{Polygons: polys}, nil
+		return MultiPolygon{Polygons: capped(p.polys[start:])}, nil
 	case "":
 		return nil, fmt.Errorf("empty input")
 	default:
-		return nil, fmt.Errorf("unsupported geometry keyword %q", kw)
+		return nil, fmt.Errorf("unsupported geometry keyword %s", quoteClipped(kw))
 	}
 }
 
+// polygonBody parses "(ring, ring, ...)". The shell is kept in the
+// Polygon itself and only holes take the hole table.
 func (p *wktParser) polygonBody() (Polygon, error) {
 	if err := p.expect('('); err != nil {
 		return Polygon{}, err
 	}
-	var rings []Ring
-	for {
-		coords, err := p.coordSeq()
+	shell, err := p.ring()
+	if err != nil {
+		return Polygon{}, err
+	}
+	start := len(p.holes)
+	for p.accept(',') {
+		h, err := p.ring()
 		if err != nil {
 			return Polygon{}, err
 		}
-		// Drop the explicit closing coordinate if present.
-		if len(coords) > 1 && coords[0].Equal(coords[len(coords)-1]) {
-			coords = coords[:len(coords)-1]
-		}
-		rings = append(rings, Ring{Coords: coords})
-		if !p.accept(',') {
-			break
-		}
+		p.holes = append(p.holes, h)
 	}
 	if err := p.expect(')'); err != nil {
 		return Polygon{}, err
 	}
-	poly := Polygon{Shell: rings[0]}
-	if len(rings) > 1 {
-		poly.Holes = rings[1:]
+	poly := Polygon{Shell: shell}
+	if len(p.holes) > start {
+		poly.Holes = capped(p.holes[start:])
 	}
 	return poly, nil
+}
+
+// ring parses one ring's coordinate sequence and drops its explicit
+// closing coordinate if present.
+func (p *wktParser) ring() (Ring, error) {
+	coords, err := p.coordSeq()
+	if err != nil {
+		return Ring{}, err
+	}
+	if len(coords) > 1 && coords[0].Equal(coords[len(coords)-1]) {
+		coords = coords[:len(coords)-1]
+	}
+	return Ring{Coords: coords}, nil
 }
 
 func (p *wktParser) multipointBody() ([]Point, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
-	var pts []Point
+	start := len(p.points)
 	for {
 		paren := p.accept('(')
 		pt, err := p.coord()
 		if err != nil {
 			return nil, err
 		}
-		pts = append(pts, pt)
+		p.points = append(p.points, pt)
 		if paren {
 			if err := p.expect(')'); err != nil {
 				return nil, err
@@ -284,28 +419,37 @@ func (p *wktParser) multipointBody() ([]Point, error) {
 	if err := p.expect(')'); err != nil {
 		return nil, err
 	}
-	return pts, nil
+	return capped(p.points[start:]), nil
 }
 
+// coordSeq parses "(x y, x y, ...)" into a window of the coordinate
+// table.
 func (p *wktParser) coordSeq() ([]Point, error) {
-	if err := p.expect('('); err != nil {
+	start := len(p.points)
+	var err error
+	if p.points, err = p.appendSeq(p.points); err != nil {
 		return nil, err
 	}
-	var coords []Point
+	return capped(p.points[start:]), nil
+}
+
+// appendSeq parses "(x y, x y, ...)" and appends its coordinates to dst.
+// It returns the extended dst even on error.
+func (p *wktParser) appendSeq(dst []Point) ([]Point, error) {
+	if err := p.expect('('); err != nil {
+		return dst, err
+	}
 	for {
 		pt, err := p.coord()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		coords = append(coords, pt)
+		dst = append(dst, pt)
 		if !p.accept(',') {
 			break
 		}
 	}
-	if err := p.expect(')'); err != nil {
-		return nil, err
-	}
-	return coords, nil
+	return dst, p.expect(')')
 }
 
 func (p *wktParser) coord() (Point, error) {
@@ -386,5 +530,10 @@ func (p *wktParser) number() (float64, error) {
 	if start == p.pos {
 		return 0, fmt.Errorf("expected number at offset %d", start)
 	}
-	return strconv.ParseFloat(p.src[start:p.pos], 64)
+	v, err := strconv.ParseFloat(p.src[start:p.pos], 64)
+	if ne, ok := err.(*strconv.NumError); ok && len(ne.Num) > maxQuoted {
+		// ParseFloat's own error would quote the whole token.
+		return 0, fmt.Errorf("strconv.ParseFloat: parsing %s: %w", quoteClipped(ne.Num), ne.Err)
+	}
+	return v, err
 }

@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -158,6 +160,74 @@ func TestAppendWKT(t *testing.T) {
 		}
 		if got := tc.g.WKT(); got != tc.want {
 			t.Errorf("WKT = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// TestParseWKTErrorQuoteBounded: an error quotes at most the first 64
+// bytes of a source, however long the source, its keyword or its bad
+// number, and gives the source's length; a short source is quoted whole.
+func TestParseWKTErrorQuoteBounded(t *testing.T) {
+	var long strings.Builder
+	long.WriteString("LINESTRING (0 0")
+	for long.Len() < 1<<20 {
+		long.WriteString(", 1.25 2.5")
+	}
+	long.WriteString(", 3 x)")
+	cases := []string{
+		long.String(),
+		strings.Repeat("Q", 1<<20),
+		"POINT (1 " + strings.Repeat("9", 1<<20) + "e)",
+	}
+	for _, s := range cases {
+		_, err := ParseWKT(s)
+		if err == nil {
+			t.Fatalf("ParseWKT(%.20q...) should fail", s)
+		}
+		if msg := err.Error(); len(msg) >= 256 || !strings.HasPrefix(msg, "geom: parsing WKT "+strconv.Quote(s[:64])+"...") ||
+			!strings.Contains(msg, fmt.Sprintf("(%d bytes)", len(s))) {
+			t.Errorf("error of %d bytes: %s", len(msg), msg)
+		}
+	}
+	if _, err := ParseWKT("POINT(huh)"); err == nil || err.Error() != `geom: parsing WKT "POINT(huh)": expected number at offset 6` {
+		t.Errorf("short source: %v", err)
+	}
+}
+
+// TestSizeWKTExact: on WKT this package writes, the counting pass sizes
+// every arena table exactly, so ParseWKTAll fills each and never
+// appends past one.
+func TestSizeWKTExact(t *testing.T) {
+	holed := Polygon{
+		Shell: Ring{Coords: []Point{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)}},
+		Holes: []Ring{{Coords: []Point{Pt(2, 2), Pt(4, 2), Pt(4, 4)}}, {Coords: []Point{Pt(6, 6), Pt(8, 6), Pt(8, 8)}}},
+	}
+	for _, g := range []Geometry{
+		Pt(1, 2),
+		MultiPoint{},
+		MultiPoint{Points: []Point{Pt(0, 0), Pt(3, 4), Pt(5, 6)}},
+		Line(Pt(0, 0), Pt(1, 1), Pt(2, 0.5)),
+		MultiLineString{Lines: []LineString{Line(Pt(0, 0), Pt(1, 0)), Line(Pt(0, 1), Pt(1, 1), Pt(2, 2))}},
+		Polygon{},
+		Rect(0, 0, 4, 4),
+		holed,
+		MultiPolygon{Polygons: []Polygon{Rect(0, 0, 1, 1), holed, holed}},
+	} {
+		s := g.WKT()
+		z := sizeWKT(s)
+		p := wktParser{
+			src:    s,
+			points: make([]Point, 0, z.points),
+			holes:  make([]Ring, 0, z.holes),
+			lines:  make([]LineString, 0, z.lines),
+			polys:  make([]Polygon, 0, z.polys),
+		}
+		if _, err := p.parse(); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		used := wktSizes{len(p.points), len(p.holes), len(p.lines), len(p.polys)}
+		if used != z {
+			t.Errorf("%s: counted %+v, parsed %+v", s, z, used)
 		}
 	}
 }

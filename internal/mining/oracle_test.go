@@ -1,7 +1,10 @@
 package mining
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -111,32 +114,54 @@ func TestMinersAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestKCPlusBruteForceEquivalence: KC+ (either engine) must equal the
-// brute-force frequent sets minus those containing a same-feature pair.
+// frequentLines renders freq as sorted "itemset support" lines, the
+// form two results are compared in.
+func frequentLines(freq []FrequentItemset, d *itemset.Dictionary) []string {
+	out := make([]string, len(freq))
+	for i, f := range freq {
+		out[i] = fmt.Sprintf("%s %d", f.Items.Format(d), f.Support)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestKCPlusBruteForceEquivalence: KC+ (either engine) must find exactly
+// the itemsets, with the same supports, that plain Apriori finds once
+// those holding a same-feature pair are dropped, at minimum supports
+// from 0.1 to 0.5.
 func TestKCPlusBruteForceEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	pruned := 0
 	for trial := 0; trial < 10; trial++ {
 		table := randomTable(rng, 15, 9)
 		db := itemset.NewDB(table)
-		full, err := Apriori(db, Config{MinSupport: 0.2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := FilterSameFeaturePost(full.Frequent, db.Dict)
-		for name, alg := range map[string]func(*itemset.DB, Config) (*Result, error){
-			"apriori-kc+": AprioriKCPlus,
-			"eclat-kc+": func(db *itemset.DB, cfg Config) (*Result, error) {
-				cfg.FilterSameFeature = true
-				return Eclat(db, cfg)
-			},
-		} {
-			res, err := alg(db, Config{MinSupport: 0.2})
+		for _, minsup := range []float64{0.1, 0.2, 0.3, 0.5} {
+			full, err := Apriori(db, Config{MinSupport: minsup})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Frequent) != len(want) {
-				t.Errorf("trial %d %s: %d vs %d", trial, name, len(res.Frequent), len(want))
+			kept := FilterSameFeaturePost(full.Frequent, db.Dict)
+			pruned += len(full.Frequent) - len(kept)
+			want := frequentLines(kept, db.Dict)
+			for name, alg := range map[string]func(*itemset.DB, Config) (*Result, error){
+				"apriori-kc+": AprioriKCPlus,
+				"eclat-kc+": func(db *itemset.DB, cfg Config) (*Result, error) {
+					cfg.FilterSameFeature = true
+					return Eclat(db, cfg)
+				},
+			} {
+				res, err := alg(db, Config{MinSupport: minsup})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := frequentLines(res.Frequent, db.Dict); !slices.Equal(got, want) {
+					t.Errorf("trial %d minsup %v %s:\n got %q\nwant %q", trial, minsup, name, got, want)
+				}
 			}
 		}
+	}
+	// The filter must have had same-feature itemsets to drop.
+	if pruned == 0 {
+		t.Error("no trial had a frequent itemset with a same-feature pair")
 	}
 }
