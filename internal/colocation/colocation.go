@@ -15,7 +15,7 @@
 //
 // The engine materializes the neighbor relation once per ordered type
 // pair into a flat CSR layout (one offsets array plus one ids array),
-// sharding the STR R-tree filter → prepared-geometry refine loop across
+// sharding the index.Layer filter → prepared-geometry refine loop across
 // a Config.Parallelism worker pool with a deterministic merge, then
 // walks candidate type sets level by level, extending each prevalent
 // set's row-instance table by sorted-list intersection of the CSR rows.
@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -289,14 +288,14 @@ type neighborUnitResult struct {
 }
 
 // materializeNeighbors builds the CSR neighbor graph for every ordered
-// type pair: an STR R-tree over each type's envelopes serves
-// SearchDistance as the filter stage, and prepared-geometry DistanceTo
-// refines each candidate exactly. Geometry preparation, tree builds,
-// and the filter→refine loop all shard across a par pool of
-// parallelism workers, which stops between units once ctx is done; the
-// merge walks work units in their deterministic order, so the graph is
-// identical at any worker count. Returns the graph, the filter/refine
-// pair counts, and the worker count used.
+// type pair: each type's index.Layer serves Within as the filter stage,
+// and prepared-geometry DistanceTo refines each candidate exactly.
+// Geometry preparation, layer builds, and the filter→refine loop all
+// shard across a par pool of parallelism workers, which stops between
+// units once ctx is done; the merge walks work units in their
+// deterministic order, so the graph is identical at any worker count.
+// Returns the graph, the filter/refine pair counts, and the worker
+// count used.
 func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, parallelism int) (*neighborGraph, int64, int64, int, error) {
 	n := len(types)
 	graph := &neighborGraph{n: n, pairs: make([]csrPair, n*n)}
@@ -304,17 +303,10 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 		return graph, 0, 0, 0, nil
 	}
 
-	// Phase 1: prepared geometries + one R-tree per type, type-sharded.
-	prepared := make([][]*geom.Prepared, n)
-	trees := make([]*index.RTree, n)
+	// Phase 1: one PrepareAll and one join layer per type, type-sharded.
+	layers := make([]*index.Layer, n)
 	if err := par.For(ctx, n, par.Workers(parallelism, n), func(_, i int) {
-		pg := geom.PrepareAll(types[i].geoms)
-		items := make([]index.Item, len(pg))
-		for a, p := range pg {
-			items[a] = index.Item{Env: p.Envelope(), ID: a}
-		}
-		prepared[i] = pg
-		trees[i] = index.NewRTreeBulk(items)
+		layers[i] = index.NewLayer(len(types[i].geoms), nil, geom.PrepareAll(types[i].geoms), false)
 	}); err != nil {
 		return nil, 0, 0, 0, err
 	}
@@ -345,20 +337,20 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 		out.counts = make([]int32, unit.aHi-unit.aLo)
 		// The workers' buffers share a cache line: work on a local copy.
 		buf := bufs[w]
+		prepI, prepJ := layers[i].Prepared, layers[j].Prepared
 		for a := unit.aLo; a < unit.aHi; a++ {
-			pa := prepared[i][a]
-			buf = trees[j].SearchDistance(pa.Envelope(), dist, buf[:0])
+			pa := prepI[a]
+			// Within returns ascending IDs, so each CSR row comes out
+			// sorted, as the walk's list intersections need.
+			buf = layers[j].Within(pa.Envelope(), dist, buf)
 			out.candidates += int64(len(buf))
 			start := len(out.ids)
 			for _, b := range buf {
-				if pa.DistanceTo(prepared[j][b]) > dist {
+				if pa.DistanceTo(prepJ[b]) > dist {
 					continue
 				}
 				out.ids = append(out.ids, int32(b))
 			}
-			// SearchDistance returns tree order; the walk intersects
-			// these lists, which must be sorted ascending.
-			slices.Sort(out.ids[start:])
 			out.counts[a-unit.aLo] = int32(len(out.ids) - start)
 		}
 		bufs[w] = buf

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/colocation"
 	"repro/internal/datagen"
+	"repro/internal/dataset"
+	"repro/internal/geom"
 )
 
 // TestColocationMatchesBruteForceOnGeneratedScenes is the property test
@@ -15,9 +17,12 @@ import (
 // R-tree + participation-index engine must report exactly
 // the oracle's prevalent patterns — same sets, same PI floats, same row
 // counts, same order — unrestricted, capped at MaxSize 2, and cut to
-// the top 3 by PI.
+// the top 3 by PI. Two hand-built scenes put a pair inside the Eps band
+// in which geom.Distance calls geometries 0 apart, at distances below
+// the pair's envelope gap: the neighbour filter must still let it
+// through.
 func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
-	scenes := []struct {
+	generated := []struct {
 		name string
 		cfg  datagen.ColocationSceneConfig
 	}{
@@ -37,12 +42,18 @@ func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
 			Noise:   4,
 		}},
 	}
-	for _, sc := range scenes {
+	var scenes []oracleScene
+	for _, sc := range generated {
 		ds, err := datagen.GenerateColocationScene(sc.cfg)
 		if err != nil {
 			t.Fatalf("%s: generate: %v", sc.name, err)
 		}
-		for _, dist := range []float64{0.5, 2, 8} {
+		scenes = append(scenes, oracleScene{sc.name, ds, []float64{0.5, 2, 8}})
+	}
+	scenes = append(scenes, epsBandScenes()...)
+	for _, sc := range scenes {
+		ds := sc.ds
+		for _, dist := range sc.dists {
 			for _, minPI := range []float64{0.2, 0.5} {
 				full, err := colocation.MineBruteForce(ds, colocation.Config{Distance: dist, MinPI: minPI})
 				if err != nil {
@@ -89,6 +100,30 @@ func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// oracleScene is one input of the engine-vs-oracle test: a scene and the
+// neighbourhood distances it is mined at.
+type oracleScene struct {
+	name  string
+	ds    *dataset.Dataset
+	dists []float64
+}
+
+// epsBandScenes are two pairs whose envelopes lie less than geom.Eps
+// apart, mined at Distance 0 and 5e-10: two points 0.9e-9 apart, and two
+// unit squares 5e-10 apart.
+func epsBandScenes() []oracleScene {
+	squares := func(name string, minX float64) *dataset.Layer {
+		l := dataset.NewLayer(name)
+		l.AddGeometry(geom.Rect(minX, 0, minX+1, 1))
+		return l
+	}
+	dists := []float64{0, 5e-10}
+	return []oracleScene{
+		{"eps-band points", &dataset.Dataset{Reference: pointLayer("A", 0, 0), Relevant: []*dataset.Layer{pointLayer("B", 0.9e-9, 0)}}, dists},
+		{"eps-band squares", &dataset.Dataset{Reference: squares("A", 0), Relevant: []*dataset.Layer{squares("B", 1+5e-10)}}, dists},
 	}
 }
 

@@ -1,6 +1,10 @@
 package geom
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Location classifies a point against the point-set of a geometry, in the
 // sense of the 9-intersection model: interior, boundary, or exterior.
@@ -249,7 +253,11 @@ func polygonInteriorPoint(poly Polygon) (Point, bool) {
 }
 
 // scanlineInteriorPoint intersects the horizontal line at height y with all
-// polygon rings and returns the midpoint of the widest interior span.
+// polygon rings and returns the midpoint of the widest span between
+// consecutive crossings whose midpoint is interior, the leftmost among
+// equally wide ones. Spans are visited widest first, leftmost first
+// among equals, and each visit costs one O(n) point location; on a
+// simple polygon the first span visited is nearly always the answer.
 func scanlineInteriorPoint(poly Polygon, y float64) (Point, bool) {
 	var xs []float64
 	for ri := 0; ri <= len(poly.Holes); ri++ {
@@ -263,34 +271,20 @@ func scanlineInteriorPoint(poly Polygon, y float64) (Point, bool) {
 			}
 		}
 	}
-	if len(xs) < 2 {
-		return Point{}, false
-	}
-	sortFloat64s(xs)
-	best := Point{}
-	bestWidth := 0.0
+	slices.Sort(xs)
+	spans := make([]int, 0, len(xs)/2) // span i runs from xs[i] to xs[i+1]
 	for i := 0; i+1 < len(xs); i += 2 {
-		w := xs[i+1] - xs[i]
-		if w > bestWidth {
-			mid := Point{(xs[i] + xs[i+1]) / 2, y}
-			if LocateInPolygon(mid, poly) == Interior {
-				best = mid
-				bestWidth = w
-			}
+		if xs[i+1]-xs[i] > 0 {
+			spans = append(spans, i)
 		}
 	}
-	if bestWidth > 0 {
-		return best, true
+	slices.SortFunc(spans, func(i, j int) int {
+		return cmp.Or(cmp.Compare(xs[j+1]-xs[j], xs[i+1]-xs[i]), i-j)
+	})
+	for _, i := range spans {
+		if mid := (Point{(xs[i] + xs[i+1]) / 2, y}); LocateInPolygon(mid, poly) == Interior {
+			return mid, true
+		}
 	}
 	return Point{}, false
-}
-
-// sortFloat64s is an insertion sort: scanline crossing lists are tiny, so
-// this avoids pulling in sort for a hot path.
-func sortFloat64s(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -10,8 +10,6 @@ type Linear struct {
 	items []Item
 }
 
-var _ SpatialIndex = (*Linear)(nil)
-
 // NewLinear creates a Linear scan index over the items.
 func NewLinear(items []Item) *Linear {
 	return &Linear{items: append([]Item{}, items...)}

@@ -2,9 +2,10 @@
 // envelope-keyed items: an immutable R-tree bulk-loaded with the
 // sort-tile-recursive (STR) algorithm, and Linear, the nested-loop oracle
 // it is checked against. Both answer window and distance queries behind
-// one interface. Predicate extraction and co-location mining use them to
-// enumerate candidate feature pairs before the exact test, as a GIS
-// would.
+// one interface. Layer puts one of them over a layer's geometries as one
+// side of the join: predicate extraction, its delta path and co-location
+// mining enumerate candidate feature pairs through it before the exact
+// test, as a GIS would.
 package index
 
 import (
@@ -51,8 +52,6 @@ type rtreeNode struct {
 	items    []Item       // leaf payload
 	children []*rtreeNode // internal payload
 }
-
-var _ SpatialIndex = (*RTree)(nil)
 
 // NewRTreeBulk builds an STR-packed R-tree from the given items. The
 // resulting tree is balanced and has near-minimal overlap.

@@ -1,24 +1,24 @@
 // Incremental extraction: a State is the one extraction driver. It keeps
-// everything a full extraction computes — fitted discretizers, per-layer
-// prepared geometries and spatial indexes, and each reference row's items
+// everything a full extraction computes — fitted discretizers, each
+// relevant layer's side of the spatial join (index.Layer: prepared
+// geometries and candidate filter), and each reference row's items
 // split into parts — so that a mutated successor dataset re-extracts only
 // its dirty region instead of the whole scene. ExtractContext is a State
 // build that returns the table and drops the state.
 //
 // The dirty-region math inverts the candidate filters: a changed
 // relevant feature can only affect a reference row if the row's filters
-// could let the feature's old or new envelope through. An R-tree over
-// the reference envelopes answers that reverse query with the same
-// reach the forward filters have (everything for directional/disjoint/
-// farFrom families, CloseMax between slack-grown envelopes for
-// distance, Eps for pure topology), so every row whose items can change
-// is re-extracted. Prepared geometries of untouched features — both
-// relevant-layer features and the reference geometries of partially
-// re-extracted rows — are reused, never rebuilt.
+// could let the feature's old or new envelope through. An index.Layer
+// over the reference envelopes answers that reverse query with the
+// filter the forward gather uses (everything for directional/disjoint/
+// farFrom families, Within CloseMax for distance, Touching for pure
+// topology), so every row whose items can change is re-extracted.
+// Prepared geometries of untouched features — both relevant-layer
+// features and the reference geometries of partially re-extracted rows
+// — are reused, never rebuilt.
 package transact
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"reflect"
@@ -43,21 +43,15 @@ type State struct {
 	cuts map[string]*FittedDiscretizer
 
 	anyFamily bool
-	// prep[li][j] is the prepared geometry of relevant layer li's
-	// feature j; nil when prepared geometries are disabled or no
-	// relation family is on.
-	prep [][]*geom.Prepared
-	// indexes[li] is the candidate-filter index over layer li, and
-	// slack[li] the largest Envelope.Slack of its features.
-	indexes []index.SpatialIndex
-	slack   []float64
-	// refIndex answers the reverse dirty-row query: which reference
+	// layers[li] is relevant layer li's side of the spatial join: its
+	// prepared geometries (nil when prepared geometries are disabled)
+	// and its candidate filter. nil when no relation family is on.
+	layers []*index.Layer
+	// refLayer answers the reverse dirty-row query: which reference
 	// rows can a changed envelope affect. It is built by the first
 	// Apply that needs it and dropped when the reference layer changes,
-	// so a one-shot extraction never pays for it. refSlack is the
-	// largest Envelope.Slack of the reference envelopes it holds.
-	refIndex index.SpatialIndex
-	refSlack float64
+	// so a one-shot extraction never pays for it.
+	refLayer *index.Layer
 	// prepRef[j] is row j's prepared reference geometry (nil entries
 	// when unprepared).
 	prepRef []*geom.Prepared
@@ -147,6 +141,9 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 			return nil, fmt.Errorf("transact: %w", err)
 		}
 	}
+	if opts.Index != RTreeIndex && opts.Index != NoIndex {
+		return nil, fmt.Errorf("transact: unknown index kind %d", opts.Index)
+	}
 	disc := opts.Discretizer
 	if disc == nil {
 		disc = DefaultDiscretizer()
@@ -172,11 +169,13 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	// Prepare every relevant layer and the reference layer once up
 	// front: every reference row reuses the same immutable
 	// geom.Prepared values, read-only across the worker pool, and the
-	// index build below takes their envelopes for free.
+	// join layers below take their envelopes for free.
+	prepared := s.anyFamily && !opts.NoPrepare
+	prep := make([][]*geom.Prepared, len(d.Relevant))
 	var prepStats extractStats
-	if s.anyFamily && !opts.NoPrepare {
+	if prepared {
 		sp := tr.Stage("extract.prepare")
-		prepStats, err = s.prepareLayers(ctx, d)
+		prepStats, err = s.prepareLayers(ctx, d, prep)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -184,15 +183,10 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	}
 	if s.anyFamily {
 		nl := len(d.Relevant)
-		s.indexes = make([]index.SpatialIndex, nl)
-		s.slack = make([]float64, nl)
-		errs := make([]error, nl)
+		s.layers = make([]*index.Layer, nl)
 		if err := par.For(ctx, nl, par.Workers(opts.Parallelism, nl), func(_, i int) {
-			s.indexes[i], s.slack[i], errs[i] = buildLayerIndex(opts.Index, d.Relevant[i], s.layerPrep(i))
+			s.layers[i] = index.NewLayer(d.Relevant[i].Len(), featureEnvelope(d.Relevant[i]), prep[i], opts.Index == NoIndex)
 		}); err != nil {
-			return nil, err
-		}
-		if err := cmp.Or(errs...); err != nil {
 			return nil, err
 		}
 	}
@@ -226,25 +220,24 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	tr.Add("extract.items", total.items)
 	tr.Add("extract.relates", total.relates)
 	tr.Add("extract.refine.skipped", total.skipped)
-	if s.prep != nil {
+	if prepared {
 		tr.Add("extract.prepared.builds", prepStats.preparedBuilds)
 		tr.Add("extract.prepared.edges", prepStats.preparedEdges)
 	}
 	return s, nil
 }
 
-// prepareLayers prepares every relevant layer into s.prep and the
+// prepareLayers prepares every relevant layer li into prep[li] and the
 // reference layer into s.prepRef on a par pool of Options.Parallelism
 // workers. Each layer is cut into one contiguous chunk per worker, and
 // each chunk is one geom.PrepareAll, so its geometries share one arena.
 // The returned stats count the geometries prepared and their edges.
-func (s *State) prepareLayers(ctx context.Context, d *dataset.Dataset) (extractStats, error) {
-	s.prep = make([][]*geom.Prepared, len(d.Relevant))
+func (s *State) prepareLayers(ctx context.Context, d *dataset.Dataset, prep [][]*geom.Prepared) (extractStats, error) {
 	for li, l := range d.Relevant {
-		s.prep[li] = make([]*geom.Prepared, l.Len())
+		prep[li] = make([]*geom.Prepared, l.Len())
 	}
 	layers := append(slices.Clip(d.Relevant), d.Reference)
-	out := append(slices.Clip(s.prep), s.prepRef)
+	out := append(slices.Clip(prep), s.prepRef)
 	type chunk struct{ layer, lo, hi int }
 	var chunks []chunk
 	for li, l := range layers {
@@ -384,8 +377,8 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		fullRow[j] = refChanged[id]
 	}
 
-	// Advance changed relevant layers (prepared cache + index) and mark
-	// the rows their dirty envelopes can reach.
+	// Advance changed relevant layers (prepared geometries + filter) and
+	// mark the rows their dirty envelopes can reach.
 	var preparedReused, preparedBuilt int64
 	layerDirty := make([][]bool, len(nd.Relevant))
 	allDirty := s.opts.Directional || s.opts.IncludeDisjoint || (s.opts.Distance && s.opts.IncludeFarFrom)
@@ -397,23 +390,21 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		}
 		oldLayer, newLayer, oldIdx := s.d.Relevant[li], nd.Relevant[li], oldIdxs[li]
 		changed := stringSet(ld.Updated, ld.Inserted)
-		if s.prep != nil {
-			newPrep := make([]*geom.Prepared, newLayer.Len())
+		var newPrep []*geom.Prepared
+		if oldPrep := s.layers[li].Prepared; oldPrep != nil {
+			newPrep = make([]*geom.Prepared, newLayer.Len())
 			for j := range newLayer.Features {
 				id := newLayer.Features[j].ID
 				if oi, ok := oldIdx[id]; ok && !changed[id] {
-					newPrep[j] = s.prep[li][oi]
+					newPrep[j] = oldPrep[oi]
 					preparedReused++
 				} else {
 					newPrep[j] = geom.Prepare(newLayer.Features[j].Geometry)
 					preparedBuilt++
 				}
 			}
-			s.prep[li] = newPrep
 		}
-		if s.indexes[li], s.slack[li], err = buildLayerIndex(s.opts.Index, newLayer, s.layerPrep(li)); err != nil {
-			return nil, err
-		}
+		s.layers[li] = index.NewLayer(newLayer.Len(), featureEnvelope(newLayer), newPrep, s.opts.Index == NoIndex)
 
 		dirty := make([]bool, n)
 		layerDirty[li] = dirty
@@ -423,11 +414,19 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 			}
 			continue
 		}
-		if s.refIndex == nil {
-			s.refIndex, s.refSlack = buildRefIndex(oldRef)
+		if s.refLayer == nil {
+			// Always an R-tree, whatever Options.Index says: it only
+			// finds dirty rows and never affects extraction output.
+			s.refLayer = index.NewLayer(oldRef.Len(), featureEnvelope(oldRef), nil, false)
 		}
+		// The reverse of gatherCandidates and the farFrom filter, whose
+		// take-everything families were handled above.
 		mark := func(env geom.Envelope) {
-			queryBuf = s.dirtyRowQuery(env, queryBuf[:0])
+			if s.opts.Distance {
+				queryBuf = s.refLayer.Within(env, s.opts.Thresholds.CloseMax, queryBuf)
+			} else {
+				queryBuf = s.refLayer.Touching(env, queryBuf)
+			}
 			for _, oldRow := range queryBuf {
 				if nj := oldToNew[oldRow]; nj >= 0 {
 					dirty[nj] = true
@@ -548,7 +547,7 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	s.rows = newRows
 	s.prepRef = newPrepRef
 	if !refDiff.Empty() {
-		s.refIndex = nil
+		s.refLayer = nil
 	}
 
 	tr.Add("delta.rows.total", int64(delta.RowsTotal))
@@ -597,11 +596,11 @@ func (s *State) renderRow(d *dataset.Dataset, cuts map[string]*FittedDiscretizer
 	if pref != nil {
 		refEnv = pref.Envelope()
 	}
-	for li := range d.Relevant {
+	for li, l := range s.layers {
 		if old == nil || (layerDirty[li] != nil && layerDirty[li][j]) {
-			*buf = gatherCandidates(s.indexes[li], refEnv, s.slack[li], s.opts, (*buf)[:0])
+			*buf = gatherCandidates(l, refEnv, s.opts, *buf)
 			st.candidates += int64(len(*buf))
-			items = appendSpatialItems(items, ref, pref, d.Relevant[li], s.layerPrep(li), s.layerNames(li), refEnv, *buf, s.opts, st)
+			items = appendSpatialItems(items, ref, pref, d.Relevant[li], l.Prepared, s.layerNames(li), refEnv, *buf, s.opts, st)
 		} else {
 			items = append(items, old.part(1+li)...)
 		}
@@ -613,30 +612,10 @@ func (s *State) renderRow(d *dataset.Dataset, cuts map[string]*FittedDiscretizer
 // prepareRef prepares row j's reference geometry for the refine stage;
 // nil when prepared geometries are off.
 func (s *State) prepareRef(d *dataset.Dataset, j int) *geom.Prepared {
-	if s.prep == nil {
+	if !s.anyFamily || s.opts.NoPrepare {
 		return nil
 	}
 	return geom.Prepare(d.Reference.Features[j].Geometry)
-}
-
-// dirtyRowQuery returns the predecessor reference rows whose candidate
-// filters can let through a feature with envelope env — the reverse of
-// gatherCandidates and the farFrom filter: under distance predicates,
-// env grown by its own slack plus the reference layer's largest one.
-// Callers handle the take-everything families before getting here.
-func (s *State) dirtyRowQuery(env geom.Envelope, dst []int) []int {
-	if s.opts.Distance {
-		return s.refIndex.SearchDistance(env.Buffer(env.Slack()+s.refSlack), s.opts.Thresholds.CloseMax, dst)
-	}
-	return s.refIndex.Search(env.Buffer(geom.Eps), dst)
-}
-
-// layerPrep returns the prepared slice of layer li, nil when disabled.
-func (s *State) layerPrep(li int) []*geom.Prepared {
-	if s.prep == nil {
-		return nil
-	}
-	return s.prep[li]
 }
 
 // layerNames returns the predicate table of layer li, nil at instance
@@ -648,50 +627,10 @@ func (s *State) layerNames(li int) []string {
 	return s.names[li]
 }
 
-// buildLayerIndex builds the candidate-filter index for one layer,
-// reusing prepared envelopes when available, and returns it with the
-// layer's largest envelope slack.
-func buildLayerIndex(kind IndexKind, layer *dataset.Layer, prep []*geom.Prepared) (index.SpatialIndex, float64, error) {
-	items := make([]index.Item, layer.Len())
-	for j := range layer.Features {
-		if prep != nil {
-			items[j] = index.Item{Env: prep[j].Envelope(), ID: j}
-		} else {
-			items[j] = index.Item{Env: layer.Features[j].Geometry.Envelope(), ID: j}
-		}
-	}
-	switch kind {
-	case RTreeIndex:
-		return index.NewRTreeBulk(items), maxSlack(items), nil
-	case NoIndex:
-		return index.NewLinear(items), maxSlack(items), nil
-	}
-	return nil, 0, fmt.Errorf("transact: unknown index kind %d", kind)
-}
-
-// buildRefIndex builds the reverse-query R-tree over the reference
-// envelopes and returns it with their largest slack. Always an R-tree
-// regardless of Options.Index: it only accelerates dirty-row discovery
-// and never affects extraction output.
-func buildRefIndex(ref *dataset.Layer) (index.SpatialIndex, float64) {
-	items := make([]index.Item, ref.Len())
-	for j := range ref.Features {
-		items[j] = index.Item{Env: ref.Features[j].Geometry.Envelope(), ID: j}
-	}
-	return index.NewRTreeBulk(items), maxSlack(items)
-}
-
-// maxSlack returns the largest Envelope.Slack among the items'
-// non-empty envelopes (an empty envelope is never within any distance),
-// 0 when there is none.
-func maxSlack(items []index.Item) float64 {
-	var m float64
-	for _, it := range items {
-		if !it.Env.IsEmpty() {
-			m = max(m, it.Env.Slack())
-		}
-	}
-	return m
+// featureEnvelope returns the envelope of layer l's feature j, the
+// raw-geometry envelope source of index.NewLayer.
+func featureEnvelope(l *dataset.Layer) func(j int) geom.Envelope {
+	return func(j int) geom.Envelope { return l.Features[j].Geometry.Envelope() }
 }
 
 // featureIndex maps each feature ID of a layer to its position. A
