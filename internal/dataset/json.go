@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -42,21 +43,23 @@ type jsonFeature struct {
 //
 // The bytes are exactly those json.Encoder with SetIndent("", "  ")
 // writes for jsonDataset, because their SHA-256 is the dataset's content
-// address. They are produced in one pass: keys and layout are literal,
-// plain strings are copied, and only attrs maps and strings that need
-// escaping go through encoding/json. Like the Encoder, WriteJSON makes a
-// single Write, so an attribute that cannot be encoded leaves w
-// untouched. A *bytes.Buffer is appended to in place.
+// address. They are produced in one pass by the renderer Encode and
+// EncodeSuccessor share: keys and layout are literal, plain strings are
+// copied, attrs maps of strings, finite float64s, ints, bools and nils
+// are appended as encoding/json writes them, and only other attrs values
+// and strings that need escaping go through encoding/json. Like the
+// Encoder, WriteJSON makes a single Write, so an attribute that cannot
+// be encoded leaves w untouched. A *bytes.Buffer is appended to in
+// place.
 func (d *Dataset) WriteJSON(w io.Writer) error {
-	var b []byte
+	e := encoder{}
 	if buf, ok := w.(*bytes.Buffer); ok {
-		b = buf.AvailableBuffer()
+		e.b = buf.AvailableBuffer()
 	}
-	b, err := d.appendJSON(b)
-	if err != nil {
+	if err := e.dataset(d); err != nil {
 		return err
 	}
-	_, err = w.Write(b)
+	_, err := w.Write(e.b)
 	return err
 }
 
@@ -77,92 +80,227 @@ func (d *Dataset) SaveJSON(path string) error {
 // WriteJSON writes outside an attrs map is indented by 10.
 const indentSpaces = "          "
 
-func (d *Dataset) appendJSON(b []byte) ([]byte, error) {
-	b = append(b, "{\n  \"reference\": "...)
-	b, err := appendLayerJSON(b, d.Reference, 2)
-	if err != nil {
-		return nil, err
+// encoder is the one renderer of the canonical scene form WriteJSON
+// describes. With offs non-nil it records where every feature's
+// fragment lies (see Encoding). With src set, which needs offs, it
+// copies src's fragments instead of rendering features, as from
+// directs: from[li][i] is the fragment of src's layer li that feature i
+// of layer li copies, or -1 to render the feature, and a nil from[li]
+// copies src's layer li whole.
+type encoder struct {
+	b    []byte
+	offs [][]int
+	src  *Encoding
+	from [][]int
+	keys []string // scratch for sorting an attrs map's keys
+}
+
+func (e *encoder) dataset(d *Dataset) error {
+	e.b = append(e.b, "{\n  \"reference\": "...)
+	if err := e.layer(0, d.Reference, 2); err != nil {
+		return err
 	}
-	b = append(b, ",\n  \"relevant\": "...)
+	e.b = append(e.b, ",\n  \"relevant\": "...)
 	if len(d.Relevant) == 0 {
-		b = append(b, "null"...)
+		e.b = append(e.b, "null"...)
 	} else {
-		b = append(b, '[')
+		e.b = append(e.b, '[')
 		for i, l := range d.Relevant {
 			if i > 0 {
-				b = append(b, ',')
+				e.b = append(e.b, ',')
 			}
-			b = append(b, "\n    "...)
-			if b, err = appendLayerJSON(b, l, 4); err != nil {
-				return nil, err
+			e.b = append(e.b, "\n    "...)
+			if err := e.layer(1+i, l, 4); err != nil {
+				return err
 			}
 		}
-		b = append(b, "\n  ]"...)
+		e.b = append(e.b, "\n  ]"...)
 	}
 	if len(d.NonSpatialAttrs) > 0 {
-		b = append(b, ",\n  \"nonSpatialAttrs\": ["...)
+		e.b = append(e.b, ",\n  \"nonSpatialAttrs\": ["...)
 		for i, a := range d.NonSpatialAttrs {
 			if i > 0 {
-				b = append(b, ',')
+				e.b = append(e.b, ',')
 			}
-			b = appendJSONString(append(b, "\n    "...), a)
+			e.b = appendJSONString(append(e.b, "\n    "...), a)
 		}
-		b = append(b, "\n  ]"...)
+		e.b = append(e.b, "\n  ]"...)
 	}
-	return append(b, "\n}\n"...), nil
+	e.b = append(e.b, "\n}\n"...)
+	return nil
 }
 
-// appendLayerJSON appends l as an object whose closing brace is
-// indented by ind.
-func appendLayerJSON(b []byte, l *Layer, ind int) ([]byte, error) {
+// layer renders l, layer li of the dataset, as an object whose closing
+// brace is indented by ind.
+func (e *encoder) layer(li int, l *Layer, ind int) error {
 	in := indentSpaces[:ind+2]
-	b = append(append(append(b, "{\n"...), in...), "\"type\": "...)
-	b = appendJSONString(b, l.Type)
-	b = append(append(append(b, ",\n"...), in...), "\"features\": "...)
-	if len(l.Features) == 0 {
-		b = append(b, "null"...)
+	e.b = append(append(append(e.b, "{\n"...), in...), "\"type\": "...)
+	e.b = appendJSONString(e.b, l.Type)
+	e.b = append(append(append(e.b, ",\n"...), in...), "\"features\": "...)
+	n := len(l.Features)
+	var off []int
+	if e.offs != nil {
+		off = make([]int, n+1)
+		e.offs = append(e.offs, off)
+	}
+	if n == 0 {
+		e.b = append(e.b, "null"...)
 	} else {
-		b = append(b, '[')
-		var err error
-		for i := range l.Features {
+		e.b = append(e.b, '[')
+		for i := 0; i < n; {
 			if i > 0 {
-				b = append(b, ',')
+				e.b = append(e.b, ',')
 			}
-			if b, err = appendFeatureJSON(b, &l.Features[i], ind+4); err != nil {
-				return nil, err
+			if k := e.copyRun(li, i, n, off); k > 0 {
+				i += k
+				continue
 			}
+			if off != nil {
+				off[i] = len(e.b)
+			}
+			if err := e.feature(&l.Features[i], ind+4); err != nil {
+				return err
+			}
+			i++
 		}
-		b = append(append(append(b, '\n'), in...), ']')
+		if off != nil {
+			off[n] = len(e.b) + 1
+		}
+		e.b = append(append(append(e.b, '\n'), in...), ']')
 	}
-	return append(append(append(b, '\n'), indentSpaces[:ind]...), '}'), nil
+	e.b = append(append(append(e.b, '\n'), indentSpaces[:ind]...), '}')
+	return nil
 }
 
-// appendFeatureJSON appends f as an array element whose braces are
-// indented by ind.
-func appendFeatureJSON(b []byte, f *Feature, ind int) ([]byte, error) {
+// copyRun copies, when src is set, the longest run of src fragments
+// that features i, i+1, ... of layer li (of n features) take back to
+// back, their ',' separators included, records where each lands in off,
+// and returns the run's length; 0 means feature i is rendered.
+func (e *encoder) copyRun(li, i, n int, off []int) int {
+	if e.src == nil {
+		return 0
+	}
+	p, k := i, n-i // a nil from copies the whole layer
+	if from := e.from[li]; from != nil {
+		if p = from[i]; p < 0 {
+			return 0
+		}
+		k = 1
+		for i+k < n && from[i+k] == p+k {
+			k++
+		}
+	}
+	po := e.src.offs[li]
+	shift := len(e.b) - po[p]
+	e.b = append(e.b, e.src.Bytes[po[p]:po[p+k]-1]...)
+	for j := 0; j < k; j++ {
+		off[i+j] = po[p+j] + shift
+	}
+	return k
+}
+
+// feature appends f as an array element whose braces are indented by
+// ind.
+func (e *encoder) feature(f *Feature, ind int) error {
 	in := indentSpaces[:ind+2]
-	b = append(append(b, '\n'), indentSpaces[:ind]...)
+	b := append(append(e.b, '\n'), indentSpaces[:ind]...)
 	b = append(append(append(b, "{\n"...), in...), "\"id\": "...)
 	b = appendJSONString(b, f.ID)
 	b = append(append(append(b, ",\n"...), in...), "\"wkt\": "...)
 	b = appendWKTString(b, f.Geometry)
 	if len(f.Attrs) > 0 {
-		attrs, err := json.MarshalIndent(f.Attrs, in, "  ")
-		if err != nil {
-			return nil, err
+		b = append(append(append(b, ",\n"...), in...), "\"attrs\": "...)
+		var err error
+		if b, err = e.attrs(b, f.Attrs, in); err != nil {
+			return err
 		}
-		b = append(append(append(append(b, ",\n"...), in...), "\"attrs\": "...), attrs...)
 	}
-	return append(append(append(b, '\n'), indentSpaces[:ind]...), '}'), nil
+	e.b = append(append(append(b, '\n'), indentSpaces[:ind]...), '}')
+	return nil
+}
+
+// attrs appends a non-empty attrs map as json.MarshalIndent(attrs, in,
+// "  ") writes it: keys sorted and HTML-escaped, one member a line.
+// Strings, finite float64s, ints, bools and nils are appended directly;
+// a map holding any other value, NaN or an infinity goes through
+// MarshalIndent whole, which also gives its error.
+func (e *encoder) attrs(b []byte, attrs map[string]Value, in string) ([]byte, error) {
+	keys := e.keys[:0]
+	for k, v := range attrs {
+		if !scalarAttr(v) {
+			m, err := json.MarshalIndent(attrs, in, "  ")
+			return append(b, m...), err
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.keys = keys
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(append(append(append(b, '\n'), in...), "  "...), k)
+		b = appendScalarAttr(append(b, ": "...), attrs[k])
+	}
+	return append(append(append(b, '\n'), in...), '}'), nil
+}
+
+// scalarAttr reports whether appendScalarAttr writes v.
+func scalarAttr(v Value) bool {
+	switch v := v.(type) {
+	case string, int, bool, nil:
+		return true
+	case float64:
+		return !math.IsNaN(v) && !math.IsInf(v, 0)
+	}
+	return false
+}
+
+// appendScalarAttr appends a value scalarAttr accepts as encoding/json
+// writes it.
+func appendScalarAttr(b []byte, v Value) []byte {
+	switch v := v.(type) {
+	case string:
+		return appendJSONString(b, v)
+	case int:
+		return strconv.AppendInt(b, int64(v), 10)
+	case bool:
+		return strconv.AppendBool(b, v)
+	case float64:
+		return appendJSONFloat(b, v)
+	}
+	return append(b, "null"...)
+}
+
+// appendJSONFloat appends a finite f as encoding/json does: shortest
+// form, in exponent notation below 1e-6 or from 1e21 on, with a
+// one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // appendWKTString appends g's WKT as a JSON string, "" for a nil
-// geometry. The text is rendered in place and re-quoted only when a
-// geometry from outside package geom returns text that needs escaping.
+// geometry. The text is rendered in place. geom's own types write only
+// ASCII letters, digits, spaces and ( ) , . + -, which JSON never
+// escapes; the text of a geometry from outside package geom is scanned
+// and re-quoted when it needs escaping.
 func appendWKTString(b []byte, g geom.Geometry) []byte {
 	b = append(b, '"')
-	if g == nil {
+	switch g.(type) {
+	case nil:
 		return append(b, '"')
+	case geom.Point, geom.MultiPoint, geom.LineString, geom.MultiLineString, geom.Polygon, geom.MultiPolygon:
+		return append(geom.AppendWKT(b, g), '"')
 	}
 	start := len(b)
 	if b = geom.AppendWKT(b, g); plainJSON(b[start:]) {

@@ -135,10 +135,14 @@ func (cs *ChangeSet) Count() int {
 // by convention) with the original. Updates replace features in place
 // (row order is preserved), deletes remove them (later rows shift up),
 // and inserts append. The ops are validated up front — an unknown layer
-// or ID, a duplicate insert, or invalid WKT fails the whole batch.
+// or ID, a duplicate insert, or invalid WKT fails the whole batch, and so
+// does an op naming a layer type that more than one layer of d has.
 //
 // A feature deleted and re-inserted in one batch moves to the end of its
-// layer and is reported as deleted + inserted, not updated.
+// layer and is reported as deleted + inserted, not updated. An op that
+// names an ID the layer repeats addresses the first of those features
+// still present. The batch takes time linear in the touched layers'
+// sizes plus the ops.
 func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 	if d.Reference == nil {
 		return nil, nil, fmt.Errorf("dataset: mutate: no reference layer")
@@ -153,37 +157,39 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 		Relevant:        append([]*Layer{}, d.Relevant...),
 		NonSpatialAttrs: d.NonSpatialAttrs,
 	}
-	copied := make(map[string]*Layer) // layer type -> mutable copy
-	layerOf := func(name string) (*Layer, error) {
-		if l, ok := copied[name]; ok {
-			return l, nil
+	edits := make(map[string]*layerEdit) // layer type -> its mutable copy
+	editOf := func(name string) (*layerEdit, error) {
+		if le, ok := edits[name]; ok {
+			return le, nil
 		}
-		var src *Layer
+		slot, count := -1, 0 // slot: index into Relevant, -1 for the reference layer
 		if d.Reference.Type == name {
-			src = d.Reference
-		} else {
-			for _, l := range d.Relevant {
-				if l.Type == name {
-					src = l
-					break
+			count++
+		}
+		for i, l := range d.Relevant {
+			if l.Type == name {
+				if count == 0 {
+					slot = i
 				}
+				count++
 			}
 		}
-		if src == nil {
+		switch {
+		case count == 0:
 			return nil, fmt.Errorf("dataset: mutate: unknown layer %q", name)
+		case count > 1:
+			return nil, fmt.Errorf("dataset: mutate: layer type %q names %d layers", name, count)
 		}
-		cp := &Layer{Type: src.Type, Features: append([]Feature{}, src.Features...)}
-		copied[name] = cp
-		if src == d.Reference {
-			nd.Reference = cp
+		var le *layerEdit
+		if slot < 0 {
+			le = newLayerEdit(d.Reference)
+			nd.Reference = le.l
 		} else {
-			for i, l := range nd.Relevant {
-				if l.Type == name {
-					nd.Relevant[i] = cp
-				}
-			}
+			le = newLayerEdit(d.Relevant[slot])
+			nd.Relevant[slot] = le.l
 		}
-		return cp, nil
+		edits[name] = le
+		return le, nil
 	}
 
 	// Track the net effect per (layer, id): features present before the
@@ -210,23 +216,17 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 	}
 
 	for i, op := range ops {
-		l, err := layerOf(op.Layer)
+		le, err := editOf(op.Layer)
 		if err != nil {
 			return nil, nil, fmt.Errorf("op %d: %w", i, err)
 		}
 		if op.ID == "" {
 			return nil, nil, fmt.Errorf("dataset: mutate: op %d: empty feature ID", i)
 		}
-		at := -1
-		for j := range l.Features {
-			if l.Features[j].ID == op.ID {
-				at = j
-				break
-			}
-		}
+		at, found := le.at[op.ID]
 		switch op.Action {
 		case OpInsert:
-			if at >= 0 {
+			if found {
 				return nil, nil, fmt.Errorf("dataset: mutate: op %d: insert: feature %q already exists in layer %q", i, op.ID, op.Layer)
 			}
 			if op.WKT == "" {
@@ -239,14 +239,14 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 			if err := geom.Validate(g); err != nil {
 				return nil, nil, fmt.Errorf("dataset: mutate: op %d: %w", i, err)
 			}
-			l.Features = append(l.Features, Feature{ID: op.ID, Geometry: g, Attrs: copyAttrs(op.Attrs)})
+			le.insert(Feature{ID: op.ID, Geometry: g, Attrs: copyAttrs(op.Attrs)})
 			st := stateOf(op.Layer, op.ID, false)
 			st.inserted, st.deleted = true, false
 		case OpUpdate:
-			if at < 0 {
+			if !found {
 				return nil, nil, fmt.Errorf("dataset: mutate: op %d: update: no feature %q in layer %q", i, op.ID, op.Layer)
 			}
-			f := l.Features[at] // value copy; the original layer keeps its own
+			f := le.l.Features[at] // value copy; the original layer keeps its own
 			if op.WKT != "" {
 				g, err := geom.ParseWKT(op.WKT)
 				if err != nil {
@@ -263,16 +263,16 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 			if op.WKT == "" && op.Attrs == nil {
 				return nil, nil, fmt.Errorf("dataset: mutate: op %d: update changes neither wkt nor attrs", i)
 			}
-			l.Features[at] = f
+			le.l.Features[at] = f
 			st := stateOf(op.Layer, op.ID, true)
 			if !st.inserted {
 				st.updated = true
 			}
 		case OpDelete:
-			if at < 0 {
+			if !found {
 				return nil, nil, fmt.Errorf("dataset: mutate: op %d: delete: no feature %q in layer %q", i, op.ID, op.Layer)
 			}
-			l.Features = append(l.Features[:at], l.Features[at+1:]...)
+			le.delete(op.ID, at)
 			st := stateOf(op.Layer, op.ID, true)
 			if st.inserted && !st.existedBefore {
 				// Inserted then deleted within the batch: net no-op.
@@ -283,6 +283,9 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 		default:
 			return nil, nil, fmt.Errorf("dataset: mutate: op %d: unknown action %q (want insert, update, or delete)", i, op.Action)
 		}
+	}
+	for _, le := range edits {
+		le.compact()
 	}
 
 	cs := &ChangeSet{ByLayer: make(map[string]*LayerDiff)}
@@ -314,6 +317,74 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 		return nil, nil, fmt.Errorf("dataset: mutate: batch deletes every reference feature")
 	}
 	return nd, cs, nil
+}
+
+// layerEdit is ApplyOps' mutable copy of one layer. A delete only marks
+// its feature dead, and compact drops the dead in one pass at the end,
+// so no op shifts the layer.
+type layerEdit struct {
+	l *Layer
+	// at maps an ID to the position of the first live feature with it.
+	at map[string]int
+	// later lists, for an ID the layer repeats, the positions of its
+	// other features in order; a delete hands at the next one.
+	later map[string][]int
+	dead  []bool
+	ndead int
+}
+
+func newLayerEdit(src *Layer) *layerEdit {
+	le := &layerEdit{
+		l:    &Layer{Type: src.Type, Features: append([]Feature{}, src.Features...)},
+		at:   make(map[string]int, len(src.Features)),
+		dead: make([]bool, len(src.Features)),
+	}
+	for i := range src.Features {
+		id := src.Features[i].ID
+		if _, ok := le.at[id]; !ok {
+			le.at[id] = i
+		} else {
+			if le.later == nil {
+				le.later = make(map[string][]int)
+			}
+			le.later[id] = append(le.later[id], i)
+		}
+	}
+	return le
+}
+
+// insert appends f, whose ID has no live feature.
+func (le *layerEdit) insert(f Feature) {
+	le.at[f.ID] = len(le.l.Features)
+	le.l.Features = append(le.l.Features, f)
+	le.dead = append(le.dead, false)
+}
+
+// delete kills the feature at position at, the first live one with id.
+func (le *layerEdit) delete(id string, at int) {
+	le.dead[at] = true
+	le.ndead++
+	if rest := le.later[id]; len(rest) > 0 {
+		le.at[id], le.later[id] = rest[0], rest[1:]
+	} else {
+		delete(le.at, id)
+	}
+}
+
+// compact drops the dead features, keeping the order of the rest.
+func (le *layerEdit) compact() {
+	if le.ndead == 0 {
+		return
+	}
+	fs := le.l.Features
+	live := fs[:0]
+	for i, f := range fs {
+		if !le.dead[i] {
+			live = append(live, f)
+		}
+	}
+	clear(fs[len(live):]) // release the dead features' geometries
+	le.l.Features = live
 }
 
 // copyAttrs clones an attribute map so the successor never aliases the

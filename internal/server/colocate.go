@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/api"
@@ -95,6 +96,11 @@ func (s *Server) decodeColocateRequest(w http.ResponseWriter, r *http.Request) (
 	var req api.ColocateRequest
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "decoding request: %v", err)
+		return MineRequest{}, false
+	}
+	// Strict like colocation.ParseConfig: one document, nothing after it.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "decoding request: trailing data after the request document")
 		return MineRequest{}, false
 	}
 	if req.Dataset == "" {

@@ -18,9 +18,10 @@ import (
 // DeltaManager tracks everything the delta pipeline can reuse across
 // requests: dataset lineage (which digest was PATCHed into which, and
 // the structured change set between them), incremental extraction
-// states, and the (database, result) pairs behind cached mining
-// responses. All three are small LRU side caches — losing an entry
-// only costs a recompute, never correctness. Safe for concurrent use.
+// states, the (database, result) pairs behind cached mining responses,
+// and the canonical encodings of PATCH successors. All four are small
+// LRU side caches — losing an entry only costs a recompute, never
+// correctness. Safe for concurrent use.
 type DeltaManager struct {
 	mu sync.Mutex
 	// lineage maps a successor digest to its parent and change set.
@@ -33,7 +34,20 @@ type DeltaManager struct {
 	// response, keyed by the full result-cache key. Claimed exclusively
 	// for the same reason.
 	mines *lru[string, *mineEntry]
+	// encodings holds PATCH successors' canonical bytes with their
+	// feature spans, keyed by digest, so that a PATCH of a successor
+	// renders only the features it changes. A successor's encoding
+	// replaces its parent's, so a PATCH chain holds one, its tip's.
+	encodings *lru[string, *dataset.Encoding]
 }
+
+// The retained encodings' caps: a successor's bytes are at most
+// Options.MaxUploadBytes (32 MiB by default), and an encoding larger
+// than the byte cap is not retained at all.
+const (
+	maxEncodings     = 16
+	maxEncodingBytes = 64 << 20
+)
 
 type lineageRecord struct {
 	parent string
@@ -49,9 +63,10 @@ type mineEntry struct {
 
 func newDeltaManager() *DeltaManager {
 	return &DeltaManager{
-		lineage: newLRU[string, *lineageRecord](64, 0),
-		states:  newLRU[string, *transact.State](8, 0),
-		mines:   newLRU[string, *mineEntry](16, 0),
+		lineage:   newLRU[string, *lineageRecord](64, 0),
+		states:    newLRU[string, *transact.State](8, 0),
+		mines:     newLRU[string, *mineEntry](16, 0),
+		encodings: newLRU[string, *dataset.Encoding](maxEncodings, maxEncodingBytes),
 	}
 }
 
@@ -117,13 +132,34 @@ func (m *DeltaManager) putMine(key string, me *mineEntry) {
 	m.mu.Unlock()
 }
 
+// encoding returns the retained encoding of digest (nil on miss).
+func (m *DeltaManager) encoding(digest string) *dataset.Encoding {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	enc, _ := m.encodings.get(digest)
+	return enc
+}
+
+// putEncoding retains enc as the encoding of child, the successor of
+// parent, in place of parent's: another PATCH of parent renders in full.
+// An encoding larger than the byte cap on its own is not retained.
+func (m *DeltaManager) putEncoding(parent, child string, enc *dataset.Encoding) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.encodings.remove(parent)
+	if size := int64(cap(enc.Bytes)); size <= maxEncodingBytes {
+		m.encodings.put(child, enc, size)
+	}
+}
+
 // forget drops everything keyed to digest: lineage records where it is
-// child or parent, and its extraction states and mine entries (their
-// keys are digest-prefixed, mirroring the result cache).
+// child or parent, its encoding, and its extraction states and mine
+// entries (their keys are digest-prefixed, mirroring the result cache).
 func (m *DeltaManager) forget(digest string) {
 	prefix := digest + "|"
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.encodings.remove(digest)
 	for _, k := range m.lineage.keys() {
 		if rec, ok := m.lineage.get(k); ok && (k == digest || rec.parent == digest) {
 			m.lineage.remove(k)

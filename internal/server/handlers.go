@@ -196,23 +196,37 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(sd.Bytes) + len(body)) // the successor is about the parent plus the ops
-	if err := nd.WriteJSON(&buf); err != nil {
+	// A PATCH successor's retained encoding lets its own successor copy
+	// every untouched feature's bytes. An upload has none, because its
+	// body need not be in canonical form: its first PATCH renders in full.
+	var enc *dataset.Encoding
+	spliced := false
+	if penc := s.deltas.encoding(digest); penc != nil {
+		enc, spliced, err = dataset.EncodeSuccessor(penc, sd.Scene, nd, cs)
+	} else {
+		enc, err = nd.Encode(int(sd.Bytes) + len(body)) // the successor is about the parent plus the ops
+	}
+	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "serialising successor: %v", err)
 		return
 	}
-	if int64(buf.Len()) > s.opts.MaxUploadBytes {
+	if int64(len(enc.Bytes)) > s.opts.MaxUploadBytes {
 		writeError(w, r, http.StatusRequestEntityTooLarge, api.CodeTooLarge, "successor exceeds %d bytes", s.opts.MaxUploadBytes)
 		return
 	}
-	child, err := s.store.PutScene(buf.Bytes(), nd)
+	child, err := s.store.PutScene(enc.Bytes, nd)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
+	s.deltas.putEncoding(digest, child.Digest, enc)
 	s.deltas.recordLineage(child.Digest, digest, cs)
 	s.trace.Add("server.datasets.patches", 1)
+	if spliced {
+		s.trace.Add("server.datasets.successors_spliced", 1)
+	} else {
+		s.trace.Add("server.datasets.successors_rendered", 1)
+	}
 	writeJSON(w, http.StatusCreated, api.PatchResponse{
 		Parent:  digest,
 		Dataset: infoOf(child),

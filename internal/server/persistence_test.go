@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/server/persist"
 )
 
@@ -41,6 +42,7 @@ func TestStoreEvictionInvalidatesDerivedState(t *testing.T) {
 	// Seed delta-pipeline state derived from A.
 	s.deltas.recordLineage(a.Digest, "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", nil)
 	s.deltas.putState(a.Digest+"|opts", nil)
+	s.deltas.putEncoding("", a.Digest, &dataset.Encoding{})
 	key, err := CacheKey(a.Digest, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +64,9 @@ func TestStoreEvictionInvalidatesDerivedState(t *testing.T) {
 	}
 	if _, _, ok := s.deltas.parentOf(a.Digest); ok {
 		t.Error("evicted dataset's lineage record survived")
+	}
+	if s.deltas.encoding(a.Digest) != nil {
+		t.Error("evicted dataset's retained encoding survived")
 	}
 	var m ServerMetrics
 	if status, raw := doJSON(t, client, "GET", ts.URL+"/v1/metrics", nil, &m); status != http.StatusOK {

@@ -34,6 +34,7 @@ package server
 import (
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -187,10 +188,12 @@ func (s *Server) runJob(ctx context.Context, req MineRequest) (*MineResponse, er
 	return s.mine(ctx, req)
 }
 
-// timeout resolves a request's mining deadline.
+// timeout resolves a request's mining deadline. A timeoutMillis past
+// what a time.Duration holds means the longest one, not a wrapped
+// negative deadline that has already passed.
 func (s *Server) timeout(req MineRequest) time.Duration {
 	if req.TimeoutMillis > 0 {
-		return time.Duration(req.TimeoutMillis) * time.Millisecond
+		return time.Duration(min(req.TimeoutMillis, int64(math.MaxInt64/time.Millisecond))) * time.Millisecond
 	}
 	return s.opts.DefaultTimeout
 }
