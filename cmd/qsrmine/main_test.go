@@ -345,10 +345,14 @@ func TestRunMutateFlagErrors(t *testing.T) {
 	if err := run([]string{"-sample", "-mutate", good}, io.Discard, io.Discard); err == nil {
 		t.Error("deleting unknown feature should fail")
 	}
-	// Unknown fields and empty batches are rejected by the loader.
+	// Unknown fields, empty batches and anything after the document are
+	// rejected by the loader, even when the ops themselves would apply.
+	insert := `{"ops":[{"action":"insert","layer":"slum","id":"slumX","wkt":"POLYGON ((1 1, 3 1, 3 3, 1 3, 1 1))"}]}`
 	for name, body := range map[string]string{
-		"typo.json":  `{"opps":[]}`,
-		"empty.json": `{"ops":[]}`,
+		"typo.json":            `{"opps":[]}`,
+		"empty.json":           `{"ops":[]}`,
+		"trailing.json":        insert + " trailing",
+		"second-document.json": insert + insert,
 	} {
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {

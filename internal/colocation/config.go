@@ -1,26 +1,20 @@
 package colocation
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
+
+	"repro/internal/dataset"
 )
 
 // ParseConfig decodes and validates a co-location configuration from
-// its JSON wire form. Decoding is strict — unknown fields and trailing
-// data are errors — so the CLI, the /v1/colocate handler, and the fuzz
-// target all accept exactly the same documents.
+// its JSON wire form. Decoding is strict (dataset.DecodeStrict) —
+// unknown fields and trailing data are errors — so the CLI, the
+// /v1/colocate handler, and the fuzz target all accept exactly the
+// same documents.
 func ParseConfig(data []byte) (Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
+	if err := dataset.DecodeStrict(data, &cfg); err != nil {
 		return Config{}, fmt.Errorf("colocation: decoding config: %w", err)
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return Config{}, fmt.Errorf("colocation: trailing data after config document")
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err

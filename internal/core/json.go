@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/dataset"
 	"repro/internal/mining"
 	"repro/internal/qsr"
 	"repro/internal/transact"
@@ -101,10 +101,8 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // a network-facing contract, and a typoed "algoritm" must not silently
 // mine with the zero-value default.
 func (c *Config) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var jc jsonConfig
-	if err := dec.Decode(&jc); err != nil {
+	if err := dataset.DecodeStrict(data, &jc); err != nil {
 		return fmt.Errorf("core: decoding config: %w", err)
 	}
 	out := Config{

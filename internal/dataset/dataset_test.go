@@ -248,6 +248,29 @@ func TestReadJSONErrors(t *testing.T) {
 		`{"reference": {"type": "d", "features": [{"id": "x", "wkt": "JUNK"}]}}`)); err == nil {
 		t.Error("bad WKT should fail")
 	}
+	// A scene is one document: bytes after it, or a second document, fail
+	// on the canonical path and the encoding/json fallback alike; white
+	// space after it does not.
+	var buf bytes.Buffer
+	if err := PortoAlegreScene().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	canonical, fallback := buf.String(), canonicalFallbacks["unknown key"]
+	for name, in := range map[string]string{
+		"canonical + garbage":         canonical + " trailing",
+		"canonical + second document": canonical + canonical,
+		"fallback + garbage":          fallback + " trailing",
+		"fallback + second document":  fallback + "{}",
+	} {
+		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("%s should fail", name)
+		}
+	}
+	for _, in := range []string{canonical + " \n\t\r\n", fallback + "\n "} {
+		if _, err := ReadJSON(strings.NewReader(in)); err != nil {
+			t.Errorf("white space after the document: %v", err)
+		}
+	}
 }
 
 func TestDecodeCanonicalTakesWriteJSONOutput(t *testing.T) {

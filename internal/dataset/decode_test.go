@@ -227,3 +227,28 @@ func TestReadJSONAllocsIndependentOfSequences(t *testing.T) {
 		t.Errorf("decode allocations: %v with one sequence per part, %v with four", one, four)
 	}
 }
+
+// TestDecodeStrict pins the one strict-decode rule: exactly one
+// document, whitespace around it, no unknown field.
+func TestDecodeStrict(t *testing.T) {
+	type doc struct {
+		A int `json:"a"`
+	}
+	var d doc
+	if err := dataset.DecodeStrict([]byte(" {\"a\":1}\n\t"), &d); err != nil || d.A != 1 {
+		t.Fatalf("DecodeStrict = %v, %+v", err, d)
+	}
+	for _, bad := range []string{
+		`{"a":1} trailing`,
+		`{"a":1}{"a":2}`,
+		`{"a":1} 2`,
+		`{"a":1,"b":2}`,
+		`{"a":1`,
+		`{"a":"x"}`,
+		``,
+	} {
+		if err := dataset.DecodeStrict([]byte(bad), &doc{}); err == nil {
+			t.Errorf("DecodeStrict(%q) accepted", bad)
+		}
+	}
+}

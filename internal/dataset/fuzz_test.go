@@ -41,11 +41,12 @@ var canonicalFallbacks = map[string]string{
 }
 
 // FuzzReadJSON checks the one-pass decoder against encoding/json:
-// whatever decodeCanonical accepts, encoding/json must decode to the
+// whatever decodeCanonical accepts, json.Unmarshal must decode to the
 // same value, and ReadJSON as a whole must accept exactly the documents
-// an encoding/json decode followed by WKT parsing accepts, with the same
-// result. Accepted documents must also survive Validate and reach a
-// fixed point after one write/re-read round trip.
+// json.Unmarshal followed by WKT parsing accepts, with the same result;
+// like ReadJSON, json.Unmarshal rejects anything after the document.
+// Accepted documents must also survive Validate and reach a fixed point
+// after one write/re-read round trip.
 func FuzzReadJSON(f *testing.F) {
 	// A real scene, hand-written corner cases, every fallback trigger,
 	// and plain garbage.
@@ -69,7 +70,7 @@ func FuzzReadJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want jsonDataset
-		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+		wantErr := json.Unmarshal(data, &want)
 		if got, ok := decodeCanonical(data); ok {
 			if wantErr != nil {
 				t.Fatalf("one-pass decode accepted what encoding/json rejects (%v): %q", wantErr, data)

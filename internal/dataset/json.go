@@ -6,6 +6,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -367,15 +368,34 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// DecodeStrict decodes data, which must be exactly one JSON document,
+// into v: an unknown field, bytes after the document or a second
+// document is an error. It is the one rule behind every strict JSON
+// input: mutation files, co-location and mining configs, and the
+// qsrmined request bodies.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("trailing data after the document")
+	}
+	return nil
+}
+
 // decodeJSON decodes one document. The canonical form WriteJSON emits
 // takes the one-pass decodeCanonical; anything else goes to
-// encoding/json, whose case-folded keys and merged duplicate keys the
-// fast path never re-implements.
+// json.Unmarshal, whose case-folded keys and merged duplicate keys the
+// fast path never re-implements. Both accept only whitespace after the
+// document, so the digest of an upload covers the scene and nothing
+// else. Unknown keys are ignored.
 func decodeJSON(data []byte) (*Dataset, error) {
 	jd, ok := decodeCanonical(data)
 	if !ok {
 		jd = jsonDataset{}
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&jd); err != nil {
+		if err := json.Unmarshal(data, &jd); err != nil {
 			return nil, fmt.Errorf("dataset: decoding JSON: %w", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -46,18 +45,16 @@ type Mutation struct {
 
 // LoadMutation reads a mutation batch from a JSON file of the form
 // {"ops":[{"action":"insert","layer":"slum","id":"s9","wkt":"..."}]}.
-// Unknown fields are rejected so typos surface as errors, not silent
-// no-ops.
+// The file decodes strictly (DecodeStrict): unknown fields and anything
+// after the document are rejected, so typos surface as errors, not
+// silent no-ops.
 func LoadMutation(path string) (*Mutation, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: loading mutation %s: %w", path, err)
 	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
 	var m Mutation
-	if err := dec.Decode(&m); err != nil {
+	if err := DecodeStrict(data, &m); err != nil {
 		return nil, fmt.Errorf("dataset: loading mutation %s: %w", path, err)
 	}
 	if len(m.Ops) == 0 {

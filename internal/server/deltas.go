@@ -199,18 +199,16 @@ func deltaEligible(cfg core.Config) bool {
 // builds) the incremental extraction state for the dataset, and when
 // the dataset is a recorded PATCH successor it re-extracts only the
 // dirty region and patches the parent's cached mining result instead
-// of mining from scratch. Falls back to the full pipeline whenever any
-// reusable piece is missing — the response is identical either way.
+// of mining from scratch. Falls back to a full extraction and mine
+// whenever any reusable piece is missing — the response is identical
+// either way.
 func (s *Server) computeScene(ctx context.Context, ds *StoredDataset, key string, cfg core.Config) (*MineResponse, error) {
 	opts := resolveExtraction(cfg)
 	optsJSON, err := json.Marshal(opts)
 	if err != nil {
-		// No stable state-cache key: run the plain pipeline.
-		out, err := core.RunContext(ctx, ds.Scene, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return buildResponse(ds.Digest, out, cfg), nil
+		// Unreachable for a config decoded from the wire, which holds
+		// only JSON-representable options.
+		return nil, fmt.Errorf("server: canonicalising extraction options: %w", err)
 	}
 	suffix := "|" + string(optsJSON)
 	tr := obs.FromContext(ctx)

@@ -1,10 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -15,9 +14,9 @@ import (
 	"repro/internal/obs"
 )
 
-// route is one entry of the endpoint table: the method and its /v1
-// pattern. The table is data so the routing test can enumerate the
-// surface without guessing.
+// route is one entry of an endpoint table: the method and its /v1
+// pattern. The table is data so the routing tests can enumerate the
+// surface without guessing, and check that a front serves a node's.
 type route struct {
 	Method  string
 	V1      string
@@ -29,31 +28,33 @@ func (s *Server) routeTable() []route {
 	return []route{
 		{"GET", "/v1/healthz", s.handleHealthz},
 		{"GET", "/v1/metrics", s.handleMetrics},
-		{"POST", "/v1/datasets/scene", s.handleUploadScene},
-		{"POST", "/v1/datasets/table", s.handleUploadTable},
+		{"POST", "/v1/datasets/scene", s.handleUpload(KindScene)},
+		{"POST", "/v1/datasets/table", s.handleUpload(KindTable)},
 		{"GET", "/v1/datasets", s.handleListDatasets},
 		{"GET", "/v1/datasets/{digest}", s.handleGetDataset},
 		{"PATCH", "/v1/datasets/{digest}", s.handlePatchDataset},
 		{"DELETE", "/v1/datasets/{digest}", s.handleDeleteDataset},
-		{"POST", "/v1/mine", s.handleMine},
-		{"POST", "/v1/colocate", s.handleColocate},
-		{"POST", "/v1/jobs", s.handleSubmitJob},
-		{"POST", "/v1/colocate/jobs", s.handleSubmitColocateJob},
+		{"POST", "/v1/mine", s.handleSync(decodeMine)},
+		{"POST", "/v1/colocate", s.handleSync(decodeColocate)},
+		{"POST", "/v1/jobs", s.handleSubmit(decodeMine)},
+		{"POST", "/v1/colocate/jobs", s.handleSubmit(decodeColocate)},
 		{"GET", "/v1/jobs/{id}", s.handleGetJob},
 		{"DELETE", "/v1/jobs/{id}", s.handleCancelJob},
 	}
 }
 
-// routes wires the endpoint table: every handler under its /v1 path.
-func (s *Server) routes() {
-	for _, rt := range s.routeTable() {
-		s.mux.HandleFunc(rt.Method+" "+rt.V1, rt.handler)
+// newMux wires an endpoint table, a node's or a front's: every handler
+// under its /v1 path. Unknown paths answer with the structured envelope
+// instead of the mux's plain-text default.
+func newMux(table []route) *http.ServeMux {
+	mux := http.NewServeMux()
+	for _, rt := range table {
+		mux.HandleFunc(rt.Method+" "+rt.V1, rt.handler)
 	}
-	// Unknown paths answer with the structured envelope instead of the
-	// mux's plain-text default.
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, api.CodeNotFound, "no such endpoint %s %s", r.Method, r.URL.Path)
 	})
+	return mux
 }
 
 // rejectDraining writes the shutdown 503 and reports whether it did.
@@ -65,9 +66,11 @@ func (s *Server) rejectDraining(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// readBody reads a size-capped request body.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
+// readBody reads a request body capped at limit bytes, answering a body
+// it cannot read (413 body_too_large, 400 bad_request). A node and a front
+// both read every body through it.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -87,58 +90,31 @@ func infoOf(sd *StoredDataset) datasetInfo {
 	return datasetInfo{Digest: sd.Digest, Kind: sd.Kind, Rows: sd.Rows, Bytes: sd.Bytes}
 }
 
-// handleUploadScene stores a WKT-JSON scene (see dataset.WriteJSON).
-func (s *Server) handleUploadScene(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w, r) {
-		return
+// handleUpload stores an upload of one kind: a WKT-JSON scene (see
+// dataset.WriteJSON) at POST /v1/datasets/scene, a transaction-table
+// CSV (refID,item,...) at POST /v1/datasets/table. parseUpload decides
+// what is admitted, for uploads and durable-tier reloads alike.
+func (s *Server) handleUpload(kind DatasetKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.rejectDraining(w, r) {
+			return
+		}
+		body, ok := readBody(w, r, s.opts.MaxUploadBytes)
+		if !ok {
+			return
+		}
+		sd, err := parseUpload(Digest(body), kind, body)
+		if err != nil {
+			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+			return
+		}
+		if sd, err = s.store.put(body, sd); err != nil {
+			writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
+			return
+		}
+		s.trace.Add("server.datasets."+string(kind)+"_uploads", 1)
+		writeJSON(w, http.StatusCreated, infoOf(sd))
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	d, err := dataset.ReadJSON(bytes.NewReader(body))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-		return
-	}
-	if err := d.Validate(); err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-		return
-	}
-	sd, err := s.store.PutScene(body, d)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-		return
-	}
-	s.trace.Add("server.datasets.scene_uploads", 1)
-	writeJSON(w, http.StatusCreated, infoOf(sd))
-}
-
-// handleUploadTable stores a transaction-table CSV (refID,item,...).
-func (s *Server) handleUploadTable(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w, r) {
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	t, err := dataset.ReadTableCSV(bytes.NewReader(body))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-		return
-	}
-	if t.Len() == 0 {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "table has no transactions")
-		return
-	}
-	sd, err := s.store.PutTable(body, t)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-		return
-	}
-	s.trace.Add("server.datasets.table_uploads", 1)
-	writeJSON(w, http.StatusCreated, infoOf(sd))
 }
 
 // handleGetDataset returns upload metadata for a stored digest.
@@ -180,15 +156,13 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "dataset %q is a %s; only scenes can be patched", digest, sd.Kind)
 		return
 	}
-	body, ok := s.readBody(w, r)
+	body, ok := readBody(w, r, s.opts.MaxUploadBytes)
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req api.PatchRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "decoding patch: %v", err)
+	if err := decodeBody(body, "patch", &req); err != nil {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	nd, cs, err := sd.Scene.ApplyOps(req.Ops)
@@ -260,51 +234,78 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeMineRequest parses and sanity-checks a mining request body.
-func (s *Server) decodeMineRequest(w http.ResponseWriter, r *http.Request) (MineRequest, bool) {
-	body, ok := s.readBody(w, r)
+// decodeBody is the one strict body decoder behind every JSON request
+// route: the body must be exactly one document for v, with no unknown
+// field and nothing after it (dataset.DecodeStrict). what names the
+// document in the error.
+func decodeBody(body []byte, what string, v any) error {
+	if err := dataset.DecodeStrict(body, v); err != nil {
+		return fmt.Errorf("decoding %s: %w", what, err)
+	}
+	return nil
+}
+
+// A requestDecoder turns one route's body into the MineRequest that the
+// result cache, the flight group and the job manager share. Its error is
+// the client's, answered 400 bad_request.
+type requestDecoder func(body []byte) (MineRequest, error)
+
+// errNoDataset rejects a request that names no dataset.
+var errNoDataset = fmt.Errorf("request needs a %q digest from a dataset upload", "dataset")
+
+// decodeMine decodes a POST /v1/mine or /v1/jobs body.
+func decodeMine(body []byte) (MineRequest, error) {
+	var req MineRequest
+	if err := decodeBody(body, "request", &req); err != nil {
+		return req, err
+	}
+	switch {
+	case req.Dataset == "":
+		return req, errNoDataset
+	case req.Colocate != nil:
+		return req, errors.New("co-location requests go to POST /v1/colocate")
+	case req.Config.MinSupport <= 0 || req.Config.MinSupport > 1:
+		return req, errors.New("minSupport must be in (0, 1]")
+	}
+	return req, nil
+}
+
+// readRequest admits one mining request: it is refused while draining
+// (503), its body read (413, 400) and decoded by the route's decoder
+// (400). A refused request has been answered.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, decode requestDecoder) (MineRequest, bool) {
+	if s.rejectDraining(w, r) {
+		return MineRequest{}, false
+	}
+	body, ok := readBody(w, r, s.opts.MaxUploadBytes)
 	if !ok {
 		return MineRequest{}, false
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req MineRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "decoding request: %v", err)
-		return MineRequest{}, false
-	}
-	if req.Dataset == "" {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "request needs a %q digest from a dataset upload", "dataset")
-		return MineRequest{}, false
-	}
-	if req.Colocate != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "co-location requests go to POST /v1/colocate")
-		return MineRequest{}, false
-	}
-	if req.Config.MinSupport <= 0 || req.Config.MinSupport > 1 {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "minSupport must be in (0, 1]")
+	req, err := decode(body)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return MineRequest{}, false
 	}
 	return req, true
 }
 
-// handleMine mines synchronously under the request deadline.
-func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w, r) {
-		return
+// handleSync mines synchronously under the request deadline: POST
+// /v1/mine and POST /v1/colocate, each with its route's decoder.
+func (s *Server) handleSync(decode requestDecoder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, ok := s.readRequest(w, r, decode)
+		if !ok {
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req))
+		defer cancel()
+		resp, err := s.mine(ctx, req)
+		if err != nil {
+			s.writeMineError(w, r, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	req, ok := s.decodeMineRequest(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req))
-	defer cancel()
-	resp, err := s.mine(ctx, req)
-	if err != nil {
-		s.writeMineError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // writeMineError maps a mining failure to a status code and error code.
@@ -324,35 +325,36 @@ func (s *Server) writeMineError(w http.ResponseWriter, r *http.Request, err erro
 	}
 }
 
-// handleSubmitJob enqueues an async mining job.
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	if s.rejectDraining(w, r) {
-		return
+// handleSubmit enqueues an async job: POST /v1/jobs and POST
+// /v1/colocate/jobs, each with its route's decoder. Both workloads ride
+// one manager, queue and journal, polled and cancelled at /v1/jobs/{id}.
+func (s *Server) handleSubmit(decode requestDecoder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, ok := s.readRequest(w, r, decode)
+		if !ok {
+			return
+		}
+		if _, ok := s.store.Get(req.Dataset); !ok {
+			writeError(w, r, http.StatusNotFound, api.CodeNotFound, "unknown dataset %q (upload it first)", req.Dataset)
+			return
+		}
+		j, err := s.jobs.Submit(req)
+		switch {
+		case errors.Is(err, ErrDraining):
+			writeError(w, r, http.StatusServiceUnavailable, api.CodeDraining, "%v", err)
+			return
+		case errors.Is(err, ErrQueueFull):
+			writeError(w, r, http.StatusServiceUnavailable, api.CodeQueueFull, "%v", err)
+			return
+		case err != nil:
+			writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
+			return
+		}
+		s.trace.Add("server.jobs.submitted", 1)
+		st := s.jobs.Status(j)
+		w.Header().Set("Location", "/v1/jobs/"+st.ID)
+		writeJSON(w, http.StatusAccepted, st)
 	}
-	req, ok := s.decodeMineRequest(w, r)
-	if !ok {
-		return
-	}
-	if _, ok := s.store.Get(req.Dataset); !ok {
-		writeError(w, r, http.StatusNotFound, api.CodeNotFound, "unknown dataset %q (upload it first)", req.Dataset)
-		return
-	}
-	j, err := s.jobs.Submit(req)
-	switch {
-	case errors.Is(err, ErrDraining):
-		writeError(w, r, http.StatusServiceUnavailable, api.CodeDraining, "%v", err)
-		return
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, r, http.StatusServiceUnavailable, api.CodeQueueFull, "%v", err)
-		return
-	case err != nil:
-		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-		return
-	}
-	s.trace.Add("server.jobs.submitted", 1)
-	st := s.jobs.Status(j)
-	w.Header().Set("Location", "/v1/jobs/"+st.ID)
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 // handleGetJob returns a job's status (and result once done).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/api"
+	"repro/internal/colocation"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -57,43 +58,52 @@ func (s *Server) mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 	}
 	s.trace.Add("server.cache.misses", 1)
 	return s.flights.do(ctx, s.baseCtx, key, func(runCtx context.Context) (*MineResponse, error) {
-		if req.Colocate != nil {
-			return s.computeColocation(runCtx, ds, key, *req.Colocate)
-		}
 		return s.compute(runCtx, ds, key, req)
 	})
 }
 
-// compute runs the pipeline once for a cache-missing key and fills the
-// result cache. At most one compute per key is in flight at any time
-// (enforced by the flight group); the server.mine.runs counter tallies
-// real pipeline executions, which coalescing tests pin against the
-// number of concurrent requests served.
+// compute runs one cache-missing key's computation and fills the result
+// cache: co-location, a scene through the delta pipeline, or a table.
+// At most one compute per key is in flight at any time (enforced by the
+// flight group); the server.mine.runs and server.colocate.runs counters
+// tally real executions of each workload, which the coalescing tests and
+// the serve-mix benchmark pin against the number of requests served.
 func (s *Server) compute(ctx context.Context, ds *StoredDataset, key string, req MineRequest) (*MineResponse, error) {
-	s.trace.Add("server.mine.runs", 1)
+	if req.Colocate != nil {
+		s.trace.Add("server.colocate.runs", 1)
+	} else {
+		s.trace.Add("server.mine.runs", 1)
+	}
 	if s.mineHook != nil {
-		// Test seam: lets tests hold a "running" mine open deterministically.
+		// Test seam: lets tests hold a "running" computation open deterministically.
 		if err := s.mineHook(ctx); err != nil {
 			return nil, err
 		}
 	}
 	ctx = obs.WithTrace(ctx, s.trace)
 	var resp *MineResponse
-	if ds.Kind == KindScene {
+	var err error
+	switch {
+	case req.Colocate != nil && ds.Kind != KindScene:
+		err = fmt.Errorf("server: dataset %q is a %s; co-location needs a scene", ds.Digest, ds.Kind)
+	case req.Colocate != nil:
+		var res *colocation.Result
+		if res, err = colocation.MineContext(ctx, ds.Scene, *req.Colocate); err == nil {
+			resp = buildColocateResponse(ds.Digest, res)
+		}
+	case ds.Kind == KindScene:
 		// Scenes route through the delta pipeline: the extraction state is
 		// reused across requests, and PATCH successors re-extract only the
 		// dirty region and patch the parent's cached result forward.
-		var err error
 		resp, err = s.computeScene(ctx, ds, key, req.Config)
-		if err != nil {
-			return nil, err
+	default:
+		var out *core.Outcome
+		if out, err = core.RunTableContext(ctx, ds.Table, req.Config); err == nil {
+			resp = buildResponse(ds.Digest, out, req.Config)
 		}
-	} else {
-		out, err := core.RunTableContext(ctx, ds.Table, req.Config)
-		if err != nil {
-			return nil, err
-		}
-		resp = buildResponse(ds.Digest, out, req.Config)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.cache.Put(key, resp)
 	return resp, nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -139,15 +140,14 @@ func NewProxy(opts ProxyOptions) (*Proxy, error) {
 	for _, peer := range peers {
 		p.clients[peer] = client.New(peer, client.WithHTTPClient(httpc), client.WithTimeout(opts.PeerTimeout))
 	}
-	p.mux = http.NewServeMux()
-	p.routes()
+	p.mux = newMux(p.routeTable())
 	return p, nil
 }
 
-// routes wires the same endpoint table as a mining node, backed by
-// forwarding handlers.
-func (p *Proxy) routes() {
-	table := []route{
+// routeTable enumerates the front's endpoints: a node's table (the
+// route parity test holds them equal), backed by forwarding handlers.
+func (p *Proxy) routeTable() []route {
+	return []route{
 		{"GET", "/v1/healthz", p.handleHealthz},
 		{"GET", "/v1/metrics", p.handleMetrics},
 		{"POST", "/v1/datasets/scene", p.uploadHandler("/v1/datasets/scene")},
@@ -156,19 +156,13 @@ func (p *Proxy) routes() {
 		{"GET", "/v1/datasets/{digest}", p.handleGetDataset},
 		{"PATCH", "/v1/datasets/{digest}", p.handlePatchDataset},
 		{"DELETE", "/v1/datasets/{digest}", p.handleDeleteDataset},
-		{"POST", "/v1/mine", p.mineHandler("/v1/mine")},
-		{"POST", "/v1/colocate", p.mineHandler("/v1/colocate")},
-		{"POST", "/v1/jobs", p.mineHandler("/v1/jobs")},
-		{"POST", "/v1/colocate/jobs", p.mineHandler("/v1/colocate/jobs")},
+		{"POST", "/v1/mine", p.mineHandler("/v1/mine", decodeMine)},
+		{"POST", "/v1/colocate", p.mineHandler("/v1/colocate", decodeColocate)},
+		{"POST", "/v1/jobs", p.mineHandler("/v1/jobs", decodeMine)},
+		{"POST", "/v1/colocate/jobs", p.mineHandler("/v1/colocate/jobs", decodeColocate)},
 		{"GET", "/v1/jobs/{id}", p.handleJobByID},
 		{"DELETE", "/v1/jobs/{id}", p.handleJobByID},
 	}
-	for _, rt := range table {
-		p.mux.HandleFunc(rt.Method+" "+rt.V1, rt.handler)
-	}
-	p.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, r, http.StatusNotFound, api.CodeNotFound, "no such endpoint %s %s", r.Method, r.URL.Path)
-	})
 }
 
 // Handler returns the front node's HTTP handler.
@@ -194,21 +188,6 @@ func (p *Proxy) rejectDraining(w http.ResponseWriter, r *http.Request) bool {
 	}
 	writeError(w, r, http.StatusServiceUnavailable, api.CodeDraining, "front is shutting down")
 	return true
-}
-
-// readBody reads a size-capped request body.
-func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.opts.MaxUploadBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, api.CodeTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "reading body: %v", err)
-		}
-		return nil, false
-	}
-	return body, true
 }
 
 // forward sends one exchange to a peer, propagating the request ID so
@@ -277,79 +256,73 @@ func (p *Proxy) tryCandidates(w http.ResponseWriter, r *http.Request, cands []st
 	return false
 }
 
+// replicate copies a write the winner accepted to the candidates after
+// it in ring order, best effort, until p.opts.Replicas peers hold it,
+// and returns how many do. Uploads and PATCHes both replicate through
+// it; content addressing makes every copy idempotent.
+func (p *Proxy) replicate(r *http.Request, cands []string, winner, method, path string, body []byte) int {
+	held := 1
+	for _, peer := range cands[slices.Index(cands, winner)+1:] {
+		if held >= p.opts.Replicas {
+			break
+		}
+		if raw, err := p.forward(r, peer, method, path, body); err == nil && raw.Status < 300 {
+			held++
+			p.trace.Add("proxy.replicas", 1)
+		} else {
+			p.trace.Add("proxy.failovers", 1)
+		}
+	}
+	return held
+}
+
 // uploadHandler stores an upload on the digest's R replicas: the first
-// reachable candidates in ring order each receive a copy, and the first
-// success is relayed to the client. Content addressing makes the copies
-// idempotent — every replica derives the same digest.
+// reachable candidate in ring order answers the client, and an accepted
+// upload is replicated to the next ones. Every replica derives the same
+// digest.
 func (p *Proxy) uploadHandler(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if p.rejectDraining(w, r) {
 			return
 		}
-		body, ok := p.readBody(w, r)
+		body, ok := readBody(w, r, p.opts.MaxUploadBytes)
 		if !ok {
 			return
 		}
 		digest := Digest(body)
 		cands := p.ring.candidates(digest)
-		replicated := 0
-		answered := p.tryCandidates(w, r, cands, http.MethodPost, path, body, func(winner string, raw *client.RawResponse) {
+		p.tryCandidates(w, r, cands, http.MethodPost, path, body, func(winner string, raw *client.RawResponse) {
 			if raw.Status >= 300 {
 				return // the body was rejected; don't replicate garbage
 			}
-			replicated = 1
-			// Best-effort copies on the remaining replicas, past the
-			// winner's position in ring order.
-			idx := 0
-			for i, c := range cands {
-				if c == winner {
-					idx = i
-					break
-				}
-			}
-			for _, peer := range cands[idx+1:] {
-				if replicated >= p.opts.Replicas {
-					break
-				}
-				if raw2, err := p.forward(r, peer, http.MethodPost, path, body); err == nil && raw2.Status < 300 {
-					replicated++
-					p.trace.Add("proxy.replicas", 1)
-				} else {
-					p.trace.Add("proxy.failovers", 1)
-				}
-			}
+			n := p.replicate(r, cands, winner, http.MethodPost, path, body)
+			p.trace.Annotate("proxy.upload", fmt.Sprintf("digest=%s replicas=%d", digest[:12], n))
 		})
-		if answered && replicated > 0 {
-			p.trace.Annotate("proxy.upload", fmt.Sprintf("digest=%s replicas=%d", digest[:12], replicated))
-		}
 	}
 }
 
-// mineHandler routes POST /v1/mine and POST /v1/jobs by the dataset
-// digest named in the body, with ring-order failover. Successful job
-// submissions are remembered so later polls route to the owning node.
-func (p *Proxy) mineHandler(path string) http.HandlerFunc {
+// mineHandler routes POST /v1/mine, /v1/colocate and their /jobs forms
+// by the dataset digest named in the body, with ring-order failover.
+// The body goes through the node's decoder for the route first, so a
+// front refuses what a node refuses, with the same answer. Successful
+// job submissions are remembered so later polls route to the owning
+// node.
+func (p *Proxy) mineHandler(path string, decode requestDecoder) http.HandlerFunc {
 	isJob := strings.HasSuffix(path, "/jobs")
 	return func(w http.ResponseWriter, r *http.Request) {
 		if p.rejectDraining(w, r) {
 			return
 		}
-		body, ok := p.readBody(w, r)
+		body, ok := readBody(w, r, p.opts.MaxUploadBytes)
 		if !ok {
 			return
 		}
-		var probe struct {
-			Dataset string `json:"dataset"`
-		}
-		if err := json.Unmarshal(body, &probe); err != nil {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "decoding request: %v", err)
+		req, err := decode(body)
+		if err != nil {
+			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 			return
 		}
-		if probe.Dataset == "" {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, "request needs a %q digest from a dataset upload", "dataset")
-			return
-		}
-		cands := p.routeDigest(probe.Dataset)
+		cands := p.routeDigest(req.Dataset)
 		p.tryCandidates(w, r, cands, http.MethodPost, path, body, func(peer string, raw *client.RawResponse) {
 			if !isJob || raw.Status != http.StatusAccepted {
 				return
@@ -413,14 +386,14 @@ func (p *Proxy) routeDigest(digest string) []string {
 
 // handlePatchDataset routes a scene mutation by the parent digest with
 // ring failover, records the successor's lineage for later routing, and
-// replicates the patch to the remaining candidates. Content addressing
-// makes replication idempotent: applying the same ops to the same
-// parent derives the same successor digest on every peer.
+// replicates the patch to the remaining candidates: applying the same
+// ops to the same parent derives the same successor digest on every
+// peer.
 func (p *Proxy) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 	if p.rejectDraining(w, r) {
 		return
 	}
-	body, ok := p.readBody(w, r)
+	body, ok := readBody(w, r, p.opts.MaxUploadBytes)
 	if !ok {
 		return
 	}
@@ -440,28 +413,9 @@ func (p *Proxy) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 			p.childOf.put(pr.Dataset.Digest, digest, 0)
 			p.mu.Unlock()
 		}
-		// Best-effort copies on the remaining candidates.
-		replicated := 1
-		idx := 0
-		for i, c := range cands {
-			if c == winner {
-				idx = i
-				break
-			}
-		}
-		for _, peer := range cands[idx+1:] {
-			if replicated >= p.opts.Replicas {
-				break
-			}
-			if raw2, err := p.forward(r, peer, http.MethodPatch, path, body); err == nil && raw2.Status < 300 {
-				replicated++
-				p.trace.Add("proxy.replicas", 1)
-			} else {
-				p.trace.Add("proxy.failovers", 1)
-			}
-		}
+		n := p.replicate(r, cands, winner, http.MethodPatch, path, body)
 		p.trace.Annotate("proxy.patch", fmt.Sprintf("parent=%s child=%s replicas=%d",
-			digest[:min(12, len(digest))], pr.Dataset.Digest[:min(12, len(pr.Dataset.Digest))], replicated))
+			digest[:min(12, len(digest))], pr.Dataset.Digest[:min(12, len(pr.Dataset.Digest))], n))
 	})
 }
 

@@ -170,8 +170,7 @@ func New(opts Options) *Server {
 		s.trace.Add("server.persist.jobs_recovered", recovered)
 		s.trace.Add("server.persist.jobs_lost", lost)
 	}
-	s.mux = http.NewServeMux()
-	s.routes()
+	s.mux = newMux(s.routeTable())
 	return s
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -76,7 +77,40 @@ func (s *Store) Persist(p DatasetPersistence) { s.persist = p }
 // traffic; the callback runs without the store lock held.
 func (s *Store) OnEvict(fn func(digests []string)) { s.onEvict = fn }
 
-// PutScene stores a parsed scene under the digest of its upload body.
+// parseUpload parses an upload body of the given kind into the entry
+// stored under digest: a scene must decode as one document and
+// validate, a table must hold a transaction. The upload handler and
+// reload share it, so a persisted body is re-admitted by the rules that
+// admitted it.
+func parseUpload(digest string, kind DatasetKind, body []byte) (*StoredDataset, error) {
+	sd := &StoredDataset{Digest: digest, Kind: kind, Bytes: int64(len(body))}
+	switch kind {
+	case KindScene:
+		d, err := dataset.ReadJSON(bytes.NewReader(body))
+		if err == nil {
+			err = d.Validate()
+		}
+		if err != nil {
+			return nil, err
+		}
+		sd.Scene, sd.Rows = d, d.Reference.Len()
+	case KindTable:
+		t, err := dataset.ReadTableCSV(bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		if t.Len() == 0 {
+			return nil, errors.New("table has no transactions")
+		}
+		sd.Table, sd.Rows = t, t.Len()
+	default:
+		return nil, fmt.Errorf("server: dataset %s has unknown kind %q", digest, kind)
+	}
+	return sd, nil
+}
+
+// PutScene stores a parsed scene (a PATCH successor) under the digest of
+// its body.
 func (s *Store) PutScene(body []byte, d *dataset.Dataset) (*StoredDataset, error) {
 	return s.put(body, &StoredDataset{
 		Digest: Digest(body),
@@ -87,18 +121,7 @@ func (s *Store) PutScene(body []byte, d *dataset.Dataset) (*StoredDataset, error
 	})
 }
 
-// PutTable stores a parsed transaction table under the digest of its
-// upload body.
-func (s *Store) PutTable(body []byte, t *dataset.Table) (*StoredDataset, error) {
-	return s.put(body, &StoredDataset{
-		Digest: Digest(body),
-		Kind:   KindTable,
-		Table:  t,
-		Bytes:  int64(len(body)),
-		Rows:   t.Len(),
-	})
-}
-
+// put stores sd, parsed from body.
 func (s *Store) put(body []byte, sd *StoredDataset) (*StoredDataset, error) {
 	if s.persist != nil {
 		// Write-through before the memory insert: an acknowledged upload
@@ -144,34 +167,15 @@ func (s *Store) Get(digest string) (*StoredDataset, bool) {
 	return sd, true
 }
 
-// reload re-parses a persisted upload body (outside the store lock —
-// parsing a large scene must not stall unrelated requests).
+// reload re-parses a persisted upload body with parseUpload (outside
+// the store lock — parsing a large scene must not stall unrelated
+// requests).
 func (s *Store) reload(digest string) (*StoredDataset, error) {
 	body, kind, _, err := s.persist.LoadDataset(digest)
 	if err != nil {
 		return nil, err
 	}
-	sd := &StoredDataset{Digest: digest, Kind: kind, Bytes: int64(len(body))}
-	switch kind {
-	case KindScene:
-		d, err := dataset.ReadJSON(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("server: re-parsing persisted scene %s: %w", digest, err)
-		}
-		if err := d.Validate(); err != nil {
-			return nil, fmt.Errorf("server: re-validating persisted scene %s: %w", digest, err)
-		}
-		sd.Scene, sd.Rows = d, d.Reference.Len()
-	case KindTable:
-		t, err := dataset.ReadTableCSV(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("server: re-parsing persisted table %s: %w", digest, err)
-		}
-		sd.Table, sd.Rows = t, t.Len()
-	default:
-		return nil, fmt.Errorf("server: persisted dataset %s has unknown kind %q", digest, kind)
-	}
-	return sd, nil
+	return parseUpload(digest, kind, body)
 }
 
 // List snapshots every stored dataset's metadata, ordered by digest so

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,20 +12,15 @@ func tableBody(ref string) []byte {
 	return []byte(ref + ",a,b\n" + ref + "2,a,c\n")
 }
 
-func mustTable(t *testing.T, body []byte) *dataset.Table {
-	t.Helper()
-	tab, err := dataset.ReadTableCSV(strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-// putTable uploads body as a table, failing the test on a persistence
-// error (impossible for the memory-only stores used here).
+// putTable parses and stores body as a table upload would, failing the
+// test on a parse or persistence error (the latter impossible for the
+// memory-only stores used here).
 func putTable(t *testing.T, s *Store, body []byte) *StoredDataset {
 	t.Helper()
-	sd, err := s.PutTable(body, mustTable(t, body))
+	sd, err := parseUpload(Digest(body), KindTable, body)
+	if err == nil {
+		sd, err = s.put(body, sd)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
