@@ -14,9 +14,10 @@
 // soundly on it.
 //
 // The engine materializes the neighbor relation once per ordered type
-// pair into a flat CSR layout (one offsets array plus one ids array),
-// sharding the index.Layer filter → prepared-geometry refine loop across
-// a Config.Parallelism worker pool with a deterministic merge, then
+// pair into a flat CSR layout (one offsets array plus one ids array):
+// each unordered type pair is one unit of a Config.Parallelism worker
+// pool, which joins the two types' index.Layers in one R-tree-vs-R-tree
+// traversal and refines the candidates on prepared geometry. It then
 // walks candidate type sets level by level, extending each prevalent
 // set's row-instance table by sorted-list intersection of the CSR rows.
 // The walk is joinless: it first screens each candidate with the star
@@ -54,8 +55,8 @@ type Config struct {
 	MaxSize int `json:"maxSize,omitempty"`
 	// Parallelism shards the neighbor-graph materialization and the
 	// candidate expansion: 1 = sequential, 0 = GOMAXPROCS, and each
-	// pool is capped at its work (types, units or candidates). Output
-	// is byte-identical at any worker count.
+	// pool is capped at its work (types, type pairs or candidates).
+	// Output is byte-identical at any worker count.
 	Parallelism int `json:"parallelism,omitempty"`
 	// TopK, when positive, keeps only the k highest-PI prevalent
 	// patterns (ties broken by smaller size, then lexicographic type
@@ -108,7 +109,7 @@ type Result struct {
 	// Instances is the total instance count across Types.
 	Instances int
 	// CandidatePairs counts envelope-stage neighbor candidates from the
-	// R-tree filter; RefinedPairs counts pairs surviving the exact
+	// layer join's filter; RefinedPairs counts pairs surviving the exact
 	// distance refinement (the materialized neighbor relation).
 	CandidatePairs int64
 	RefinedPairs   int64
@@ -265,37 +266,38 @@ type neighborGraph struct {
 // at returns the CSR block of the ordered pair (i, j).
 func (g *neighborGraph) at(i, j int) *csrPair { return &g.pairs[i*g.n+j] }
 
-// neighborChunk is the instance-range granularity of one parallel
-// materialization work unit: coarse enough to amortize scheduling,
-// fine enough to balance skewed type sizes.
-const neighborChunk = 64
-
-// neighborUnit is one work unit of the parallel filter→refine loop: a
-// contiguous instance range of the first type of one unordered pair.
-type neighborUnit struct {
-	pair     int // index into the unordered pair list
-	aLo, aHi int
-}
-
-// neighborUnitResult is a unit's output: per-instance neighbor counts
-// and the concatenated (per-instance sorted) neighbor ids, plus the
-// filter/refine tallies. Units write only their own slot, so the merge
-// is deterministic regardless of which worker ran which unit.
-type neighborUnitResult struct {
-	counts              []int32
-	ids                 []int32
-	candidates, refined int64
+// transpose returns the reverse direction of the pair, whose second
+// type has nj instances, by a counting transpose: rows come out sorted
+// because the fill scans source instances in ascending order.
+func (p *csrPair) transpose(nj int) csrPair {
+	offsets := make([]int32, nj+1)
+	for _, b := range p.ids {
+		offsets[b+1]++
+	}
+	for b := 0; b < nj; b++ {
+		offsets[b+1] += offsets[b]
+	}
+	ids := make([]int32, len(p.ids))
+	fill := make([]int32, nj)
+	for a := 0; a+1 < len(p.offsets); a++ {
+		for _, b := range p.row(int32(a)) {
+			ids[offsets[b]+fill[b]] = int32(a)
+			fill[b]++
+		}
+	}
+	return csrPair{offsets: offsets, ids: ids}
 }
 
 // materializeNeighbors builds the CSR neighbor graph for every ordered
-// type pair: each type's index.Layer serves Within as the filter stage,
-// and prepared-geometry DistanceTo refines each candidate exactly.
-// Geometry preparation, layer builds, and the filter→refine loop all
-// shard across a par pool of parallelism workers, which stops between
-// units once ctx is done; the merge walks work units in their
-// deterministic order, so the graph is identical at any worker count.
-// Returns the graph, the filter/refine pair counts, and the worker
-// count used.
+// type pair. Phase 1 prepares each type and builds its index.Layer;
+// phase 2 makes each unordered type pair (i, j) one unit: one
+// Layer.Join of the two layers is the filter stage, prepared-geometry
+// DistanceTo refines each candidate exactly, the refined pairs fill the
+// forward CSR and a counting transpose the reverse one. Both phases run
+// on a par pool of parallelism workers, which stops between units once
+// ctx is done; a unit writes only its own pair's slots, so the graph is
+// identical at any worker count. Returns the graph, the filter/refine
+// pair counts, and the worker count of phase 2.
 func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, parallelism int) (*neighborGraph, int64, int64, int, error) {
 	n := len(types)
 	graph := &neighborGraph{n: n, pairs: make([]csrPair, n*n)}
@@ -311,105 +313,59 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 		return nil, 0, 0, 0, err
 	}
 
-	// Phase 2: the filter→refine loop over unordered pairs, chunked by
-	// first-type instance ranges into units on the par pool. Each unit's
-	// output lands in its own slot.
-	type orderedPair struct{ i, j int }
-	var pairList []orderedPair
-	var units []neighborUnit
+	// Phase 2: one join, refine and CSR fill per unordered type pair.
+	type typePair struct{ i, j int }
+	var units []typePair
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			p := len(pairList)
-			pairList = append(pairList, orderedPair{i, j})
-			for lo := 0; lo < len(types[i].geoms); lo += neighborChunk {
-				hi := min(lo+neighborChunk, len(types[i].geoms))
-				units = append(units, neighborUnit{pair: p, aLo: lo, aHi: hi})
-			}
+			units = append(units, typePair{i, j})
 		}
 	}
-	results := make([]neighborUnitResult, len(units))
+	candidates := make([]int64, len(units))
+	refined := make([]int64, len(units))
 	workers := par.Workers(parallelism, len(units))
-	bufs := make([][]int, workers)
-	if err := par.For(ctx, len(units), workers, func(w, u int) {
-		unit := units[u]
-		i, j := pairList[unit.pair].i, pairList[unit.pair].j
-		out := &results[u]
-		out.counts = make([]int32, unit.aHi-unit.aLo)
-		// The workers' buffers share a cache line: work on a local copy.
-		buf := bufs[w]
-		prepI, prepJ := layers[i].Prepared, layers[j].Prepared
-		for a := unit.aLo; a < unit.aHi; a++ {
-			pa := prepI[a]
-			// Within returns ascending IDs, so each CSR row comes out
-			// sorted, as the walk's list intersections need.
-			buf = layers[j].Within(pa.Envelope(), dist, buf)
-			out.candidates += int64(len(buf))
-			start := len(out.ids)
-			for _, b := range buf {
-				if pa.DistanceTo(prepJ[b]) > dist {
-					continue
-				}
-				out.ids = append(out.ids, int32(b))
-			}
-			out.counts[a-unit.aLo] = int32(len(out.ids) - start)
+	// With fewer type pairs than the pool is wide (one pair for two
+	// types), each join takes the workers the units leave idle.
+	joinWorkers := max(1, par.Workers(parallelism, math.MaxInt)/len(units))
+	if err := par.For(ctx, len(units), workers, func(_, u int) {
+		i, j := units[u].i, units[u].j
+		pairs, err := layers[i].Join(ctx, layers[j], dist, joinWorkers, nil)
+		if err != nil {
+			return // par.For reports ctx's error
 		}
-		bufs[w] = buf
-		out.refined += int64(len(out.ids))
+		candidates[u] = int64(len(pairs))
+		prepI, prepJ := layers[i].Prepared, layers[j].Prepared
+		kept := pairs[:0]
+		for _, p := range pairs {
+			if prepI[p.A].DistanceTo(prepJ[p.B]) > dist {
+				continue
+			}
+			kept = append(kept, p)
+		}
+		refined[u] = int64(len(kept))
+		// The pairs are sorted by (A, B): each instance's neighbors sit
+		// together in ascending order, so the ids are the Bs in turn
+		// and each CSR row comes out sorted, as the walk's list
+		// intersections need.
+		fwd := csrPair{offsets: make([]int32, len(types[i].geoms)+1), ids: make([]int32, len(kept))}
+		for k, p := range kept {
+			fwd.offsets[p.A+1]++
+			fwd.ids[k] = int32(p.B)
+		}
+		for a := range len(types[i].geoms) {
+			fwd.offsets[a+1] += fwd.offsets[a]
+		}
+		*graph.at(i, j) = fwd
+		*graph.at(j, i) = fwd.transpose(len(types[j].geoms))
 	}); err != nil {
 		return nil, 0, 0, 0, err
 	}
-
-	// Phase 3: deterministic merge. Units are ordered by (pair,
-	// ascending instance range), so concatenating per pair yields the
-	// forward CSR directly; the reverse direction is a counting
-	// transpose (rows stay sorted because the fill scans instances in
-	// ascending order).
-	var candidates, refined int64
-	for _, r := range results {
-		candidates += r.candidates
-		refined += r.refined
+	var cand, ref int64
+	for u := range units {
+		cand += candidates[u]
+		ref += refined[u]
 	}
-	u := 0
-	for p, op := range pairList {
-		i, j := op.i, op.j
-		ni, nj := len(types[i].geoms), len(types[j].geoms)
-		offsets := make([]int32, ni+1)
-		total := 0
-		for v := u; v < len(units) && units[v].pair == p; v++ {
-			for k, c := range results[v].counts {
-				offsets[units[v].aLo+k+1] = c
-			}
-			total += len(results[v].ids)
-		}
-		for a := 0; a < ni; a++ {
-			offsets[a+1] += offsets[a]
-		}
-		ids := make([]int32, 0, total)
-		for ; u < len(units) && units[u].pair == p; u++ {
-			ids = append(ids, results[u].ids...)
-			results[u] = neighborUnitResult{} // free the unit's scratch
-		}
-		fwd := csrPair{offsets: offsets, ids: ids}
-		*graph.at(i, j) = fwd
-
-		roffsets := make([]int32, nj+1)
-		for _, b := range ids {
-			roffsets[b+1]++
-		}
-		for b := 0; b < nj; b++ {
-			roffsets[b+1] += roffsets[b]
-		}
-		rids := make([]int32, len(ids))
-		fill := make([]int32, nj)
-		for a := 0; a < ni; a++ {
-			for _, b := range fwd.row(int32(a)) {
-				rids[roffsets[b]+fill[b]] = int32(a)
-				fill[b]++
-			}
-		}
-		*graph.at(j, i) = csrPair{offsets: roffsets, ids: rids}
-	}
-	return graph, candidates, refined, workers, nil
+	return graph, cand, ref, workers, nil
 }
 
 // candidateSet is one candidate type set during the walk, with the row

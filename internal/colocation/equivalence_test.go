@@ -2,7 +2,10 @@ package colocation_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/colocation"
@@ -22,36 +25,7 @@ import (
 // the pair's envelope gap: the neighbour filter must still let it
 // through.
 func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
-	generated := []struct {
-		name string
-		cfg  datagen.ColocationSceneConfig
-	}{
-		{"default", datagen.DefaultColocationScene(7)},
-		{"dense", datagen.ColocationSceneConfig{
-			Seed: 11, Types: []string{"p", "q", "r"}, Extent: 20,
-			Clusters: 10, ClusterSpread: 0.8, Noise: 5,
-		}},
-		{"sparse noise-only", datagen.ColocationSceneConfig{
-			Seed: 3, Types: []string{"x", "y", "z", "w"}, Extent: 60,
-			Clusters: 0, ClusterSpread: 0.5, Noise: 12,
-		}},
-		{"tight overlapping plants", datagen.ColocationSceneConfig{
-			Seed: 23, Types: []string{"a", "b", "c", "d"}, Extent: 40,
-			Clusters: 8, ClusterSpread: 0.3,
-			Planted: [][]string{{"a", "b", "c"}, {"b", "c", "d"}, {"a", "d"}},
-			Noise:   4,
-		}},
-	}
-	var scenes []oracleScene
-	for _, sc := range generated {
-		ds, err := datagen.GenerateColocationScene(sc.cfg)
-		if err != nil {
-			t.Fatalf("%s: generate: %v", sc.name, err)
-		}
-		scenes = append(scenes, oracleScene{sc.name, ds, []float64{0.5, 2, 8}})
-	}
-	scenes = append(scenes, epsBandScenes()...)
-	for _, sc := range scenes {
+	for _, sc := range append(plantedScenes(t), epsBandScenes()...) {
 		ds := sc.ds
 		for _, dist := range sc.dists {
 			for _, minPI := range []float64{0.2, 0.5} {
@@ -109,6 +83,98 @@ type oracleScene struct {
 	name  string
 	ds    *dataset.Dataset
 	dists []float64
+}
+
+// plantedScenes are the generated scenes of the engine-vs-oracle test,
+// each mined at distances 0.5, 2 and 8.
+func plantedScenes(t *testing.T) []oracleScene {
+	t.Helper()
+	generated := []struct {
+		name string
+		cfg  datagen.ColocationSceneConfig
+	}{
+		{"default", datagen.DefaultColocationScene(7)},
+		{"dense", datagen.ColocationSceneConfig{
+			Seed: 11, Types: []string{"p", "q", "r"}, Extent: 20,
+			Clusters: 10, ClusterSpread: 0.8, Noise: 5,
+		}},
+		{"sparse noise-only", datagen.ColocationSceneConfig{
+			Seed: 3, Types: []string{"x", "y", "z", "w"}, Extent: 60,
+			Clusters: 0, ClusterSpread: 0.5, Noise: 12,
+		}},
+		{"tight overlapping plants", datagen.ColocationSceneConfig{
+			Seed: 23, Types: []string{"a", "b", "c", "d"}, Extent: 40,
+			Clusters: 8, ClusterSpread: 0.3,
+			Planted: [][]string{{"a", "b", "c"}, {"b", "c", "d"}, {"a", "d"}},
+			Noise:   4,
+		}},
+	}
+	var scenes []oracleScene
+	for _, sc := range generated {
+		ds, err := datagen.GenerateColocationScene(sc.cfg)
+		if err != nil {
+			t.Fatalf("%s: generate: %v", sc.name, err)
+		}
+		scenes = append(scenes, oracleScene{sc.name, ds, []float64{0.5, 2, 8}})
+	}
+	return scenes
+}
+
+// TestColocationInvariantUnderPermutation is a metamorphic property of
+// Mine: on the planted scenes, at each of their distances, at MinPI 0.2
+// and 0.5 and at Parallelism 1 and 4, shuffling the features within
+// every layer and the order of the layers (the first becomes the
+// reference) leaves the prevalent patterns (types, PI bits, row counts),
+// CandidatePairs and RefinedPairs as they were. The neighbour join
+// visits instances in tree order and the walk numbers them by feature
+// order, so this pins that neither numbering reaches the result.
+func TestColocationInvariantUnderPermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, sc := range plantedScenes(t) {
+		shuffled := make([]*dataset.Dataset, 3)
+		for i := range shuffled {
+			shuffled[i] = permutedScene(sc.ds, rng)
+		}
+		for _, dist := range sc.dists {
+			for _, minPI := range []float64{0.2, 0.5} {
+				for _, par := range []int{1, 4} {
+					cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: par}
+					want := mustMine(t, sc.ds, cfg)
+					for i, ds := range shuffled {
+						got := mustMine(t, ds, cfg)
+						if got.CandidatePairs != want.CandidatePairs || got.RefinedPairs != want.RefinedPairs ||
+							!samePatterns(got.Prevalent, want.Prevalent) {
+							t.Fatalf("%s/dist=%v/minpi=%v/par=%d: permutation %d moved the result:\n got %d/%d %+v\nwant %d/%d %+v",
+								sc.name, dist, minPI, par, i, got.CandidatePairs, got.RefinedPairs, got.Prevalent,
+								want.CandidatePairs, want.RefinedPairs, want.Prevalent)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// permutedScene returns a copy of ds with each layer's features shuffled
+// and the layers, reference included, in a shuffled order whose first
+// becomes the reference.
+func permutedScene(ds *dataset.Dataset, rng *rand.Rand) *dataset.Dataset {
+	layers := append([]*dataset.Layer{ds.Reference}, ds.Relevant...)
+	for i, l := range layers {
+		features := slices.Clone(l.Features)
+		rng.Shuffle(len(features), func(a, b int) { features[a], features[b] = features[b], features[a] })
+		layers[i] = &dataset.Layer{Type: l.Type, Features: features}
+	}
+	rng.Shuffle(len(layers), func(a, b int) { layers[a], layers[b] = layers[b], layers[a] })
+	return &dataset.Dataset{Reference: layers[0], Relevant: layers[1:]}
+}
+
+// samePatterns reports whether two pattern lists are equal with each
+// participation index compared bit for bit.
+func samePatterns(a, b []colocation.Pattern) bool {
+	return slices.EqualFunc(a, b, func(x, y colocation.Pattern) bool {
+		return slices.Equal(x.Types, y.Types) && math.Float64bits(x.PI) == math.Float64bits(y.PI) && x.Rows == y.Rows
+	})
 }
 
 // epsBandScenes are two pairs whose envelopes lie less than geom.Eps

@@ -52,18 +52,7 @@ func TestColocationGoldenAtScale(t *testing.T) {
 	}
 	var inputs []input
 	for _, seed := range []int64{2007, 3} {
-		inputs = append(inputs, input{fmt.Sprintf("cli-colocate/seed=%d", seed), roundTrip(datagen.GenerateColocationScene(datagen.ColocationSceneConfig{
-			Seed:          seed,
-			Types:         []string{"atm", "busStop", "cafe", "kiosk", "pharmacy", "school"},
-			Extent:        60,
-			Clusters:      200,
-			ClusterSpread: 0.5,
-			Planted: [][]string{
-				{"atm", "busStop"}, {"busStop", "cafe", "kiosk"},
-				{"pharmacy", "school"}, {"cafe", "kiosk", "pharmacy"},
-			},
-			Noise: 300,
-		}))})
+		inputs = append(inputs, input{fmt.Sprintf("cli-colocate/seed=%d", seed), roundTrip(datagen.GenerateColocationScene(cliColocateScene(seed)))})
 	}
 	for _, seed := range []int64{32113, 49} {
 		inputs = append(inputs, input{fmt.Sprintf("serve-mix/seed=%d", seed), roundTrip(datagen.GenerateScene(datagen.DefaultScene(20, 20, seed)))})
@@ -86,5 +75,23 @@ func TestColocationGoldenAtScale(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// cliColocateScene is the full-size planted scene of the cli-colocate
+// benchmark workload: six point types, four planted sets of two or
+// three types, 2,300 points.
+func cliColocateScene(seed int64) datagen.ColocationSceneConfig {
+	return datagen.ColocationSceneConfig{
+		Seed:          seed,
+		Types:         []string{"atm", "busStop", "cafe", "kiosk", "pharmacy", "school"},
+		Extent:        60,
+		Clusters:      200,
+		ClusterSpread: 0.5,
+		Planted: [][]string{
+			{"atm", "busStop"}, {"busStop", "cafe", "kiosk"},
+			{"pharmacy", "school"}, {"cafe", "kiosk", "pharmacy"},
+		},
+		Noise: 300,
 	}
 }

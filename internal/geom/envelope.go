@@ -128,13 +128,13 @@ func (e Envelope) Slack() float64 {
 	return Eps + 1e-12*math.Max(math.Max(math.Abs(e.MinX), math.Abs(e.MaxX)), math.Max(math.Abs(e.MinY), math.Abs(e.MaxY)))
 }
 
-// Distance returns the minimal distance between the two envelopes, 0 when
-// they intersect.
-func (e Envelope) Distance(o Envelope) float64 {
+// AxisGaps returns how far apart the two envelopes lie along X and along
+// Y: 0 on an axis where their extents meet or overlap, and +Inf on both
+// when either envelope is empty. Neither gap is ever NaN or negative.
+func (e Envelope) AxisGaps(o Envelope) (dx, dy float64) {
 	if e.IsEmpty() || o.IsEmpty() {
-		return math.Inf(1)
+		return math.Inf(1), math.Inf(1)
 	}
-	var dx, dy float64
 	switch {
 	case o.MinX > e.MaxX:
 		dx = o.MinX - e.MaxX
@@ -147,5 +147,29 @@ func (e Envelope) Distance(o Envelope) float64 {
 	case e.MinY > o.MaxY:
 		dy = e.MinY - o.MaxY
 	}
-	return math.Hypot(dx, dy)
+	return dx, dy
+}
+
+// Distance returns the minimal distance between the two envelopes, 0 when
+// they intersect and +Inf when either is empty.
+func (e Envelope) Distance(o Envelope) float64 {
+	return math.Hypot(e.AxisGaps(o))
+}
+
+// WithinDistance reports whether Distance(o) <= d, for every input,
+// NaN and infinities included. Hypot never measures below its larger
+// argument and Hypot(x, 0) is x, so when one axis gap exceeds d, or one
+// gap is 0, the other gap decides the answer without a square root;
+// only two positive gaps both within d take the Hypot.
+func (e Envelope) WithinDistance(o Envelope, d float64) bool {
+	dx, dy := e.AxisGaps(o)
+	switch {
+	case dx > d || dy > d:
+		return false
+	case dx == 0:
+		return dy <= d
+	case dy == 0:
+		return dx <= d
+	}
+	return math.Hypot(dx, dy) <= d
 }

@@ -204,3 +204,54 @@ func FuzzDistancePrepared(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEnvelopeWithinDistance is the oracle of the square-root-free
+// envelope filter: on envelopes and a threshold built from arbitrary
+// float64 bit patterns (NaN, infinities, signed zeros, subnormals and
+// empty envelopes included), WithinDistance(o, d) must equal
+// Distance(o) <= d, with the operands either way round.
+func FuzzEnvelopeWithinDistance(f *testing.F) {
+	add := func(e, o Envelope, d float64) {
+		b := math.Float64bits
+		f.Add(b(e.MinX), b(e.MinY), b(e.MaxX), b(e.MaxY), b(o.MinX), b(o.MinY), b(o.MaxX), b(o.MaxY), b(d))
+	}
+	unit := Envelope{0, 0, 1, 1}
+	far := Envelope{4, 5, 6, 7} // gaps 3 and 4 from unit: Hypot exactly 5
+	sub, maxf := math.SmallestNonzeroFloat64, math.MaxFloat64
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	add(unit, Envelope{3, 0.5, 4, 2}, 2)   // dy = 0: dx decides
+	add(unit, Envelope{3, 0.5, 4, 2}, 1.5) // dy = 0, dx beyond d
+	add(unit, Envelope{0.5, 3, 2, 4}, 2)   // dx = 0: dy decides
+	add(unit, far, 5)                      // both gaps positive, Hypot at d
+	add(unit, far, math.Nextafter(5, 0))   // both gaps positive, Hypot just beyond d
+	add(unit, far, 4.5)                    // each gap within d, Hypot beyond it
+	add(unit, unit, 0)
+	add(unit, Envelope{1, 1, 2, 2}, negZero) // corner contact at d = -0
+	add(unit, Envelope{1 + 1e-16, 0, 2, 1}, 0)
+	add(Envelope{sub, sub, sub, sub}, Envelope{0, 0, 0, 0}, sub) // subnormal gaps
+	add(Envelope{negZero, negZero, 0, 0}, Envelope{sub, 0, sub, 0}, 0)
+	add(EmptyEnvelope(), unit, inf)
+	add(EmptyEnvelope(), unit, maxf)
+	add(unit, EmptyEnvelope(), nan)
+	add(EmptyEnvelope(), EmptyEnvelope(), inf)
+	add(Envelope{1, 0, 0, 1}, unit, inf) // empty by MinX > MaxX
+	add(Envelope{-inf, -inf, inf, inf}, unit, 0)
+	add(Envelope{-maxf, -maxf, -maxf, -maxf}, Envelope{maxf, maxf, maxf, maxf}, maxf) // gaps overflow to +Inf
+	add(Envelope{-maxf, 0, -maxf, 0}, Envelope{maxf, 0, maxf, 0}, inf)
+	add(Envelope{inf, inf, inf, inf}, unit, inf)
+	add(Envelope{nan, 0, nan, 1}, Envelope{3, 0, 4, 1}, 1)
+	add(unit, Envelope{3, nan, 4, nan}, 2)
+	add(unit, far, nan)
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, b0, b1, b2, b3, dBits uint64) {
+		v := math.Float64frombits
+		e := Envelope{v(a0), v(a1), v(a2), v(a3)}
+		o := Envelope{v(b0), v(b1), v(b2), v(b3)}
+		d := v(dBits)
+		if got, want := e.WithinDistance(o, d), e.Distance(o) <= d; got != want {
+			t.Fatalf("%+v.WithinDistance(%+v, %v) = %v; Distance = %v", e, o, d, got, e.Distance(o))
+		}
+		if got, want := o.WithinDistance(e, d), o.Distance(e) <= d; got != want {
+			t.Fatalf("%+v.WithinDistance(%+v, %v) = %v; Distance = %v", o, e, d, got, o.Distance(e))
+		}
+	})
+}

@@ -887,7 +887,7 @@ func (t *segTree) rayFlags(p Point, flags []uint8) {
 // minimum in any visiting order.
 func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
 	na, nb := &ta.nodes[ia], &tb.nodes[ib]
-	if na.env.Buffer(ta.slack).Distance(nb.env.Buffer(tb.slack)) > best {
+	if !na.env.Buffer(ta.slack).WithinDistance(nb.env.Buffer(tb.slack), best) {
 		return best
 	}
 	switch {
@@ -900,7 +900,7 @@ func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
 			envA := ea.env.Buffer(ta.slack)
 			for j := nb.first; j < nb.first+nb.count; j++ {
 				eb := &tb.entries[j]
-				if eb.soup < 0 || envA.Distance(eb.env.Buffer(tb.slack)) > best {
+				if eb.soup < 0 || !envA.WithinDistance(eb.env.Buffer(tb.slack), best) {
 					continue
 				}
 				if d := ea.seg.DistanceToSegment(eb.seg); d < best {

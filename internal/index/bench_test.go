@@ -1,6 +1,8 @@
 package index
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -55,4 +57,35 @@ func BenchmarkBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NewRTreeBulk(items)
 	}
+}
+
+// BenchmarkJoin compares Layer.Join with the per-geometry Within loop
+// it replaces, on two layers of 2,300 uniform points in a 60×60 square
+// at distance 1 (about two neighbours per point).
+func BenchmarkJoin(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	layer := func() (*Layer, []geom.Envelope) {
+		envs := make([]geom.Envelope, 2300)
+		for i := range envs {
+			p := geom.Pt(rng.Float64()*60, rng.Float64()*60)
+			envs[i] = geom.NewEnvelope(p, p)
+		}
+		return NewLayer(len(envs), func(j int) geom.Envelope { return envs[j] }, nil, false), envs
+	}
+	la, envsA := layer()
+	lb, _ := layer()
+	b.Run("join", func(b *testing.B) {
+		var dst []Pair
+		for range b.N {
+			dst, _ = la.Join(context.Background(), lb, 1, 1, dst[:0])
+		}
+	})
+	b.Run("within", func(b *testing.B) {
+		var buf []int
+		for range b.N {
+			for _, e := range envsA {
+				buf = lb.Within(e, 1, buf)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -44,31 +45,63 @@ func bandScene(rng *rand.Rand, n int) []geom.Geometry {
 
 // TestLayerWithinReachesEveryPairWithinDistance is the reach property of
 // the join's filters. Over scenes of points, segments and polygons with
-// coordinates up to ±1e9 and offsets inside the Eps band, for d in
-// {0, 5e-10, 1e-9, 1, 10}: every geometry at geom.Distance <= d from a
-// query geometry is among Within(query envelope, d), which needs both
-// the Eps part and the relative part of Envelope.Slack; and an R-tree
-// layer, a Linear layer and a layer keyed on prepared envelopes return
-// the same IDs in ascending order, from Within and from Touching.
+// coordinates up to ±1e9 and offsets inside the Eps band, a pile of
+// coincident points and empty geometries, for d in {0, 5e-10, 1e-9, 1,
+// 10}: every geometry at geom.Distance <= d from a query geometry is
+// among Within(query envelope, d), which needs both the Eps part and
+// the relative part of Envelope.Slack; an R-tree layer, a Linear layer
+// and a layer keyed on prepared envelopes return the same IDs in
+// ascending order, from Within and from Touching; and with the scene
+// cut into two layers, Join between any two of those kinds, on one
+// worker or four, returns exactly the per-geometry Within rows,
+// concatenated in ascending order. So does Join between two columns of
+// rectangles whose gap lies inside the slack band, where only the
+// reach of both layers' slack keeps a node pair.
 func TestLayerWithinReachesEveryPairWithinDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	dists := []float64{0, 5e-10, 1e-9, 1, 10}
 	reached := make(map[float64]int)
+	joined := make(map[float64]int)
+	checkJoin := func(trial int, as, bs []geom.Geometry) {
+		t.Helper()
+		joinA, joinB := kindLayers(t, as), kindLayers(t, bs)
+		for _, d := range dists {
+			var want []Pair
+			for a, g := range as {
+				for _, b := range joinB["linear"].Within(g.Envelope(), d, nil) {
+					want = append(want, Pair{a, b})
+				}
+			}
+			joined[d] += len(want)
+			for na, la := range joinA {
+				for nb, lb := range joinB {
+					for _, workers := range []int{1, 4} {
+						got, err := la.Join(context.Background(), lb, d, workers, []Pair{{-1, -1}})
+						if err != nil || len(got) == 0 || got[0] != (Pair{-1, -1}) || !slices.Equal(got[1:], want) {
+							t.Fatalf("trial %d: %s.Join(%s, d=%v, workers=%d) = %v, %v\nwant %v after the kept head", trial, na, nb, d, workers, got, err, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for trial, gap := range []float64{0.5e-9, 1.5e-9, 2.5e-9} {
+		var left, right []geom.Geometry
+		for k := range 30 {
+			y := float64(k)
+			left = append(left, geom.Rect(0, y, 1, y+0.5))
+			right = append(right, geom.Rect(1+gap, y, 2+gap, y+0.5))
+		}
+		checkJoin(-1-trial, left, right)
+	}
 	for trial := 0; trial < 150; trial++ {
-		gs := bandScene(rng, 30)
-		env := func(j int) geom.Envelope { return gs[j].Envelope() }
-		prep := make([]*geom.Prepared, len(gs))
-		for j, g := range gs {
-			prep[j] = geom.Prepare(g)
-		}
-		layers := map[string]*Layer{
-			"rtree":    NewLayer(len(gs), env, nil, false),
-			"linear":   NewLayer(len(gs), env, nil, true),
-			"prepared": NewLayer(len(gs), nil, prep, false),
-		}
-		if layers["prepared"].Prepared == nil || layers["rtree"].Prepared != nil {
-			t.Fatal("Layer.Prepared does not hold what NewLayer was given")
-		}
+		scene := bandScene(rng, 40)
+		c := scene[0].Envelope().Center()
+		extras := []geom.Geometry{geom.Pt(c.X, c.Y), geom.Pt(c.X, c.Y), geom.Pt(c.X, c.Y), geom.MultiPoint{}, geom.Polygon{}}
+		half := slices.Concat(scene[:20], extras)
+		gs := slices.Concat(half, scene[20:], extras)
+		layers := kindLayers(t, gs)
+		checkJoin(trial, half, gs[len(half):])
 		for qi, q := range gs {
 			qenv := q.Envelope()
 			check := func(query string, run func(l *Layer) []int) []int {
@@ -100,5 +133,21 @@ func TestLayerWithinReachesEveryPairWithinDistance(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("pairs within distance: %v", reached)
+	t.Logf("pairs within distance: %v; joined pairs: %v", reached, joined)
+}
+
+// kindLayers builds an R-tree, a Linear and a prepared-envelope layer
+// over gs.
+func kindLayers(t *testing.T, gs []geom.Geometry) map[string]*Layer {
+	t.Helper()
+	env := func(j int) geom.Envelope { return gs[j].Envelope() }
+	layers := map[string]*Layer{
+		"rtree":    NewLayer(len(gs), env, nil, false),
+		"linear":   NewLayer(len(gs), env, nil, true),
+		"prepared": NewLayer(len(gs), nil, geom.PrepareAll(gs), false),
+	}
+	if layers["prepared"].Prepared == nil || layers["rtree"].Prepared != nil {
+		t.Fatal("Layer.Prepared does not hold what NewLayer was given")
+	}
+	return layers
 }

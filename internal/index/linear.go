@@ -28,7 +28,9 @@ func (l *Linear) Search(query geom.Envelope, dst []int) []int {
 	return dst
 }
 
-// SearchDistance implements SpatialIndex.
+// SearchDistance implements SpatialIndex. It keeps the literal
+// Distance(query) <= d, the reference geom.Envelope.WithinDistance is
+// checked against.
 func (l *Linear) SearchDistance(query geom.Envelope, d float64, dst []int) []int {
 	for _, it := range l.items {
 		if it.Env.Distance(query) <= d {

@@ -10,7 +10,7 @@ package index
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -67,11 +67,8 @@ func NewRTreeBulk(items []Item) *RTree {
 
 // packLeaves tiles the items into leaf nodes using sort-tile-recursive.
 func packLeaves(items []Item) []*rtreeNode {
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Env.Center().X < sorted[j].Env.Center().X
-	})
+	sorted := slices.Clone(items)
+	slices.SortFunc(sorted, func(a, b Item) int { return cmpLess(a.Env.Center().X, b.Env.Center().X) })
 	n := len(sorted)
 	leafCount := (n + rtreeMaxEntries - 1) / rtreeMaxEntries
 	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
@@ -84,15 +81,13 @@ func packLeaves(items []Item) []*rtreeNode {
 			end = n
 		}
 		slice := sorted[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Env.Center().Y < slice[j].Env.Center().Y
-		})
+		slices.SortFunc(slice, func(a, b Item) int { return cmpLess(a.Env.Center().Y, b.Env.Center().Y) })
 		for o := 0; o < len(slice); o += rtreeMaxEntries {
 			oEnd := o + rtreeMaxEntries
 			if oEnd > len(slice) {
 				oEnd = len(slice)
 			}
-			leaf := &rtreeNode{leaf: true, items: append([]Item{}, slice[o:oEnd]...)}
+			leaf := &rtreeNode{leaf: true, items: slice[o:oEnd:oEnd]}
 			leaf.recomputeEnv()
 			leaves = append(leaves, leaf)
 		}
@@ -104,9 +99,7 @@ func packLeaves(items []Item) []*rtreeNode {
 // remains.
 func packUp(nodes []*rtreeNode) *rtreeNode {
 	for len(nodes) > 1 {
-		sort.Slice(nodes, func(i, j int) bool {
-			return nodes[i].env.Center().X < nodes[j].env.Center().X
-		})
+		slices.SortFunc(nodes, func(a, b *rtreeNode) int { return cmpLess(a.env.Center().X, b.env.Center().X) })
 		var next []*rtreeNode
 		for o := 0; o < len(nodes); o += rtreeMaxEntries {
 			end := o + rtreeMaxEntries
@@ -120,6 +113,19 @@ func packUp(nodes []*rtreeNode) *rtreeNode {
 		nodes = next
 	}
 	return nodes[0]
+}
+
+// cmpLess is the three-way form of a < b: it reports a before b exactly
+// when a < b holds, so a sort makes the same decisions as with the
+// boolean comparison, NaN included.
+func cmpLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 func (n *rtreeNode) recomputeEnv() {
@@ -174,12 +180,12 @@ func (t *RTree) SearchDistance(query geom.Envelope, d float64, dst []int) []int 
 }
 
 func (n *rtreeNode) searchDistance(query geom.Envelope, d float64, dst []int) []int {
-	if n.env.Distance(query) > d {
+	if !n.env.WithinDistance(query, d) {
 		return dst
 	}
 	if n.leaf {
 		for _, it := range n.items {
-			if it.Env.Distance(query) <= d {
+			if it.Env.WithinDistance(query, d) {
 				dst = append(dst, it.ID)
 			}
 		}

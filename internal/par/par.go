@@ -1,6 +1,7 @@
 // Package par is the one worker pool every fan-out in the pipeline
 // shares: extraction rows and layer preparation, the Eclat root walk,
-// vertical support counting and both co-location phases. Workers claim
+// vertical support counting, both co-location phases and the subtrees
+// of an index.Layer join. Workers claim
 // indices off one atomic counter, so there is no feeder goroutine to
 // wait on and a slow index never holds up the rest of the pool.
 package par

@@ -220,6 +220,16 @@ func (d *Dir) DeleteDataset(digest string) bool {
 	return err == nil
 }
 
+// DiscardDataset removes a persisted dataset that hashed to its address
+// but failed a later check, such as a body the caller can no longer
+// parse, and counts it as a verification failure, as LoadDataset counts
+// a body that fails its hash.
+func (d *Dir) DiscardDataset(digest string) {
+	if d.DeleteDataset(digest) {
+		d.verifyFailures.Add(1)
+	}
+}
+
 // ListDatasets enumerates the persisted datasets' metadata, ordered by
 // digest. Bodies are not read (rows come from the sidecar, bytes from
 // the file size).

@@ -91,6 +91,29 @@ func TestDatasetCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestDiscardDataset: a caller's discard removes a dataset and its
+// sidecar and counts one verification failure; discarding what is not
+// there counts nothing.
+func TestDiscardDataset(t *testing.T) {
+	d := openDir(t)
+	body := []byte("r1,a,b\n")
+	digest := digestOf(body)
+	if err := d.SaveDataset(digest, body, api.KindTable, 1); err != nil {
+		t.Fatal(err)
+	}
+	d.DiscardDataset(digest)
+	d.DiscardDataset(digest)
+	if _, _, _, err := d.LoadDataset(digest); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("after discard err = %v, want fs.ErrNotExist", err)
+	}
+	if len(d.ListDatasets()) != 0 {
+		t.Errorf("discarded dataset still listed: %+v", d.ListDatasets())
+	}
+	if st := d.PersistStats(); st.VerifyFailures != 1 {
+		t.Errorf("verifyFailures = %d, want 1", st.VerifyFailures)
+	}
+}
+
 func TestResultRoundTripAndChainVerification(t *testing.T) {
 	d := openDir(t)
 	digest := digestOf([]byte("dataset"))

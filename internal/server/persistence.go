@@ -20,10 +20,14 @@ import (
 // reports fs.ErrNotExist for unknown digests and
 // persist.ErrVerifyFailed for stored bytes that no longer hash to
 // their content address (the entry is discarded by the implementation).
+// DiscardDataset removes an entry whose bytes hash correctly but fail
+// a check above the tier (the Store's parse) and counts it as a verify
+// failure.
 type DatasetPersistence interface {
 	SaveDataset(digest string, body []byte, kind DatasetKind, rows int) error
 	LoadDataset(digest string) (body []byte, kind DatasetKind, rows int, err error)
 	DeleteDataset(digest string) bool
+	DiscardDataset(digest string)
 	ListDatasets() []api.DatasetInfo
 }
 

@@ -457,6 +457,58 @@ func TestServerRestartDurability(t *testing.T) {
 	}
 }
 
+// TestUnparseablePersistedDatasetIsDiscarded: a persisted scene whose
+// bytes hash to their address but no longer parse (saved with trailing
+// bytes, which an upload now refuses) is listed until a request names
+// it. That request discards it from the disk tier as a verify failure;
+// it and the next three answer 404, the body is read once
+// (DatasetReloads), and the listing drops the entry.
+func TestUnparseablePersistedDatasetIsDiscarded(t *testing.T) {
+	dir, err := persist.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	body := append(sampleSceneJSON(t), " trailing"...)
+	digest := Digest(body)
+	if err := dir.SaveDataset(digest, body, KindScene, 6); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Persistence: dir})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	listed := func() bool {
+		t.Helper()
+		var list struct{ Datasets []datasetInfo }
+		if status, raw := doJSON(t, client, "GET", ts.URL+"/v1/datasets", nil, &list); status != http.StatusOK {
+			t.Fatalf("list: %d %s", status, raw)
+		}
+		for _, info := range list.Datasets {
+			if info.Digest == digest {
+				return true
+			}
+		}
+		return false
+	}
+	if !listed() {
+		t.Fatal("the persisted scene is not listed before any request names it")
+	}
+	for i := 0; i < 4; i++ {
+		if status, raw := doJSON(t, client, "GET", ts.URL+"/v1/datasets/"+digest, nil, nil); status != http.StatusNotFound {
+			t.Fatalf("request %d: %d %s, want 404", i, status, raw)
+		}
+	}
+	if st := dir.PersistStats(); st.DatasetReloads != 1 || st.VerifyFailures != 1 || st.Datasets != 0 {
+		t.Errorf("persist stats = %+v, want 1 dataset reload, 1 verify failure and no dataset left", st)
+	}
+	if listed() {
+		t.Error("the unparseable scene is still listed")
+	}
+}
+
 // TestPersistedResultVerifyFailureRecomputes corrupts a persisted result
 // on disk between two server generations: the restarted server must
 // refuse to serve it (counting the verification failure), recompute, and

@@ -169,13 +169,22 @@ func (s *Store) Get(digest string) (*StoredDataset, bool) {
 
 // reload re-parses a persisted upload body with parseUpload (outside
 // the store lock — parsing a large scene must not stall unrelated
-// requests).
+// requests). A body that hashes to its address but no longer parses,
+// such as a scene saved with trailing bytes by a build that accepted
+// them, is discarded from the durable tier as one failing its hash is:
+// it leaves the listing, and later requests naming it stop re-reading
+// it.
 func (s *Store) reload(digest string) (*StoredDataset, error) {
 	body, kind, _, err := s.persist.LoadDataset(digest)
 	if err != nil {
 		return nil, err
 	}
-	return parseUpload(digest, kind, body)
+	sd, err := parseUpload(digest, kind, body)
+	if err != nil {
+		s.persist.DiscardDataset(digest)
+		return nil, err
+	}
+	return sd, nil
 }
 
 // List snapshots every stored dataset's metadata, ordered by digest so
