@@ -6,3 +6,9 @@ func IsCanonical(data []byte) bool {
 	_, ok := decodeCanonical(data)
 	return ok
 }
+
+// ParseTableCSVChunks parses a ReadTableCSV body in at most chunks
+// chunks.
+func ParseTableCSVChunks(body string, chunks int) (*Table, error) {
+	return parseTableCSV(body, chunks)
+}

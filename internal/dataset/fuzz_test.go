@@ -240,7 +240,8 @@ func checkTableRoundTrip(t *testing.T, tab *Table) error {
 }
 
 // FuzzReadTableCSV holds ReadTableCSV to its predecessor on every input
-// (the same error text, or deeply equal tables) and checks the writer's
+// (the same error text, or deeply equal tables), at one chunk and at a
+// chunk count derived from the input, and checks the writer's
 // representability rule: WriteTableCSV either refuses a table or the
 // table survives a write and re-read, and of a parsed table it refuses
 // only an itemless row whose reference ID ends in white space.
@@ -254,6 +255,12 @@ func FuzzReadTableCSV(f *testing.F) {
 		want, wantErr := readTableCSVOracle(strings.NewReader(data))
 		if !sameTableResult(tab, err, want, wantErr) {
 			t.Fatalf("ReadTableCSV differs from its predecessor on %q:\n got %q, %v\nwant %q, %v", data, tab, err, want, wantErr)
+		}
+		// The input is far below tableParseChunk, so parse it again in
+		// as many chunks as its length picks.
+		chunks := 2 + len(data)%7
+		if got, err := parseTableCSV(data, chunks); !sameTableResult(got, err, want, wantErr) {
+			t.Fatalf("%d chunks differ from the predecessor on %q:\n got %q, %v\nwant %q, %v", chunks, data, got, err, want, wantErr)
 		}
 		checkTableRoundTrip(t, rawTable(data))
 		if err != nil {

@@ -66,22 +66,38 @@ func NewRTreeBulk(items []Item) *RTree {
 }
 
 // packLeaves tiles the items into leaf nodes using sort-tile-recursive.
+// The sorts order centreKey pairs, not items: each item's centre X is
+// computed once, the pairs are sorted, then each vertical slice's keys
+// are replaced by its items' centre Y and the slice is sorted again, and
+// the items are gathered once in the final order. The pairs start in
+// the order the items would have, and slices.SortFunc's decisions
+// depend only on the comparisons, so the tree is the one sorting the
+// items themselves built, ties and NaN centres included.
 func packLeaves(items []Item) []*rtreeNode {
-	sorted := slices.Clone(items)
-	slices.SortFunc(sorted, func(a, b Item) int { return cmpLess(a.Env.Center().X, b.Env.Center().X) })
-	n := len(sorted)
+	n := len(items)
+	keys := make([]centreKey, n)
+	for i, it := range items {
+		keys[i] = centreKey{it.Env.Center().X, i}
+	}
+	slices.SortFunc(keys, centreKey.cmp)
 	leafCount := (n + rtreeMaxEntries - 1) / rtreeMaxEntries
 	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
 	sliceSize := (n + sliceCount - 1) / sliceCount
+	for s := 0; s < n; s += sliceSize {
+		slice := keys[s:min(s+sliceSize, n)]
+		for i, k := range slice {
+			slice[i].key = items[k.pos].Env.Center().Y
+		}
+		slices.SortFunc(slice, centreKey.cmp)
+	}
+	sorted := make([]Item, n)
+	for i, k := range keys {
+		sorted[i] = items[k.pos]
+	}
 
 	var leaves []*rtreeNode
 	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		slice := sorted[s:end]
-		slices.SortFunc(slice, func(a, b Item) int { return cmpLess(a.Env.Center().Y, b.Env.Center().Y) })
+		slice := sorted[s:min(s+sliceSize, n)]
 		for o := 0; o < len(slice); o += rtreeMaxEntries {
 			oEnd := o + rtreeMaxEntries
 			if oEnd > len(slice) {
@@ -94,6 +110,15 @@ func packLeaves(items []Item) []*rtreeNode {
 	}
 	return leaves
 }
+
+// centreKey is one item's centre coordinate on the axis being sorted
+// and the item's position in the input.
+type centreKey struct {
+	key float64
+	pos int
+}
+
+func (a centreKey) cmp(b centreKey) int { return cmpLess(a.key, b.key) }
 
 // packUp builds internal levels over the given nodes until one root
 // remains.

@@ -180,8 +180,9 @@ func (d *Dir) SaveDataset(digest string, body []byte, kind api.DatasetKind, rows
 
 // LoadDataset reads a persisted upload back, re-verifying that the
 // body still hashes to its content address. A body that no longer
-// matches (bit rot, tampering) is discarded with ErrVerifyFailed; a
-// digest never saved reports fs.ErrNotExist.
+// matches (bit rot, tampering) or whose sidecar does not decode is
+// discarded as DiscardDataset discards it and reports ErrVerifyFailed;
+// a digest never saved reports fs.ErrNotExist.
 func (d *Dir) LoadDataset(digest string) (body []byte, kind api.DatasetKind, rows int, err error) {
 	if !validDigest(digest) {
 		return nil, "", 0, fs.ErrNotExist
@@ -192,7 +193,7 @@ func (d *Dir) LoadDataset(digest string) (body []byte, kind api.DatasetKind, row
 		return nil, "", 0, err
 	}
 	if hashHex(body) != digest {
-		d.discard(digest, path, path+".meta.json")
+		d.DiscardDataset(digest)
 		return nil, "", 0, ErrVerifyFailed
 	}
 	metaRaw, err := os.ReadFile(path + ".meta.json")
@@ -201,7 +202,7 @@ func (d *Dir) LoadDataset(digest string) (body []byte, kind api.DatasetKind, row
 	}
 	var meta datasetMeta
 	if err := json.Unmarshal(metaRaw, &meta); err != nil {
-		d.discard(digest, path, path+".meta.json")
+		d.DiscardDataset(digest)
 		return nil, "", 0, ErrVerifyFailed
 	}
 	d.datasetReloads.Add(1)
@@ -223,11 +224,13 @@ func (d *Dir) DeleteDataset(digest string) bool {
 // DiscardDataset removes a persisted dataset that hashed to its address
 // but failed a later check, such as a body the caller can no longer
 // parse, and counts it as a verification failure, as LoadDataset counts
-// a body that fails its hash.
+// a body that fails its hash. The results persisted from the dataset go
+// with it: no request can name them once the dataset is gone.
 func (d *Dir) DiscardDataset(digest string) {
 	if d.DeleteDataset(digest) {
 		d.verifyFailures.Add(1)
 	}
+	d.DeleteResults(digest)
 }
 
 // ListDatasets enumerates the persisted datasets' metadata, ordered by

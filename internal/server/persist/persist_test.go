@@ -114,6 +114,54 @@ func TestDiscardDataset(t *testing.T) {
 	}
 }
 
+// TestDiscardedDatasetTakesItsResults is the regression test for
+// results left behind by a discarded dataset: a body that fails its
+// hash, a sidecar that fails to decode and a caller's discard each
+// remove the dataset's persisted results, and only those.
+func TestDiscardedDatasetTakesItsResults(t *testing.T) {
+	for name, fail := range map[string]func(d *Dir, digest string){
+		"hash": func(d *Dir, digest string) {
+			if err := os.WriteFile(filepath.Join(d.Root(), "datasets", digest), []byte("tampered"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := d.LoadDataset(digest); !errors.Is(err, ErrVerifyFailed) {
+				t.Fatalf("LoadDataset err = %v, want ErrVerifyFailed", err)
+			}
+		},
+		"sidecar": func(d *Dir, digest string) {
+			if err := os.WriteFile(filepath.Join(d.Root(), "datasets", digest+".meta.json"), []byte("{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := d.LoadDataset(digest); !errors.Is(err, ErrVerifyFailed) {
+				t.Fatalf("LoadDataset err = %v, want ErrVerifyFailed", err)
+			}
+		},
+		"discard": func(d *Dir, digest string) { d.DiscardDataset(digest) },
+	} {
+		d := openDir(t)
+		body := []byte("r1,a,b\n")
+		digest, other := digestOf(body), digestOf([]byte("other"))
+		if err := d.SaveDataset(digest, body, api.KindTable, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{digest + "|c1", digest + "|c2", other + "|c1"} {
+			if err := d.SaveResult(key, &api.MineResponse{Transactions: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fail(d, digest)
+		if st := d.PersistStats(); st.Results != 1 || st.Datasets != 0 || st.VerifyFailures != 1 {
+			t.Errorf("%s: stats %+v, want 1 result, 0 datasets, 1 verify failure", name, st)
+		}
+		if _, err := d.LoadResult(other + "|c1"); err != nil {
+			t.Errorf("%s: another dataset's result went too: %v", name, err)
+		}
+		if st := d.PersistStats(); st.Results != 1 {
+			t.Errorf("%s: %d results left, want the other dataset's 1", name, st.Results)
+		}
+	}
+}
+
 func TestResultRoundTripAndChainVerification(t *testing.T) {
 	d := openDir(t)
 	digest := digestOf([]byte("dataset"))
