@@ -291,13 +291,14 @@ func (p *csrPair) transpose(nj int) csrPair {
 // materializeNeighbors builds the CSR neighbor graph for every ordered
 // type pair. Phase 1 prepares each type and builds its index.Layer;
 // phase 2 makes each unordered type pair (i, j) one unit: one
-// Layer.Join of the two layers is the filter stage, prepared-geometry
-// DistanceTo refines each candidate exactly, the refined pairs fill the
-// forward CSR and a counting transpose the reverse one. Both phases run
-// on a par pool of parallelism workers, which stops between units once
-// ctx is done; a unit writes only its own pair's slots, so the graph is
-// identical at any worker count. Returns the graph, the filter/refine
-// pair counts, and the worker count of phase 2.
+// Layer.Join of the two layers is the filter stage, the prepared
+// geometries' WithinDistance decision refines each candidate exactly
+// (Distance <= dist), the refined pairs fill the forward CSR and a
+// counting transpose the reverse one. Both phases run on a par pool of
+// parallelism workers, which stops between units once ctx is done; a
+// unit writes only its own pair's slots, so the graph is identical at
+// any worker count. Returns the graph, the filter/refine pair counts,
+// and the worker count of phase 2.
 func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, parallelism int) (*neighborGraph, int64, int64, int, error) {
 	n := len(types)
 	graph := &neighborGraph{n: n, pairs: make([]csrPair, n*n)}
@@ -337,7 +338,7 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 		prepI, prepJ := layers[i].Prepared, layers[j].Prepared
 		kept := pairs[:0]
 		for _, p := range pairs {
-			if prepI[p.A].DistanceTo(prepJ[p.B]) > dist {
+			if !prepI[p.A].WithinDistance(prepJ[p.B], dist) {
 				continue
 			}
 			kept = append(kept, p)

@@ -220,7 +220,7 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 		if op.ID == "" {
 			return nil, nil, fmt.Errorf("dataset: mutate: op %d: empty feature ID", i)
 		}
-		at, found := le.at[op.ID]
+		at, found := le.lookup(op.ID)
 		switch op.Action {
 		case OpInsert:
 			if found {
@@ -318,26 +318,56 @@ func (d *Dataset) ApplyOps(ops []Op) (*Dataset, *ChangeSet, error) {
 
 // layerEdit is ApplyOps' mutable copy of one layer. A delete only marks
 // its feature dead, and compact drops the dead in one pass at the end,
-// so no op shifts the layer.
+// so no op shifts the layer. The ID index is built on the layer's
+// second lookup: the first, all that a one-op batch makes, scans.
 type layerEdit struct {
 	l *Layer
-	// at maps an ID to the position of the first live feature with it.
+	// at maps an ID to the position of the first live feature with it;
+	// nil until the layer's second lookup.
 	at map[string]int
 	// later lists, for an ID the layer repeats, the positions of its
-	// other features in order; a delete hands at the next one.
+	// other live features in order; a delete hands at the next one.
 	later map[string][]int
-	dead  []bool
-	ndead int
+	// dead marks the deleted features; nil until the first delete.
+	dead    []bool
+	ndead   int
+	scanned bool // the first lookup has been made
 }
 
 func newLayerEdit(src *Layer) *layerEdit {
-	le := &layerEdit{
-		l:    &Layer{Type: src.Type, Features: append([]Feature{}, src.Features...)},
-		at:   make(map[string]int, len(src.Features)),
-		dead: make([]bool, len(src.Features)),
+	return &layerEdit{l: &Layer{Type: src.Type, Features: append([]Feature{}, src.Features...)}}
+}
+
+// lookup returns the position of the first live feature with id. The
+// layer's first lookup comes before any op has touched it, so the first
+// feature with id is the one; the second builds the index.
+func (le *layerEdit) lookup(id string) (int, bool) {
+	if le.at == nil {
+		if !le.scanned {
+			le.scanned = true
+			for i := range le.l.Features {
+				if le.l.Features[i].ID == id {
+					return i, true
+				}
+			}
+			return 0, false
+		}
+		le.index()
 	}
-	for i := range src.Features {
-		id := src.Features[i].ID
+	at, ok := le.at[id]
+	return at, ok
+}
+
+// index maps every live feature's ID to its first live position and
+// lists the others in later, as the ops before it would have left them.
+func (le *layerEdit) index() {
+	fs := le.l.Features
+	le.at = make(map[string]int, len(fs))
+	for i := range fs {
+		if le.dead != nil && le.dead[i] {
+			continue
+		}
+		id := fs[i].ID
 		if _, ok := le.at[id]; !ok {
 			le.at[id] = i
 		} else {
@@ -347,20 +377,29 @@ func newLayerEdit(src *Layer) *layerEdit {
 			le.later[id] = append(le.later[id], i)
 		}
 	}
-	return le
 }
 
 // insert appends f, whose ID has no live feature.
 func (le *layerEdit) insert(f Feature) {
-	le.at[f.ID] = len(le.l.Features)
+	if le.at != nil {
+		le.at[f.ID] = len(le.l.Features)
+	}
 	le.l.Features = append(le.l.Features, f)
-	le.dead = append(le.dead, false)
+	if le.dead != nil {
+		le.dead = append(le.dead, false)
+	}
 }
 
 // delete kills the feature at position at, the first live one with id.
 func (le *layerEdit) delete(id string, at int) {
+	if le.dead == nil {
+		le.dead = make([]bool, len(le.l.Features))
+	}
 	le.dead[at] = true
 	le.ndead++
+	if le.at == nil {
+		return // index skips the dead when it is built
+	}
 	if rest := le.later[id]; len(rest) > 0 {
 		le.at[id], le.later[id] = rest[0], rest[1:]
 	} else {

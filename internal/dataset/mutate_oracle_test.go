@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -328,6 +330,40 @@ func TestApplyOpsLinear(t *testing.T) {
 	}
 	if limit := 200 * time.Millisecond; best > limit {
 		t.Fatalf("%d deletes of %d features took %v at best, want under %v", n/2, n, best, limit)
+	}
+}
+
+// TestApplyOneOpAllocatesNoIndex: a one-op batch finds its feature by a
+// scan instead of indexing every ID of the layer it touches, so an
+// update or a delete on a 10,000-feature layer allocates the layer's
+// copied feature slice plus a small constant (a delete adds a byte per
+// feature to mark the dead). An ID index would add about as much again
+// as the feature slice.
+func TestApplyOneOpAllocatesNoIndex(t *testing.T) {
+	const n = 10000
+	ref := NewLayer("district")
+	for i := 0; i < n; i++ {
+		ref.Add(Feature{ID: fmt.Sprintf("d%d", i), Geometry: geom.Pt(float64(i), 0)})
+	}
+	d := &Dataset{Reference: ref}
+	features := uint64(n) * uint64(unsafe.Sizeof(Feature{}))
+	const slack, runs = 32 << 10, 4
+	for _, op := range []Op{
+		{Action: OpUpdate, Layer: "district", ID: "d7000", WKT: "POINT (1 1)"},
+		{Action: OpDelete, Layer: "district", ID: "d7000"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, _, err := d.ApplyOps([]Op{op}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > features+slack {
+			t.Errorf("one %s on %d features allocates %d bytes, want at most the %d-byte feature slice plus %d",
+				op.Action, n, per, features, slack)
+		}
 	}
 }
 

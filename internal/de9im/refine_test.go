@@ -12,16 +12,15 @@ import (
 // district: features strictly inside it, a disjoint one, and features
 // crossing its boundary.
 var districtOperands = []struct {
-	name      string
-	g         geom.Geometry
-	maxAllocs float64 // per RelatePrepared against the district
+	name string
+	g    geom.Geometry
 }{
-	{"point", geom.Pt(5, 5), 0},
-	{"line", geom.Line(geom.Pt(2, 2), geom.Pt(5, 6), geom.Pt(8, 3)), 0},
-	{"polygon", geom.Rect(3, 3, 6, 6), 0},
-	{"disjoint-polygon", geom.Rect(20, 20, 23, 23), 0},
-	{"crossing-line", geom.Line(geom.Pt(-2, 5), geom.Pt(12, 5)), 4},
-	{"overlapping-polygon", geom.Rect(5, 5, 15, 15), 4},
+	{"point", geom.Pt(5, 5)},
+	{"line", geom.Line(geom.Pt(2, 2), geom.Pt(5, 6), geom.Pt(8, 3))},
+	{"polygon", geom.Rect(3, 3, 6, 6)},
+	{"disjoint-polygon", geom.Rect(20, 20, 23, 23)},
+	{"crossing-line", geom.Line(geom.Pt(-2, 5), geom.Pt(12, 5))},
+	{"overlapping-polygon", geom.Rect(5, 5, 15, 15)},
 }
 
 // sceneLayers returns the geometries of every layer, reference first, of
@@ -44,9 +43,10 @@ func sceneLayers(tb testing.TB) map[string][]geom.Geometry {
 }
 
 // TestRefineAllocs pins the refine stage's allocations per call: a relate
-// with a feature no cut reaches allocates nothing, a crossing one only its
-// split output and nodes, the prepared distance kernel nothing, and
-// PrepareAll a fixed number per layer, however long.
+// allocates nothing, whether or not a cut reaches either side (the split
+// output and nodes go to the pooled scratch), nor do the prepared
+// distance decision and a standalone Locate, and PrepareAll makes a
+// fixed number per layer, however long.
 func TestRefineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -54,16 +54,24 @@ func TestRefineAllocs(t *testing.T) {
 	district := geom.Prepare(geom.Rect(0, 0, 10, 10))
 	for _, op := range districtOperands {
 		pg := geom.Prepare(op.g)
-		RelatePrepared(district, pg) // warm the pooled noding scratch
-		got := testing.AllocsPerRun(100, func() { RelatePrepared(district, pg) })
-		t.Logf("RelatePrepared(district, %s): %v allocations", op.name, got)
-		if got > op.maxAllocs {
-			t.Errorf("RelatePrepared(district, %s): %v allocations, want at most %v", op.name, got, op.maxAllocs)
+		RelatePrepared(district, pg) // warm the pooled scratch
+		if got := testing.AllocsPerRun(100, func() { RelatePrepared(district, pg) }); got != 0 {
+			t.Errorf("RelatePrepared(district, %s): %v allocations, want 0", op.name, got)
+		}
+		for _, d := range []float64{0, 1, 5} {
+			if got := testing.AllocsPerRun(100, func() { district.WithinDistance(pg, d) }); got != 0 {
+				t.Errorf("WithinDistance(district, %s, %v): %v allocations, want 0", op.name, d, got)
+			}
 		}
 	}
 	far := geom.Prepare(geom.Rect(13, 0, 14, 1))
-	if got := testing.AllocsPerRun(100, func() { district.DistanceTo(far) }); got != 0 {
-		t.Errorf("DistanceTo: %v allocations, want 0", got)
+	for _, d := range []float64{1, 5} {
+		if got := testing.AllocsPerRun(100, func() { district.WithinDistance(far, d) }); got != 0 {
+			t.Errorf("WithinDistance(%v): %v allocations, want 0", d, got)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { district.Locate(geom.Pt(5, 5)) }); got != 0 {
+		t.Errorf("Locate: %v allocations, want 0", got)
 	}
 	const perLayer = 9 // seven arena tables, the blocks and the result
 	for name, gs := range sceneLayers(t) {

@@ -7,13 +7,22 @@ import "repro/internal/geom"
 // before) and prepared geometries (everything cached in geom.Prepared and
 // the hot queries answered through its edge tree). Both implementations
 // perform identical floating-point arithmetic, so the matrices agree
-// exactly.
+// exactly. Locate takes the relate's scratch, which only the prepared
+// operand uses.
 type operand interface {
 	IsEmpty() bool
 	Envelope() geom.Envelope
 	Soup() *geom.Soup
-	Locate(p geom.Point) geom.Location
+	Locate(p geom.Point, sc *geom.Scratch) geom.Location
 	AreaSamples() []geom.Point
+}
+
+// preparedOperand is a prepared geometry as a relate operand. It is one
+// pointer wide, so it converts to an operand without allocating.
+type preparedOperand struct{ *geom.Prepared }
+
+func (o preparedOperand) Locate(p geom.Point, sc *geom.Scratch) geom.Location {
+	return o.LocateWith(p, sc)
 }
 
 // rawOperand wraps an unprepared geometry. The soup is built lazily and
@@ -33,18 +42,20 @@ func (o *rawOperand) Soup() *geom.Soup {
 	}
 	return o.soup
 }
-func (o *rawOperand) Locate(p geom.Point) geom.Location { return geom.Locate(p, o.g) }
-func (o *rawOperand) AreaSamples() []geom.Point         { return geom.AreaSamples(o.g) }
+func (o *rawOperand) Locate(p geom.Point, _ *geom.Scratch) geom.Location {
+	return geom.Locate(p, o.g)
+}
+func (o *rawOperand) AreaSamples() []geom.Point { return geom.AreaSamples(o.g) }
 
-// nodeOperands nodes the two operands' linework: a tree join when both
-// sides are prepared, the all-pairs sweep otherwise.
-func nodeOperands(a, b operand) geom.NodeResult {
-	if pa, ok := a.(*geom.Prepared); ok {
-		if pb, ok := b.(*geom.Prepared); ok {
-			return geom.NodePrepared(pa, pb)
+// nodeOperands nodes the two operands' linework into sc: a tree join when
+// both sides are prepared, the all-pairs sweep otherwise.
+func nodeOperands(a, b operand, sc *geom.Scratch) geom.NodeResult {
+	if pa, ok := a.(preparedOperand); ok {
+		if pb, ok := b.(preparedOperand); ok {
+			return geom.NodePrepared(pa.Prepared, pb.Prepared, sc)
 		}
 	}
-	return geom.NodeSoups(a.Soup(), b.Soup())
+	return geom.NodeSoups(a.Soup(), b.Soup(), sc)
 }
 
 // Relate computes the DE-9IM matrix of geometry a against geometry b.
@@ -68,7 +79,7 @@ func Relate(a, b geom.Geometry) Matrix {
 // the edge tree's stabbing and ray queries, and noding by a tree join.
 // The matrix is exactly Relate(a.Geometry(), b.Geometry()).
 func RelatePrepared(a, b *geom.Prepared) Matrix {
-	return relateOperands(a, b)
+	return relateOperands(preparedOperand{a}, preparedOperand{b})
 }
 
 // relateOperands is the relate core shared by Relate and RelatePrepared.
@@ -97,8 +108,12 @@ func relateOperands(a, b operand) Matrix {
 		return m
 	}
 
+	// One scratch holds the noding's output and every Locate's buffers
+	// for the rest of the relate.
+	sc := geom.GetScratch()
+	defer sc.Release()
 	sa, sb := a.Soup(), b.Soup()
-	noded := nodeOperands(a, b)
+	noded := nodeOperands(a, b, sc)
 
 	// Classification evidence gathered along the way, used by the area
 	// entries below.
@@ -109,7 +124,7 @@ func relateOperands(a, b operand) Matrix {
 
 	// Classify a's sub-segments against b.
 	for _, ts := range noded.SubA {
-		loc := b.Locate(ts.Seg.Midpoint())
+		loc := b.Locate(ts.Seg.Midpoint(), sc)
 		row := Int
 		if ts.Role == geom.RoleRingBoundary {
 			row = Bnd
@@ -126,7 +141,7 @@ func relateOperands(a, b operand) Matrix {
 	}
 	// Classify b's sub-segments against a (transposed roles).
 	for _, ts := range noded.SubB {
-		loc := a.Locate(ts.Seg.Midpoint())
+		loc := a.Locate(ts.Seg.Midpoint(), sc)
 		col := Int
 		if ts.Role == geom.RoleRingBoundary {
 			col = Bnd
@@ -143,23 +158,23 @@ func relateOperands(a, b operand) Matrix {
 	}
 	// Isolated interior points (Point/MultiPoint members).
 	for _, p := range sa.InteriorPoints {
-		m.Set(Int, locToCol(b.Locate(p)), D0)
+		m.Set(Int, locToCol(b.Locate(p, sc)), D0)
 	}
 	for _, p := range sb.InteriorPoints {
-		m.Set(rowOfLoc(a.Locate(p)), Int, D0)
+		m.Set(rowOfLoc(a.Locate(p, sc)), Int, D0)
 	}
 	// Linestring boundary (endpoint) points.
 	for _, p := range sa.BoundaryPoints {
-		m.Set(Bnd, locToCol(b.Locate(p)), D0)
+		m.Set(Bnd, locToCol(b.Locate(p, sc)), D0)
 	}
 	for _, p := range sb.BoundaryPoints {
-		m.Set(rowOfLoc(a.Locate(p)), Bnd, D0)
+		m.Set(rowOfLoc(a.Locate(p, sc)), Bnd, D0)
 	}
 	// Noding intersection points: 0-dimensional contacts that the
 	// sub-segment midpoints cannot see (e.g. two rings meeting at a
 	// single vertex).
 	for _, p := range noded.Nodes {
-		la, lb := a.Locate(p), b.Locate(p)
+		la, lb := a.Locate(p, sc), b.Locate(p, sc)
 		m.Set(rowOfLoc(la), locToCol(lb), D0)
 	}
 
@@ -170,7 +185,7 @@ func relateOperands(a, b operand) Matrix {
 		samplesB := b.AreaSamples()
 		var aSampleInIntB, aSampleInExtB, bSampleInIntA, bSampleInExtA bool
 		for _, p := range samplesA {
-			switch b.Locate(p) {
+			switch b.Locate(p, sc) {
 			case geom.Interior:
 				aSampleInIntB = true
 			case geom.Exterior:
@@ -178,7 +193,7 @@ func relateOperands(a, b operand) Matrix {
 			}
 		}
 		for _, p := range samplesB {
-			switch a.Locate(p) {
+			switch a.Locate(p, sc) {
 			case geom.Interior:
 				bSampleInIntA = true
 			case geom.Exterior:

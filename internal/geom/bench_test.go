@@ -39,9 +39,10 @@ func BenchmarkDistancePolygons(b *testing.B) {
 func BenchmarkNodeSoupsOverlapping(b *testing.B) {
 	a := BuildSoup(benchPolygon(48, 0, 0, 10))
 	c := BuildSoup(benchPolygon(48, 8, 0, 10))
+	sc := new(Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NodeSoups(a, c)
+		NodeSoups(a, c, sc)
 	}
 }
 
@@ -77,15 +78,17 @@ func BenchmarkParseWKT(b *testing.B) {
 	}
 }
 
-// BenchmarkDistanceToDisjointPolygons measures the prepared distance
-// kernel on a district and a disjoint slum 3 units east of it, one edge
-// tree leaf each.
-func BenchmarkDistanceToDisjointPolygons(b *testing.B) {
+// BenchmarkWithinDistanceDisjointPolygons measures the prepared distance
+// decision on a district and a disjoint slum 3 units east of it, one
+// edge tree leaf each, at the cli-scene thresholds: veryCloseTo (1)
+// fails, closeTo (5) holds.
+func BenchmarkWithinDistanceDisjointPolygons(b *testing.B) {
 	district := Prepare(Rect(0, 0, 10, 10))
 	slum := Prepare(Rect(13, 0, 14, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		district.DistanceTo(slum)
+		district.WithinDistance(slum, 1)
+		district.WithinDistance(slum, 5)
 	}
 }

@@ -21,8 +21,8 @@ func EmptyEnvelope() Envelope {
 // order.
 func NewEnvelope(a, b Point) Envelope {
 	return Envelope{
-		MinX: math.Min(a.X, b.X), MinY: math.Min(a.Y, b.Y),
-		MaxX: math.Max(a.X, b.X), MaxY: math.Max(a.Y, b.Y),
+		MinX: minf(a.X, b.X), MinY: minf(a.Y, b.Y),
+		MaxX: maxf(a.X, b.X), MaxY: maxf(a.Y, b.Y),
 	}
 }
 
@@ -60,8 +60,8 @@ func (e Envelope) Center() Point {
 // ExpandToPoint returns the smallest envelope covering both e and p.
 func (e Envelope) ExpandToPoint(p Point) Envelope {
 	return Envelope{
-		MinX: math.Min(e.MinX, p.X), MinY: math.Min(e.MinY, p.Y),
-		MaxX: math.Max(e.MaxX, p.X), MaxY: math.Max(e.MaxY, p.Y),
+		MinX: minf(e.MinX, p.X), MinY: minf(e.MinY, p.Y),
+		MaxX: maxf(e.MaxX, p.X), MaxY: maxf(e.MaxY, p.Y),
 	}
 }
 
@@ -74,8 +74,8 @@ func (e Envelope) Union(o Envelope) Envelope {
 		return e
 	}
 	return Envelope{
-		MinX: math.Min(e.MinX, o.MinX), MinY: math.Min(e.MinY, o.MinY),
-		MaxX: math.Max(e.MaxX, o.MaxX), MaxY: math.Max(e.MaxY, o.MaxY),
+		MinX: minf(e.MinX, o.MinX), MinY: minf(e.MinY, o.MinY),
+		MaxX: maxf(e.MaxX, o.MaxX), MaxY: maxf(e.MaxY, o.MaxY),
 	}
 }
 
@@ -125,7 +125,7 @@ func (e Envelope) Buffer(d float64) Envelope {
 // geometries whose envelopes, each grown by its own slack, lie farther
 // apart than d are therefore farther apart than d.
 func (e Envelope) Slack() float64 {
-	return Eps + 1e-12*math.Max(math.Max(math.Abs(e.MinX), math.Abs(e.MaxX)), math.Max(math.Abs(e.MinY), math.Abs(e.MaxY)))
+	return Eps + 1e-12*maxf(maxf(math.Abs(e.MinX), math.Abs(e.MaxX)), maxf(math.Abs(e.MinY), math.Abs(e.MaxY)))
 }
 
 // AxisGaps returns how far apart the two envelopes lie along X and along
@@ -172,4 +172,25 @@ func (e Envelope) WithinDistance(o Envelope, d float64) bool {
 		return dx <= d
 	}
 	return math.Hypot(dx, dy) <= d
+}
+
+// minf is math.Min(x, y) and maxf math.Max(x, y), bit for bit up to the
+// payload of a NaN, in a form the compiler inlines (math.Min and
+// math.Max are assembly routines it cannot). The builtins min and max
+// agree with them on every input, signed zeros and infinities included,
+// except one: the math functions let an infinity in the direction they
+// seek win over a NaN, where the builtins answer NaN. Only then, when
+// the builtin's answer is NaN, is the infinity looked for.
+func minf(x, y float64) float64 {
+	if m := min(x, y); m == m || !(x < -math.MaxFloat64 || y < -math.MaxFloat64) {
+		return m
+	}
+	return math.Inf(-1)
+}
+
+func maxf(x, y float64) float64 {
+	if m := max(x, y); m == m || !(x > math.MaxFloat64 || y > math.MaxFloat64) {
+		return m
+	}
+	return math.Inf(1)
 }

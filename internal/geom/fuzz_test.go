@@ -159,24 +159,40 @@ func FuzzRelateRectangles(f *testing.F) {
 	})
 }
 
-// FuzzDistancePrepared requires the prepared distance kernel to return
-// exactly the brute-force Distance, bit for bit, on arbitrary WKT pairs.
+// FuzzDistancePrepared is the oracle of the prepared distance decision:
+// on arbitrary WKT pairs, Prepare(a).WithinDistance(Prepare(b), d) must
+// equal Distance(a, b) <= d, with the operands either way round, at the
+// pair's distance D, its float neighbours, 0, -0, Eps and its
+// neighbours, -1, NaN, +Inf and the fuzzed d.
 func FuzzDistancePrepared(f *testing.F) {
-	seeds := [][2]string{
-		{"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "POLYGON ((7 1, 9 1, 9 3, 7 3, 7 1))"},
-		{"LINESTRING (0 0, 3 1, 6 0)", "POINT (3 1.5)"},
-		{"MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))", "LINESTRING (2 0, 3 4, 4 4.5)"},
-		{"MULTIPOINT ((1 3), (4 -2))", "LINESTRING (0 0, 5 0)"},
+	seeds := []struct {
+		a, b string
+		d    float64
+	}{
+		{"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "POLYGON ((7 1, 9 1, 9 3, 7 3, 7 1))", 3},
+		{"LINESTRING (0 0, 3 1, 6 0)", "POINT (3 1.5)", 0.25},
+		{"MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))", "LINESTRING (2 0, 3 4, 4 4.5)", 1},
+		{"MULTIPOINT ((1 3), (4 -2))", "LINESTRING (0 0, 5 0)", 2},
 		// Two one-leaf trees: the second pair touches within Eps (distance
 		// 0) though its envelopes lie farther apart than the first pair's
 		// distance, so an unguarded entry-level prune skips it.
 		{"MULTILINESTRING ((0 0, 50 0), (100 0, 101 0))",
-			"MULTILINESTRING ((0 0.00000000105, -10 10), (101.0000000009 0.0000000009, 102 0.0000000009))"},
+			"MULTILINESTRING ((0 0.00000000105, -10 10), (101.0000000009 0.0000000009, 102 0.0000000009))", 0},
+		// A 10×10 district and a slum exactly 1 and exactly 5 units east
+		// of it: the thresholds of the cli-scene extraction sit on the
+		// distances.
+		{"POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))", "POLYGON ((11 2, 13 2, 13 4, 11 4, 11 2))", 1},
+		{"POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))", "POLYGON ((15 2, 17 2, 17 4, 15 4, 15 2))", 5},
+		// Empty operands.
+		{"POLYGON EMPTY", "POINT (1 1)", math.Inf(1)},
+		{"LINESTRING EMPTY", "MULTIPOINT EMPTY", math.MaxFloat64},
+		// A point within Eps of an edge: Distance reads 0.
+		{"POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))", "POINT (10.0000000005 5)", 0},
 	}
 	for _, s := range seeds {
-		f.Add(s[0], s[1])
+		f.Add(s.a, s.b, s.d)
 	}
-	f.Fuzz(func(t *testing.T, wa, wb string) {
+	f.Fuzz(func(t *testing.T, wa, wb string, d float64) {
 		a, err := ParseWKT(wa)
 		if err != nil {
 			return
@@ -197,11 +213,7 @@ func FuzzDistancePrepared(f *testing.F) {
 				}
 			}
 		}
-		want := Distance(a, b)
-		got := Prepare(a).DistanceTo(Prepare(b))
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("DistanceTo=%v Distance=%v\n a=%s\n b=%s", got, want, wa, wb)
-		}
+		checkWithinDistance(t, a, b, Prepare(a), Prepare(b), d)
 	})
 }
 

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -159,8 +158,9 @@ func cmpLess(a, b float64) int {
 }
 
 // NodeResult is the outcome of noding two soups against each other.
-// A side that no cut reaches aliases its soup's Segments slice, so the
-// result must be treated as read-only.
+// Its slices alias the Scratch the noding wrote into, or, for a side no
+// cut reaches, that side's soup: they are read-only, and valid until the
+// scratch is noded into again or released.
 type NodeResult struct {
 	// SubA and SubB hold the segments of each soup split at every
 	// intersection with the other soup's linework. They must not be
@@ -171,24 +171,41 @@ type NodeResult struct {
 	Nodes []Point
 }
 
-// nodeScratch holds the per-segment cut lists of one noding call. The
-// lists keep their capacity from call to call, so a warm scratch lets the
-// cuts of a feature pair accumulate without allocating.
-type nodeScratch struct {
+// Scratch is the working memory of one relate: the noding's cut lists,
+// split sub-segments and node points, and the candidate, pair, flag and
+// traversal-stack buffers of the edge-tree queries behind NodePrepared
+// and LocateWith. Every buffer keeps its capacity from use to use, so a
+// warm Scratch lets a relate run without allocating or zeroing stack
+// arrays. The zero value is ready to use; GetScratch takes one from a
+// pool and Release returns it. A Scratch serves one goroutine at a time.
+type Scratch struct {
 	cutsA, cutsB [][]float64
+	subA, subB   []TaggedSegment
+	nodes        []Point
+	cands, js    []int32
+	pairs        []uint64
+	flags        []uint8
+	stack        []int32
 }
 
-var nodeScratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// reset empties the scratch for soups of na and nb segments.
-func (sc *nodeScratch) reset(na, nb int) (cutsA, cutsB [][]float64) {
-	sc.cutsA = resetCuts(sc.cutsA, na)
-	sc.cutsB = resetCuts(sc.cutsB, nb)
+// GetScratch takes a Scratch from a pool.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Release returns sc to the pool. Nothing noded with it may be used
+// afterwards.
+func (sc *Scratch) Release() { scratchPool.Put(sc) }
+
+// resetCuts empties the cut lists for soups of na and nb segments.
+func (sc *Scratch) resetCuts(na, nb int) (cutsA, cutsB [][]float64) {
+	sc.cutsA = emptyCuts(sc.cutsA, na)
+	sc.cutsB = emptyCuts(sc.cutsB, nb)
 	return sc.cutsA, sc.cutsB
 }
 
-// resetCuts returns n empty cut lists, reusing cuts' lists and capacity.
-func resetCuts(cuts [][]float64, n int) [][]float64 {
+// emptyCuts returns n empty cut lists, reusing cuts' lists and capacity.
+func emptyCuts(cuts [][]float64, n int) [][]float64 {
 	if cap(cuts) < n {
 		grown := make([][]float64, n)
 		copy(grown, cuts[:cap(cuts)])
@@ -201,17 +218,37 @@ func resetCuts(cuts [][]float64, n int) [][]float64 {
 	return cuts
 }
 
+// flagsFor returns n zeroed per-slot flag bytes.
+func (sc *Scratch) flagsFor(n int) []uint8 {
+	if cap(sc.flags) < n {
+		sc.flags = make([]uint8, n)
+	}
+	f := sc.flags[:n]
+	clear(f)
+	return f
+}
+
+// result splits both sides at their cuts into the scratch's sub-segment
+// buffers and hands out the node points collected in nodeSet, which
+// started from the scratch's node buffer.
+func (sc *Scratch) result(segsA, segsB []TaggedSegment, nodeSet pointSet) NodeResult {
+	sc.nodes = nodeSet.points
+	return NodeResult{
+		SubA:  splitAll(segsA, sc.cutsA, &sc.subA),
+		SubB:  splitAll(segsB, sc.cutsB, &sc.subB),
+		Nodes: nodeSet.points,
+	}
+}
+
 // NodeSoups splits the segments of a and b at all mutual intersection
-// points and collects those points. The splitting is quadratic in the
-// number of segments with an envelope pre-filter, which is appropriate for
-// the feature-versus-feature relate calls this package serves (features
-// have tens of vertices; the cross-feature candidate filtering happens in
-// the spatial index, not here).
-func NodeSoups(a, b *Soup) NodeResult {
-	sc := nodeScratchPool.Get().(*nodeScratch)
-	defer nodeScratchPool.Put(sc)
-	cutsA, cutsB := sc.reset(len(a.Segments), len(b.Segments))
-	var nodeSet pointSet
+// points and collects those points, writing both into sc. The splitting
+// is quadratic in the number of segments with an envelope pre-filter,
+// which is appropriate for the feature-versus-feature relate calls this
+// package serves (features have tens of vertices; the cross-feature
+// candidate filtering happens in the spatial index, not here).
+func NodeSoups(a, b *Soup, sc *Scratch) NodeResult {
+	cutsA, cutsB := sc.resetCuts(len(a.Segments), len(b.Segments))
+	nodeSet := pointSet{points: sc.nodes[:0]}
 
 	for i, sa := range a.Segments {
 		ea := sa.Seg.Envelope().Buffer(Eps)
@@ -253,7 +290,7 @@ func NodeSoups(a, b *Soup) NodeResult {
 	splitAtPoints(a.Segments, cutsA, bPts)
 	splitAtPoints(b.Segments, cutsB, aPts)
 
-	return NodeResult{SubA: splitAll(a.Segments, cutsA), SubB: splitAll(b.Segments, cutsB), Nodes: nodeSet.points}
+	return sc.result(a.Segments, b.Segments, nodeSet)
 }
 
 // paramOn returns the parameter of p along segment s in [0, 1].
@@ -264,13 +301,16 @@ func paramOn(s Segment, p Point) float64 {
 		return 0
 	}
 	t := p.Sub(s.A).Dot(d) / den
-	return math.Max(0, math.Min(1, t))
+	return maxf(0, minf(1, t))
 }
 
 // splitAll splits every segment at its cut parameters (sorted in place),
-// dropping degenerate pieces. Without any cut it returns segs itself;
-// otherwise it allocates the output once, with room for every piece.
-func splitAll(segs []TaggedSegment, cuts [][]float64) []TaggedSegment {
+// dropping degenerate pieces. Without any cut it returns segs itself and
+// leaves *buf alone: segs is a soup's own slice, which must never become
+// a buffer the next noding writes into. Otherwise it writes the pieces
+// into *buf, grown once to room for every piece, and keeps the grown
+// buffer there.
+func splitAll(segs []TaggedSegment, cuts [][]float64, buf *[]TaggedSegment) []TaggedSegment {
 	total := 0
 	for _, cs := range cuts {
 		total += len(cs)
@@ -278,7 +318,7 @@ func splitAll(segs []TaggedSegment, cuts [][]float64) []TaggedSegment {
 	if total == 0 {
 		return segs
 	}
-	out := make([]TaggedSegment, 0, len(segs)+total)
+	out := slices.Grow((*buf)[:0], len(segs)+total)
 	for i, ts := range segs {
 		cs := cuts[i]
 		if len(cs) == 0 {
@@ -303,6 +343,7 @@ func splitAll(segs []TaggedSegment, cuts [][]float64) []TaggedSegment {
 		}
 		emit(1, ts.Seg.B)
 	}
+	*buf = out
 	return out
 }
 

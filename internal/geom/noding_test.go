@@ -78,7 +78,7 @@ func TestBuildSoupPoints(t *testing.T) {
 func TestNodeSoupsCrossing(t *testing.T) {
 	a := BuildSoup(Line(Pt(0, 0), Pt(4, 0)))
 	b := BuildSoup(Line(Pt(2, -2), Pt(2, 2)))
-	res := NodeSoups(a, b)
+	res := NodeSoups(a, b, new(Scratch))
 	if len(res.Nodes) != 1 || !res.Nodes[0].Equal(Pt(2, 0)) {
 		t.Fatalf("nodes = %+v, want [(2,0)]", res.Nodes)
 	}
@@ -101,7 +101,7 @@ func TestNodeSoupsCrossing(t *testing.T) {
 func TestNodeSoupsNoIntersection(t *testing.T) {
 	a := BuildSoup(Line(Pt(0, 0), Pt(1, 0)))
 	b := BuildSoup(Line(Pt(0, 5), Pt(1, 5)))
-	res := NodeSoups(a, b)
+	res := NodeSoups(a, b, new(Scratch))
 	if len(res.Nodes) != 0 {
 		t.Errorf("nodes = %+v, want none", res.Nodes)
 	}
@@ -113,7 +113,7 @@ func TestNodeSoupsNoIntersection(t *testing.T) {
 func TestNodeSoupsOverlap(t *testing.T) {
 	a := BuildSoup(Line(Pt(0, 0), Pt(4, 0)))
 	b := BuildSoup(Line(Pt(2, 0), Pt(6, 0)))
-	res := NodeSoups(a, b)
+	res := NodeSoups(a, b, new(Scratch))
 	// Overlap endpoints (2,0) and (4,0) become nodes.
 	if len(res.Nodes) != 2 {
 		t.Fatalf("nodes = %+v, want 2", res.Nodes)
@@ -128,7 +128,7 @@ func TestNodeSoupsRingCrossing(t *testing.T) {
 	// Two overlapping squares: each ring is cut twice.
 	a := BuildSoup(Rect(0, 0, 4, 4))
 	b := BuildSoup(Rect(2, 2, 6, 6))
-	res := NodeSoups(a, b)
+	res := NodeSoups(a, b, new(Scratch))
 	if len(res.Nodes) != 2 {
 		t.Fatalf("nodes = %d, want 2 (boundary crossings)", len(res.Nodes))
 	}
@@ -148,7 +148,7 @@ func TestNodeSoupsVertexTouch(t *testing.T) {
 	// Squares touching at a single corner.
 	a := BuildSoup(Rect(0, 0, 2, 2))
 	b := BuildSoup(Rect(2, 2, 4, 4))
-	res := NodeSoups(a, b)
+	res := NodeSoups(a, b, new(Scratch))
 	if len(res.Nodes) != 1 || !res.Nodes[0].Equal(Pt(2, 2)) {
 		t.Fatalf("nodes = %+v, want single corner", res.Nodes)
 	}

@@ -17,8 +17,9 @@ import (
 //     traversal finds the ray-crossing edges;
 //   - noding: a tree join enumerates candidate segment pairs instead of
 //     the all-pairs sweep;
-//   - Distance: branch-and-bound over envelope lower bounds replaces the
-//     brute-force segment×segment scan.
+//   - distance decisions: a dual-tree search that prunes on envelope
+//     lower bounds against the threshold replaces the brute-force
+//     segment×segment scan.
 //
 // Every query is engineered to perform the same floating-point arithmetic
 // as its unprepared counterpart, in the same order, so results are exactly
@@ -331,8 +332,17 @@ func (pg *Prepared) NumEdges() int {
 // Locate(p, pg.Geometry()) but answers through the edge tree: an
 // envelope fast path rejects far probes, a stabbing query limits the
 // on-boundary tests to edges whose envelope can contain p, and a
-// Y-interval traversal visits only the edges a +X ray can cross.
+// Y-interval traversal visits only the edges a +X ray can cross. It
+// borrows a pooled Scratch for the traversals; a caller locating many
+// points holds one and calls LocateWith.
 func (pg *Prepared) Locate(p Point) Location {
+	sc := GetScratch()
+	defer sc.Release()
+	return pg.LocateWith(p, sc)
+}
+
+// LocateWith is Locate with the traversal buffers taken from sc.
+func (pg *Prepared) LocateWith(p Point, sc *Scratch) Location {
 	if pg == nil || pg.empty {
 		return Exterior
 	}
@@ -346,9 +356,9 @@ func (pg *Prepared) Locate(p Point) Location {
 	case Point, MultiPoint:
 		return Locate(p, pg.g)
 	case LineString, MultiLineString:
-		return pg.locateLineal(p)
+		return pg.locateLineal(p, sc)
 	default:
-		return pg.locateAreal(p)
+		return pg.locateAreal(p, sc)
 	}
 }
 
@@ -356,19 +366,12 @@ func (pg *Prepared) Locate(p Point) Location {
 // LocateOnLineString / locateOnMultiLine (including the mod-2 endpoint
 // rule) over the tree's stabbing candidates. Lines without a candidate
 // edge would fail every OnSegment test, so skipping them is exact.
-func (pg *Prepared) locateLineal(p Point) Location {
-	var candBuf [prepStackCands]int32
-	cands := pg.tree.pointCandidates(p, candBuf[:0])
+func (pg *Prepared) locateLineal(p Point, sc *Scratch) Location {
+	cands := pg.tree.pointCandidates(p, sc)
 	if len(cands) == 0 {
 		return Exterior
 	}
-	var flagBuf [prepStackSlots]uint8
-	var flags []uint8
-	if len(pg.lines) <= prepStackSlots {
-		flags = flagBuf[:len(pg.lines)]
-	} else {
-		flags = make([]uint8, len(pg.lines))
-	}
+	flags := sc.flagsFor(len(pg.lines))
 	for _, ei := range cands {
 		e := &pg.tree.entries[ei]
 		if flags[e.slot]&prepOnSegBit == 0 && e.seg.OnSegment(p) {
@@ -409,22 +412,15 @@ func (pg *Prepared) locateLineal(p Point) Location {
 // replicating LocateInPolygon ring by ring. The on-boundary and
 // ray-parity evidence per ring comes from the tree; the per-ring envelope
 // early-exits and the hole logic are then pure flag reads.
-func (pg *Prepared) locateAreal(p Point) Location {
-	var flagBuf [prepStackSlots]uint8
-	var flags []uint8
-	if len(pg.rings) <= prepStackSlots {
-		flags = flagBuf[:len(pg.rings)]
-	} else {
-		flags = make([]uint8, len(pg.rings))
-	}
-	var candBuf [prepStackCands]int32
-	for _, ei := range pg.tree.pointCandidates(p, candBuf[:0]) {
+func (pg *Prepared) locateAreal(p Point, sc *Scratch) Location {
+	flags := sc.flagsFor(len(pg.rings))
+	for _, ei := range pg.tree.pointCandidates(p, sc) {
 		e := &pg.tree.entries[ei]
 		if flags[e.slot]&prepOnSegBit == 0 && e.seg.OnSegment(p) {
 			flags[e.slot] |= prepOnSegBit
 		}
 	}
-	pg.tree.rayFlags(p, flags)
+	pg.tree.rayFlags(p, flags, sc)
 	if len(pg.polys) == 1 {
 		return pg.locatePoly(p, pg.polys[0], flags)
 	}
@@ -483,96 +479,98 @@ func (pg *Prepared) ringLoc(p Point, slot int32, flags []uint8) Location {
 	return Exterior
 }
 
-// DistanceTo returns the minimal distance between the two prepared
-// geometries — exactly Distance(pg.Geometry(), o.Geometry()) — using the
-// cached soups and sample points, and a dual-tree branch-and-bound over
-// envelope lower bounds in place of the brute-force segment×segment scan.
-func (pg *Prepared) DistanceTo(o *Prepared) float64 {
-	if pg.IsEmpty() || o.IsEmpty() {
-		return math.Inf(1)
+// WithinDistance reports whether the two prepared geometries lie within
+// d of each other: exactly Distance(pg.Geometry(), o.Geometry()) <= d,
+// for every d. It decides instead of measuring. Distance is never NaN
+// and is +Inf for an empty operand, so d = +Inf answers true, and an
+// empty operand, a NaN or a negative d false. Otherwise the containment
+// short-cuts of Distance run first. Distance maps a minimum at or below
+// Eps to 0, so it is within d exactly when some segment or point pair
+// measures at most t = max(d, Eps): the search returns at the first such
+// pair, with the arithmetic of Distance, trying the edge trees'
+// segment pairs before the point loops.
+func (pg *Prepared) WithinDistance(o *Prepared, d float64) bool {
+	if math.IsInf(d, 1) {
+		return true
+	}
+	if pg.IsEmpty() || o.IsEmpty() || !(d >= 0) {
+		return false
 	}
 	sa, sb := pg.soup, o.soup
-	// Containment short-circuits, as in Distance.
-	if sa.HasArea && pg.containsAny(o.distSamples) {
-		return 0
+	if sa.HasArea && pg.containsAny(o.distSamples) || sb.HasArea && o.containsAny(pg.distSamples) {
+		return true
 	}
-	if sb.HasArea && o.containsAny(pg.distSamples) {
-		return 0
+	t := max(d, Eps)
+	if pg.tree.root >= 0 && o.tree.root >= 0 && segPairWithin(&pg.tree, &o.tree, pg.tree.root, o.tree.root, t) {
+		return true
 	}
-	best := math.Inf(1)
-	// Segment-to-segment: branch-and-bound. Only pairs that cannot
-	// measure below the running best are pruned (see segPairDist), so
-	// the result equals the brute-force scan.
-	if pg.tree.root >= 0 && o.tree.root >= 0 {
-		best = segPairDist(&pg.tree, &o.tree, pg.tree.root, o.tree.root, best)
-		if best == 0 {
-			return 0
-		}
-	}
-	// Point-to-segment and point-to-point distances, as in Distance.
 	for _, p := range sa.InteriorPoints {
 		for _, tb := range sb.Segments {
-			if d := tb.Seg.DistanceToPoint(p); d < best {
-				best = d
+			if tb.Seg.DistanceToPoint(p) <= t {
+				return true
 			}
 		}
 		for _, q := range sb.InteriorPoints {
-			if d := p.DistanceTo(q); d < best {
-				best = d
+			if p.DistanceTo(q) <= t {
+				return true
 			}
 		}
 	}
 	for _, q := range sb.InteriorPoints {
 		for _, ta := range sa.Segments {
-			if d := ta.Seg.DistanceToPoint(q); d < best {
-				best = d
+			if ta.Seg.DistanceToPoint(q) <= t {
+				return true
 			}
-		}
-	}
-	if best <= Eps {
-		return 0
-	}
-	return best
-}
-
-// containsAny reports whether any of the points is not in the exterior of
-// the prepared geometry (anyPointInside against the cached envelope).
-func (pg *Prepared) containsAny(pts []Point) bool {
-	env := pg.env.Buffer(Eps)
-	for _, p := range pts {
-		if !env.ContainsPoint(p) {
-			continue
-		}
-		if pg.Locate(p) != Exterior {
-			return true
 		}
 	}
 	return false
 }
 
-// NodePrepared is NodeSoups over two prepared geometries: the candidate
-// segment pairs come from an edge-tree join instead of the all-pairs
-// envelope sweep. Candidates are visited in the same (i-major, j-ascending)
-// order as NodeSoups, so the cut lists and the order-sensitive node-point
-// deduplication produce identical results.
-func NodePrepared(a, b *Prepared) NodeResult {
-	sa, sb := a.soup, b.soup
-	sc := nodeScratchPool.Get().(*nodeScratch)
-	defer nodeScratchPool.Put(sc)
-	cutsA, cutsB := sc.reset(len(sa.Segments), len(sb.Segments))
-	var nodeSet pointSet
+// containsAny reports whether any of the points is not in the exterior of
+// the prepared geometry (anyPointInside against the cached envelope). It
+// takes a pooled Scratch only once a point passes the envelope test.
+func (pg *Prepared) containsAny(pts []Point) bool {
+	env := pg.env.Buffer(Eps)
+	var sc *Scratch
+	found := false
+	for _, p := range pts {
+		if !env.ContainsPoint(p) {
+			continue
+		}
+		if sc == nil {
+			sc = GetScratch()
+		}
+		if pg.LocateWith(p, sc) != Exterior {
+			found = true
+			break
+		}
+	}
+	if sc != nil {
+		sc.Release()
+	}
+	return found
+}
 
-	var candBuf [prepStackCands]int32
-	var jBuf [prepStackCands]int32
+// NodePrepared is NodeSoups over two prepared geometries, written into
+// sc: the candidate segment pairs come from an edge-tree join instead of
+// the all-pairs envelope sweep. Candidates are visited in the same
+// (i-major, j-ascending) order as NodeSoups, so the cut lists and the
+// order-sensitive node-point deduplication produce identical results.
+func NodePrepared(a, b *Prepared, sc *Scratch) NodeResult {
+	sa, sb := a.soup, b.soup
+	cutsA, cutsB := sc.resetCuts(len(sa.Segments), len(sb.Segments))
+	nodeSet := pointSet{points: sc.nodes[:0]}
+
 	for i := range sa.Segments {
 		saSeg := sa.Segments[i].Seg
 		ea := saSeg.Envelope().Buffer(Eps)
-		js := jBuf[:0]
-		for _, ei := range b.tree.envCandidates(ea, candBuf[:0]) {
+		js := sc.js[:0]
+		for _, ei := range b.tree.envCandidates(ea, sc) {
 			if s := b.tree.entries[ei].soup; s >= 0 {
 				js = append(js, s)
 			}
 		}
+		sc.js = js
 		sortInt32s(js)
 		for _, j := range js {
 			sbSeg := sb.Segments[j].Seg
@@ -591,10 +589,10 @@ func NodePrepared(a, b *Prepared) NodeResult {
 			}
 		}
 	}
-	splitAtPointsPrepared(a, cutsA, b.allPoints, &nodeSet)
-	splitAtPointsPrepared(b, cutsB, a.allPoints, &nodeSet)
+	splitAtPointsPrepared(a, cutsA, b.allPoints, &nodeSet, sc)
+	splitAtPointsPrepared(b, cutsB, a.allPoints, &nodeSet, sc)
 
-	return NodeResult{SubA: splitAll(sa.Segments, cutsA), SubB: splitAll(sb.Segments, cutsB), Nodes: nodeSet.points}
+	return sc.result(sa.Segments, sb.Segments, nodeSet)
 }
 
 // splitAtPointsPrepared splits pg's segments at the other soup's isolated
@@ -604,20 +602,19 @@ func NodePrepared(a, b *Prepared) NodeResult {
 // splitAtPoints — so cut lists and node deduplication match exactly. Each
 // pair is packed into one key, segment index high, point index low, so
 // that order is the keys' numeric order.
-func splitAtPointsPrepared(pg *Prepared, cuts [][]float64, pts []Point, nodeSet *pointSet) {
+func splitAtPointsPrepared(pg *Prepared, cuts [][]float64, pts []Point, nodeSet *pointSet, sc *Scratch) {
 	if len(pts) == 0 || pg.tree.root < 0 {
 		return
 	}
-	var pairBuf [prepStackCands]uint64
-	pairs := pairBuf[:0]
-	var candBuf [prepStackCands]int32
+	pairs := sc.pairs[:0]
 	for pi, p := range pts {
-		for _, ei := range pg.tree.pointCandidates(p, candBuf[:0]) {
+		for _, ei := range pg.tree.pointCandidates(p, sc) {
 			if s := pg.tree.entries[ei].soup; s >= 0 {
 				pairs = append(pairs, uint64(s)<<32|uint64(pi))
 			}
 		}
 	}
+	sc.pairs = pairs
 	slices.Sort(pairs)
 	for _, pr := range pairs {
 		seg := int32(pr >> 32)
@@ -658,13 +655,8 @@ func appendAreaSamples(dst []Point, g Geometry) []Point {
 // ---------------------------------------------------------------------------
 // Edge tree: a flat-array STR-packed R-tree over segment envelopes.
 
-// Traversal scratch sizes: stack-allocated buffers for the hot queries;
-// larger geometries spill to the heap transparently via append / make.
-const (
-	prepStackCands = 128
-	prepStackSlots = 64
-	segTreeFan     = 8
-)
+// segTreeFan is the edge tree's node capacity.
+const segTreeFan = 8
 
 // segEntry is one leaf edge: the segment, its envelope, the Locate slot
 // it reports to (ring index for polygons, line index for linestrings),
@@ -691,8 +683,8 @@ type segTree struct {
 	entries []segEntry
 	nodes   []segNode
 	root    int32
-	// slack is how far segPairDist grows this tree's envelopes before it
-	// prunes on their distance: the root envelope's Slack.
+	// slack is how far segPairWithin grows this tree's envelopes before
+	// it prunes on their distance: the root envelope's Slack.
 	slack float64
 }
 
@@ -717,7 +709,8 @@ func segTreeNodes(n int) int {
 // spatially close), giving a pointer-free array layout. The nodes are
 // appended to nodes, which PrepareAll sizes with segTreeNodes. The order
 // of entries with equal centers reaches no output: Locate folds per-slot
-// flags, noding sorts its candidates, and distance takes a minimum.
+// flags, noding sorts its candidates, and a distance decision looks for
+// any pair within its threshold.
 func buildSegTree(entries []segEntry, nodes []segNode) segTree {
 	t := segTree{entries: entries, nodes: nodes, root: -1}
 	n := len(entries)
@@ -772,15 +765,16 @@ func buildSegTree(entries []segEntry, nodes []segNode) segTree {
 	return t
 }
 
-// pointCandidates appends the indices of entries whose buffered envelope
+// pointCandidates returns the indices of entries whose buffered envelope
 // contains p — exactly the edges for which OnSegment or a point-split env
-// test can succeed.
-func (t *segTree) pointCandidates(p Point, dst []int32) []int32 {
+// test can succeed. The list lives in sc and is valid until sc's next
+// candidate query.
+func (t *segTree) pointCandidates(p Point, sc *Scratch) []int32 {
+	dst := sc.cands[:0]
 	if t.root < 0 {
 		return dst
 	}
-	var stackBuf [64]int32
-	stack := append(stackBuf[:0], t.root)
+	stack := append(sc.stack[:0], t.root)
 	for len(stack) > 0 {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -800,18 +794,19 @@ func (t *segTree) pointCandidates(p Point, dst []int32) []int32 {
 			}
 		}
 	}
+	sc.cands, sc.stack = dst, stack
 	return dst
 }
 
-// envCandidates appends the indices of entries whose envelope intersects
+// envCandidates returns the indices of entries whose envelope intersects
 // q (q is expected pre-buffered by the caller, matching the NodeSoups
-// prefilter).
-func (t *segTree) envCandidates(q Envelope, dst []int32) []int32 {
+// prefilter). The list lives in sc, as pointCandidates' does.
+func (t *segTree) envCandidates(q Envelope, sc *Scratch) []int32 {
+	dst := sc.cands[:0]
 	if t.root < 0 {
 		return dst
 	}
-	var stackBuf [64]int32
-	stack := append(stackBuf[:0], t.root)
+	stack := append(sc.stack[:0], t.root)
 	for len(stack) > 0 {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -831,6 +826,7 @@ func (t *segTree) envCandidates(q Envelope, dst []int32) []int32 {
 			}
 		}
 	}
+	sc.cands, sc.stack = dst, stack
 	return dst
 }
 
@@ -841,12 +837,11 @@ func (t *segTree) envCandidates(q Envelope, dst []int32) []int32 {
 // env.MinY <= p.Y < env.MaxY-ish bounds — so no arithmetic is performed
 // that the unprepared LocateInRing loop would not perform, and the
 // surviving edges evaluate the identical xAt expression.
-func (t *segTree) rayFlags(p Point, flags []uint8) {
+func (t *segTree) rayFlags(p Point, flags []uint8, sc *Scratch) {
 	if t.root < 0 {
 		return
 	}
-	var stackBuf [64]int32
-	stack := append(stackBuf[:0], t.root)
+	stack := append(sc.stack[:0], t.root)
 	for len(stack) > 0 {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -874,21 +869,22 @@ func (t *segTree) rayFlags(p Point, flags []uint8) {
 			}
 		}
 	}
+	sc.stack = stack
 }
 
-// segPairDist is the dual-tree branch-and-bound kernel: the minimum
-// segment-to-segment distance between the two subtrees, no larger than
-// best. Degenerate edges (soup < 0) are not soup segments and are
-// skipped, as the brute-force scan never sees them.
+// segPairWithin is the dual-tree search of WithinDistance: whether some
+// segment pair of the two subtrees measures at most t with
+// DistanceToSegment. Degenerate edges (soup < 0) are not soup segments
+// and are skipped, as the brute-force scan never sees them.
 //
 // A node or entry pair is pruned when its envelopes, each grown by its
-// tree's slack (see Envelope.Slack), lie farther apart than best. Such a
-// pair cannot measure below best, so the result is the brute-force
-// minimum in any visiting order.
-func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
+// tree's slack (see Envelope.Slack), lie farther apart than t. Every
+// segment pair below it then measures above t, so the answer is the
+// brute-force scan's in any visiting order.
+func segPairWithin(ta, tb *segTree, ia, ib int32, t float64) bool {
 	na, nb := &ta.nodes[ia], &tb.nodes[ib]
-	if !na.env.Buffer(ta.slack).WithinDistance(nb.env.Buffer(tb.slack), best) {
-		return best
+	if !na.env.Buffer(ta.slack).WithinDistance(nb.env.Buffer(tb.slack), t) {
+		return false
 	}
 	switch {
 	case na.leaf && nb.leaf:
@@ -900,29 +896,24 @@ func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
 			envA := ea.env.Buffer(ta.slack)
 			for j := nb.first; j < nb.first+nb.count; j++ {
 				eb := &tb.entries[j]
-				if eb.soup < 0 || !envA.WithinDistance(eb.env.Buffer(tb.slack), best) {
+				if eb.soup < 0 || !envA.WithinDistance(eb.env.Buffer(tb.slack), t) {
 					continue
 				}
-				if d := ea.seg.DistanceToSegment(eb.seg); d < best {
-					best = d
-					if best == 0 {
-						return 0
-					}
+				if ea.seg.DistanceToSegment(eb.seg) <= t {
+					return true
 				}
 			}
 		}
 	case na.leaf:
 		for c := nb.first; c < nb.first+nb.count; c++ {
-			best = segPairDist(ta, tb, ia, c, best)
-			if best == 0 {
-				return 0
+			if segPairWithin(ta, tb, ia, c, t) {
+				return true
 			}
 		}
 	case nb.leaf:
 		for c := na.first; c < na.first+na.count; c++ {
-			best = segPairDist(ta, tb, c, ib, best)
-			if best == 0 {
-				return 0
+			if segPairWithin(ta, tb, c, ib, t) {
+				return true
 			}
 		}
 	default:
@@ -930,21 +921,19 @@ func segPairDist(ta, tb *segTree, ia, ib int32, best float64) float64 {
 		// prune earlier.
 		if na.env.Perimeter() >= nb.env.Perimeter() {
 			for c := na.first; c < na.first+na.count; c++ {
-				best = segPairDist(ta, tb, c, ib, best)
-				if best == 0 {
-					return 0
+				if segPairWithin(ta, tb, c, ib, t) {
+					return true
 				}
 			}
 		} else {
 			for c := nb.first; c < nb.first+nb.count; c++ {
-				best = segPairDist(ta, tb, ia, c, best)
-				if best == 0 {
-					return 0
+				if segPairWithin(ta, tb, ia, c, t) {
+					return true
 				}
 			}
 		}
 	}
-	return best
+	return false
 }
 
 // sortInt32s is an insertion sort for the small candidate lists of the

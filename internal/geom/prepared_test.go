@@ -153,30 +153,46 @@ func TestPreparedLocateMatchesLocate(t *testing.T) {
 	}
 }
 
+// TestNodePreparedMatchesNodeSoups nodes every pair through one shared
+// Scratch, as a relate reuses a pooled one, and requires each result to
+// equal NodeSoups with a fresh scratch. Some pairs leave a side uncut,
+// so that side's result is the soup's own Segments: the later pairs
+// must not write into it, which the soups' snapshots check at the end.
 func TestNodePreparedMatchesNodeSoups(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	gs := preparedTestGeometries(rng)
 	prepared := make([]*Prepared, len(gs))
+	soups := make([][]TaggedSegment, len(gs))
 	for i, g := range gs {
 		prepared[i] = Prepare(g)
+		soups[i] = slices.Clone(prepared[i].Soup().Segments)
 	}
-	pairs := 0
+	sc := new(Scratch)
+	pairs, aliased := 0, 0
 	for i, a := range gs {
 		for j, b := range gs {
 			if a.IsEmpty() || b.IsEmpty() {
 				continue
 			}
-			want := NodeSoups(BuildSoup(a), BuildSoup(b))
-			got := NodePrepared(prepared[i], prepared[j])
+			want := NodeSoups(BuildSoup(a), BuildSoup(b), new(Scratch))
+			got := NodePrepared(prepared[i], prepared[j], sc)
 			if !nodeResultsEqual(got, want) {
 				t.Fatalf("NodePrepared(%s, %s) diverges:\n got  %+v\n want %+v",
 					a.WKT(), b.WKT(), got, want)
 			}
+			if len(got.SubA) > 0 && &got.SubA[0] == &prepared[i].Soup().Segments[0] {
+				aliased++
+			}
 			pairs++
 		}
 	}
-	if pairs == 0 {
-		t.Fatal("no pairs noded")
+	if pairs == 0 || aliased == 0 || aliased == pairs {
+		t.Fatalf("%d pairs noded, %d with an uncut first side; want some of each", pairs, aliased)
+	}
+	for i, pg := range prepared {
+		if !slices.Equal(pg.Soup().Segments, soups[i]) {
+			t.Fatalf("noding through a shared scratch changed the soup of %s", gs[i].WKT())
+		}
 	}
 }
 
@@ -187,6 +203,9 @@ func nodeResultsEqual(a, b NodeResult) bool {
 	return slices.Equal(a.SubA, b.SubA) && slices.Equal(a.SubB, b.SubB) && slices.Equal(a.Nodes, b.Nodes)
 }
 
+// TestPreparedDistanceMatchesDistance requires WithinDistance to answer
+// Distance <= d on every pair of the test pile, at the pair's own
+// distance, its float neighbours and the other decision probes.
 func TestPreparedDistanceMatchesDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	gs := preparedTestGeometries(rng)
@@ -196,17 +215,49 @@ func TestPreparedDistanceMatchesDistance(t *testing.T) {
 	}
 	for i, a := range gs {
 		for j, b := range gs {
-			want := Distance(a, b)
-			got := prepared[i].DistanceTo(prepared[j])
-			// Exact equality: the branch-and-bound evaluates the same
-			// expressions as the brute-force scan, only skipping pairs
-			// that cannot hold the minimum.
-			if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-				t.Fatalf("Distance(%s, %s) prepared=%v unprepared=%v",
-					a.WKT(), b.WKT(), got, want)
+			checkWithinDistance(t, a, b, prepared[i], prepared[j], 1.5)
+		}
+	}
+}
+
+// withinDistanceProbes are the thresholds a WithinDistance decision is
+// checked at for a pair at distance D: D and its float neighbours, the
+// Eps boundary below which Distance reads 0 and its neighbours, both
+// zeros, a negative, NaN, +Inf and the caller's extra values.
+func withinDistanceProbes(D float64, extra ...float64) []float64 {
+	inf := math.Inf(1)
+	return append([]float64{
+		D, math.Nextafter(D, inf), math.Nextafter(D, -inf),
+		0, math.Copysign(0, -1), Eps, math.Nextafter(Eps, inf), math.Nextafter(Eps, -inf),
+		-1, math.NaN(), inf,
+	}, extra...)
+}
+
+// checkWithinDistance requires pa.WithinDistance(pb, d) to equal
+// Distance(a, b) <= d, and pb.WithinDistance(pa, d) to equal
+// Distance(b, a) <= d, at every probe of the pair's distance in that
+// order.
+func checkWithinDistance(t *testing.T, a, b Geometry, pa, pb *Prepared, extra ...float64) {
+	t.Helper()
+	for _, o := range []struct {
+		a, b   Geometry
+		pa, pb *Prepared
+	}{{a, b, pa, pb}, {b, a, pb, pa}} {
+		D := Distance(o.a, o.b)
+		for _, d := range withinDistanceProbes(D, extra...) {
+			if got, want := o.pa.WithinDistance(o.pb, d), D <= d; got != want {
+				t.Fatalf("WithinDistance(d=%v) = %v, Distance = %v\n a=%s\n b=%s", d, got, D, wkt(o.a), wkt(o.b))
 			}
 		}
 	}
+}
+
+// wkt renders g for a failure message, nil included.
+func wkt(g Geometry) string {
+	if g == nil {
+		return "<nil>"
+	}
+	return g.WKT()
 }
 
 func TestPreparedEmptyAndNil(t *testing.T) {
@@ -224,8 +275,10 @@ func TestPreparedEmptyAndNil(t *testing.T) {
 		if got := pg.Locate(Pt(0, 0)); got != Exterior {
 			t.Errorf("case %d: Locate = %v", i, got)
 		}
-		if d := pg.DistanceTo(Prepare(Pt(1, 1))); !math.IsInf(d, 1) {
-			t.Errorf("case %d: distance to empty = %v", i, d)
+		pt := Prepare(Pt(1, 1))
+		if pg.WithinDistance(pt, math.MaxFloat64) || pt.WithinDistance(pg, math.MaxFloat64) ||
+			!pg.WithinDistance(pt, math.Inf(1)) || !pt.WithinDistance(pg, math.Inf(1)) {
+			t.Errorf("case %d: an empty operand is not at distance +Inf", i)
 		}
 	}
 	var nilPrepared *Prepared
@@ -259,27 +312,30 @@ func TestPreparedConcurrentUse(t *testing.T) {
 	wantNodes := make([][2]NodeResult, len(partners))
 	for i, g := range partners {
 		prepared[i] = Prepare(g)
-		wantNodes[i] = [2]NodeResult{NodeSoups(BuildSoup(donut), BuildSoup(g)), NodeSoups(BuildSoup(g), BuildSoup(donut))}
+		wantNodes[i] = [2]NodeResult{NodeSoups(BuildSoup(donut), BuildSoup(g), new(Scratch)), NodeSoups(BuildSoup(g), BuildSoup(donut), new(Scratch))}
 	}
+	farD := Distance(donut, prepared[3].Geometry())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			sc := GetScratch()
+			defer sc.Release()
 			for i := 0; i < 200; i++ {
 				p := Pt(rng.Float64()*10-1, rng.Float64()*10-1)
 				if got, want := pg.Locate(p), Locate(p, donut); got != want {
 					t.Errorf("Locate(%v) = %v, want %v", p, got, want)
 					return
 				}
-				if got, want := pg.DistanceTo(other), Distance(donut, other.Geometry()); got != want {
-					t.Errorf("DistanceTo = %v, want %v", got, want)
+				if !pg.WithinDistance(other, 0) || !pg.WithinDistance(prepared[3], farD) || pg.WithinDistance(prepared[3], math.Nextafter(farD, 0)) {
+					t.Errorf("WithinDistance disagrees with Distance")
 					return
 				}
 				j := i % len(partners)
-				if !nodeResultsEqual(NodePrepared(pg, prepared[j]), wantNodes[j][0]) ||
-					!nodeResultsEqual(NodePrepared(prepared[j], pg), wantNodes[j][1]) {
+				if !nodeResultsEqual(NodePrepared(pg, prepared[j], sc), wantNodes[j][0]) ||
+					!nodeResultsEqual(NodePrepared(prepared[j], pg, sc), wantNodes[j][1]) {
 					t.Errorf("NodePrepared with %s diverges from NodeSoups", partners[j].WKT())
 					return
 				}

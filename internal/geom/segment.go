@@ -181,8 +181,8 @@ func (s Segment) collinearOverlap(o Segment) (IntersectionKind, Point, Point) {
 		oLo, oHi = oHi, oLo
 		pLo, pHi = pHi, pLo
 	}
-	lo := math.Max(sLo, oLo)
-	hi := math.Min(sHi, oHi)
+	lo := maxf(sLo, oLo)
+	hi := minf(sHi, oHi)
 	if lo > hi+Eps {
 		return IntersectionNone, Point{}, Point{}
 	}

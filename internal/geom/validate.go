@@ -179,6 +179,7 @@ type sweepEdge struct {
 type ringIndex struct {
 	env  Envelope // the ring's envelope grown by Eps
 	tree segTree
+	sc   Scratch // the traversal buffers of exterior
 }
 
 func newRingIndex(r Ring) ringIndex {
@@ -201,13 +202,12 @@ func (ri *ringIndex) exterior(p Point) bool {
 	if !ri.env.ContainsPoint(p) {
 		return true
 	}
-	var candBuf [prepStackCands]int32
-	for _, e := range ri.tree.pointCandidates(p, candBuf[:0]) {
+	for _, e := range ri.tree.pointCandidates(p, &ri.sc) {
 		if ri.tree.entries[e].seg.OnSegment(p) {
 			return false
 		}
 	}
 	var flags [1]uint8
-	ri.tree.rayFlags(p, flags[:])
+	ri.tree.rayFlags(p, flags[:], &ri.sc)
 	return flags[0]&prepParityBit == 0
 }

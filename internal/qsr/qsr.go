@@ -232,12 +232,20 @@ func DistanceRelation(a, b geom.Geometry, t DistanceThresholds) Relation {
 	return t.Classify(geom.Distance(a, b))
 }
 
-// DistanceRelationPrepared is DistanceRelation over prepared geometries:
-// the distance comes from the branch-and-bound over the cached edge
-// trees and equals geom.Distance on the wrapped geometries exactly, so
-// the classification cannot differ.
+// DistanceRelationPrepared is DistanceRelation over prepared geometries.
+// It decides instead of measuring: geom.Prepared.WithinDistance answers
+// Distance <= d exactly, so asking it at VeryCloseMax and then at
+// CloseMax gives Classify's relation without computing the minimum
+// distance, and the classification cannot differ.
 func DistanceRelationPrepared(a, b *geom.Prepared, t DistanceThresholds) Relation {
-	return t.Classify(a.DistanceTo(b))
+	switch {
+	case a.WithinDistance(b, t.VeryCloseMax):
+		return VeryClose
+	case a.WithinDistance(b, t.CloseMax):
+		return CloseTo
+	default:
+		return FarFrom
+	}
 }
 
 // Directional returns the dominant cardinal direction of b relative to a,
