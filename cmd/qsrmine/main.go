@@ -333,7 +333,8 @@ func writeColocateJSON(w io.Writer, res *qsrmine.ColocationResult) error {
 // successor through the incremental path: a full extraction of the
 // original dataset builds an ExtractState, Apply re-extracts only the
 // rows whose dirty region the edits touch (visible as delta.* counters
-// under -trace / -json-metrics), and mining runs on the patched table.
+// under -trace / -json-metrics), and mining runs on the patched state,
+// whose table the outcome carries for -profile.
 func runMutated(ctx context.Context, ds *qsrmine.Dataset, path string, cfg qsrmine.Config) (*qsrmine.Outcome, error) {
 	m, err := qsrmine.LoadMutation(path)
 	if err != nil {
@@ -354,7 +355,12 @@ func runMutated(ctx context.Context, ds *qsrmine.Dataset, path string, cfg qsrmi
 	if _, err := st.Apply(ctx, nd, cs); err != nil {
 		return nil, err
 	}
-	return qsrmine.RunTableContext(ctx, st.Table(), cfg)
+	out, err := qsrmine.RunStateContext(ctx, st, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out.Table = st.Table()
+	return out, nil
 }
 
 // writeMetrics prints the collected stage/pass/counter metrics as one

@@ -308,6 +308,20 @@ func TestRunMutateFlag(t *testing.T) {
 	if got, want := stripTiming(t, mutated.Bytes()), stripTiming(t, oracle.Bytes()); got != want {
 		t.Errorf("mutated run diverged from from-scratch oracle:\n%s\nvs\n%s", got, want)
 	}
+
+	// -profile reads the mutated table, which mining the state does not
+	// render, so it must be the from-scratch table's profile.
+	profile := func(args ...string) string {
+		var out bytes.Buffer
+		if err := run(append(args, "-minsup", "0.3", "-profile"), &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		section, _, _ := strings.Cut(out.String(), "\n\n")
+		return section
+	}
+	if got, want := profile("-sample", "-mutate", path), profile("-data", f); !strings.Contains(got, "-- table profile --") || got != want {
+		t.Errorf("mutated -profile diverged from the from-scratch one:\n%s\nvs\n%s", got, want)
+	}
 }
 
 // stripTiming removes the wall-clock field from a JSON result so runs

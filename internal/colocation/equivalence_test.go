@@ -155,6 +155,58 @@ func TestColocationInvariantUnderPermutation(t *testing.T) {
 	}
 }
 
+// TestColocationInvariantUnderScaling is a metamorphic property of
+// Mine: scaling every geometry and Config.Distance by the same power of
+// two (2, 1/2 and 4, exact in floating point) leaves the prevalent
+// patterns (types, PI bits, row counts) as they were. It runs on the
+// planted scenes at their distances and on a default 12×12 polygon
+// scene at distances 0, 1 and 5, at MinPI 0.2 and Parallelism 1 and 4.
+func TestColocationInvariantUnderScaling(t *testing.T) {
+	polygons, err := datagen.GenerateScene(datagen.DefaultScene(12, 12, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenes := append(plantedScenes(t), oracleScene{"default polygon scene", polygons, []float64{0, 1, 5}})
+	for _, sc := range scenes {
+		prevalent := 0
+		for _, dist := range sc.dists {
+			for _, par := range []int{1, 4} {
+				cfg := colocation.Config{Distance: dist, MinPI: 0.2, Parallelism: par}
+				want := mustMine(t, sc.ds, cfg)
+				prevalent += len(want.Prevalent)
+				for _, k := range []float64{2, 0.5, 4} {
+					scaled := cfg
+					scaled.Distance = k * dist
+					if got := mustMine(t, scaledScene(sc.ds, k), scaled); !samePatterns(got.Prevalent, want.Prevalent) {
+						t.Fatalf("%s/dist=%v/par=%d: scaled by %v, the prevalent patterns moved:\n got %+v\nwant %+v",
+							sc.name, dist, par, k, got.Prevalent, want.Prevalent)
+					}
+				}
+			}
+		}
+		if prevalent == 0 {
+			t.Fatalf("%s: no prevalent pattern at any distance, so the property is vacuous there", sc.name)
+		}
+	}
+}
+
+// scaledScene returns a copy of ds with every geometry scaled by k about
+// the origin.
+func scaledScene(ds *dataset.Dataset, k float64) *dataset.Dataset {
+	scale := func(l *dataset.Layer) *dataset.Layer {
+		features := slices.Clone(l.Features)
+		for i := range features {
+			features[i].Geometry = geom.Transform(features[i].Geometry, geom.ScaleAffine(k, k))
+		}
+		return &dataset.Layer{Type: l.Type, Features: features}
+	}
+	out := &dataset.Dataset{Reference: scale(ds.Reference)}
+	for _, l := range ds.Relevant {
+		out.Relevant = append(out.Relevant, scale(l))
+	}
+	return out
+}
+
 // permutedScene returns a copy of ds with each layer's features shuffled
 // and the layers, reference included, in a shuffled order whose first
 // becomes the reference.

@@ -114,7 +114,9 @@ const (
 
 // Outcome bundles everything a pipeline run produces.
 type Outcome struct {
-	// Table is the extracted (or supplied) transaction table.
+	// Table is the extracted (or supplied) transaction table. It is nil
+	// from RunStateContext, which renders no string rows: the state's
+	// Table renders them.
 	Table *dataset.Table
 	// DB is the interned mining database (exposes the dictionary).
 	DB *itemset.DB
@@ -134,7 +136,8 @@ func Run(d *dataset.Dataset, cfg Config) (*Outcome, error) {
 // RunContext executes the full pipeline on a geographic dataset,
 // honouring ctx cancellation/deadlines in every stage and emitting stage
 // spans and mining pass events to any obs.Trace attached to ctx (see
-// obs.WithTrace).
+// obs.WithTrace). It is an extraction state build, with its table
+// rendered, mined by RunStateContext.
 //
 // A zero cfg.Extraction — and only the exact zero value — is replaced by
 // transact.DefaultOptions. Any deliberately non-zero Options with all
@@ -146,12 +149,34 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Outcome, 
 	}
 	tr := obs.FromContext(ctx)
 	sp := tr.Stage("extract")
-	table, err := transact.ExtractContext(ctx, d, opts)
+	st, err := transact.NewStateContext(ctx, d, opts)
+	var table *dataset.Table
+	if err == nil {
+		table = st.Table()
+	}
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: extraction: %w", err)
 	}
-	return RunTableContext(ctx, table, cfg)
+	out, err := RunStateContext(ctx, st, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out.Table = table
+	return out, nil
+}
+
+// RunStateContext executes the mining stages on the current table of an
+// extraction state, as RunTableContext does on the rendered table and
+// with the same outcome, except that it renders no string rows and
+// leaves the outcome's Table nil. The database is built from the
+// state's indexed rows (itemset.NewDBIndexed), so no item string is
+// hashed.
+func RunStateContext(ctx context.Context, st *transact.State, cfg Config) (*Outcome, error) {
+	sp := obs.FromContext(ctx).Stage("intern")
+	db := itemset.NewDBIndexed(st.Rows())
+	sp.End()
+	return mine(ctx, db, cfg)
 }
 
 // EffectiveMiningConfig resolves the mining.Config that cfg's algorithm
@@ -194,16 +219,27 @@ func RunTable(table *dataset.Table, cfg Config) (*Outcome, error) {
 // (context.Canceled or context.DeadlineExceeded), unwrappable with
 // errors.Is through the "core: mining:" wrapping.
 func RunTableContext(ctx context.Context, table *dataset.Table, cfg Config) (*Outcome, error) {
-	tr := obs.FromContext(ctx)
-	sp := tr.Stage("intern")
+	sp := obs.FromContext(ctx).Stage("intern")
 	db := itemset.NewDB(table)
 	sp.End()
+	out, err := mine(ctx, db, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out.Table = table
+	return out, nil
+}
+
+// mine runs the stages after interning on the database db; the outcome
+// has no Table.
+func mine(ctx context.Context, db *itemset.DB, cfg Config) (*Outcome, error) {
+	tr := obs.FromContext(ctx)
 	mcfg, err := EffectiveMiningConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var res *mining.Result
-	sp = tr.Stage("mine")
+	sp := tr.Stage("mine")
 	switch cfg.Algorithm {
 	case AlgApriori, AlgAprioriKC, AlgAprioriKCPlus:
 		res, err = mining.MineContext(ctx, db, mcfg)
@@ -226,7 +262,7 @@ func RunTableContext(ctx context.Context, table *dataset.Table, cfg Config) (*Ou
 		return nil, fmt.Errorf("core: unknown post filter %d", cfg.PostFilter)
 	}
 	sp.End()
-	out := &Outcome{Table: table, DB: db, Result: res}
+	out := &Outcome{DB: db, Result: res}
 	if cfg.GenerateRules {
 		if err := ctx.Err(); err != nil {
 			return nil, err

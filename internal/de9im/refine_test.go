@@ -63,12 +63,18 @@ func TestRefineAllocs(t *testing.T) {
 				t.Errorf("WithinDistance(district, %s, %v): %v allocations, want 0", op.name, d, got)
 			}
 		}
+		if got := testing.AllocsPerRun(100, func() { district.WithinDistances(pg, 1, 5) }); got != 0 {
+			t.Errorf("WithinDistances(district, %s, 1, 5): %v allocations, want 0", op.name, got)
+		}
 	}
 	far := geom.Prepare(geom.Rect(13, 0, 14, 1))
 	for _, d := range []float64{1, 5} {
 		if got := testing.AllocsPerRun(100, func() { district.WithinDistance(far, d) }); got != 0 {
 			t.Errorf("WithinDistance(%v): %v allocations, want 0", d, got)
 		}
+	}
+	if got := testing.AllocsPerRun(100, func() { district.WithinDistances(far, 1, 5) }); got != 0 {
+		t.Errorf("WithinDistances(1, 5): %v allocations, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { district.Locate(geom.Pt(5, 5)) }); got != 0 {
 		t.Errorf("Locate: %v allocations, want 0", got)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -98,5 +100,90 @@ func TestFigure4ReductionsReported(t *testing.T) {
 	}
 	if !strings.Contains(chart, "apriori") || !strings.Contains(chart, "kc+") {
 		t.Error("figure 4 chart missing series names")
+	}
+}
+
+// reportRows returns the report's lines after its header with runs of
+// white space collapsed to one space, blank lines dropped.
+func reportRows(r *Report) []string {
+	var rows []string
+	for _, l := range r.Lines[1:] {
+		if f := strings.Fields(l); len(f) > 0 {
+			rows = append(rows, strings.Join(f, " "))
+		}
+	}
+	return rows
+}
+
+// TestQuotedNumbersPinned pins every count EXPERIMENTS.md quotes, and
+// the reductions it quotes, to the rows the experiments print: the
+// Figure 4 and 6 counts and reductions, the §4.2 predictions and real
+// gains, and the redundancy ablation's itemsets and rules. A moved
+// number means a mining or generator change moved the reproduction.
+func TestQuotedNumbersPinned(t *testing.T) {
+	for _, c := range []struct {
+		report func() *Report
+		want   []string
+	}{
+		{Figure4, []string{
+			"5% 1735 1088 399 37.3% 77.0%",
+			"10% 1011 633 212 37.4% 79.0%",
+			"15% 567 355 167 37.4% 70.5%",
+		}},
+		{Figure6, []string{
+			"5% 623 179 71.3%",
+			"8% 268 109 59.3%",
+			"11% 246 100 59.3%",
+			"14% 135 59 56.3%",
+			"17% 126 50 60.3%",
+		}},
+		{GainChecks42, []string{
+			"5% 8 3 [2 2 2]/2 148 444 yes",
+			"17% 7 3 [2 2 2]/1 74 76 yes",
+		}},
+		{Redundancy, []string{
+			"none (Apriori) 1011 697",
+			"closed [4] 465 288",
+			"maximal [9] 33 23",
+			"KC+ (this paper) 314 0",
+			"KC+ then closed 177 0",
+			"KC+ then maximal 22 0",
+			"rules (Apriori, conf>=0.7) 17418",
+			"non-redundant rules [19] 5763",
+			"rules after KC+ 1933",
+			"...still same-feature 4873",
+		}},
+	} {
+		r := c.report()
+		got := reportRows(r)
+		if len(got) < len(c.want) || !slices.Equal(got[:len(c.want)], c.want) {
+			t.Errorf("%s rows moved:\n got %q\nwant %q", r.ID, got[:min(len(got), len(c.want))], c.want)
+		}
+	}
+}
+
+// TestExperimentsDocumentQuotesPinnedNumbers requires EXPERIMENTS.md to
+// quote the numbers TestQuotedNumbersPinned pins, so the document cannot
+// drift from the reproduction silently.
+func TestExperimentsDocumentQuotesPinnedNumbers(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, quote := range []string{
+		"KC −37.3/37.4/37.4%, KC+ −77.0/79.0/70.5%",
+		"71.3/59.3/59.3/56.3/60.3% at 5/8/11/14/17%",
+		"predicted 148 ≤ real 444",
+		"predicted 74 ≤ real 76",
+		"1011 itemsets of which\n697 contain a same-feature pair",
+		"closed filtering keeps 465 (288 still\nsame-feature)",
+		"keeps 33 (23 still\nsame-feature)",
+		"Apriori-KC+ keeps 314 with **zero** same-feature patterns",
+		"(KC+ then maximal: 22)",
+		"keeps 5763 of 17418 rules\n— 4873 of them still same-feature",
+	} {
+		if !strings.Contains(string(doc), quote) {
+			t.Errorf("EXPERIMENTS.md does not quote %q", quote)
+		}
 	}
 }

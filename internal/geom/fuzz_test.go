@@ -213,7 +213,9 @@ func FuzzDistancePrepared(f *testing.F) {
 				}
 			}
 		}
-		checkWithinDistance(t, a, b, Prepare(a), Prepare(b), d)
+		pa, pb := Prepare(a), Prepare(b)
+		checkWithinDistance(t, a, b, pa, pb, d)
+		checkWithinDistances(t, a, b, pa, pb, d)
 	})
 }
 

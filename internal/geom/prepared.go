@@ -490,6 +490,25 @@ func (pg *Prepared) ringLoc(p Point, slot int32, flags []uint8) Location {
 // pair, with the arithmetic of Distance, trying the edge trees'
 // segment pairs before the point loops.
 func (pg *Prepared) WithinDistance(o *Prepared, d float64) bool {
+	var contained int8
+	return pg.within(o, d, &contained)
+}
+
+// WithinDistances is WithinDistance at two thresholds: it reports
+// WithinDistance(o, near) and WithinDistance(o, far), and runs the
+// containment short-cuts, which do not depend on the threshold, at most
+// once. When near <= far and the pair lies within near, far needs no
+// search.
+func (pg *Prepared) WithinDistances(o *Prepared, near, far float64) (withinNear, withinFar bool) {
+	var contained int8
+	withinNear = pg.within(o, near, &contained)
+	return withinNear, withinNear && near <= far || pg.within(o, far, &contained)
+}
+
+// within is WithinDistance with the outcome of the containment
+// short-cuts carried in *contained: 0 until they run, then 1 when an
+// operand contains a sample of the other (distance 0) and -1 when not.
+func (pg *Prepared) within(o *Prepared, d float64, contained *int8) bool {
 	if math.IsInf(d, 1) {
 		return true
 	}
@@ -497,7 +516,13 @@ func (pg *Prepared) WithinDistance(o *Prepared, d float64) bool {
 		return false
 	}
 	sa, sb := pg.soup, o.soup
-	if sa.HasArea && pg.containsAny(o.distSamples) || sb.HasArea && o.containsAny(pg.distSamples) {
+	if *contained == 0 {
+		*contained = -1
+		if sa.HasArea && pg.containsAny(o.distSamples) || sb.HasArea && o.containsAny(pg.distSamples) {
+			*contained = 1
+		}
+	}
+	if *contained > 0 {
 		return true
 	}
 	t := max(d, Eps)

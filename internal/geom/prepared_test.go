@@ -252,6 +252,28 @@ func checkWithinDistance(t *testing.T, a, b Geometry, pa, pb *Prepared, extra ..
 	}
 }
 
+// checkWithinDistances requires WithinDistances at every ordered pair
+// of the pair's probes to answer what WithinDistance answers at each,
+// with the operands either way round.
+func checkWithinDistances(t *testing.T, a, b Geometry, pa, pb *Prepared, extra ...float64) {
+	t.Helper()
+	for _, o := range []struct {
+		a, b   Geometry
+		pa, pb *Prepared
+	}{{a, b, pa, pb}, {b, a, pb, pa}} {
+		probes := withinDistanceProbes(Distance(o.a, o.b), extra...)
+		for _, near := range probes {
+			for _, far := range probes {
+				gotNear, gotFar := o.pa.WithinDistances(o.pb, near, far)
+				if wantNear, wantFar := o.pa.WithinDistance(o.pb, near), o.pa.WithinDistance(o.pb, far); gotNear != wantNear || gotFar != wantFar {
+					t.Fatalf("WithinDistances(%v, %v) = %v, %v, WithinDistance reads %v, %v\n a=%s\n b=%s",
+						near, far, gotNear, gotFar, wantNear, wantFar, wkt(o.a), wkt(o.b))
+				}
+			}
+		}
+	}
+}
+
 // wkt renders g for a failure message, nil included.
 func wkt(g Geometry) string {
 	if g == nil {

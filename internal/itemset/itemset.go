@@ -364,6 +364,43 @@ func newDB(t *dataset.Table, chunks int) *DB {
 	return db
 }
 
+// NewDBIndexed builds the database of a table whose rows are given as
+// indices into names: rows[j] lists the items of the table's row j in
+// the row's own order, as transact.State.Rows gives them. It is NewDB of
+// the rendered table without rendering it or hashing an item per row:
+// each distinct name is interned once, the first time a row holds it,
+// through a seen array over the indices, so IDs come in NewDB's
+// first-seen order and the dictionary (names, metas, IDs) and rows are
+// NewDB's. The rows share one backing array as NewDB's do.
+func NewDBIndexed(names []string, rows [][]int32) *DB {
+	db := &DB{Dict: NewDictionary()}
+	if len(rows) == 0 {
+		return db
+	}
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	backing := make([]int32, total)
+	db.Rows = make([]Itemset, len(rows))
+	// ids[i] is names[i]'s ID plus one, 0 while no row has held it.
+	ids := make([]int32, len(names))
+	off := 0
+	for j, r := range rows {
+		row := Itemset(backing[off : off+len(r)])
+		off += len(r)
+		for k, i := range r {
+			if ids[i] == 0 {
+				ids[i] = db.Dict.Intern(names[i]) + 1
+			}
+			row[k] = ids[i] - 1
+		}
+		row = sortUnique(row)
+		db.Rows[j] = row[:len(row):len(row)]
+	}
+	return db
+}
+
 // NumTransactions reports the number of rows.
 func (db *DB) NumTransactions() int { return len(db.Rows) }
 

@@ -233,15 +233,17 @@ func DistanceRelation(a, b geom.Geometry, t DistanceThresholds) Relation {
 }
 
 // DistanceRelationPrepared is DistanceRelation over prepared geometries.
-// It decides instead of measuring: geom.Prepared.WithinDistance answers
-// Distance <= d exactly, so asking it at VeryCloseMax and then at
-// CloseMax gives Classify's relation without computing the minimum
-// distance, and the classification cannot differ.
+// It decides instead of measuring: geom.Prepared.WithinDistances answers
+// Distance <= d exactly at VeryCloseMax and at CloseMax, running the
+// containment short-cuts once for both, so it gives Classify's relation
+// without computing the minimum distance, and the classification cannot
+// differ.
 func DistanceRelationPrepared(a, b *geom.Prepared, t DistanceThresholds) Relation {
+	veryClose, close := a.WithinDistances(b, t.VeryCloseMax, t.CloseMax)
 	switch {
-	case a.WithinDistance(b, t.VeryCloseMax):
+	case veryClose:
 		return VeryClose
-	case a.WithinDistance(b, t.CloseMax):
+	case close:
 		return CloseTo
 	default:
 		return FarFrom

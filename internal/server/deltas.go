@@ -242,11 +242,10 @@ func (s *Server) computeScene(ctx context.Context, ds *StoredDataset, key string
 	// PATCH successor regardless of how mining below goes.
 	defer s.deltas.putState(ds.Digest+suffix, st)
 
-	table := st.Table()
 	if td != nil && deltaEligible(cfg) {
 		if pkey, err := CacheKey(parent, cfg); err == nil {
 			if me := s.deltas.claimMine(pkey); me != nil {
-				if resp, err := s.patchMine(ctx, ds, table, me, td, cfg, key); err == nil {
+				if resp, err := s.patchMine(ctx, ds, st, me, td, cfg, key); err == nil {
 					return resp, nil
 				}
 				tr.Add("delta.patch.errors", 1)
@@ -254,7 +253,7 @@ func (s *Server) computeScene(ctx context.Context, ds *StoredDataset, key string
 		}
 	}
 
-	out, err := core.RunTableContext(ctx, table, cfg)
+	out, err := core.RunStateContext(ctx, st, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,9 +267,9 @@ func (s *Server) computeScene(ctx context.Context, ds *StoredDataset, key string
 // delta: tidsets are bit-flipped in place for the changed rows, and the
 // parent's frequent set is additively corrected plus a restricted walk
 // over the changed items. The response is canonicalised to the order a
-// cold mine of the successor would produce, so cached and delta-served
-// responses are indistinguishable on the wire.
-func (s *Server) patchMine(ctx context.Context, ds *StoredDataset, table *dataset.Table, me *mineEntry, td *transact.TableDelta, cfg core.Config, key string) (*MineResponse, error) {
+// cold mine of the successor state st would produce, so cached and
+// delta-served responses are indistinguishable on the wire.
+func (s *Server) patchMine(ctx context.Context, ds *StoredDataset, st *transact.State, me *mineEntry, td *transact.TableDelta, cfg core.Config, key string) (*MineResponse, error) {
 	tr := obs.FromContext(ctx)
 	mcfg, err := core.EffectiveMiningConfig(cfg)
 	if err != nil {
@@ -302,7 +301,8 @@ func (s *Server) patchMine(ctx context.Context, ds *StoredDataset, table *datase
 	tr.Add("delta.mine.patched", 1)
 	me.res = res
 	s.deltas.putMine(key, me)
-	return canonicalResponse(ds.Digest, table, me.db.Dict, res, cfg), nil
+	names, table := st.Rows()
+	return canonicalResponse(ds.Digest, names, table, me.db.Dict, res, cfg), nil
 }
 
 // internItems interns a row's item names against db's dictionary.
@@ -315,17 +315,21 @@ func internItems(db *itemset.DB, items []string) itemset.Itemset {
 }
 
 // canonicalResponse renders a result whose itemsets live in an older
-// dictionary in the exact order a cold mine of table would produce:
+// dictionary in the exact order a cold mine of a table would produce:
 // items ranked by first appearance in row order (a fresh dictionary's
 // interning order), names within an itemset in rank order, itemsets by
 // size then rank-vector. Every engine normalises to that order, so the
 // wire form is independent of which dictionary the result was mined in.
-func canonicalResponse(digest string, table *dataset.Table, dict *itemset.Dictionary, res *mining.Result, cfg core.Config) *MineResponse {
+// The table is given as indices into names (transact.State.Rows), so
+// the ranks come from a seen array, one name per distinct item.
+func canonicalResponse(digest string, names []string, table [][]int32, dict *itemset.Dictionary, res *mining.Result, cfg core.Config) *MineResponse {
 	rank := make(map[string]int)
-	for _, tx := range table.Transactions {
-		for _, it := range tx.Items {
-			if _, ok := rank[it]; !ok {
-				rank[it] = len(rank)
+	seen := make([]bool, len(names))
+	for _, row := range table {
+		for _, i := range row {
+			if !seen[i] {
+				seen[i] = true
+				rank[names[i]] = len(rank)
 			}
 		}
 	}

@@ -24,12 +24,17 @@ type FittedDiscretizer struct {
 
 // Label maps a value to its bin label.
 func (f *FittedDiscretizer) Label(v float64) string {
+	return f.Labels[f.bin(v)]
+}
+
+// bin maps a value to the index of its bin.
+func (f *FittedDiscretizer) bin(v float64) int {
 	for i, c := range f.Cuts {
 		if v <= c {
-			return f.Labels[i]
+			return i
 		}
 	}
-	return f.Labels[len(f.Labels)-1]
+	return len(f.Labels) - 1
 }
 
 // defaultLabels returns human-friendly names for small bin counts and

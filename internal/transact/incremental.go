@@ -23,12 +23,14 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/qsr"
 )
 
 // State is a reusable extraction context bound to one dataset and one
@@ -55,32 +57,48 @@ type State struct {
 	// prepRef[j] is row j's prepared reference geometry (nil entries
 	// when unprepared).
 	prepRef []*geom.Prepared
-	// names[li] is layer li's predicate table at type granularity (nil
-	// at instance granularity); see predicateNames.
-	names [][]string
 
-	// rows[j] holds reference row j's items before normalisation.
+	// voc numbers every item the rows hold; see vocab.
+	voc *vocab
+	// pred[li] is layer li's predicate table at type granularity (nil
+	// at instance granularity); see predicateItems.
+	pred [][]int32
+	// isA is the is_a item when Options.IncludeIsA is set.
+	isA int32
+	// numeric holds the label items of the fitted numeric attributes
+	// under cuts.
+	numeric map[string]numericAttr
+
+	// rows[j] holds reference row j's items.
 	rows []row
 }
 
-// row is one transaction's items in a single slice: the non-spatial
-// part (is_a + attributes), then each relevant layer's spatial part in
-// layer order. ends[k] closes part k (0 is the attribute part, 1+li is
-// layer li). A row's items are never written after it is built; Apply
-// splices a fresh slice for every row it re-renders, so predecessor rows
-// stay intact for the delta's Old items.
+// row is one transaction's items as vocabulary indices in a single
+// slice: the non-spatial part (is_a + attributes), then each relevant
+// layer's spatial part in layer order, then the normalised row (the
+// parts' distinct items in rank order, the order Table renders).
+// ends[k] closes part k (0 is the attribute part, 1+li is layer li), so
+// the normalised row starts at the last end. A row's items are never
+// written after it is built; Apply splices a fresh slice for every row
+// it re-renders, so predecessor rows stay intact for the delta's Old
+// items.
 type row struct {
-	items []string
+	items []int32
 	ends  []int
 }
 
 // part returns part k of the row.
-func (r *row) part(k int) []string {
+func (r *row) part(k int) []int32 {
 	start := 0
 	if k > 0 {
 		start = r.ends[k-1]
 	}
 	return r.items[start:r.ends[k]]
+}
+
+// norm returns the normalised row.
+func (r *row) norm() []int32 {
+	return r.items[r.ends[len(r.ends)-1]:]
 }
 
 // RowChange records one row whose normalised items differ between a
@@ -158,14 +176,19 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 		disc:      disc,
 		cuts:      cuts,
 		anyFamily: opts.Topological || opts.Distance || opts.Directional,
+		voc:       new(vocab),
 	}
 	tr := obs.FromContext(ctx)
 
 	n := d.Reference.Len()
 	s.prepRef = make([]*geom.Prepared, n)
-	if s.anyFamily && opts.Granularity == TypeLevel {
-		s.names = predicateNames(d.Relevant)
+	if opts.IncludeIsA {
+		s.isA = s.voc.internAll("is_a_" + d.Reference.Type)[0]
 	}
+	if s.anyFamily && opts.Granularity == TypeLevel {
+		s.pred = predicateItems(s.voc, d.Relevant)
+	}
+	s.numeric = labelItems(s.voc, cuts)
 	// Prepare every relevant layer and the reference layer once up
 	// front: every reference row reuses the same immutable
 	// geom.Prepared values, read-only across the worker pool, and the
@@ -195,19 +218,23 @@ func NewStateContext(ctx context.Context, d *dataset.Dataset, opts Options) (*St
 	ends := make([]int, n*stride)
 	s.rows = make([]row, n)
 	workers := par.Workers(opts.Parallelism, n)
-	bufs := make([][]int, workers)
+	bufs := make([]rowBuf, workers)
 	stats := make([]extractStats, workers)
+	pass := s.newRowPass(d, s.numeric)
 	err = par.For(ctx, n, workers, func(w, j int) {
 		r := &s.rows[j]
 		r.ends = ends[j*stride : (j+1)*stride : (j+1)*stride]
 		// The workers' slots share a cache line, so the row works on
 		// local copies and writes them back once.
 		buf, st := bufs[w], extractStats{}
-		r.items = s.renderRow(d, s.cuts, j, s.prepRef[j], nil, false, nil, r.ends, &buf, &st)
+		r.items = s.renderRow(pass, j, s.prepRef[j], nil, false, nil, r.ends, &buf, &st)
 		st.items = int64(len(r.items))
 		bufs[w] = buf
 		stats[w].add(st)
 	})
+	if err == nil {
+		err = s.normaliseRows(ctx, pass, n, func(j int) *row { return &s.rows[j] })
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -275,18 +302,83 @@ func (s *State) Dataset() *dataset.Dataset { return s.d }
 // Options returns the extraction options the state was built with.
 func (s *State) Options() Options { return s.opts }
 
-// Table assembles the current transaction table. Each row's items are
-// normalised (sorted, deduplicated) into a fresh slice, which makes the
-// result independent of part boundaries; rows normalise on a par pool
-// of Options.Parallelism workers.
+// Table renders the current transaction table: each row's normalised
+// items (sorted by byte order, deduplicated) as strings. The rows are
+// normalised when rendered, so Table only looks names up; all rows'
+// items share one backing array, each row a capacity-capped window.
 func (s *State) Table() *dataset.Table {
-	n := len(s.rows)
-	t := &dataset.Table{Transactions: make([]dataset.Transaction, n)}
-	// context.TODO never cancels, so For always runs every row.
-	_ = par.For(context.TODO(), n, par.Workers(s.opts.Parallelism, n), func(_, j int) {
-		t.Transactions[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: dataset.NormalizeItems(s.rows[j].items)}
-	})
+	total := 0
+	for j := range s.rows {
+		total += len(s.rows[j].norm())
+	}
+	items := make([]string, total)
+	t := &dataset.Table{Transactions: make([]dataset.Transaction, len(s.rows))}
+	off := 0
+	for j := range s.rows {
+		norm := s.rows[j].norm()
+		tx := items[off : off+len(norm) : off+len(norm)]
+		for k, i := range norm {
+			tx[k] = s.voc.names[i]
+		}
+		off += len(norm)
+		t.Transactions[j] = dataset.Transaction{RefID: s.d.Reference.Features[j].ID, Items: tx}
+	}
 	return t
+}
+
+// Rows returns the current table as vocabulary indices: names is the
+// vocabulary and rows[j] lists the items of Table's row j as indices
+// into it, in the same order. Both share the state's storage: callers
+// must not modify them, and they describe the state until its next
+// Apply.
+func (s *State) Rows() (names []string, rows [][]int32) {
+	rows = make([][]int32, len(s.rows))
+	for j := range s.rows {
+		rows[j] = s.rows[j].norm()
+	}
+	return s.voc.names, rows
+}
+
+// normaliseRows interns the names of the pending codes that the n rows
+// pass rendered hold, then replaces each row's codes by indices and
+// appends its normalised items to its parts; rendered(i) is the i-th
+// row. The codes held are listed once each, in ascending order, and the
+// list is cut into runs of at least minRun codes, one per worker at
+// most: the workers render and sort their runs' names, which are
+// interned run by run, and then normalise the rows, on a par pool of
+// Options.Parallelism workers.
+func (s *State) normaliseRows(ctx context.Context, pass *rowPass, n int, rendered func(i int) *row) error {
+	held := newHeldCodes(pass.codes)
+	for i := 0; i < n; i++ {
+		for _, item := range rendered(i).items {
+			if item < 0 {
+				held.add(-1 - item)
+			}
+		}
+	}
+	codes := held.list()
+	runs := make([][]term, par.Workers(s.opts.Parallelism, (len(codes)+minRun-1)/minRun))
+	per := (len(codes) + len(runs) - 1) / len(runs)
+	err := par.For(ctx, len(runs), len(runs), func(_, k int) {
+		lo, hi := min(k*per, len(codes)), min((k+1)*per, len(codes))
+		run := make([]term, 0, hi-lo)
+		for slot := lo; slot < hi; slot++ {
+			run = append(run, term{pass.name(int(codes[slot])), int32(slot)})
+		}
+		slices.SortFunc(run, byName)
+		runs[k] = run
+	})
+	if err != nil {
+		return err
+	}
+	for _, run := range runs {
+		s.voc.intern(run, held.index)
+	}
+	s.voc.rerank()
+	return par.For(ctx, n, par.Workers(s.opts.Parallelism, n), func(_, i int) {
+		r := rendered(i)
+		r.items = s.voc.normalise(r.items, held)
+	})
 }
 
 // Apply advances the state to the mutated successor dataset nd, whose
@@ -332,6 +424,10 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		return nil, err
 	}
 	attrsChanged := !cutsEqual(newCuts, s.cuts)
+	newNumeric := s.numeric
+	if attrsChanged {
+		newNumeric = labelItems(s.voc, newCuts)
+	}
 
 	// Rows, prepared geometries and dirty envelopes are matched by feature
 	// ID, which needs unique IDs in the predecessor's reference layer and
@@ -485,8 +581,9 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	}
 
 	workers := par.Workers(s.opts.Parallelism, len(jobs))
-	bufs := make([][]int, workers)
+	bufs := make([]rowBuf, workers)
 	stats := make([]extractStats, workers)
+	pass := s.newRowPass(nd, newNumeric)
 	err = par.For(ctx, len(jobs), workers, func(w, i int) {
 		j := jobs[i]
 		var old *row
@@ -502,8 +599,11 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 			}
 		}
 		r := &newRows[j]
-		r.items = s.renderRow(nd, newCuts, j, newPrepRef[j], old, attrsChanged, layerDirty, r.ends, &bufs[w], &stats[w])
+		r.items = s.renderRow(pass, j, newPrepRef[j], old, attrsChanged, layerDirty, r.ends, &bufs[w], &stats[w])
 	})
+	if err == nil {
+		err = s.normaliseRows(ctx, pass, len(jobs), func(i int) *row { return &newRows[jobs[i]] })
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -513,8 +613,9 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	}
 
 	// Diff the re-rendered rows (normalised) to produce the exact mining
-	// delta; carried-over rows are equal by construction and are not
-	// compared.
+	// delta, rendering strings only for rows that differ; carried-over
+	// rows are equal by construction and are not compared. Indices are
+	// stable across Apply, so equal index rows are equal string rows.
 	delta := &TableDelta{
 		NewFromOld:     newFromOld,
 		RowsTotal:      n,
@@ -524,26 +625,26 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 		PreparedBuilt:  int(preparedBuilt + total.preparedBuilds),
 	}
 	for _, j := range jobs {
-		newItems := dataset.NormalizeItems(newRows[j].items)
+		newItems := newRows[j].norm()
 		old := newFromOld[j]
 		if old < 0 {
-			delta.Changed = append(delta.Changed, RowChange{Row: j, New: newItems})
+			delta.Changed = append(delta.Changed, RowChange{Row: j, New: s.voc.render(newItems)})
 			continue
 		}
-		oldItems := dataset.NormalizeItems(s.rows[old].items)
-		if !slices.Equal(oldItems, newItems) {
-			delta.Changed = append(delta.Changed, RowChange{Row: j, Old: oldItems, New: newItems})
+		if oldItems := s.rows[old].norm(); !slices.Equal(oldItems, newItems) {
+			delta.Changed = append(delta.Changed, RowChange{Row: j, Old: s.voc.render(oldItems), New: s.voc.render(newItems)})
 		}
 	}
 	for old := range oldToNew {
 		if oldToNew[old] < 0 {
-			delta.Deleted = append(delta.Deleted, RowChange{Row: old, Old: dataset.NormalizeItems(s.rows[old].items)})
+			delta.Deleted = append(delta.Deleted, RowChange{Row: old, Old: s.voc.render(s.rows[old].norm())})
 		}
 	}
 
 	// Commit the successor state.
 	s.d = nd
 	s.cuts = newCuts
+	s.numeric = newNumeric
 	s.rows = newRows
 	s.prepRef = newPrepRef
 	if !refDiff.Empty() {
@@ -561,52 +662,120 @@ func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.Chan
 	return delta, nil
 }
 
-// renderRow builds row j of d into a fresh item slice under the given
-// fitted cuts, writing its part ends into ends. With old == nil every
-// part is computed. Otherwise old is the row's predecessor: the
-// attribute part is re-rendered only when redoAttr, and layer li's part
-// is re-extracted only when layerDirty[li][j], every other part being
-// copied from old. pref is the row's prepared reference geometry (nil
-// when unprepared). The cuts are a parameter, not s.cuts: Apply renders
-// rows under the successor's refit before committing it.
-func (s *State) renderRow(d *dataset.Dataset, cuts map[string]*FittedDiscretizer, j int, pref *geom.Prepared, old *row, redoAttr bool, layerDirty [][]bool, ends []int, buf *[]int, st *extractStats) []string {
-	ref := &d.Reference.Features[j]
-	var items []string
-	if old == nil {
-		items = make([]string, 0, 8)
-	} else {
-		items = make([]string, 0, len(old.items)+4)
+// rowBuf is one worker's scratch for rendering rows: the candidate
+// gather and the row's parts, which renderRow copies out once.
+type rowBuf struct {
+	candidates []int
+	items      []int32
+}
+
+// minRun is the fewest pending codes normaliseRows gives a run of its
+// own. Interning a run is a merge with the whole vocabulary, so the few
+// new names of an Apply are one run.
+const minRun = 1024
+
+// rowPass is one pass that renders rows of dataset d under the fitted
+// numeric attributes numeric. It numbers the items whose names the
+// vocabulary may not hold before the pass: at instance granularity the
+// predicate of each relation against each relevant feature, from
+// layer[li] + ci*numRelations + rel for feature ci of layer li, and the
+// non-numeric attributes of each reference row, from attr +
+// j*len(NonSpatialAttrs) + k for attribute k of row j. A rendered row
+// holds such an item as a pending code, pendingItem(code), because the
+// pass's workers never write the vocabulary; normaliseRows renders the
+// name of each code the rows hold once and interns it.
+type rowPass struct {
+	d       *dataset.Dataset
+	numeric map[string]numericAttr
+	layer   []int
+	attr    int
+	codes   int
+}
+
+// newRowPass numbers the pending codes of a pass over d.
+func (s *State) newRowPass(d *dataset.Dataset, numeric map[string]numericAttr) *rowPass {
+	p := &rowPass{d: d, numeric: numeric}
+	if s.anyFamily && s.opts.Granularity == InstanceLevel {
+		p.layer = make([]int, len(d.Relevant))
+		for li, l := range d.Relevant {
+			p.layer[li] = p.attr
+			p.attr += l.Len() * numRelations
+		}
 	}
+	p.codes = p.attr + d.Reference.Len()*len(d.NonSpatialAttrs)
+	return p
+}
+
+// pendingItem is the row item of pending code c.
+func pendingItem(c int) int32 {
+	return int32(-1 - c)
+}
+
+// name renders the name of pending code c.
+func (p *rowPass) name(c int) string {
+	if c < p.attr {
+		// The last layer whose codes start at or before c: an empty
+		// layer shares its start with the next.
+		li := sort.Search(len(p.layer), func(li int) bool { return p.layer[li] > c }) - 1
+		c -= p.layer[li]
+		feat := &p.d.Relevant[li].Features[c/numRelations]
+		return qsr.Predicate{Relation: qsr.Relation(c % numRelations), FeatureType: feat.ID}.String()
+	}
+	c -= p.attr
+	attrs := p.d.NonSpatialAttrs
+	name := attrs[c%len(attrs)]
+	val, _ := p.d.Reference.Features[c/len(attrs)].Attr(name)
+	return attrItemName(name, val)
+}
+
+// renderRow builds row j of pass's dataset into a fresh item slice
+// under the pass's fitted numeric attributes, writing its part ends into
+// ends. With old == nil every part is computed. Otherwise old is the
+// row's predecessor: the attribute part is re-rendered only when
+// redoAttr, and layer li's part is re-extracted only when
+// layerDirty[li][j], every other part being copied from old. pref is
+// the row's prepared reference geometry (nil when unprepared). The
+// attributes come with the pass, not from s.numeric: Apply renders rows
+// under the successor's refit before committing it. The slice holds the
+// parts only, with room for the normalised row that normaliseRows
+// appends.
+func (s *State) renderRow(pass *rowPass, j int, pref *geom.Prepared, old *row, redoAttr bool, layerDirty [][]bool, ends []int, buf *rowBuf, st *extractStats) []int32 {
+	d := pass.d
+	ref := &d.Reference.Features[j]
+	items := buf.items[:0]
 	if old == nil || redoAttr {
 		if s.opts.IncludeIsA {
-			items = append(items, "is_a_"+d.Reference.Type)
+			items = append(items, s.isA)
 		}
-		items = appendAttrItems(items, ref, d.NonSpatialAttrs, cuts)
+		items = appendAttrItems(items, ref, d.NonSpatialAttrs, pass.numeric, pass.attr+j*len(d.NonSpatialAttrs))
 	} else {
 		items = append(items, old.part(0)...)
 	}
 	ends[0] = len(items)
-	if !s.anyFamily {
+	if s.anyFamily {
+		refEnv := ref.Geometry.Envelope()
+		if pref != nil {
+			refEnv = pref.Envelope()
+		}
+		for li, l := range s.layers {
+			if old == nil || (layerDirty[li] != nil && layerDirty[li][j]) {
+				buf.candidates = gatherCandidates(l, refEnv, s.opts, buf.candidates)
+				st.candidates += int64(len(buf.candidates))
+				items = appendSpatialItems(items, ref, pref, d.Relevant[li], l.Prepared, s.layerPred(li), pass.layerCode(li), refEnv, buf.candidates, s.opts, st)
+			} else {
+				items = append(items, old.part(1+li)...)
+			}
+			ends[1+li] = len(items)
+		}
+	} else {
 		for li := range d.Relevant {
 			ends[1+li] = len(items)
 		}
-		return items
 	}
-	refEnv := ref.Geometry.Envelope()
-	if pref != nil {
-		refEnv = pref.Envelope()
-	}
-	for li, l := range s.layers {
-		if old == nil || (layerDirty[li] != nil && layerDirty[li][j]) {
-			*buf = gatherCandidates(l, refEnv, s.opts, *buf)
-			st.candidates += int64(len(*buf))
-			items = appendSpatialItems(items, ref, pref, d.Relevant[li], l.Prepared, s.layerNames(li), refEnv, *buf, s.opts, st)
-		} else {
-			items = append(items, old.part(1+li)...)
-		}
-		ends[1+li] = len(items)
-	}
-	return items
+	buf.items = items
+	out := make([]int32, len(items), 2*len(items))
+	copy(out, items)
+	return out
 }
 
 // prepareRef prepares row j's reference geometry for the refine stage;
@@ -618,13 +787,22 @@ func (s *State) prepareRef(d *dataset.Dataset, j int) *geom.Prepared {
 	return geom.Prepare(d.Reference.Features[j].Geometry)
 }
 
-// layerNames returns the predicate table of layer li, nil at instance
+// layerPred returns the predicate table of layer li, nil at instance
 // granularity.
-func (s *State) layerNames(li int) []string {
-	if s.names == nil {
+func (s *State) layerPred(li int) []int32 {
+	if s.pred == nil {
 		return nil
 	}
-	return s.names[li]
+	return s.pred[li]
+}
+
+// layerCode returns the first pending code of layer li's instance
+// predicates, 0 at type granularity, where there are none.
+func (p *rowPass) layerCode(li int) int {
+	if p.layer == nil {
+		return 0
+	}
+	return p.layer[li]
 }
 
 // featureEnvelope returns the envelope of layer l's feature j, the

@@ -29,17 +29,18 @@ func transformed(d *dataset.Dataset, a geom.Affine) *dataset.Dataset {
 	return nd
 }
 
-// swappedNorthSouth returns t with every northOf item renamed southOf and
-// every southOf item northOf, each row normalised again.
-func swappedNorthSouth(t *dataset.Table) *dataset.Table {
+// swapped returns t with every item of relation a renamed to relation b
+// and every item of b to a, each row normalised again.
+func swapped(t *dataset.Table, a, b qsr.Relation) *dataset.Table {
+	pa, pb := a.String()+"_", b.String()+"_"
 	rows := make([]dataset.Transaction, len(t.Transactions))
 	for i, tx := range t.Transactions {
 		items := make([]string, len(tx.Items))
 		for k, it := range tx.Items {
-			if rest, ok := strings.CutPrefix(it, "northOf_"); ok {
-				it = "southOf_" + rest
-			} else if rest, ok := strings.CutPrefix(it, "southOf_"); ok {
-				it = "northOf_" + rest
+			if rest, ok := strings.CutPrefix(it, pa); ok {
+				it = pb + rest
+			} else if rest, ok := strings.CutPrefix(it, pb); ok {
+				it = pa + rest
 			}
 			items[k] = it
 		}
@@ -48,13 +49,15 @@ func swappedNorthSouth(t *dataset.Table) *dataset.Table {
 	return dataset.NewTable(rows)
 }
 
-// TestExtractionMetamorphic checks three properties of extraction on
+// TestExtractionMetamorphic checks four properties of extraction on
 // twelve 12×12 default scenes (seeds 1–6, rectangular and irregular
 // polygons) with topological, distance (farFrom included) and
 // directional predicates, at parallelism 1 and 4:
 //
 //   - mirroring every geometry in y gives the same table with northOf
 //     and southOf swapped;
+//   - mirroring every geometry in x gives the same table with eastOf
+//     and westOf swapped;
 //   - scaling by 2, 1/2 and 4, with both distance thresholds scaled
 //     alike, gives the same table;
 //   - translating by ±2^10 on both axes gives the same table.
@@ -87,8 +90,11 @@ func TestExtractionMetamorphic(t *testing.T) {
 					return got
 				}
 
-				if got := extract(geom.ScaleAffine(1, -1), opts); !reflect.DeepEqual(got, swappedNorthSouth(want)) {
+				if got := extract(geom.ScaleAffine(1, -1), opts); !reflect.DeepEqual(got, swapped(want, qsr.NorthOf, qsr.SouthOf)) {
 					t.Errorf("%s: mirrored in y, the table is not the original with northOf and southOf swapped", label)
+				}
+				if got := extract(geom.ScaleAffine(-1, 1), opts); !reflect.DeepEqual(got, swapped(want, qsr.EastOf, qsr.WestOf)) {
+					t.Errorf("%s: mirrored in x, the table is not the original with eastOf and westOf swapped", label)
 				}
 				for _, k := range []float64{2, 0.5, 4} {
 					scaled := opts

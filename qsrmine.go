@@ -335,6 +335,11 @@ var (
 	RunTable = core.RunTable
 	// RunTableContext is RunTable with cancellation and tracing.
 	RunTableContext = core.RunTableContext
+	// RunStateContext executes mining (+ rules) on the current table
+	// of an ExtractState, with cancellation and tracing; it renders no
+	// string rows, so the Outcome's Table is nil (ExtractState.Table
+	// renders them).
+	RunStateContext = core.RunStateContext
 	// ParseAlgorithm parses "apriori", "apriori-kc", "apriori-kc+".
 	ParseAlgorithm = core.ParseAlgorithm
 	// ParsePostFilter parses "none", "closed", "maximal".
