@@ -340,11 +340,7 @@ func runMutated(ctx context.Context, ds *qsrmine.Dataset, path string, cfg qsrmi
 	if err != nil {
 		return nil, err
 	}
-	opts := cfg.Extraction
-	if opts.IsZero() {
-		opts = qsrmine.DefaultExtractOptions()
-	}
-	st, err := qsrmine.NewExtractStateContext(ctx, ds, opts)
+	st, err := qsrmine.NewExtractStateContext(ctx, ds, cfg.ExtractionOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package colocation
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -69,14 +68,6 @@ func MineBruteForce(ds *dataset.Dataset, cfg Config) (*Result, error) {
 	}
 	res.Duration = time.Since(start)
 	return res, nil
-}
-
-// MineBruteForceContext runs the oracle under a context deadline.
-func MineBruteForceContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return MineBruteForce(ds, cfg)
 }
 
 // bruteForcePattern enumerates every row instance of one candidate set

@@ -71,8 +71,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 
 // Config parameterises a full pipeline run.
 type Config struct {
-	// Extraction configures the predicate extraction; zero value uses
-	// transact.DefaultOptions.
+	// Extraction configures the predicate extraction; the zero value
+	// uses transact.DefaultOptions (see ExtractionOptions).
 	Extraction transact.Options
 	// Algorithm picks the miner.
 	Algorithm Algorithm
@@ -133,23 +133,27 @@ func Run(d *dataset.Dataset, cfg Config) (*Outcome, error) {
 	return RunContext(context.Background(), d, cfg)
 }
 
+// ExtractionOptions returns the extraction options cfg runs with. A
+// zero Extraction — and only the exact zero value — means
+// transact.DefaultOptions. Any deliberately non-zero Options with all
+// relation families off performs attributes-only extraction.
+func (cfg Config) ExtractionOptions() transact.Options {
+	if cfg.Extraction.IsZero() {
+		return transact.DefaultOptions()
+	}
+	return cfg.Extraction
+}
+
 // RunContext executes the full pipeline on a geographic dataset,
 // honouring ctx cancellation/deadlines in every stage and emitting stage
 // spans and mining pass events to any obs.Trace attached to ctx (see
-// obs.WithTrace). It is an extraction state build, with its table
-// rendered, mined by RunStateContext.
-//
-// A zero cfg.Extraction — and only the exact zero value — is replaced by
-// transact.DefaultOptions. Any deliberately non-zero Options with all
-// relation families off performs attributes-only extraction.
+// obs.WithTrace). It is an extraction state build under
+// cfg.ExtractionOptions, with its table rendered, mined by
+// RunStateContext.
 func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Outcome, error) {
-	opts := cfg.Extraction
-	if opts.IsZero() {
-		opts = transact.DefaultOptions()
-	}
 	tr := obs.FromContext(ctx)
 	sp := tr.Stage("extract")
-	st, err := transact.NewStateContext(ctx, d, opts)
+	st, err := transact.NewStateContext(ctx, d, cfg.ExtractionOptions())
 	var table *dataset.Table
 	if err == nil {
 		table = st.Table()

@@ -8,9 +8,6 @@ type bitset []uint64
 // set marks row i.
 func (b bitset) set(i int) { b[i/64] |= 1 << (i % 64) }
 
-// clear unmarks row i.
-func (b bitset) clear(i int) { b[i/64] &^= 1 << (i % 64) }
-
 // get reports whether row i is marked.
 func (b bitset) get(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
@@ -34,13 +31,6 @@ func (b bitset) count() int {
 func andInto(dst, a, b bitset) {
 	for i := range dst {
 		dst[i] = a[i] & b[i]
-	}
-}
-
-// andNotInto sets dst = a &^ b. All lengths must match.
-func andNotInto(dst, a, b bitset) {
-	for i := range dst {
-		dst[i] = a[i] &^ b[i]
 	}
 }
 

@@ -88,6 +88,21 @@ func (d *Dictionary) Lookup(name string) (int32, bool) {
 	return id, ok
 }
 
+// LookupAll returns the itemset of those names the dictionary holds,
+// without interning any; ok reports whether it holds them all.
+func (d *Dictionary) LookupAll(names []string) (s Itemset, ok bool) {
+	s = make(Itemset, 0, len(names))
+	ok = true
+	for _, name := range names {
+		if id, found := d.byName[name]; found {
+			s = append(s, id)
+		} else {
+			ok = false
+		}
+	}
+	return sortUnique(s), ok
+}
+
 // Meta returns the metadata of an interned item.
 func (d *Dictionary) Meta(id int32) Meta { return d.metas[id] }
 

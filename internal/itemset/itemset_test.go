@@ -44,6 +44,26 @@ func TestDictionaryIntern(t *testing.T) {
 	}
 }
 
+func TestDictionaryLookupAll(t *testing.T) {
+	d := NewDictionary()
+	a := d.Intern("a")
+	b := d.Intern("b")
+	n := d.Len()
+	if s, ok := d.LookupAll([]string{"b", "a"}); !ok || !s.Equal(Itemset{a, b}) {
+		t.Errorf("LookupAll(b, a) = %v, %v; want sorted {%d %d}, true", s, ok, a, b)
+	}
+	// A name the dictionary lacks is left out, reported, and not interned.
+	if s, ok := d.LookupAll([]string{"b", "gone"}); ok || !s.Equal(Itemset{b}) {
+		t.Errorf("LookupAll(b, gone) = %v, %v; want {%d}, false", s, ok, b)
+	}
+	if s, ok := d.LookupAll(nil); !ok || len(s) != 0 {
+		t.Errorf("LookupAll(nil) = %v, %v; want empty, true", s, ok)
+	}
+	if d.Len() != n {
+		t.Errorf("LookupAll interned: Len = %d, want %d", d.Len(), n)
+	}
+}
+
 func TestDictionarySameFeatureType(t *testing.T) {
 	d := NewDictionary()
 	cs := d.Intern("contains_slum")

@@ -7,7 +7,7 @@
 // walk restricted to subsets of the changed rows' new item sets — any
 // itemset whose support increased must be contained in at least one
 // changed row, so the restricted walk cannot miss one. The walk prunes
-// with true supports from the (already patched) vertical bitmaps and
+// with true supports from the successor database's vertical bitmaps and
 // applies the same Φ-dependency / same-feature pair filters as the full
 // engines, so the patched result is identical to a from-scratch run.
 package mining
@@ -22,9 +22,10 @@ import (
 )
 
 // RowDelta describes one transaction whose content differs between the
-// previously mined database and its patched successor. Old is nil for
-// inserted rows, New is nil for deleted rows; both are interned against
-// the shared (stable-ID) dictionary.
+// previously mined table and its successor. Old is nil or empty for
+// inserted rows, New is nil for deleted rows; both hold the successor
+// database's IDs. An old row leaves out the items the successor's
+// dictionary lacks: no itemset of the successor holds them.
 type RowDelta struct {
 	Old itemset.Itemset
 	New itemset.Itemset
@@ -39,25 +40,28 @@ type PatchStats struct {
 	Patched, Dropped, Discovered int
 	// Rewalk is set when patching was not applicable (threshold count
 	// changed, no previous result, or the edit batch rivals the database
-	// size) and the engine re-ran on the patched database instead.
+	// size) and the engine re-ran on the successor database instead.
 	Rewalk bool
 }
 
-// PatchResultContext produces the mining result of the patched database
-// db (whose rows and tidsets must already reflect the edits, e.g. via
-// itemset.DB.ApplyDelta) given the previous result prev of the same
-// configuration and the row deltas that separate the two databases.
+// PatchResultContext produces the mining result of the successor
+// database db given the previous result prev of the same configuration
+// and the row deltas that separate the previous table from db's. prev
+// and the deltas hold db's IDs: a previous itemset that names an item
+// db's dictionary lacks has support 0 in db and is left out of prev.
+// The pair filters decide from item semantics (each item's feature
+// type, and Φ by name), so db may be built in any dictionary, such as
+// the one a cold mine of its table builds.
 //
 // The incremental path applies when the absolute minsup count is
 // unchanged and the edit batch is small relative to the database;
-// otherwise the generic engine re-runs on db — still skipping the
-// dominant extraction/interning/tidset work. Either way the returned
+// otherwise the generic engine re-runs on db. Either way the returned
 // Frequent list is identical (same order, same supports) to mining db
 // from scratch under cfg.
 //
 // Pass statistics are not re-derived on the incremental path: Stats is
 // empty. The PrunedDeps/PrunedSameFeature tallies are recomputed from
-// the patched database — they are a pure function of the frequent
+// db — they are a pure function of the frequent
 // 1-items and the pair filters (the count of filtered unordered pairs
 // at k=2, as the Apriori and Eclat engines define them), and edits can
 // change which single items are frequent.
@@ -141,8 +145,8 @@ func PatchResultContext(ctx context.Context, db *itemset.DB, prev *Result, cfg C
 	}, stats, nil
 }
 
-// countPairPrunes recounts the k=2 pair-filter tallies over the patched
-// database: every unordered pair of frequent 1-items removed by the Φ
+// countPairPrunes recounts the k=2 pair-filter tallies over the
+// successor database: every unordered pair of frequent 1-items removed by the Φ
 // dependency set or the same-feature filter, dependency precedence
 // first — exactly what Apriori's C2 filterPairs and Eclat's root-level
 // walk count on a cold run.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,15 +21,6 @@ func patchTable(rows [][]string) *dataset.Table {
 	return dataset.NewTable(txs)
 }
 
-// internRow interns a row's items against db's dictionary.
-func internRow(db *itemset.DB, items []string) itemset.Itemset {
-	ids := make([]int32, len(items))
-	for i, name := range items {
-		ids[i] = db.Dict.Intern(name)
-	}
-	return itemset.NewItemset(ids...)
-}
-
 // resultByNames renders a result as a support map keyed by the sorted
 // item names, making results comparable across dictionaries with
 // different interning orders.
@@ -42,10 +34,8 @@ func resultByNames(r *Result, dict *itemset.Dictionary) map[string]int {
 	return out
 }
 
-// assertSameResult compares two results by (itemset names, support).
-// The patched result reuses the parent dictionary while a from-scratch
-// oracle interns in row order, so positional/ID comparison would only
-// test interning order, not mining output.
+// assertSameResult compares two results by (itemset names, support),
+// whatever dictionary each was mined in.
 func assertSameResult(t *testing.T, got *Result, gotDict *itemset.Dictionary, want *Result, wantDict *itemset.Dictionary) {
 	t.Helper()
 	if got.MinSupportCount != want.MinSupportCount {
@@ -75,51 +65,57 @@ func assertSameResult(t *testing.T, got *Result, gotDict *itemset.Dictionary, wa
 	}
 }
 
-// runPatchEquivalence mines prev rows, patches to next rows, and checks
-// PatchResultContext against a from-scratch mine of next.
+// runPatchEquivalence mines prev rows, patches the result forward to
+// next rows, and checks PatchResultContext against a from-scratch mine
+// of next. The patch runs on next's own database, built as a cold mine
+// builds it, with prev's itemsets and the row deltas translated into
+// its IDs by name (itemset.Dictionary.LookupAll): an itemset naming an
+// item next lacks is dropped, and an old row drops such names. With one
+// dictionary the patched result must equal the oracle's in order too.
 func runPatchEquivalence(t *testing.T, cfg Config, prevRows, nextRows [][]string, newFromOld []int, editedRows []int) PatchStats {
 	t.Helper()
 	ctx := context.Background()
 
-	db := itemset.NewDB(patchTable(prevRows))
-	db.BuildTidsets()
-	prev, err := MineContext(ctx, db, cfg)
+	pdb := itemset.NewDB(patchTable(prevRows))
+	prevRes, err := MineContext(ctx, pdb, cfg)
 	if err != nil {
 		t.Fatalf("mine prev: %v", err)
 	}
 
-	// Build the row deltas (interned old/new contents) and the edits.
+	db := itemset.NewDB(patchTable(nextRows))
+	prev := &Result{MinSupportCount: prevRes.MinSupportCount}
+	for _, f := range prevRes.Frequent {
+		if items, ok := db.Dict.LookupAll(f.Items.Names(pdb.Dict)); ok {
+			prev.Frequent = append(prev.Frequent, FrequentItemset{Items: items, Support: f.Support})
+		}
+	}
+	row := func(names []string) itemset.Itemset {
+		items, _ := db.Dict.LookupAll(names)
+		return items
+	}
 	var deltas []RowDelta
-	var edits []itemset.RowEdit
 	edited := make(map[int]bool, len(editedRows))
 	for _, r := range editedRows {
 		edited[r] = true
 	}
+	survives := make(map[int]bool, len(newFromOld))
 	for j, old := range newFromOld {
+		survives[old] = true
 		if old >= 0 && !edited[j] {
 			continue
 		}
-		d := RowDelta{New: internRow(db, nextRows[j])}
+		d := RowDelta{New: row(nextRows[j])}
 		if old >= 0 {
-			d.Old = db.Rows[old]
+			d.Old = row(prevRows[old])
 		}
 		deltas = append(deltas, d)
-		edits = append(edits, itemset.RowEdit{Row: j, Items: nextRows[j]})
 	}
 	for old := range prevRows {
-		found := false
-		for _, o := range newFromOld {
-			if o == old {
-				found = true
-				break
-			}
-		}
-		if !found {
-			deltas = append(deltas, RowDelta{Old: db.Rows[old]})
+		if !survives[old] {
+			deltas = append(deltas, RowDelta{Old: row(prevRows[old])})
 		}
 	}
 
-	db.ApplyDelta(newFromOld, edits)
 	got, stats, err := PatchResultContext(ctx, db, prev, cfg, deltas)
 	if err != nil {
 		t.Fatalf("patch: %v", err)
@@ -133,6 +129,11 @@ func runPatchEquivalence(t *testing.T, cfg Config, prevRows, nextRows [][]string
 		t.Fatalf("mine oracle: %v", err)
 	}
 	assertSameResult(t, got, db.Dict, want, oracleDB.Dict)
+	if !slices.EqualFunc(got.Frequent, want.Frequent, func(a, b FrequentItemset) bool {
+		return a.Support == b.Support && a.Items.Equal(b.Items)
+	}) {
+		t.Fatalf("patched order differs from the cold mine's:\n got %v\nwant %v", got.Frequent, want.Frequent)
+	}
 	return stats
 }
 
@@ -177,6 +178,24 @@ func TestPatchResultInsertAndDelete(t *testing.T) {
 		prev, next, newFromOld, []int{9, 10})
 	if stats.Rewalk {
 		t.Fatalf("3-row delta of 10 rows should take the incremental path")
+	}
+}
+
+// TestPatchResultItemVanishes edits away every row that holds "e", so
+// the successor's dictionary lacks it: the previous {e} and {a, e} do
+// not translate and are dropped, and the old rows drop "e".
+func TestPatchResultItemVanishes(t *testing.T) {
+	prev := [][]string{
+		{"a", "e"}, {"a", "b", "e"}, {"a", "b"}, {"b", "c"}, {"a", "c"},
+		{"a", "b"}, {"c"}, {"b", "c"}, {"a"}, {"b"},
+	}
+	next := append([][]string{}, prev...)
+	next[0] = []string{"a", "c"}
+	next[1] = []string{"a", "b"}
+	stats := runPatchEquivalence(t, Config{MinSupport: 0.2},
+		prev, next, identityMap(len(prev)), []int{0, 1})
+	if stats.Rewalk {
+		t.Fatalf("2 edits of 10 rows should take the incremental path")
 	}
 }
 

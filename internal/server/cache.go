@@ -120,6 +120,17 @@ func (c *ResultCache) Get(key string) (*MineResponse, bool) {
 	return nil, false
 }
 
+// peek returns the response held in memory under key, or nil. It
+// counts no hit or miss, leaves recency alone and never reads the
+// durable tier: the delta pipeline looks up a PATCH parent's response
+// through it, and that lookup serves no request for the response.
+func (c *ResultCache) peek(key string) *MineResponse {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, _ := c.lru.peek(key)
+	return resp
+}
+
 // Put stores a response under key, writing through to the durable
 // tier when one is attached. A failed persistence write degrades that
 // entry to memory-only and is counted, never surfaced to the request.

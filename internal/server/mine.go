@@ -95,7 +95,7 @@ func (s *Server) compute(ctx context.Context, ds *StoredDataset, key string, req
 		// Scenes route through the delta pipeline: the extraction state is
 		// reused across requests, and PATCH successors re-extract only the
 		// dirty region and patch the parent's cached result forward.
-		resp, err = s.computeScene(ctx, ds, key, req.Config)
+		resp, err = s.computeScene(ctx, ds, req.Config)
 	default:
 		var out *core.Outcome
 		if out, err = core.RunTableContext(ctx, ds.Table, req.Config); err == nil {

@@ -376,9 +376,9 @@ type (
 
 var (
 	// Colocate mines co-location patterns over a dataset's layers.
-	Colocate = mining.Colocation
+	Colocate = colocation.Mine
 	// ColocateContext is Colocate with cancellation and tracing.
-	ColocateContext = mining.ColocationContext
+	ColocateContext = colocation.MineContext
 	// ColocateBruteForce is the exhaustive oracle the engine is
 	// cross-checked against.
 	ColocateBruteForce = colocation.MineBruteForce
