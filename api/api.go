@@ -90,8 +90,8 @@ type DeleteResponse struct {
 // MineRequest is the body of POST /v1/mine and POST /v1/jobs: which
 // stored dataset to mine and the full pipeline configuration. Config is
 // core.Config's JSON form — algorithm, minSupport, dependencies,
-// counting, parallelism, postFilter, rules, and (for scenes) the
-// extraction options.
+// parallelism, postFilter, rules, and (for scenes) the extraction
+// options.
 type MineRequest struct {
 	// Dataset is the digest returned by a dataset upload.
 	Dataset string `json:"dataset"`

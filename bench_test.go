@@ -10,7 +10,6 @@
 //	                        (Figure 4 counts are reported as bench
 //	                        metrics; Figure 5 is the ns/op itself)
 //	BenchmarkFigure6And7* — dataset 2, two algorithms, minsup sweep
-//	BenchmarkCounting*    — tidset vs horizontal support counting
 //	BenchmarkFilterPlacement* — apriori (k=2) vs aposteriori filtering
 //	BenchmarkJoin*        — R-tree vs nested-loop extraction
 //	BenchmarkSensitivity* — gain vs number of same-feature relations
@@ -161,32 +160,6 @@ func BenchmarkTable1Extraction(b *testing.B) {
 		if _, err := transact.Extract(scene, transact.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCounting compares the two support-counting strategies
-// (DESIGN.md ablation 1).
-func BenchmarkCounting(b *testing.B) {
-	benchSetup(b)
-	for _, strat := range []struct {
-		name string
-		c    mining.CountingStrategy
-	}{
-		{"Vertical", mining.VerticalCounting},
-		{"Horizontal", mining.HorizontalCounting},
-	} {
-		b.Run(strat.name, func(b *testing.B) {
-			db := itemset.NewDB(benchData1)
-			db.BuildTidsets()
-			cfg := mining.Config{MinSupport: 0.10, Counting: strat.c}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mining.Apriori(db, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -360,28 +333,9 @@ func supportBenchCandidates(b *testing.B, db *itemset.DB) []itemset.Itemset {
 	return cands
 }
 
-// BenchmarkSupportVerticalBaseline counts a sorted candidate stream with
-// the per-call SupportVertical path (fresh intersection per candidate) —
-// the pre-overhaul behaviour, kept as the comparison baseline for
-// BenchmarkSupportVerticalPrefix.
-func BenchmarkSupportVerticalBaseline(b *testing.B) {
-	benchSetup(b)
-	db := itemset.NewDB(benchData1)
-	db.BuildTidsets()
-	cands := supportBenchCandidates(b, db)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cands {
-			db.SupportVertical(c)
-		}
-	}
-	b.ReportMetric(float64(len(cands)), "candidates")
-}
-
-// BenchmarkSupportVerticalPrefix counts the same stream with the
-// prefix-cached VerticalCounter: shared (k-1)-prefix intersections are
-// reused and steady-state counting is allocation-free.
+// BenchmarkSupportVerticalPrefix counts a sorted candidate stream with
+// the prefix-cached VerticalCounter: shared (k-1)-prefix intersections
+// are reused and steady-state counting is allocation-free.
 func BenchmarkSupportVerticalPrefix(b *testing.B) {
 	benchSetup(b)
 	db := itemset.NewDB(benchData1)

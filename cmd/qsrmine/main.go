@@ -61,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rules     = fs.Bool("rules", false, "generate association rules")
 		minconf   = fs.Float64("minconf", 0.7, "minimum rule confidence")
 		maxShow   = fs.Int("top", 30, "maximum itemsets/rules to print (0 = all)")
-		closed    = fs.Bool("closed", false, "keep only closed frequent itemsets")
-		maximal   = fs.Bool("maximal", false, "keep only maximal frequent itemsets")
 		format    = fs.String("format", "text", "output format: text or json")
 		profile   = fs.Bool("profile", false, "print the transaction-table profile before mining")
 		trace     = fs.Bool("trace", false, "stream per-stage wall time and per-pass counts to stderr")
@@ -83,8 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.TextVar(&alg, "alg", alg, "algorithm: apriori, apriori-kc, apriori-kc+, eclat-kc+")
 	postFilter := qsrmine.NoPostFilter
 	fs.TextVar(&postFilter, "postfilter", postFilter, "post filter: none, closed, maximal")
-	counting := qsrmine.VerticalCounting
-	fs.TextVar(&counting, "counting", counting, "support counting strategy: vertical or horizontal (apriori engines only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -107,16 +103,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		GenerateRules: *rules,
 		MinConfidence: *minconf,
 		PostFilter:    postFilter,
-		Counting:      counting,
 		Parallelism:   *parallel,
-	}
-	switch {
-	case *closed && *maximal:
-		return fmt.Errorf("choose at most one of -closed and -maximal")
-	case *closed:
-		cfg.PostFilter = qsrmine.ClosedFilter
-	case *maximal:
-		cfg.PostFilter = qsrmine.MaximalFilter
 	}
 
 	ctx := context.Background()

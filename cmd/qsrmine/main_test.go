@@ -72,51 +72,46 @@ func TestEclatAlgorithmSelectable(t *testing.T) {
 	}
 }
 
+// TestCountingStrategyFlag: supports are counted one way, so there is
+// no -counting flag. A script that still passes it gets a usage error
+// (main exits 2) naming the flag, and nothing is mined to stdout.
 func TestCountingStrategyFlag(t *testing.T) {
-	// -counting parses via encoding.TextUnmarshaler, like -alg.
-	var c qsrmine.CountingStrategy
-	for spelling, want := range map[string]qsrmine.CountingStrategy{
-		"vertical":   qsrmine.VerticalCounting,
-		"horizontal": qsrmine.HorizontalCounting,
-	} {
-		if err := c.UnmarshalText([]byte(spelling)); err != nil {
-			t.Fatalf("UnmarshalText(%q): %v", spelling, err)
+	for _, spelling := range []string{"vertical", "horizontal"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-sample", "-counting", spelling}, &stdout, &stderr)
+		if !errors.Is(err, errUsage) {
+			t.Fatalf("-counting %s: err %v, want a usage error", spelling, err)
 		}
-		if c != want {
-			t.Errorf("%q parsed to %v", spelling, c)
+		if !strings.Contains(err.Error(), "-counting") {
+			t.Errorf("error %q does not name the flag", err)
 		}
-	}
-	if err := c.UnmarshalText([]byte("diagonal")); err == nil {
-		t.Error("bogus counting strategy must fail to parse")
+		if stdout.Len() != 0 {
+			t.Errorf("-counting %s wrote to stdout: %q", spelling, stdout.String())
+		}
 	}
 }
 
+// TestEclatRejectsHorizontalCountingConfig: a config that asks for
+// horizontal counting is refused by name, not mined the one way
+// supports are counted. The same config without the key mines.
 func TestEclatRejectsHorizontalCountingConfig(t *testing.T) {
-	// An explicitly requested horizontal strategy cannot be honoured by
-	// the vertical eclat engine: the run must fail with a clear config
-	// error instead of silently dropping the setting.
-	_, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm:  qsrmine.EclatKCPlus,
-		MinSupport: 0.5,
-		Counting:   qsrmine.HorizontalCounting,
-	})
+	var cfg qsrmine.Config
+	err := json.Unmarshal([]byte(`{"algorithm":"eclat-kc+","minSupport":0.5,"counting":"horizontal"}`), &cfg)
 	if err == nil {
-		t.Fatal("eclat with horizontal counting must fail")
+		t.Fatal("a config carrying counting must fail to decode")
 	}
-	if !strings.Contains(err.Error(), "horizontal") {
-		t.Errorf("error %q does not name the strategy", err)
+	if !strings.Contains(err.Error(), `"counting"`) {
+		t.Errorf("error %q does not name the key", err)
 	}
-	// The apriori engines still honour it.
-	out, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), qsrmine.Config{
-		Algorithm:  qsrmine.AprioriKCPlus,
-		MinSupport: 0.5,
-		Counting:   qsrmine.HorizontalCounting,
-	})
+	if err := json.Unmarshal([]byte(`{"algorithm":"eclat-kc+","minSupport":0.5}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	out, err := qsrmine.RunTable(qsrmine.Table2Reconstruction(), cfg)
 	if err != nil {
-		t.Fatalf("apriori with horizontal counting: %v", err)
+		t.Fatal(err)
 	}
 	if len(out.Result.Frequent) == 0 {
-		t.Error("horizontal apriori mined nothing")
+		t.Error("eclat-kc+ mined nothing")
 	}
 }
 
@@ -193,7 +188,7 @@ func TestWriteJSON(t *testing.T) {
 // prints it to stderr) while stdout stays clean of error text.
 func TestRunBadFlagsErrorNotOnStdout(t *testing.T) {
 	cases := [][]string{
-		{"-sample", "-closed", "-maximal"}, // mutually exclusive post filters
+		{"-sample", "-postfilter", "open"}, // unknown post filter (flag parse error)
 		{},                                 // no input selected
 		{"-sample", "-format", "sideways"}, // unknown output format
 		{"-sample", "-deps", "broken"},     // malformed dependency spec
@@ -224,6 +219,39 @@ func TestRunBadFlagsErrorNotOnStdout(t *testing.T) {
 		t.Fatal("unknown format must fail")
 	} else if !strings.Contains(err.Error(), "sideways") {
 		t.Errorf("error %q does not name the bad format", err)
+	}
+}
+
+// TestRunPostfilterFlag: -postfilter is the one flag that sets the post
+// filter. On the sample at 50 % it keeps 14 closed or 10 maximal of the
+// 24 frequent itemsets the JSON lists (two or more items). -closed and
+// -maximal are usage errors, so no second flag can override it.
+func TestRunPostfilterFlag(t *testing.T) {
+	for filter, want := range map[string]int{"none": 24, "closed": 14, "maximal": 10} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-sample", "-minsup", "0.5", "-postfilter", filter, "-format", "json"}
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Frequent []json.RawMessage `json:"frequent"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Frequent) != want {
+			t.Errorf("-postfilter %s: %d itemsets, want %d", filter, len(doc.Frequent), want)
+		}
+	}
+	for _, flag := range []string{"-closed", "-maximal"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-sample", "-postfilter", "maximal", flag}, &stdout, &stderr)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("%s: err %v, want a usage error", flag, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s wrote to stdout: %q", flag, stdout.String())
+		}
 	}
 }
 

@@ -13,24 +13,23 @@ import (
 // This file defines the JSON form of Config — the request-body contract
 // of the qsrmined HTTP service and a stable on-disk format for saved run
 // configurations. Every field round-trips; the enum fields (algorithm,
-// post filter, counting strategy, granularity, index) are spelled with
-// their canonical names via the types' TextMarshalers, and unknown names
-// or unknown JSON keys are rejected with a descriptive error rather than
-// silently ignored.
+// post filter, granularity, index) are spelled with their canonical
+// names via the types' TextMarshalers, and unknown names or unknown JSON
+// keys are rejected with a descriptive error rather than silently
+// ignored.
 
 // jsonConfig is the wire form of Config. Pointer/omitempty fields keep
 // the canonical encoding minimal, which matters because the server's
 // result cache keys on the marshaled bytes.
 type jsonConfig struct {
-	Algorithm     Algorithm               `json:"algorithm"`
-	MinSupport    float64                 `json:"minSupport"`
-	Dependencies  []jsonPair              `json:"dependencies,omitempty"`
-	Counting      mining.CountingStrategy `json:"counting,omitempty"`
-	Parallelism   int                     `json:"parallelism,omitempty"`
-	MinConfidence float64                 `json:"minConfidence,omitempty"`
-	GenerateRules bool                    `json:"generateRules,omitempty"`
-	PostFilter    PostFilter              `json:"postFilter,omitempty"`
-	Extraction    *jsonExtraction         `json:"extraction,omitempty"`
+	Algorithm     Algorithm       `json:"algorithm"`
+	MinSupport    float64         `json:"minSupport"`
+	Dependencies  []jsonPair      `json:"dependencies,omitempty"`
+	Parallelism   int             `json:"parallelism,omitempty"`
+	MinConfidence float64         `json:"minConfidence,omitempty"`
+	GenerateRules bool            `json:"generateRules,omitempty"`
+	PostFilter    PostFilter      `json:"postFilter,omitempty"`
+	Extraction    *jsonExtraction `json:"extraction,omitempty"`
 }
 
 // jsonPair spells one Φ dependency pair.
@@ -77,7 +76,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 	jc := jsonConfig{
 		Algorithm:     c.Algorithm,
 		MinSupport:    c.MinSupport,
-		Counting:      c.Counting,
 		Parallelism:   c.Parallelism,
 		MinConfidence: c.MinConfidence,
 		GenerateRules: c.GenerateRules,
@@ -108,7 +106,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	out := Config{
 		Algorithm:     jc.Algorithm,
 		MinSupport:    jc.MinSupport,
-		Counting:      jc.Counting,
 		Parallelism:   jc.Parallelism,
 		MinConfidence: jc.MinConfidence,
 		GenerateRules: jc.GenerateRules,

@@ -41,7 +41,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			Algorithm:     AlgAprioriKC,
 			MinSupport:    0.07,
 			Dependencies:  []mining.Pair{{A: "contains_street", B: "contains_illuminationPoint"}, {A: "x", B: "y"}},
-			Counting:      mining.HorizontalCounting,
 			Parallelism:   8,
 			MinConfidence: 0.9,
 			GenerateRules: true,
@@ -95,7 +94,6 @@ func TestConfigJSONEnumNames(t *testing.T) {
 	data, err := json.Marshal(Config{
 		Algorithm:  AlgEclatKCPlus,
 		MinSupport: 0.5,
-		Counting:   mining.HorizontalCounting,
 		PostFilter: ClosedFilter,
 		Extraction: transact.Options{Topological: true, Granularity: transact.InstanceLevel, Index: transact.NoIndex},
 	})
@@ -104,7 +102,6 @@ func TestConfigJSONEnumNames(t *testing.T) {
 	}
 	for _, want := range []string{
 		`"algorithm":"eclat-kc+"`,
-		`"counting":"horizontal"`,
 		`"postFilter":"closed"`,
 		`"granularity":"instance"`,
 		`"index":"none"`,
@@ -124,7 +121,7 @@ func TestConfigJSONRejectsBadInput(t *testing.T) {
 	}{
 		{"unknown algorithm", `{"algorithm":"apriori-kd+","minSupport":0.5}`, "unknown algorithm"},
 		{"unknown post filter", `{"algorithm":"apriori","postFilter":"open"}`, "unknown post filter"},
-		{"unknown counting", `{"algorithm":"apriori","counting":"diagonal"}`, "unknown counting strategy"},
+		{"unknown counting", `{"algorithm":"apriori","counting":"vertical"}`, `unknown field "counting"`},
 		{"unknown granularity", `{"algorithm":"apriori","extraction":{"granularity":"galaxy"}}`, "unknown granularity"},
 		{"unknown index", `{"algorithm":"apriori","extraction":{"index":"btree"}}`, "unknown index kind"},
 		{"unknown discretizer", `{"algorithm":"apriori","extraction":{"discretizer":{"kind":"psychic"}}}`, "unknown discretizer kind"},
@@ -147,8 +144,8 @@ func TestConfigJSONRejectsBadInput(t *testing.T) {
 }
 
 // TestConfigJSONDefaults: an omitted field decodes to the documented
-// default (apriori algorithm, vertical counting, no post filter, zero
-// extraction — which RunContext replaces with DefaultOptions).
+// default (apriori algorithm, no post filter, zero extraction — which
+// RunContext replaces with DefaultOptions).
 func TestConfigJSONDefaults(t *testing.T) {
 	var cfg Config
 	if err := json.Unmarshal([]byte(`{"minSupport":0.4}`), &cfg); err != nil {

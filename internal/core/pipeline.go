@@ -80,10 +80,6 @@ type Config struct {
 	MinSupport float64
 	// Dependencies is the background knowledge Φ (used by KC and KC+).
 	Dependencies []mining.Pair
-	// Counting selects the support-counting strategy of the Apriori
-	// engines (the Eclat engine is vertical by construction and rejects
-	// an explicit HorizontalCounting).
-	Counting mining.CountingStrategy
 	// Parallelism bounds the mining fan-out (vertical counting workers,
 	// Eclat walk workers): 1 or negative is sequential, 0 uses
 	// GOMAXPROCS, and no pool grows past its work. Results are
@@ -194,7 +190,6 @@ func EffectiveMiningConfig(cfg Config) (mining.Config, error) {
 	mcfg := mining.Config{
 		MinSupport:   cfg.MinSupport,
 		Dependencies: cfg.Dependencies,
-		Counting:     cfg.Counting,
 		Parallelism:  cfg.Parallelism,
 	}
 	switch cfg.Algorithm {

@@ -11,13 +11,6 @@ func (b bitset) set(i int) { b[i/64] |= 1 << (i % 64) }
 // get reports whether row i is marked.
 func (b bitset) get(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
-// and intersects b with o in place. Lengths must match.
-func (b bitset) and(o bitset) {
-	for i := range b {
-		b[i] &= o[i]
-	}
-}
-
 // count returns the number of set bits.
 func (b bitset) count() int {
 	n := 0

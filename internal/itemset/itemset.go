@@ -1,9 +1,9 @@
 // Package itemset provides the frequent-pattern plumbing shared by the
 // mining algorithms: an interning dictionary that knows each item's
 // semantics (spatial predicate with its feature type, or non-spatial
-// attribute), sorted integer itemsets with the Apriori join, and a
-// transaction database with both horizontal (row-scan) and vertical
-// (bitmap tidset) support counting.
+// attribute), sorted integer itemsets, and a transaction database with
+// vertical (bitmap tidset) support counting and a row-scan counter, the
+// brute-force reference.
 package itemset
 
 import (
@@ -207,28 +207,6 @@ func (s Itemset) Union(o Itemset) Itemset {
 	}
 	out = append(out, s[i:]...)
 	return append(out, o[j:]...)
-}
-
-// JoinPrefix implements the Apriori join: if s and o have length k-1,
-// share their first k-2 items, and s's last item is smaller than o's, the
-// join is their k-item union. ok is false otherwise.
-func (s Itemset) JoinPrefix(o Itemset) (Itemset, bool) {
-	n := len(s)
-	if n == 0 || len(o) != n {
-		return nil, false
-	}
-	for i := 0; i < n-1; i++ {
-		if s[i] != o[i] {
-			return nil, false
-		}
-	}
-	if s[n-1] >= o[n-1] {
-		return nil, false
-	}
-	out := make(Itemset, n+1)
-	copy(out, s)
-	out[n] = o[n-1]
-	return out, true
 }
 
 // AppendKey appends the itemset's compact map key, each ID as four
@@ -447,7 +425,8 @@ func (db *DB) Tidset(id int32) []uint64 {
 	return db.tidsets[id]
 }
 
-// SupportHorizontal counts rows containing every item of s by scanning.
+// SupportHorizontal counts rows containing every item of s by scanning:
+// the brute-force reference the bitmap counters are checked against.
 func (db *DB) SupportHorizontal(s Itemset) int {
 	count := 0
 	for _, row := range db.Rows {
@@ -456,28 +435,6 @@ func (db *DB) SupportHorizontal(s Itemset) int {
 		}
 	}
 	return count
-}
-
-// SupportVertical counts rows containing every item of s by intersecting
-// the member tidsets, building the vertical representation on first use
-// (safe for concurrent use). For bulk counting over a sorted candidate
-// stream, NewVerticalCounter is both allocation-free and prefix-cached.
-func (db *DB) SupportVertical(s Itemset) int {
-	if len(s) == 0 {
-		return len(db.Rows)
-	}
-	db.BuildTidsets()
-	if len(s) == 1 {
-		return db.tidsets[s[0]].count()
-	}
-	if len(s) == 2 {
-		return andCount(db.tidsets[s[0]], db.tidsets[s[1]])
-	}
-	acc := append(bitset{}, db.tidsets[s[0]]...)
-	for _, id := range s[1 : len(s)-1] {
-		acc.and(db.tidsets[id])
-	}
-	return andCount(acc, db.tidsets[s[len(s)-1]])
 }
 
 // VerticalCounter computes candidate supports against one DB with a
@@ -543,35 +500,6 @@ func (c *VerticalCounter) Support(s Itemset) int {
 	}
 	c.prefix = append(c.prefix[:0], s[:k-1]...)
 	return andCount(c.layers[k-2], tids[s[k-1]])
-}
-
-// ProjectRows returns the rows with every item id for which keep[id] is
-// false removed, preserving row indices (a fully pruned row becomes the
-// empty set, keeping tid alignment). All surviving items share one
-// backing array, so the projection costs one allocation plus the
-// headers. Rows shorter than the current pass's k can then be skipped by
-// horizontal counting — no k-candidate fits in them.
-func (db *DB) ProjectRows(keep []bool) []Itemset {
-	total := 0
-	for _, row := range db.Rows {
-		for _, id := range row {
-			if keep[id] {
-				total++
-			}
-		}
-	}
-	backing := make([]int32, 0, total)
-	out := make([]Itemset, len(db.Rows))
-	for i, row := range db.Rows {
-		start := len(backing)
-		for _, id := range row {
-			if keep[id] {
-				backing = append(backing, id)
-			}
-		}
-		out[i] = Itemset(backing[start:len(backing):len(backing)])
-	}
-	return out
 }
 
 // ItemCounts returns the per-item support counts in one pass, the

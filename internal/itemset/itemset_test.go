@@ -110,35 +110,6 @@ func TestItemsetOps(t *testing.T) {
 	}
 }
 
-func TestJoinPrefix(t *testing.T) {
-	a := Itemset{1, 2, 3}
-	b := Itemset{1, 2, 5}
-	joined, ok := a.JoinPrefix(b)
-	if !ok || !joined.Equal(Itemset{1, 2, 3, 5}) {
-		t.Errorf("JoinPrefix = %v, %v", joined, ok)
-	}
-	// Reversed order fails (last item not smaller).
-	if _, ok := b.JoinPrefix(a); ok {
-		t.Error("reversed join should fail")
-	}
-	// Different prefixes fail.
-	if _, ok := a.JoinPrefix(Itemset{1, 4, 5}); ok {
-		t.Error("prefix mismatch should fail")
-	}
-	// Length mismatch fails.
-	if _, ok := a.JoinPrefix(Itemset{1, 2}); ok {
-		t.Error("length mismatch should fail")
-	}
-	if _, ok := (Itemset{}).JoinPrefix(Itemset{}); ok {
-		t.Error("empty join should fail")
-	}
-	// Size-1 join.
-	j, ok := (Itemset{1}).JoinPrefix(Itemset{2})
-	if !ok || !j.Equal(Itemset{1, 2}) {
-		t.Errorf("1-item join = %v, %v", j, ok)
-	}
-}
-
 func TestItemsetKeyUnique(t *testing.T) {
 	f := func(a, b []int32) bool {
 		sa, sb := NewItemset(a...), NewItemset(b...)
@@ -204,14 +175,14 @@ func TestDBCounting(t *testing.T) {
 	if got := db.SupportHorizontal(ab); got != 2 {
 		t.Errorf("horizontal support(ab) = %d", got)
 	}
-	db.BuildTidsets()
-	if got := db.SupportVertical(ab); got != 2 {
+	vc := db.NewVerticalCounter()
+	if got := vc.Support(ab); got != 2 {
 		t.Errorf("vertical support(ab) = %d", got)
 	}
-	if got := db.SupportVertical(NewItemset(a, b, c)); got != 1 {
+	if got := vc.Support(NewItemset(a, b, c)); got != 1 {
 		t.Errorf("vertical support(abc) = %d", got)
 	}
-	if got := db.SupportVertical(Itemset{}); got != 4 {
+	if got := vc.Support(Itemset{}); got != 4 {
 		t.Errorf("vertical support(empty) = %d", got)
 	}
 	// Tidset for item a has rows 0, 1, 2 set.
@@ -227,7 +198,7 @@ func TestDBCounting(t *testing.T) {
 func TestSupportStrategiesAgree(t *testing.T) {
 	// Property: horizontal and vertical counting agree on random subsets.
 	db := NewDB(dataset.PortoAlegreTable())
-	db.BuildTidsets()
+	vc := db.NewVerticalCounter()
 	n := int32(db.Dict.Len())
 	f := func(raw []int32) bool {
 		ids := make([]int32, 0, len(raw))
@@ -239,7 +210,7 @@ func TestSupportStrategiesAgree(t *testing.T) {
 			ids = append(ids, id)
 		}
 		s := NewItemset(ids...)
-		return db.SupportHorizontal(s) == db.SupportVertical(s)
+		return db.SupportHorizontal(s) == vc.Support(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -247,12 +218,12 @@ func TestSupportStrategiesAgree(t *testing.T) {
 }
 
 func TestVerticalAutoBuildsTidsets(t *testing.T) {
-	// SupportVertical (and Tidset) build the vertical representation on
-	// first use instead of panicking.
+	// NewVerticalCounter (and Tidset) build the vertical representation
+	// on first use instead of panicking.
 	db := NewDB(testTable())
 	s := NewItemset(0)
-	if got, want := db.SupportVertical(s), db.SupportHorizontal(s); got != want {
-		t.Errorf("SupportVertical without BuildTidsets = %d, want %d", got, want)
+	if got, want := db.NewVerticalCounter().Support(s), db.SupportHorizontal(s); got != want {
+		t.Errorf("VerticalCounter.Support without BuildTidsets = %d, want %d", got, want)
 	}
 	db2 := NewDB(testTable())
 	if got := bitset(db2.Tidset(0)).count(); got != db2.SupportHorizontal(s) {
@@ -348,29 +319,6 @@ func TestVerticalCounterSortedStream(t *testing.T) {
 	}
 }
 
-func TestProjectRows(t *testing.T) {
-	db := NewDB(dataset.PortoAlegreTable())
-	keep := make([]bool, db.Dict.Len())
-	for id := 0; id < db.Dict.Len(); id += 2 {
-		keep[id] = true
-	}
-	rows := db.ProjectRows(keep)
-	if len(rows) != len(db.Rows) {
-		t.Fatalf("ProjectRows changed row count: %d != %d", len(rows), len(db.Rows))
-	}
-	for i, row := range rows {
-		want := make(Itemset, 0, len(db.Rows[i]))
-		for _, id := range db.Rows[i] {
-			if keep[id] {
-				want = append(want, id)
-			}
-		}
-		if !row.Equal(want) {
-			t.Errorf("row %d = %v, want %v", i, row, want)
-		}
-	}
-}
-
 func TestBitset(t *testing.T) {
 	b := make(bitset, 2)
 	b.set(0)
@@ -381,12 +329,5 @@ func TestBitset(t *testing.T) {
 	}
 	if b.count() != 3 {
 		t.Errorf("count = %d", b.count())
-	}
-	o := make(bitset, 2)
-	o.set(0)
-	o.set(64)
-	b.and(o)
-	if b.count() != 2 || b.get(63) {
-		t.Error("and wrong")
 	}
 }

@@ -2,7 +2,6 @@ package mining
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sort"
 	"time"
@@ -41,12 +40,7 @@ func Eclat(db *itemset.DB, cfg Config) (*Result, error) {
 // subtrees one at a time, mine them with private bitmap pools and
 // result buffers, and the buffers are merged and sorted afterwards —
 // the output is identical to the sequential walk at any setting.
-// Config.Counting does not apply: the walk is vertical by construction,
-// and an explicitly requested HorizontalCounting is a config error.
 func EclatContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, error) {
-	if cfg.Counting == HorizontalCounting {
-		return nil, fmt.Errorf("mining: the eclat engine counts vertically; Counting=horizontal is not supported (leave Counting unset or use an apriori algorithm)")
-	}
 	minCount, err := resolveMinSupport(db, cfg)
 	if err != nil {
 		return nil, err
@@ -74,10 +68,8 @@ func EclatContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, err
 	for _, n := range root {
 		res.Frequent = append(res.Frequent, FrequentItemset{Items: itemset.Itemset{n.id}, Support: n.support})
 	}
-	if cfg.MaxLen != 1 {
-		if err := eclatWalk(ctx, tr, db, cfg, minCount, root, res); err != nil {
-			return nil, err
-		}
+	if err := eclatWalk(ctx, tr, db, cfg, minCount, root, res); err != nil {
+		return nil, err
 	}
 
 	// Normalise output order to match the Apriori result: by size, then
@@ -109,7 +101,6 @@ func eclatWalk(ctx context.Context, tr *obs.Trace, db *itemset.DB, cfg Config, m
 			ctx:         ctx,
 			dict:        db.Dict,
 			minCount:    minCount,
-			maxLen:      cfg.MaxLen,
 			deps:        deps,
 			sameFeature: cfg.FilterSameFeature,
 			words:       words,
@@ -166,7 +157,6 @@ type eclatMiner struct {
 	ctx         context.Context
 	dict        *itemset.Dictionary
 	minCount    int
-	maxLen      int
 	deps        map[[2]int32]struct{}
 	sameFeature bool
 	words       int
@@ -227,12 +217,6 @@ func (m *eclatMiner) mineMember(prefix itemset.Itemset, class []eclatNode, i int
 	ext := make(itemset.Itemset, len(prefix)+1)
 	copy(ext, prefix)
 	ext[len(prefix)] = a.id
-	if m.maxLen != 0 && len(ext) >= m.maxLen {
-		if pooled {
-			m.put(a.set)
-		}
-		return nil
-	}
 	// Dense-prefix switch: once a prefix retains most of its parent's
 	// rows, children store what they lose rather than what they keep.
 	childDiff := classDiff || 2*a.support > prefixSupport

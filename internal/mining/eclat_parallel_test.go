@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -150,23 +149,5 @@ func TestEclatParallelCancellation(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestEclatRejectsHorizontalCounting pins the config error: the eclat
-// engine cannot honour an explicitly requested horizontal strategy and
-// must say so instead of silently dropping it.
-func TestEclatRejectsHorizontalCounting(t *testing.T) {
-	db := parallelTestDB(t)
-	_, err := Eclat(db, Config{MinSupport: 0.1, Counting: HorizontalCounting})
-	if err == nil {
-		t.Fatal("horizontal counting on eclat must be a config error")
-	}
-	if !strings.Contains(err.Error(), "horizontal") {
-		t.Errorf("error %q does not name the strategy", err)
-	}
-	// The default (vertical) stays accepted.
-	if _, err := Eclat(db, Config{MinSupport: 0.1, Counting: VerticalCounting}); err != nil {
-		t.Errorf("vertical counting rejected: %v", err)
 	}
 }

@@ -101,25 +101,6 @@ func TestEclatBruteForce(t *testing.T) {
 	}
 }
 
-func TestEclatMaxLen(t *testing.T) {
-	db := table2DB()
-	for _, maxLen := range []int{1, 2, 3} {
-		ap, err := Apriori(db, Config{MinSupport: 0.34, MaxLen: maxLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ec, err := Eclat(db, Config{MinSupport: 0.34, MaxLen: maxLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ec.MaxLen() > maxLen {
-			t.Errorf("MaxLen %d: eclat emitted size-%d itemset", maxLen, ec.MaxLen())
-		}
-		resultsEqual(t, "maxlen", ap, ec, db.Dict)
-		resultsEqual(t, "maxlen/reverse", ec, ap, db.Dict)
-	}
-}
-
 func TestEclatSupportLookupAndStats(t *testing.T) {
 	db := table2DB()
 	res, err := Eclat(db, Config{MinSupport: 0.34})

@@ -75,9 +75,7 @@ func PatchResultContext(ctx context.Context, db *itemset.DB, prev *Result, cfg C
 	if prev == nil || minCount != prev.MinSupportCount || 2*len(deltas) > db.NumTransactions() {
 		stats.Rewalk = true
 		tr.Add("delta.mine.rewalks", 1)
-		rcfg := cfg
-		rcfg.Counting = VerticalCounting
-		res, err := MineContext(ctx, db, rcfg)
+		res, err := MineContext(ctx, db, cfg)
 		return res, stats, err
 	}
 	start := time.Now()
@@ -208,9 +206,6 @@ func discoverNew(ctx context.Context, db *itemset.DB, cfg Config, minCount int, 
 	var walk func(x itemset.Itemset, live []int, from int)
 	walk = func(x itemset.Itemset, live []int, from int) {
 		if ctx.Err() != nil {
-			return
-		}
-		if cfg.MaxLen > 0 && len(x) >= cfg.MaxLen {
 			return
 		}
 		for p := from; p < len(items); p++ {

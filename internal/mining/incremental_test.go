@@ -122,9 +122,7 @@ func runPatchEquivalence(t *testing.T, cfg Config, prevRows, nextRows [][]string
 	}
 
 	oracleDB := itemset.NewDB(patchTable(nextRows))
-	rcfg := cfg
-	rcfg.Counting = VerticalCounting
-	want, err := MineContext(ctx, oracleDB, rcfg)
+	want, err := MineContext(ctx, oracleDB, cfg)
 	if err != nil {
 		t.Fatalf("mine oracle: %v", err)
 	}
@@ -299,7 +297,7 @@ func TestPatchResultRandomised(t *testing.T) {
 		next := append([][]string{}, prev...)
 		r := rng.Intn(n)
 		next[r] = randomRow()
-		cfg := Config{MinSupport: 0.15 + 0.2*rng.Float64(), MaxLen: rng.Intn(4)}
+		cfg := Config{MinSupport: 0.15 + 0.2*rng.Float64()}
 		runPatchEquivalence(t, cfg, prev, next, identityMap(n), []int{r})
 	}
 }

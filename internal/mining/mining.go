@@ -30,51 +30,6 @@ type Pair struct {
 	A, B string
 }
 
-// CountingStrategy selects how candidate supports are computed.
-type CountingStrategy int
-
-// Counting strategies. VerticalCounting intersects per-item row bitmaps
-// (fast, the default); HorizontalCounting scans transactions per candidate
-// exactly as Listing 1 of the paper does.
-const (
-	VerticalCounting CountingStrategy = iota
-	HorizontalCounting
-)
-
-// String implements fmt.Stringer.
-func (c CountingStrategy) String() string {
-	switch c {
-	case VerticalCounting:
-		return "vertical"
-	case HorizontalCounting:
-		return "horizontal"
-	}
-	return fmt.Sprintf("mining.CountingStrategy(%d)", int(c))
-}
-
-// MarshalText implements encoding.TextMarshaler, so the strategy drops
-// into flag.TextVar, JSON, or any config decoder.
-func (c CountingStrategy) MarshalText() ([]byte, error) {
-	switch c {
-	case VerticalCounting, HorizontalCounting:
-		return []byte(c.String()), nil
-	}
-	return nil, fmt.Errorf("mining: unknown counting strategy %d", int(c))
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (c *CountingStrategy) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "vertical":
-		*c = VerticalCounting
-	case "horizontal":
-		*c = HorizontalCounting
-	default:
-		return fmt.Errorf("mining: unknown counting strategy %q (want vertical or horizontal)", text)
-	}
-	return nil
-}
-
 // Config parameterises a mining run.
 type Config struct {
 	// MinSupport is the relative minimum support in (0, 1]. Ignored when
@@ -90,10 +45,6 @@ type Config struct {
 	// FilterSameFeature enables the Apriori-KC+ step: remove every C2
 	// pair whose items are spatial predicates with the same feature type.
 	FilterSameFeature bool
-	// Counting selects the support-counting strategy.
-	Counting CountingStrategy
-	// MaxLen bounds the itemset size mined; 0 means unbounded.
-	MaxLen int
 	// Parallelism bounds the mining fan-out: vertical support counting
 	// in the Apriori engines and the equivalence-class walk in Eclat
 	// both shard over this many workers, capped at the candidates or
@@ -280,9 +231,7 @@ func MineContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, erro
 	}
 	tr := obs.FromContext(ctx)
 	start := time.Now()
-	if cfg.Counting == VerticalCounting {
-		db.BuildTidsets()
-	}
+	db.BuildTidsets()
 	res := &Result{
 		MinSupportCount: minCount,
 		NumTransactions: db.NumTransactions(),
@@ -305,19 +254,7 @@ func MineContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, erro
 	res.Stats = append(res.Stats, stat1)
 	tr.Pass(stat1.Event())
 
-	// DB projection for horizontal counting: drop infrequent items from
-	// the rows once, so every later pass scans shorter rows and skips
-	// those that cannot hold a k-candidate.
-	var projRows []itemset.Itemset
-	if cfg.Counting == HorizontalCounting {
-		keep := make([]bool, db.Dict.Len())
-		for id, c := range counts {
-			keep[id] = c >= minCount
-		}
-		projRows = db.ProjectRows(keep)
-	}
-
-	for k := 2; len(level) > 0 && (cfg.MaxLen == 0 || k <= cfg.MaxLen); k++ {
+	for k := 2; len(level) > 0; k++ {
 		// Long low-support runs honour cancellation between passes.
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -335,15 +272,7 @@ func MineContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, erro
 			res.PrunedSameFeature = stat.PrunedSameFeature
 		}
 
-		var supports []int
-		switch cfg.Counting {
-		case VerticalCounting:
-			supports = countVertical(ctx, db, candidates, cfg.Parallelism)
-		case HorizontalCounting:
-			supports = countHorizontal(ctx, projRows, candidates, k)
-		default:
-			return nil, fmt.Errorf("mining: unknown counting strategy %d", cfg.Counting)
-		}
+		supports := countVertical(ctx, db, candidates, cfg.Parallelism)
 		// A cancellation inside the counters leaves partial supports;
 		// discard them rather than emit a wrong level.
 		if err := ctx.Err(); err != nil {
@@ -589,29 +518,6 @@ func countVertical(ctx context.Context, db *itemset.DB, candidates []itemset.Ite
 			supports[i] = vc.Support(candidates[i])
 		}
 	})
-	return supports
-}
-
-// countHorizontal computes candidate supports with one scan over the
-// (projected) rows, testing each candidate per row — the subset() loop
-// of Listing 1. Rows shorter than k cannot contain a k-candidate and are
-// skipped. Cancellation is checked per row; the caller must check ctx
-// before using the (then partial) supports.
-func countHorizontal(ctx context.Context, rows []itemset.Itemset, candidates []itemset.Itemset, k int) []int {
-	supports := make([]int, len(candidates))
-	for ri, row := range rows {
-		if ri%cancelCheckStride == 0 && ctx.Err() != nil {
-			return supports
-		}
-		if len(row) < k {
-			continue
-		}
-		for i, c := range candidates {
-			if row.ContainsAll(c) {
-				supports[i]++
-			}
-		}
-	}
 	return supports
 }
 

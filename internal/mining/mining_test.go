@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
@@ -233,23 +234,58 @@ func lookupSet(t *testing.T, d *itemset.Dictionary, names []string) itemset.Item
 	return itemset.NewItemset(ids...)
 }
 
+// TestCountingStrategiesProduceSameResult holds the miners' bitmap
+// counts to the row scan, the two ways the code counts a support: at
+// each minimum support, every plain and KC+ result on both tables is
+// exactly what DB.SupportHorizontal gives (checkByRowScan).
 func TestCountingStrategiesProduceSameResult(t *testing.T) {
-	for _, minsup := range []float64{0.2, 0.5, 0.8} {
-		v, err := Apriori(paperDB(), Config{MinSupport: minsup, Counting: VerticalCounting})
-		if err != nil {
-			t.Fatal(err)
+	for name, db := range map[string]*itemset.DB{"table1": paperDB(), "reconstruction": table2DB()} {
+		for _, minsup := range []float64{0.2, 0.5, 0.8} {
+			for _, cfg := range []Config{
+				{MinSupport: minsup},
+				{MinSupport: minsup, FilterSameFeature: true},
+			} {
+				res, err := Mine(db, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkByRowScan(t, fmt.Sprintf("%s/minsup=%g/kc+=%t", name, minsup, cfg.FilterSameFeature), db, res, cfg)
+			}
 		}
-		h, err := Apriori(paperDB(), Config{MinSupport: minsup, Counting: HorizontalCounting})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestJoinPrefix pins aprioriGen's join: two (k-1)-itemsets of a level
+// that share their first k-2 items join once, in order, to a candidate
+// whose every (k-1)-subset is in the level; other pairs never join.
+func TestJoinPrefix(t *testing.T) {
+	cases := []struct {
+		name        string
+		level, want []itemset.Itemset
+	}{
+		{"empty level", nil, nil},
+		{"1-item join", []itemset.Itemset{{1}, {2}}, []itemset.Itemset{{1, 2}}},
+		{"every pair of items", []itemset.Itemset{{1}, {2}, {4}},
+			[]itemset.Itemset{{1, 2}, {1, 4}, {2, 4}}},
+		{"shared prefix", []itemset.Itemset{{1, 2, 3}, {1, 2, 5}, {1, 3, 5}, {2, 3, 5}},
+			[]itemset.Itemset{{1, 2, 3, 5}}},
+		{"prefix mismatch", []itemset.Itemset{{1, 2, 3}, {1, 4, 5}}, nil},
+		{"subset missing", []itemset.Itemset{{1, 2, 3}, {1, 2, 5}, {2, 3, 5}}, nil},
+	}
+	for _, tc := range cases {
+		level := make([]FrequentItemset, len(tc.level))
+		for i, s := range tc.level {
+			level[i] = FrequentItemset{Items: s}
 		}
-		if len(v.Frequent) != len(h.Frequent) {
-			t.Fatalf("minsup %v: vertical %d sets, horizontal %d", minsup, len(v.Frequent), len(h.Frequent))
+		got := aprioriGen(level)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: aprioriGen = %v, want %v", tc.name, got, tc.want)
+			continue
 		}
-		for i := range v.Frequent {
-			if !v.Frequent[i].Items.Equal(h.Frequent[i].Items) ||
-				v.Frequent[i].Support != h.Frequent[i].Support {
-				t.Fatalf("minsup %v: result %d differs", minsup, i)
+		for i := range got {
+			if !got[i].Equal(tc.want[i]) {
+				t.Errorf("%s: aprioriGen = %v, want %v", tc.name, got, tc.want)
+				break
 			}
 		}
 	}
@@ -289,25 +325,34 @@ func TestMineErrors(t *testing.T) {
 	if _, err := Mine(db, Config{MinSupport: 1.5}); err == nil {
 		t.Error("minsup > 1 should fail")
 	}
-	if _, err := Mine(db, Config{MinSupport: 0.5, Counting: CountingStrategy(9)}); err == nil {
-		t.Error("unknown counting strategy should fail")
-	}
 	empty := itemset.NewDB(dataset.NewTable(nil))
 	if _, err := Mine(empty, Config{MinSupport: 0.5}); err == nil {
 		t.Error("empty database should fail")
 	}
 }
 
+// TestMaxLenBound: with no length cap, the pass loop is bounded by the
+// data. It stops after the first pass that finds nothing frequent, so
+// the passes run one past the largest itemset: six items on the Table 2
+// reconstruction at 50 %.
 func TestMaxLenBound(t *testing.T) {
-	res, err := Apriori(paperDB(), Config{MinSupport: 0.5, MaxLen: 2})
-	if err != nil {
-		t.Fatal(err)
+	for name, db := range map[string]*itemset.DB{"table1": paperDB(), "reconstruction": table2DB()} {
+		for _, cfg := range []Config{cfg50(), {MinSupport: 0.5, FilterSameFeature: true}} {
+			res, err := Mine(db, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Stats) != res.MaxLen()+1 {
+				t.Errorf("%s: %d passes for largest itemset %d", name, len(res.Stats), res.MaxLen())
+			}
+			for i, s := range res.Stats {
+				if last := i == len(res.Stats)-1; last != (s.Frequent == 0) {
+					t.Errorf("%s: pass %d of %d found %d frequent", name, s.K, len(res.Stats), s.Frequent)
+				}
+			}
+		}
 	}
-	if res.MaxLen() != 2 {
-		t.Errorf("MaxLen bound violated: %d", res.MaxLen())
-	}
-	// Unbounded run on the Table 2 reconstruction goes to 6.
-	res, _ = Apriori(table2DB(), cfg50())
+	res, _ := Apriori(table2DB(), cfg50())
 	if res.MaxLen() != 6 {
 		t.Errorf("unbounded MaxLen = %d", res.MaxLen())
 	}

@@ -233,9 +233,8 @@ func TestCacheKeysGolden(t *testing.T) {
 			`d1|{"algorithm":"eclat-kc+","minSupport":0.3}`},
 		{core.Config{Algorithm: core.AlgAprioriKC, MinSupport: 0.25,
 			Dependencies: []mining.Pair{{A: "y", B: "x"}, {A: "p", B: "q"}},
-			Counting:     mining.HorizontalCounting, Parallelism: 2,
-			GenerateRules: true, MinConfidence: 0.7, PostFilter: core.ClosedFilter},
-			`d1|{"algorithm":"apriori-kc","minSupport":0.25,"dependencies":[{"a":"p","b":"q"},{"a":"x","b":"y"}],"counting":"horizontal","parallelism":2,"minConfidence":0.7,"generateRules":true,"postFilter":"closed"}`},
+			Parallelism:  2, GenerateRules: true, MinConfidence: 0.7, PostFilter: core.ClosedFilter},
+			`d1|{"algorithm":"apriori-kc","minSupport":0.25,"dependencies":[{"a":"p","b":"q"},{"a":"x","b":"y"}],"parallelism":2,"minConfidence":0.7,"generateRules":true,"postFilter":"closed"}`},
 	}
 	for _, tc := range mine {
 		got, err := CacheKey("d1", tc.cfg)

@@ -320,7 +320,7 @@ func (s *Server) writeMineError(w http.ResponseWriter, r *http.Request, err erro
 		writeError(w, r, http.StatusServiceUnavailable, api.CodeCancelled, "mining was cancelled")
 	default:
 		// Remaining failures are configuration/data errors from the
-		// pipeline (bad minsup, counting/engine mismatch, ...).
+		// pipeline (bad minsup, co-location on a table, ...).
 		writeError(w, r, http.StatusUnprocessableEntity, api.CodeConfigInvalid, "%v", err)
 	}
 }

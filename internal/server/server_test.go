@@ -421,6 +421,8 @@ func TestRequestValidationAndErrors(t *testing.T) {
 		{"mine unknown dataset", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, "unknown dataset"},
 		{"job unknown dataset", "POST", "/v1/jobs", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, "unknown dataset"},
 		{"mine bad algorithm", "POST", "/v1/mine", `{"dataset":"beef","config":{"algorithm":"quantum","minSupport":0.5}}`, 400, "unknown algorithm"},
+		{"mine counting field", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5,"counting":"vertical"}}`, 400, "counting"},
+		{"job counting field", "POST", "/v1/jobs", `{"dataset":"beef","config":{"minSupport":0.5,"counting":"vertical"}}`, 400, "counting"},
 		{"mine unknown body field", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5},"cfg":{}}`, 400, "unknown field"},
 		{"mine missing dataset", "POST", "/v1/mine", `{"config":{"minSupport":0.5}}`, 400, "dataset"},
 		{"mine bad minsup", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":7}}`, 400, "minSupport"},
@@ -445,14 +447,14 @@ func TestRequestValidationAndErrors(t *testing.T) {
 		})
 	}
 
-	// A config error surfaced by the engine itself (eclat rejects
-	// horizontal counting) maps to 422.
+	// A config error surfaced at run time (co-location needs a scene,
+	// not a table) maps to 422.
 	body := []byte("r1,a,b\nr2,a,b\n")
 	var info datasetInfo
 	doJSON(t, client, "POST", ts.URL+"/v1/datasets/table", body, &info)
-	req := fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.5,"counting":"horizontal"}}`, info.Digest)
-	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", []byte(req), nil); status != http.StatusUnprocessableEntity {
-		t.Errorf("engine config error: %d %s, want 422", status, raw)
+	req := fmt.Sprintf(`{"dataset":%q,"config":{"distance":1,"minPI":0.5}}`, info.Digest)
+	if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/colocate", []byte(req), nil); status != http.StatusUnprocessableEntity {
+		t.Errorf("run-time config error: %d %s, want 422", status, raw)
 	}
 	// Upload body cap: 413 with the limit named.
 	small := New(Options{MaxUploadBytes: 16})

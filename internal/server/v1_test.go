@@ -128,8 +128,8 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"garbage body", "POST", "/v1/mine", "}{", 400, api.CodeBadRequest},
 		{"unknown dataset", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5}}`, 404, api.CodeNotFound},
 		{"unknown job", "GET", "/v1/jobs/j000000-00000042", "", 404, api.CodeNotFound},
-		{"engine config error", "POST", "/v1/mine",
-			fmt.Sprintf(`{"dataset":%q,"config":{"algorithm":"eclat-kc+","minSupport":0.5,"counting":"horizontal"}}`, info.Digest),
+		{"engine config error", "POST", "/v1/colocate",
+			fmt.Sprintf(`{"dataset":%q,"config":{"distance":1,"minPI":0.5}}`, info.Digest),
 			422, api.CodeConfigInvalid},
 	}
 	for _, tc := range cases {

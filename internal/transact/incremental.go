@@ -402,9 +402,9 @@ func (s *State) normaliseRows(ctx context.Context, pass *rowPass, n int, rendere
 // cold extraction.
 //
 // The returned TableDelta is the exact row-level difference of the
-// transaction tables, ready for itemset.DB.ApplyDelta and
-// mining.PatchResultContext. Counters delta.rows.total/dirty/reused and
-// delta.prepared.reused/builds report the reuse to any obs.Trace.
+// transaction tables, ready for mining.PatchResultContext. Counters
+// delta.rows.total/dirty/reused and delta.prepared.reused/builds report
+// the reuse to any obs.Trace.
 func (s *State) Apply(ctx context.Context, nd *dataset.Dataset, cs *dataset.ChangeSet) (*TableDelta, error) {
 	if nd.Reference == nil || nd.Reference.Type != s.d.Reference.Type {
 		return nil, fmt.Errorf("transact: delta: reference layer mismatch")

@@ -278,8 +278,6 @@ type (
 	MiningResult = mining.Result
 	// FrequentItemset couples an itemset with its support count.
 	FrequentItemset = mining.FrequentItemset
-	// CountingStrategy selects how the Apriori engines count supports.
-	CountingStrategy = mining.CountingStrategy
 	// Rule is an association rule with interestingness measures.
 	Rule = mining.Rule
 	// Itemset is a set of interned items.
@@ -302,16 +300,6 @@ const (
 	// EclatKCPlus mines the Apriori-KC+ pattern set with the vertical
 	// Eclat engine (tidsets with dEclat diffset switching).
 	EclatKCPlus = core.AlgEclatKCPlus
-)
-
-// Counting strategies.
-const (
-	// VerticalCounting intersects per-item row bitmaps (the default).
-	VerticalCounting = mining.VerticalCounting
-	// HorizontalCounting scans transactions per candidate as Listing 1
-	// of the paper does (Apriori engines only; the Eclat engine rejects
-	// it).
-	HorizontalCounting = mining.HorizontalCounting
 )
 
 // Post filters (the paper's future-work redundancy elimination).
@@ -340,7 +328,8 @@ var (
 	// string rows, so the Outcome's Table is nil (ExtractState.Table
 	// renders them).
 	RunStateContext = core.RunStateContext
-	// ParseAlgorithm parses "apriori", "apriori-kc", "apriori-kc+".
+	// ParseAlgorithm parses "apriori", "apriori-kc", "apriori-kc+",
+	// "eclat-kc+".
 	ParseAlgorithm = core.ParseAlgorithm
 	// ParsePostFilter parses "none", "closed", "maximal".
 	ParsePostFilter = core.ParsePostFilter
