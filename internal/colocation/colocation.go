@@ -17,7 +17,9 @@
 // pair into a flat CSR layout (one offsets array plus one ids array):
 // each unordered type pair is one unit of a Config.Parallelism worker
 // pool, which joins the two types' index.Layers in one R-tree-vs-R-tree
-// traversal and refines the candidates on prepared geometry. It then
+// traversal and refines the candidates exactly: by the point–point
+// decision when every instance is a point, on prepared geometry
+// otherwise. It then
 // walks candidate type sets level by level, extending each prevalent
 // set's row-instance table by sorted-list intersection of the CSR rows.
 // The walk is joinless: it first screens each candidate with the star
@@ -156,16 +158,17 @@ func MineContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result,
 	}
 
 	sp := tr.Stage("colocate.neighbors")
-	graph, cand, refined, workers, err := materializeNeighbors(ctx, types, cfg.Distance, cfg.Parallelism)
+	graph, nc, err := materializeNeighbors(ctx, types, cfg.Distance, cfg.Parallelism)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	tr.Add("coloc.pairs.candidates", cand)
-	tr.Add("coloc.pairs.refined", refined)
-	tr.Add("coloc.neighbors.workers", int64(workers))
-	res.CandidatePairs = cand
-	res.RefinedPairs = refined
+	tr.Add("coloc.prepared", nc.prepared)
+	tr.Add("coloc.pairs.candidates", nc.candidates)
+	tr.Add("coloc.pairs.refined", nc.refined)
+	tr.Add("coloc.neighbors.workers", int64(nc.workers))
+	res.CandidatePairs = nc.candidates
+	res.RefinedPairs = nc.refined
 
 	sp = tr.Stage("colocate.walk")
 	err = prevalenceWalk(ctx, tr, types, graph, cfg, res)
@@ -288,30 +291,53 @@ func (p *csrPair) transpose(nj int) csrPair {
 	return csrPair{offsets: offsets, ids: ids}
 }
 
+// neighborCounts are materializeNeighbors' counts: the instances it
+// prepared, the join's candidate pairs, the pairs the refine kept, and
+// the worker count of phase 2.
+type neighborCounts struct {
+	prepared, candidates, refined int64
+	workers                       int
+}
+
 // materializeNeighbors builds the CSR neighbor graph for every ordered
-// type pair. Phase 1 prepares each type and builds its index.Layer;
-// phase 2 makes each unordered type pair (i, j) one unit: one
-// Layer.Join of the two layers is the filter stage, the prepared
-// geometries' WithinDistance decision refines each candidate exactly
-// (Distance <= dist), the refined pairs fill the forward CSR and a
-// counting transpose the reverse one. Both phases run on a par pool of
+// type pair. Phase 1 builds each type's index.Layer: straight from the
+// point envelopes when every instance of every type is a geom.Point,
+// else over the type's prepared geometries. Phase 2 makes each
+// unordered type pair (i, j) one unit: one Layer.Join of the two layers
+// is the filter stage, the exact decision Distance <= dist refines each
+// candidate (Point.WithinDistance on points, Prepared.WithinDistance
+// otherwise), the refined pairs fill the forward CSR and a counting
+// transpose the reverse one. Both phases run on a par pool of
 // parallelism workers, which stops between units once ctx is done; a
 // unit writes only its own pair's slots, so the graph is identical at
-// any worker count. Returns the graph, the filter/refine pair counts,
-// and the worker count of phase 2.
-func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, parallelism int) (*neighborGraph, int64, int64, int, error) {
+// any worker count.
+func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, parallelism int) (*neighborGraph, neighborCounts, error) {
 	n := len(types)
 	graph := &neighborGraph{n: n, pairs: make([]csrPair, n*n)}
+	var nc neighborCounts
 	if n < 2 {
-		return graph, 0, 0, 0, nil
+		return graph, nc, nil
 	}
 
-	// Phase 1: one PrepareAll and one join layer per type, type-sharded.
+	// Phase 1: one join layer per type, type-sharded. A point's
+	// envelope is its prepared envelope, so the join's candidates do not
+	// depend on the side taken.
+	pts := pointsOf(types)
 	layers := make([]*index.Layer, n)
 	if err := par.For(ctx, n, par.Workers(parallelism, n), func(_, i int) {
-		layers[i] = index.NewLayer(len(types[i].geoms), nil, geom.PrepareAll(types[i].geoms), false)
+		if pts != nil {
+			p := pts[i]
+			layers[i] = index.NewLayer(len(p), func(j int) geom.Envelope { return p[j].Envelope() }, nil, false)
+		} else {
+			layers[i] = index.NewLayer(len(types[i].geoms), nil, geom.PrepareAll(types[i].geoms), false)
+		}
 	}); err != nil {
-		return nil, 0, 0, 0, err
+		return nil, nc, err
+	}
+	if pts == nil {
+		for _, t := range types {
+			nc.prepared += int64(len(t.geoms))
+		}
 	}
 
 	// Phase 2: one join, refine and CSR fill per unordered type pair.
@@ -324,11 +350,11 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 	}
 	candidates := make([]int64, len(units))
 	refined := make([]int64, len(units))
-	workers := par.Workers(parallelism, len(units))
+	nc.workers = par.Workers(parallelism, len(units))
 	// With fewer type pairs than the pool is wide (one pair for two
 	// types), each join takes the workers the units leave idle.
 	joinWorkers := max(1, par.Workers(parallelism, math.MaxInt)/len(units))
-	if err := par.For(ctx, len(units), workers, func(_, u int) {
+	if err := par.For(ctx, len(units), nc.workers, func(_, u int) {
 		i, j := units[u].i, units[u].j
 		pairs, err := layers[i].Join(ctx, layers[j], dist, joinWorkers, nil)
 		if err != nil {
@@ -338,10 +364,15 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 		prepI, prepJ := layers[i].Prepared, layers[j].Prepared
 		kept := pairs[:0]
 		for _, p := range pairs {
-			if !prepI[p.A].WithinDistance(prepJ[p.B], dist) {
-				continue
+			var near bool
+			if pts != nil {
+				near = pts[i][p.A].WithinDistance(pts[j][p.B], dist)
+			} else {
+				near = prepI[p.A].WithinDistance(prepJ[p.B], dist)
 			}
-			kept = append(kept, p)
+			if near {
+				kept = append(kept, p)
+			}
 		}
 		refined[u] = int64(len(kept))
 		// The pairs are sorted by (A, B): each instance's neighbors sit
@@ -359,14 +390,38 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 		*graph.at(i, j) = fwd
 		*graph.at(j, i) = fwd.transpose(len(types[j].geoms))
 	}); err != nil {
-		return nil, 0, 0, 0, err
+		return nil, nc, err
 	}
-	var cand, ref int64
 	for u := range units {
-		cand += candidates[u]
-		ref += refined[u]
+		nc.candidates += candidates[u]
+		nc.refined += refined[u]
 	}
-	return graph, cand, ref, workers, nil
+	return graph, nc, nil
+}
+
+// pointsOf returns every type's instances as geom.Points, when every
+// instance of every type is one (a MultiPoint is not), and nil
+// otherwise. The point slices are windows of one array.
+func pointsOf(types []typeSet) [][]geom.Point {
+	total := 0
+	for _, t := range types {
+		for _, g := range t.geoms {
+			if _, ok := g.(geom.Point); !ok {
+				return nil
+			}
+		}
+		total += len(t.geoms)
+	}
+	all := make([]geom.Point, 0, total)
+	pts := make([][]geom.Point, len(types))
+	for i, t := range types {
+		start := len(all)
+		for _, g := range t.geoms {
+			all = append(all, g.(geom.Point))
+		}
+		pts[i] = all[start:len(all):len(all)]
+	}
+	return pts
 }
 
 // candidateSet is one candidate type set during the walk, with the row

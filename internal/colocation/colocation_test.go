@@ -282,6 +282,26 @@ func TestTraceCounters(t *testing.T) {
 	if got := tr.Counter("coloc.star.pruned"); got != int64(res.StarPruned) {
 		t.Fatalf("coloc.star.pruned = %d, result says %d", got, res.StarPruned)
 	}
+	// Every instance of the grid is a point: nothing is prepared.
+	if got := tr.Counter("coloc.prepared"); got != 0 {
+		t.Fatalf("coloc.prepared = %d on an all-points scene, want 0", got)
+	}
+
+	// One polygon layer sends every type, the point types too, to the
+	// prepared side.
+	mixed := gridScene()
+	parks := dataset.NewLayer("P")
+	parks.AddGeometry(geom.Rect(0, 0, 1, 1))
+	parks.AddGeometry(geom.Rect(6, 3, 7, 4))
+	mixed.Relevant = append(mixed.Relevant, parks)
+	tr = obs.New(nil)
+	res, err = colocation.MineContext(obs.WithTrace(context.Background(), tr), mixed, colocation.Config{Distance: 1.5, MinPI: 0.2})
+	if err != nil {
+		t.Fatalf("MineContext: %v", err)
+	}
+	if got := tr.Counter("coloc.prepared"); got != int64(res.Instances) || got != 62 {
+		t.Fatalf("coloc.prepared = %d with a polygon layer, want all %d instances", got, res.Instances)
+	}
 }
 
 // TestConfigValidate sweeps the rejection surface.

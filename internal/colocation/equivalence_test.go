@@ -1,6 +1,7 @@
 package colocation_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 // TestColocationMatchesBruteForceOnGeneratedScenes is the property test
@@ -148,6 +150,50 @@ func TestColocationInvariantUnderPermutation(t *testing.T) {
 								sc.name, dist, minPI, par, i, got.CandidatePairs, got.RefinedPairs, got.Prevalent,
 								want.CandidatePairs, want.RefinedPairs, want.Prevalent)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPointSideMatchesPreparedSide mines each planted scene and the
+// Eps-band point pair, whose instances are all points and so take the
+// point–point refine, and the same scene beside one more type: a single
+// square far from every point, which sends every type to prepared
+// geometry. The square neighbours nothing, so the prevalent patterns
+// (types, PI bits, row counts), CandidatePairs and RefinedPairs must
+// agree, at each distance, MinPI 0.2 and 0.5, and Parallelism 1 and 4;
+// coloc.prepared shows which side each mine took.
+func TestPointSideMatchesPreparedSide(t *testing.T) {
+	mine := func(ds *dataset.Dataset, cfg colocation.Config) (*colocation.Result, int64) {
+		t.Helper()
+		tr := obs.New(nil)
+		res, err := colocation.MineContext(obs.WithTrace(context.Background(), tr), ds, cfg)
+		if err != nil {
+			t.Fatalf("MineContext: %v", err)
+		}
+		return res, tr.Counter("coloc.prepared")
+	}
+	for _, sc := range append(plantedScenes(t), epsBandScenes()[0]) {
+		far := dataset.NewLayer("far")
+		far.AddGeometry(geom.Rect(1e6, 1e6, 1e6+1, 1e6+1))
+		mixed := &dataset.Dataset{Reference: sc.ds.Reference, Relevant: append(slices.Clip(sc.ds.Relevant), far)}
+		for _, dist := range sc.dists {
+			for _, minPI := range []float64{0.2, 0.5} {
+				for _, par := range []int{1, 4} {
+					cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: par}
+					points, pointsPrepared := mine(sc.ds, cfg)
+					prepared, preparedPrepared := mine(mixed, cfg)
+					name := fmt.Sprintf("%s/dist=%v/minpi=%v/par=%d", sc.name, dist, minPI, par)
+					if pointsPrepared != 0 || preparedPrepared != int64(prepared.Instances) {
+						t.Fatalf("%s: coloc.prepared = %d and %d, want 0 and %d", name, pointsPrepared, preparedPrepared, prepared.Instances)
+					}
+					if points.CandidatePairs != prepared.CandidatePairs || points.RefinedPairs != prepared.RefinedPairs ||
+						!samePatterns(points.Prevalent, prepared.Prevalent) {
+						t.Fatalf("%s: the point side differs from the prepared side:\n got %d/%d %+v\nwant %d/%d %+v",
+							name, points.CandidatePairs, points.RefinedPairs, points.Prevalent,
+							prepared.CandidatePairs, prepared.RefinedPairs, prepared.Prevalent)
 					}
 				}
 			}

@@ -85,8 +85,10 @@ type Config struct {
 	// GOMAXPROCS, and no pool grows past its work. Results are
 	// identical at any setting.
 	Parallelism int
-	// MinConfidence gates rule generation; rules are skipped when 0 and
-	// GenerateRules is false.
+	// MinConfidence is the least confidence a generated rule must
+	// reach. It is read only when GenerateRules is set: GenerateRules
+	// alone decides whether the rules stage runs, whatever
+	// MinConfidence is.
 	MinConfidence float64
 	// GenerateRules enables the association-rule stage.
 	GenerateRules bool

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -279,7 +280,7 @@ func TestDecodeCanonicalTakesWriteJSONOutput(t *testing.T) {
 		if err := d.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := decodeCanonical(buf.Bytes())
+		got, ok := decodeCanonical(buf.String())
 		if !ok {
 			t.Fatalf("one-pass decode rejected WriteJSON output:\n%s", buf.Bytes())
 		}
@@ -293,9 +294,50 @@ func TestDecodeCanonicalTakesWriteJSONOutput(t *testing.T) {
 	}
 }
 
+// TestDecodedDatasetHoldsNoBodySubstring decodes the two sample scenes
+// on the canonical path and requires that no layer type, ID, attrs key,
+// attrs string or non-spatial attribute name points into the body: the
+// decoded Dataset must not keep the body alive.
+func TestDecodedDatasetHoldsNoBodySubstring(t *testing.T) {
+	for _, d := range []*Dataset{PortoAlegreScene(), Table2ReconstructionScene()} {
+		var buf bytes.Buffer
+		if err := d.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.String()
+		if _, ok := decodeCanonical(body); !ok {
+			t.Fatal("the sample scene takes the encoding/json path")
+		}
+		got, err := decodeJSON(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+		var strs []string
+		strs = append(strs, got.NonSpatialAttrs...)
+		for _, l := range append([]*Layer{got.Reference}, got.Relevant...) {
+			strs = append(strs, l.Type)
+			for _, f := range l.Features {
+				strs = append(strs, f.ID)
+				for k, v := range f.Attrs {
+					strs = append(strs, k)
+					if v, ok := v.(string); ok {
+						strs = append(strs, v)
+					}
+				}
+			}
+		}
+		for _, str := range strs {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(str))); str != "" && p >= lo && p < lo+uintptr(len(body)) {
+				t.Fatalf("%q is a substring of the body at offset %d", str, p-lo)
+			}
+		}
+	}
+}
+
 func TestDecodeCanonicalFallsBack(t *testing.T) {
 	for name, in := range canonicalFallbacks {
-		if _, ok := decodeCanonical([]byte(in)); ok {
+		if _, ok := decodeCanonical(in); ok {
 			t.Errorf("%s: one-pass decode accepted %q", name, in)
 		}
 	}

@@ -184,6 +184,24 @@ func TestReadJSONReportsFirstBadFeature(t *testing.T) {
 			}
 		}
 	}
+
+	// Unparsable but unescaped WKT in the first chunk, and WKT with an
+	// escape (\u0050 is P) in the last: the escape sends the document to
+	// encoding/json, because every WKT is checked before any is parsed,
+	// and the first feature's error is reported.
+	doc := bytes.Replace(badDoc(map[string]string{"ref/3": "POINT (1 x)", "b/35": "escaped"}, false),
+		[]byte(`"escaped"`), []byte(`"\u0050OINT (35 35)"`), 1)
+	if dataset.IsCanonical(doc) {
+		t.Fatal("escaped WKT: the document takes the canonical path")
+	}
+	_, want := serialDecode(doc)
+	var err error
+	withProcs(4, func() { _, err = dataset.ReadJSON(bytes.NewReader(doc)) })
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("escaped WKT: error %v, want %v", err, want)
+	} else if prefix := `dataset: layer "ref" feature "ref3": geom: parsing WKT `; !strings.HasPrefix(err.Error(), prefix) {
+		t.Errorf("escaped WKT: %v does not start %q", err, prefix)
+	}
 }
 
 // TestReadJSONAllocsIndependentOfSequences pins the decode's

@@ -3,7 +3,7 @@ package dataset
 // IsCanonical reports whether ReadJSON decodes data on the one-pass
 // canonical path rather than through encoding/json.
 func IsCanonical(data []byte) bool {
-	_, ok := decodeCanonical(data)
+	_, ok := decodeCanonical(string(data))
 	return ok
 }
 

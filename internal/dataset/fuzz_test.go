@@ -38,6 +38,11 @@ var canonicalFallbacks = map[string]string{
 	"top-level null":    `null`,
 	"truncated":         `{"reference":{"type":"d"`,
 	"control character": "{\"reference\":{\"type\":\"d\tx\"}}",
+	"wkt quote escape":  `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)\""}]}}`,
+	"wkt backslash":     `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)\\"}]}}`,
+	"wkt u0050 escape":  `{"reference":{"type":"d","features":[{"id":"x","wkt":"\u0050OINT (1 1)"}]}}`,
+	"wkt raw tab":       "{\"reference\":{\"type\":\"d\",\"features\":[{\"id\":\"x\",\"wkt\":\"POINT\t(1 1)\"}]}}",
+	"wkt non-ASCII":     `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1) é"}]}}`,
 }
 
 // FuzzReadJSON checks the one-pass decoder against encoding/json:
@@ -71,7 +76,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want jsonDataset
 		wantErr := json.Unmarshal(data, &want)
-		if got, ok := decodeCanonical(data); ok {
+		if got, ok := decodeCanonical(string(data)); ok {
 			if wantErr != nil {
 				t.Fatalf("one-pass decode accepted what encoding/json rejects (%v): %q", wantErr, data)
 			}

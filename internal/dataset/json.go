@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -333,39 +334,66 @@ func plainJSON[T string | []byte](s T) bool {
 	return true
 }
 
-// ReadJSON parses a dataset from r; see WriteJSON for the format.
+// ReadJSON parses a dataset from r; see WriteJSON for the format. The
+// body is read into one string, in one allocation when r reports its
+// remaining length with a Len method.
 func ReadJSON(r io.Reader) (*Dataset, error) {
-	data, err := readAll(r)
+	body, err := readBody(r, lenOf(r))
 	if err != nil {
 		return nil, fmt.Errorf("dataset: decoding JSON: %w", err)
 	}
-	return decodeJSON(data)
+	return decodeJSON(body)
 }
 
-// LoadJSON reads a dataset from a file.
+// LoadJSON reads a dataset from a file, into one string of the file's
+// size.
 func LoadJSON(path string) (*Dataset, error) {
-	data, err := os.ReadFile(path)
+	f, size, err := openBody(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
 	}
-	d, err := decodeJSON(data)
+	defer f.Close()
+	body, err := readBody(f, size)
+	var d *Dataset
+	if err == nil {
+		d, err = decodeJSON(body)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
 	}
 	return d, nil
 }
 
-// readAll reads r to EOF. A reader that reports its remaining length is
-// read into one buffer of that size; io.ReadAll's doubling would hold up
-// to twice the document.
-func readAll(r io.Reader) ([]byte, error) {
-	sized, ok := r.(interface{ Len() int })
-	if !ok {
-		return io.ReadAll(r)
+// lenOf is the length r reports remaining through a Len method, or 0.
+func lenOf(r io.Reader) int {
+	if sized, ok := r.(interface{ Len() int }); ok {
+		return sized.Len()
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, sized.Len()+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	return 0
+}
+
+// openBody opens the file at path to be read whole and returns it with
+// its size, 0 when Stat fails.
+func openBody(path string) (*os.File, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		size = int(fi.Size())
+	}
+	return f, size, nil
+}
+
+// readBody reads r to EOF into one string grown to size first, so in
+// one allocation when r holds size bytes. With an error it returns the
+// bytes read before it.
+func readBody(r io.Reader, size int) (string, error) {
+	var body strings.Builder
+	body.Grow(size)
+	_, err := io.Copy(&body, r)
+	return body.String(), err
 }
 
 // DecodeStrict decodes data, which must be exactly one JSON document,
@@ -391,41 +419,54 @@ func DecodeStrict(data []byte, v any) error {
 // fast path never re-implements. Both accept only whitespace after the
 // document, so the digest of an upload covers the scene and nothing
 // else. Unknown keys are ignored.
-func decodeJSON(data []byte) (*Dataset, error) {
+func decodeJSON(data string) (*Dataset, error) {
 	jd, ok := decodeCanonical(data)
 	if !ok {
 		jd = jsonDataset{}
-		if err := json.Unmarshal(data, &jd); err != nil {
+		if err := json.Unmarshal([]byte(data), &jd); err != nil {
 			return nil, fmt.Errorf("dataset: decoding JSON: %w", err)
 		}
 	}
 	return jd.dataset()
 }
 
+// wktChunk is one unit of the decode pool: features lo to hi of layer
+// layer, in the order jsonDataset.chunks lists the layers.
+type wktChunk struct{ layer, lo, hi int }
+
+// chunks returns the document's layers, the reference layer first, and
+// cuts each layer into par.Workers(0, n) contiguous chunks of its n
+// features, as State.prepareLayers cuts preparation.
+func (jd *jsonDataset) chunks() ([]jsonLayer, []wktChunk) {
+	jls := append([]jsonLayer{jd.Reference}, jd.Relevant...)
+	var chunks []wktChunk
+	for li, jl := range jls {
+		n := len(jl.Features)
+		if n == 0 {
+			continue
+		}
+		workers := par.Workers(0, n)
+		per := (n + workers - 1) / workers
+		for lo := 0; lo < n; lo += per {
+			chunks = append(chunks, wktChunk{li, lo, min(lo+per, n)})
+		}
+	}
+	return jls, chunks
+}
+
 // dataset parses the WKT of every feature into a Dataset on a par pool
-// of GOMAXPROCS workers. Each layer is cut into par.Workers(0, n)
-// contiguous chunks of its n features, as State.prepareLayers cuts
-// preparation, and each chunk is one geom.ParseWKTAll, so the chunk's
+// of GOMAXPROCS workers, one geom.ParseWKTAll per chunk, so the chunk's
 // coordinate sequences share one arena. Every layer's Features is
 // allocated once at its final length. Of the features that fail to
 // parse, the first in document order is reported: the reference layer
 // first, then the relevant layers, each in feature order.
 func (jd *jsonDataset) dataset() (*Dataset, error) {
-	jls := append([]jsonLayer{jd.Reference}, jd.Relevant...)
+	jls, chunks := jd.chunks()
 	layers := make([]*Layer, len(jls))
-	type chunk struct{ layer, lo, hi int }
-	var chunks []chunk
 	for li, jl := range jls {
-		n := len(jl.Features)
 		layers[li] = NewLayer(jl.Type)
-		if n == 0 {
-			continue
-		}
-		layers[li].Features = make([]Feature, n)
-		workers := par.Workers(0, n)
-		per := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += per {
-			chunks = append(chunks, chunk{li, lo, min(lo+per, n)})
+		if n := len(jl.Features); n > 0 {
+			layers[li].Features = make([]Feature, n)
 		}
 	}
 	errs := make([]error, len(chunks))
@@ -455,29 +496,45 @@ func (jd *jsonDataset) dataset() (*Dataset, error) {
 	return d, nil
 }
 
+// unescapedWKT reports whether every feature's WKT is unescaped text
+// (see unescaped), checking the chunks of jsonDataset.chunks on a par
+// pool of GOMAXPROCS workers. Every chunk is checked, whatever another
+// finds.
+func (jd *jsonDataset) unescapedWKT() bool {
+	jls, chunks := jd.chunks()
+	ok := make([]bool, len(chunks))
+	// context.TODO never cancels, so For always runs every chunk.
+	_ = par.For(context.TODO(), len(chunks), par.Workers(0, len(chunks)), func(_, i int) {
+		c := chunks[i]
+		for _, jf := range jls[c.layer].Features[c.lo:c.hi] {
+			if !unescaped(jf.WKT) {
+				return
+			}
+		}
+		ok[i] = true
+	})
+	return !slices.Contains(ok, false)
+}
+
 // decodeCanonical decodes data in one pass when it is in canonical form:
 // one JSON object with the exact lowercase keys of jsonDataset, each at
 // most once, strings of printable ASCII without escapes, and attrs
 // values that are strings, numbers or booleans; only whitespace may
 // follow. It reports false for any other input, which encoding/json then
 // decodes; where it reports true, encoding/json decodes the same value.
-func decodeCanonical(data []byte) (jsonDataset, bool) {
-	s := &canonicalScanner{data: data}
+//
+// The scan finds each string's end with strings.IndexByte. Keys, type
+// names, IDs and attrs strings are checked where they are read and
+// copied out, so a decoded Dataset holds no substring of data. WKT
+// values stay substrings of data, which dataset parses as they stand;
+// they are checked on the pool before the document counts as
+// canonical.
+func decodeCanonical(data string) (jsonDataset, bool) {
+	s := canonicalScanner{data: data}
 	var jd jsonDataset
-	var seen uint8
-	ok := s.object(func(key []byte) bool {
-		switch string(key) {
-		case "reference":
-			return once(&seen, 1) && s.layer(&jd.Reference)
-		case "relevant":
-			return once(&seen, 2) && list(s, &jd.Relevant, s.layer)
-		case "nonSpatialAttrs":
-			return once(&seen, 4) && list(s, &jd.NonSpatialAttrs, s.str)
-		}
-		return false
-	})
+	s.dataset(&jd)
 	s.space()
-	return jd, ok && s.pos == len(data)
+	return jd, !s.bad && s.pos == len(data) && jd.unescapedWKT()
 }
 
 // once sets bit in *seen and reports whether it was clear: the check
@@ -488,23 +545,38 @@ func once(seen *uint8, bit uint8) bool {
 	return first
 }
 
-// canonicalScanner is decodeCanonical's cursor. Its methods report false
-// when the input leaves the canonical form; all but accept and digits,
-// which work inside a number, skip the whitespace before their token.
+// canonicalScanner is decodeCanonical's cursor. Once the input leaves
+// the canonical form it sets bad, and from then on every object and
+// array reports no further member, so the scan unwinds. All methods but
+// accept and digits, which work inside a number, skip the whitespace
+// before their token.
 type canonicalScanner struct {
-	data []byte
-	pos  int
+	data  string
+	pos   int
+	bad   bool
+	feats []jsonFeature
 }
 
 func (s *canonicalScanner) space() {
 	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\n', '\r':
+		switch c := s.data[s.pos]; {
+		case c == ' ' && s.pos+8 <= len(s.data):
+			// Indentation: a run of up to eight spaces in one step.
+			s.pos += spaces8(s.data[s.pos : s.pos+8])
+		case c == ' ', c == '\t', c == '\n', c == '\r':
 			s.pos++
 		default:
 			return
 		}
 	}
+}
+
+// spaces8 returns how many spaces the eight bytes of b start with.
+func spaces8(b string) int {
+	_ = b[7]
+	x := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return bits.TrailingZeros64(x^0x2020202020202020) / 8
 }
 
 // next consumes c if it is the next non-space byte.
@@ -522,166 +594,213 @@ func (s *canonicalScanner) accept(c byte) bool {
 	return false
 }
 
-// object consumes an object, handing each key to member, which must
-// consume the value.
-func (s *canonicalScanner) object(member func(key []byte) bool) bool {
-	if !s.next('{') {
-		return false
-	}
-	if s.next('}') {
+// elem steps through an object or array, opened by open and closed by
+// end, and reports whether member i follows: for i = 0 it consumes
+// open, and the end of an empty one; after that, the ',' before
+// member i or the end after the last member.
+func (s *canonicalScanner) elem(i int, open, end byte) bool {
+	switch {
+	case s.bad:
+	case i == 0 && !s.next(open):
+		s.bad = true
+	case i == 0:
+		return !s.next(end)
+	case s.next(','):
 		return true
+	case !s.next(end):
+		s.bad = true
 	}
-	for {
-		key, ok := s.raw()
-		if !ok || !s.next(':') || !member(key) {
-			return false
-		}
-		if s.next('}') {
-			return true
-		}
-		if !s.next(',') {
-			return false
-		}
-	}
+	return false
 }
 
-// list consumes an array into *dst, decoding each element with elem.
-// Like encoding/json, it makes *dst non-nil even for [].
-func list[T any](s *canonicalScanner, dst *[]T, elem func(*T) bool) bool {
-	if !s.next('[') {
-		return false
-	}
-	*dst = []T{}
-	if s.next(']') {
-		return true
-	}
-	for {
-		var zero T
-		*dst = append(*dst, zero)
-		if !elem(&(*dst)[len(*dst)-1]) {
-			return false
-		}
-		if s.next(']') {
-			return true
-		}
-		if !s.next(',') {
-			return false
-		}
-	}
-}
-
-// raw consumes a string and returns its bytes, which alias data.
-func (s *canonicalScanner) raw() ([]byte, bool) {
+// span consumes a string and returns its contents as they stand in
+// data, up to the next '"': unchecked and uncopied.
+func (s *canonicalScanner) span() string {
 	if !s.next('"') {
-		return nil, false
+		s.bad = true
+		return ""
 	}
-	for i := s.pos; i < len(s.data); i++ {
-		switch c := s.data[i]; {
-		case c == '"':
-			str := s.data[s.pos:i]
-			s.pos = i + 1
-			return str, true
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return nil, false
+	n := strings.IndexByte(s.data[s.pos:], '"')
+	if n < 0 {
+		s.bad = true
+		return ""
+	}
+	str := s.data[s.pos : s.pos+n]
+	s.pos += n + 1
+	return str
+}
+
+// text consumes a string, which must be unescaped, and returns a copy
+// of it.
+func (s *canonicalScanner) text() string {
+	str := s.span()
+	if !unescaped(str) {
+		s.bad = true
+		return ""
+	}
+	return strings.Clone(str)
+}
+
+// key consumes an object key, which must be unescaped, and the ':'
+// after it. The key is a substring of data.
+func (s *canonicalScanner) key() string {
+	k := s.span()
+	if !unescaped(k) || !s.next(':') {
+		s.bad = true
+	}
+	return k
+}
+
+// unescaped reports whether str, a string's contents up to its closing
+// quote, is printable ASCII with no backslash: text encoding/json
+// decodes to itself.
+func unescaped(str string) bool {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < 0x20 || c > 0x7e || c == '\\' {
+			return false
 		}
 	}
-	return nil, false
+	return true
 }
 
-func (s *canonicalScanner) str(dst *string) bool {
-	b, ok := s.raw()
-	*dst = string(b)
-	return ok
-}
-
-func (s *canonicalScanner) layer(jl *jsonLayer) bool {
+func (s *canonicalScanner) dataset(jd *jsonDataset) {
 	var seen uint8
-	return s.object(func(key []byte) bool {
-		switch string(key) {
-		case "type":
-			return once(&seen, 1) && s.str(&jl.Type)
-		case "features":
-			return once(&seen, 2) && list(s, &jl.Features, s.feature)
+	for i := 0; s.elem(i, '{', '}'); i++ {
+		switch k := s.key(); {
+		case k == "reference" && once(&seen, 1):
+			s.layer(&jd.Reference)
+		case k == "relevant" && once(&seen, 2):
+			jd.Relevant = s.layers()
+		case k == "nonSpatialAttrs" && once(&seen, 4):
+			jd.NonSpatialAttrs = s.texts()
+		default:
+			s.bad = true
 		}
-		return false
-	})
+	}
 }
 
-func (s *canonicalScanner) feature(jf *jsonFeature) bool {
+// layers, features and texts consume arrays. Like encoding/json, they
+// return a non-nil slice even for [].
+func (s *canonicalScanner) layers() []jsonLayer {
+	jls := []jsonLayer{}
+	for i := 0; s.elem(i, '[', ']'); i++ {
+		jls = append(jls, jsonLayer{})
+		s.layer(&jls[i])
+	}
+	return jls
+}
+
+// features fills the scanner's feats, which every features array
+// reuses, and returns a copy of exactly the array's length, so the
+// slice grows once per document, not once per layer.
+func (s *canonicalScanner) features() []jsonFeature {
+	jfs := s.feats[:0]
+	for i := 0; s.elem(i, '[', ']'); i++ {
+		jfs = append(jfs, jsonFeature{})
+		s.feature(&jfs[i])
+	}
+	s.feats = jfs
+	return append([]jsonFeature{}, jfs...)
+}
+
+func (s *canonicalScanner) texts() []string {
+	strs := []string{}
+	for i := 0; s.elem(i, '[', ']'); i++ {
+		strs = append(strs, s.text())
+	}
+	return strs
+}
+
+func (s *canonicalScanner) layer(jl *jsonLayer) {
 	var seen uint8
-	return s.object(func(key []byte) bool {
-		switch string(key) {
-		case "id":
-			return once(&seen, 1) && s.str(&jf.ID)
-		case "wkt":
-			return once(&seen, 2) && s.str(&jf.WKT)
-		case "attrs":
-			return once(&seen, 4) && s.attrs(&jf.Attrs)
+	for i := 0; s.elem(i, '{', '}'); i++ {
+		switch k := s.key(); {
+		case k == "type" && once(&seen, 1):
+			jl.Type = s.text()
+		case k == "features" && once(&seen, 2):
+			jl.Features = s.features()
+		default:
+			s.bad = true
 		}
-		return false
-	})
+	}
 }
 
-func (s *canonicalScanner) attrs(dst *map[string]Value) bool {
+func (s *canonicalScanner) feature(jf *jsonFeature) {
+	var seen uint8
+	for i := 0; s.elem(i, '{', '}'); i++ {
+		switch k := s.key(); {
+		case k == "id" && once(&seen, 1):
+			jf.ID = s.text()
+		case k == "wkt" && once(&seen, 2):
+			jf.WKT = s.span() // checked by unescapedWKT
+		case k == "attrs" && once(&seen, 4):
+			jf.Attrs = s.attrs()
+		default:
+			s.bad = true
+		}
+	}
+}
+
+func (s *canonicalScanner) attrs() map[string]Value {
 	m := map[string]Value{}
-	*dst = m
-	return s.object(func(name []byte) bool {
-		v, ok := s.scalar()
-		m[string(name)] = v
-		return ok
-	})
+	for i := 0; s.elem(i, '{', '}'); i++ {
+		name := strings.Clone(s.key())
+		m[name] = s.scalar()
+	}
+	return m
 }
 
 // scalar consumes an attrs value: a string, a number in strict JSON
 // grammar that ParseFloat accepts, true or false.
-func (s *canonicalScanner) scalar() (Value, bool) {
+func (s *canonicalScanner) scalar() Value {
 	s.space()
-	if s.pos == len(s.data) {
-		return nil, false
+	if s.pos < len(s.data) {
+		switch c := s.data[s.pos]; {
+		case c == '"':
+			return s.text()
+		case c == 't':
+			s.literal("true")
+			return true
+		case c == 'f':
+			s.literal("false")
+			return false
+		case c == '-' || ('0' <= c && c <= '9'):
+			return s.number()
+		}
 	}
-	switch c := s.data[s.pos]; {
-	case c == '"':
-		var str string
-		return str, s.str(&str)
-	case c == 't':
-		return true, s.literal("true")
-	case c == 'f':
-		return false, s.literal("false")
-	case c == '-' || ('0' <= c && c <= '9'):
-		return s.number()
-	}
-	return nil, false
+	s.bad = true
+	return nil
 }
 
-func (s *canonicalScanner) literal(lit string) bool {
-	if !bytes.HasPrefix(s.data[s.pos:], []byte(lit)) {
-		return false
+// literal consumes lit, which must come next.
+func (s *canonicalScanner) literal(lit string) {
+	if !strings.HasPrefix(s.data[s.pos:], lit) {
+		s.bad = true
+		return
 	}
 	s.pos += len(lit)
-	return true
 }
 
 // number consumes -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? and
 // converts it as encoding/json does for an interface value.
-func (s *canonicalScanner) number() (Value, bool) {
+func (s *canonicalScanner) number() Value {
 	start := s.pos
 	s.accept('-')
-	if !s.accept('0') && s.digits() == 0 {
-		return nil, false
+	ok := s.accept('0') || s.digits() > 0
+	if ok && s.accept('.') {
+		ok = s.digits() > 0
 	}
-	if s.accept('.') && s.digits() == 0 {
-		return nil, false
-	}
-	if s.accept('e') || s.accept('E') {
+	if ok && (s.accept('e') || s.accept('E')) {
 		if !s.accept('+') {
 			s.accept('-')
 		}
-		if s.digits() == 0 {
-			return nil, false
-		}
+		ok = s.digits() > 0
 	}
-	f, err := strconv.ParseFloat(string(s.data[start:s.pos]), 64)
-	return f, err == nil
+	f, err := strconv.ParseFloat(s.data[start:s.pos], 64)
+	if !ok || err != nil {
+		s.bad = true
+	}
+	return f
 }
 
 // digits consumes a run of decimal digits and returns its length.
@@ -785,24 +904,16 @@ func breaksLine(s string) bool {
 // row is a capacity-capped slice, so an append to one row's items can
 // never overwrite the next row's.
 func ReadTableCSV(r io.Reader) (*Table, error) {
-	size := 0
-	if sized, ok := r.(interface{ Len() int }); ok {
-		size = sized.Len()
-	}
-	return readTableCSV(r, size)
+	return readTableCSV(r, lenOf(r))
 }
 
 // LoadTableCSV reads a transaction table from a file.
 func LoadTableCSV(path string) (*Table, error) {
-	f, err := os.Open(path)
+	f, size, err := openBody(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
 	}
 	defer f.Close()
-	size := 0
-	if fi, err := f.Stat(); err == nil {
-		size = int(fi.Size())
-	}
 	t, err := readTableCSV(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: loading %s: %w", path, err)
@@ -814,10 +925,8 @@ func LoadTableCSV(path string) (*Table, error) {
 // parses it, on as many workers as the body has tableParseChunk-byte
 // chunks, up to GOMAXPROCS.
 func readTableCSV(r io.Reader, size int) (*Table, error) {
-	var body strings.Builder
-	body.Grow(size)
-	_, readErr := io.Copy(&body, r)
-	t, err := parseTableCSV(body.String(), par.Workers(0, body.Len()/tableParseChunk))
+	body, readErr := readBody(r, size)
+	t, err := parseTableCSV(body, par.Workers(0, len(body)/tableParseChunk))
 	if err != nil {
 		return nil, err
 	}

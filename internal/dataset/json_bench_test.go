@@ -45,8 +45,35 @@ func BenchmarkWriteJSON(b *testing.B) {
 	}
 }
 
+// cliColocateScene is the body the cli-colocate benchmark workload
+// decodes: the planted scene of seed 2007, six point types, 2,300
+// points.
+func cliColocateScene(b *testing.B) *dataset.Dataset {
+	b.Helper()
+	d, err := datagen.GenerateColocationScene(datagen.ColocationSceneConfig{
+		Seed:          2007,
+		Types:         []string{"atm", "busStop", "cafe", "kiosk", "pharmacy", "school"},
+		Extent:        60,
+		Clusters:      200,
+		ClusterSpread: 0.5,
+		Planted: [][]string{
+			{"atm", "busStop"}, {"busStop", "cafe", "kiosk"},
+			{"pharmacy", "school"}, {"cafe", "kiosk", "pharmacy"},
+		},
+		Noise: 300,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkReadJSON decodes the district scenes of benchScenes and the
+// point scene of cli-colocate.
 func BenchmarkReadJSON(b *testing.B) {
-	for name, d := range benchScenes(b) {
+	scenes := benchScenes(b)
+	scenes["colocate"] = cliColocateScene(b)
+	for name, d := range scenes {
 		b.Run(name, func(b *testing.B) {
 			var buf bytes.Buffer
 			if err := d.WriteJSON(&buf); err != nil {

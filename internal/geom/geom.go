@@ -112,6 +112,17 @@ func (p Point) DistanceTo(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
+// WithinDistance reports whether p and q lie within d of each other:
+// exactly Distance(p, q) <= d, for every finite d. Distance maps a
+// separation at or below Eps to 0, so the points are within a d >= 0
+// exactly when they measure at most max(d, Eps) apart, and never
+// within a negative or NaN d. It is the one point–point decision:
+// Prepared.WithinDistance's point loop and co-location's all-points
+// refine both make it.
+func (p Point) WithinDistance(q Point, d float64) bool {
+	return d >= 0 && p.DistanceTo(q) <= max(d, Eps)
+}
+
 // MultiPoint is a collection of points.
 type MultiPoint struct {
 	Points []Point

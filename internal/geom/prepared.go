@@ -536,7 +536,7 @@ func (pg *Prepared) within(o *Prepared, d float64, contained *int8) bool {
 			}
 		}
 		for _, q := range sb.InteriorPoints {
-			if p.DistanceTo(q) <= t {
+			if p.WithinDistance(q, d) {
 				return true
 			}
 		}

@@ -220,6 +220,32 @@ func TestPreparedDistanceMatchesDistance(t *testing.T) {
 	}
 }
 
+// TestPointWithinDistanceMatchesDistance requires the point–point
+// decision to answer Distance <= d, and what the prepared decision
+// answers, at every probe of pairs that coincide, lie within Eps or
+// just beyond it, sit on a half-integer lattice or lie far apart.
+func TestPointWithinDistanceMatchesDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pts := []Point{Pt(0, 0), Pt(5e-10, 0), Pt(1e-9, 0), Pt(0, 2e-9), Pt(3, 4), Pt(-1e6, 1e6)}
+	for i := 0; i < 20; i++ {
+		pts = append(pts, Pt(float64(rng.Intn(12))/2, float64(rng.Intn(12))/2))
+	}
+	for _, p := range pts {
+		for _, q := range pts {
+			D, pp, pq := Distance(p, q), Prepare(p), Prepare(q)
+			for _, d := range withinDistanceProbes(D, 1.5) {
+				got := p.WithinDistance(q, d)
+				if want := D <= d; got != want {
+					t.Fatalf("%v.WithinDistance(%v, %v) = %v, Distance = %v", p, q, d, got, D)
+				}
+				if prep := pp.WithinDistance(pq, d); got != prep {
+					t.Fatalf("%v.WithinDistance(%v, %v) = %v, prepared reads %v", p, q, d, got, prep)
+				}
+			}
+		}
+	}
+}
+
 // withinDistanceProbes are the thresholds a WithinDistance decision is
 // checked at for a pair at distance D: D and its float neighbours, the
 // Eps boundary below which Distance reads 0 and its neighbours, both

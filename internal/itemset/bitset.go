@@ -8,9 +8,6 @@ type bitset []uint64
 // set marks row i.
 func (b bitset) set(i int) { b[i/64] |= 1 << (i % 64) }
 
-// get reports whether row i is marked.
-func (b bitset) get(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
 // count returns the number of set bits.
 func (b bitset) count() int {
 	n := 0

@@ -324,8 +324,9 @@ func TestBitset(t *testing.T) {
 	b.set(0)
 	b.set(63)
 	b.set(64)
-	if !b.get(0) || !b.get(63) || !b.get(64) || b.get(1) {
-		t.Error("set/get wrong")
+	bit := func(i int) uint64 { return b[i/64] >> (i % 64) & 1 }
+	if bit(0) != 1 || bit(63) != 1 || bit(64) != 1 || bit(1) != 0 {
+		t.Errorf("set wrote %#x", []uint64(b))
 	}
 	if b.count() != 3 {
 		t.Errorf("count = %d", b.count())
