@@ -90,8 +90,8 @@ type DeleteResponse struct {
 // MineRequest is the body of POST /v1/mine and POST /v1/jobs: which
 // stored dataset to mine and the full pipeline configuration. Config is
 // core.Config's JSON form — algorithm, minSupport, dependencies,
-// parallelism, postFilter, rules, and (for scenes) the extraction
-// options.
+// postFilter, rules, and (for scenes) the extraction options. It names
+// no pool width: every pool is GOMAXPROCS wide.
 type MineRequest struct {
 	// Dataset is the digest returned by a dataset upload.
 	Dataset string `json:"dataset"`
@@ -113,7 +113,7 @@ type MineRequest struct {
 // ColocateRequest is the body of POST /v1/colocate and POST
 // /v1/colocate/jobs: which stored scene to mine and the co-location
 // configuration (neighborhood distance, minimum participation index,
-// optional size cap, worker fan-out, and top-k truncation). The config
+// optional size cap, and top-k truncation). The config
 // decodes strictly: an unknown field is a 400 bad_request naming it.
 // "topK" > 0 keeps only the k highest-PI prevalent patterns (ties
 // broken by smaller size, then name order).

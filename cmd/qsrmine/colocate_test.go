@@ -3,16 +3,21 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // TestRunColocateSample: -colocate on the sample scene prints the
-// co-location report, and the result is independent of -parallelism.
+// co-location report, and the result is independent of GOMAXPROCS, the
+// width of the co-location pools.
 func TestRunColocateSample(t *testing.T) {
+	args := []string{"-sample", "-colocate", "-dist", "3", "-minpi", "0.2"}
 	var base bytes.Buffer
 	var stderr bytes.Buffer
-	if err := run([]string{"-sample", "-colocate", "-dist", "3", "-minpi", "0.2"}, &base, &stderr); err != nil {
+	var err error
+	withProcs(1, func() { err = run(args, &base, &stderr) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := base.String()
@@ -25,15 +30,23 @@ func TestRunColocateSample(t *testing.T) {
 		t.Error("-colocate must not run transaction mining")
 	}
 
-	// Same flags at -parallelism 4: identical patterns (the timing line
+	// Same flags at GOMAXPROCS 4: identical patterns (the timing line
 	// differs, so compare everything after it).
 	var par bytes.Buffer
-	if err := run([]string{"-sample", "-colocate", "-dist", "3", "-minpi", "0.2", "-parallelism", "4"}, &par, &stderr); err != nil {
+	withProcs(4, func() { err = run(args, &par, &stderr) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if basePat, parPat := afterTimingLine(out), afterTimingLine(par.String()); basePat != parPat {
-		t.Errorf("patterns differ across parallelism:\n--- par=default\n%s\n--- par=4\n%s", basePat, parPat)
+		t.Errorf("patterns differ across GOMAXPROCS:\n--- procs=1\n%s\n--- procs=4\n%s", basePat, parPat)
 	}
+}
+
+// withProcs runs fn with GOMAXPROCS set to procs, the width of every
+// pool a run starts.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }
 
 // TestRunColocateTopK: -coloc-topk truncates the report to k patterns.

@@ -8,7 +8,6 @@
 //	qsrmine -data city.json -minsup 0.1 -alg apriori -rules -minconf 0.7
 //	qsrmine -table transactions.csv -minsup 0.05
 //	qsrmine -data city.json -deps "contains_street:contains_illuminationPoint,..."
-//	qsrmine -data city.json -alg eclat -parallelism 8   # shard the mining fan-out
 //	qsrmine -data city.json -mutate edits.json          # apply edits, re-extract incrementally
 //	qsrmine -data city.json -colocate -dist 2 -minpi 0.4   # co-location mining (participation index)
 //	qsrmine -sample -trace                  # per-stage wall time + per-pass counts
@@ -66,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trace     = fs.Bool("trace", false, "stream per-stage wall time and per-pass counts to stderr")
 		jsonMet   = fs.Bool("json-metrics", false, "print stage/pass/counter metrics as JSON after the results")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-		parallel  = fs.Int("parallelism", 0, "mining worker fan-out for all engines (apriori counting pool, eclat walk, co-location candidate expansion): 1 = sequential, 0 = GOMAXPROCS")
 		colocate  = fs.Bool("colocate", false, "mine spatial co-location patterns (prevalent feature-type sets under -dist, measured by the participation index) instead of transaction itemsets")
 		dist      = fs.Float64("dist", 1.0, "co-location neighborhood distance threshold (-colocate)")
 		minPI     = fs.Float64("minpi", 0.3, "minimum participation index in (0, 1] (-colocate)")
@@ -103,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		GenerateRules: *rules,
 		MinConfidence: *minconf,
 		PostFilter:    postFilter,
-		Parallelism:   *parallel,
 	}
 
 	ctx := context.Background()
@@ -145,11 +142,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return fmt.Errorf("-colocate and -mutate are mutually exclusive")
 			}
 			ccfg := qsrmine.ColocationConfig{
-				Distance:    *dist,
-				MinPI:       *minPI,
-				MaxSize:     *colocMax,
-				Parallelism: *parallel,
-				TopK:        *colocTopK,
+				Distance: *dist,
+				MinPI:    *minPI,
+				MaxSize:  *colocMax,
+				TopK:     *colocTopK,
 			}
 			if err := runColocate(ctx, stdout, stderr, ds, ccfg, *format, *maxShow, *trace, collector, tr); err != nil {
 				return err

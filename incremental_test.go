@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	qsrmine "repro"
@@ -16,9 +17,9 @@ import (
 // patched tables gives exactly the result of rebuilding and mining the
 // mutated scene from scratch. Exercised across extraction families
 // (topological; topological+distance; directional, whose predicates
-// have no local dirty region and force full refits) and at mining
-// parallelism 1 and 4, so the race detector sees both the sequential
-// and the sharded paths.
+// have no local dirty region and force full refits), at extraction
+// Parallelism and GOMAXPROCS (the mining width) both 1 and both 4, so
+// the race detector sees both the sequential and the sharded paths.
 
 func TestIncrementalPipelineMatchesFromScratchSequential(t *testing.T) {
 	runIncrementalProperty(t, 1, 101)
@@ -38,16 +39,16 @@ func runIncrementalProperty(t *testing.T, parallelism int, seed int64) {
 		opts := opts
 		opts.Parallelism = parallelism
 		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallelism))
 			rng := rand.New(rand.NewSource(seed))
 			d, err := datagen.GenerateScene(datagen.DefaultScene(6, 5, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := qsrmine.Config{
-				Algorithm:   qsrmine.EclatKCPlus,
-				MinSupport:  0.25,
-				Extraction:  opts,
-				Parallelism: parallelism,
+				Algorithm:  qsrmine.EclatKCPlus,
+				MinSupport: 0.25,
+				Extraction: opts,
 			}
 			st, err := qsrmine.NewExtractState(d, opts)
 			if err != nil {

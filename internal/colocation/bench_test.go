@@ -7,7 +7,7 @@ import (
 	"repro/internal/datagen"
 )
 
-// BenchmarkMine times Mine at Parallelism 0 (GOMAXPROCS workers),
+// BenchmarkMine times Mine on pools GOMAXPROCS wide (set by -cpu), at
 // Distance 1 and MinPI 0.2 on two planted scenes: the cli-colocate
 // scene (six types, 2,300 points, fifteen type pairs) and a two-type
 // scene of 4,600 points, whose neighbour search is one type pair.

@@ -15,8 +15,8 @@
 //
 // The engine materializes the neighbor relation once per ordered type
 // pair into a flat CSR layout (one offsets array plus one ids array):
-// each unordered type pair is one unit of a Config.Parallelism worker
-// pool, which joins the two types' index.Layers in one R-tree-vs-R-tree
+// each unordered type pair is one unit of a worker pool GOMAXPROCS
+// wide, which joins the two types' index.Layers in one R-tree-vs-R-tree
 // traversal and refines the candidates exactly: by the point–point
 // decision when every instance is a point, on prepared geometry
 // otherwise. It then
@@ -55,11 +55,6 @@ type Config struct {
 	MinPI float64 `json:"minPI"`
 	// MaxSize caps the largest pattern size mined (0 = unlimited).
 	MaxSize int `json:"maxSize,omitempty"`
-	// Parallelism shards the neighbor-graph materialization and the
-	// candidate expansion: 1 = sequential, 0 = GOMAXPROCS, and each
-	// pool is capped at its work (types, type pairs or candidates).
-	// Output is byte-identical at any worker count.
-	Parallelism int `json:"parallelism,omitempty"`
 	// TopK, when positive, keeps only the k highest-PI prevalent
 	// patterns (ties broken by smaller size, then lexicographic type
 	// names; equal patterns cannot tie). 0 reports every prevalent
@@ -77,9 +72,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxSize < 0 {
 		return fmt.Errorf("colocation: maxSize must be >= 0 (got %d)", c.MaxSize)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("colocation: parallelism must be >= 0 (got %d)", c.Parallelism)
 	}
 	if c.TopK < 0 {
 		return fmt.Errorf("colocation: topK must be >= 0 (got %d)", c.TopK)
@@ -158,7 +150,7 @@ func MineContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result,
 	}
 
 	sp := tr.Stage("colocate.neighbors")
-	graph, nc, err := materializeNeighbors(ctx, types, cfg.Distance, cfg.Parallelism)
+	graph, nc, err := materializeNeighbors(ctx, types, cfg.Distance)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -307,11 +299,10 @@ type neighborCounts struct {
 // is the filter stage, the exact decision Distance <= dist refines each
 // candidate (Point.WithinDistance on points, Prepared.WithinDistance
 // otherwise), the refined pairs fill the forward CSR and a counting
-// transpose the reverse one. Both phases run on a par pool of
-// parallelism workers, which stops between units once ctx is done; a
-// unit writes only its own pair's slots, so the graph is identical at
-// any worker count.
-func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, parallelism int) (*neighborGraph, neighborCounts, error) {
+// transpose the reverse one. Both phases run on a par pool GOMAXPROCS
+// wide, which stops between units once ctx is done; a unit writes only
+// its own pair's slots, so the graph is identical at any worker count.
+func materializeNeighbors(ctx context.Context, types []typeSet, dist float64) (*neighborGraph, neighborCounts, error) {
 	n := len(types)
 	graph := &neighborGraph{n: n, pairs: make([]csrPair, n*n)}
 	var nc neighborCounts
@@ -324,7 +315,7 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 	// depend on the side taken.
 	pts := pointsOf(types)
 	layers := make([]*index.Layer, n)
-	if err := par.For(ctx, n, par.Workers(parallelism, n), func(_, i int) {
+	if err := par.For(ctx, n, par.Workers(0, n), func(_, i int) {
 		if pts != nil {
 			p := pts[i]
 			layers[i] = index.NewLayer(len(p), func(j int) geom.Envelope { return p[j].Envelope() }, nil, false)
@@ -350,10 +341,10 @@ func materializeNeighbors(ctx context.Context, types []typeSet, dist float64, pa
 	}
 	candidates := make([]int64, len(units))
 	refined := make([]int64, len(units))
-	nc.workers = par.Workers(parallelism, len(units))
+	nc.workers = par.Workers(0, len(units))
 	// With fewer type pairs than the pool is wide (one pair for two
 	// types), each join takes the workers the units leave idle.
-	joinWorkers := max(1, par.Workers(parallelism, math.MaxInt)/len(units))
+	joinWorkers := max(1, par.Workers(0, math.MaxInt)/len(units))
 	if err := par.For(ctx, len(units), nc.workers, func(_, u int) {
 		i, j := units[u].i, units[u].j
 		pairs, err := layers[i].Join(ctx, layers[j], dist, joinWorkers, nil)
@@ -504,7 +495,7 @@ func prevalenceWalk(ctx context.Context, tr *obs.Trace, types []typeSet, g *neig
 		}
 
 		expanded := make([]candidateSet, len(candidates))
-		workers := par.Workers(cfg.Parallelism, len(candidates))
+		workers := par.Workers(0, len(candidates))
 		if k == 2 {
 			tr.Add("coloc.workers", int64(workers))
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/colocation"
@@ -31,6 +33,14 @@ func mustMine(t *testing.T, ds *dataset.Dataset, cfg colocation.Config) *colocat
 		t.Fatalf("Mine: %v", err)
 	}
 	return res
+}
+
+// mustMineAt is mustMine with GOMAXPROCS set to procs, the width of
+// every pool Mine starts.
+func mustMineAt(t *testing.T, procs int, ds *dataset.Dataset, cfg colocation.Config) *colocation.Result {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return mustMine(t, ds, cfg)
 }
 
 // TestKnownScene pins the engine on a scene small enough to verify by
@@ -173,17 +183,18 @@ func TestMaxSizeCapsWalk(t *testing.T) {
 // TestParallelismByteIdentical: the full result is identical at any
 // worker count, including counters, the StarPruned diagnostic, and
 // pattern order. Beyond the lattice scene, generated scenes × distances
-// × minPI compare Parallelism 4 against 1. Run under -race in CI, this
+// × minPI compare GOMAXPROCS 4 against 1. Run under -race in CI, this
 // also exercises the parallel CSR materialization and the sharded walk
 // for data races.
 func TestParallelismByteIdentical(t *testing.T) {
 	ds := gridScene()
-	base := mustMine(t, ds, colocation.Config{Distance: 1.5, MinPI: 0.2, Parallelism: 1})
-	for _, par := range []int{0, 2, 4, 9} {
-		got := mustMine(t, ds, colocation.Config{Distance: 1.5, MinPI: 0.2, Parallelism: par})
+	cfg := colocation.Config{Distance: 1.5, MinPI: 0.2}
+	base := mustMineAt(t, 1, ds, cfg)
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 2, 4, 9} {
+		got := mustMineAt(t, procs, ds, cfg)
 		got.Duration = base.Duration
 		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("parallelism %d diverged:\n got %+v\nwant %+v", par, got, base)
+			t.Fatalf("GOMAXPROCS %d diverged:\n got %+v\nwant %+v", procs, got, base)
 		}
 	}
 
@@ -211,10 +222,9 @@ func TestParallelismByteIdentical(t *testing.T) {
 		for _, dist := range []float64{1, 4} {
 			for _, minPI := range []float64{0.2, 0.5} {
 				t.Run(fmt.Sprintf("%s/dist=%v/minpi=%v", sc.name, dist, minPI), func(t *testing.T) {
-					cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: 1}
-					want := mustMine(t, ds, cfg)
-					cfg.Parallelism = 4
-					got := mustMine(t, ds, cfg)
+					cfg := colocation.Config{Distance: dist, MinPI: minPI}
+					want := mustMineAt(t, 1, ds, cfg)
+					got := mustMineAt(t, 4, ds, cfg)
 					got.Duration = want.Duration
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("par=4 diverged from par=1:\n got %+v\nwant %+v", got, want)
@@ -315,7 +325,6 @@ func TestConfigValidate(t *testing.T) {
 		{Distance: 1, MinPI: 1.01},
 		{Distance: 1, MinPI: math.NaN()},
 		{Distance: 1, MinPI: 0.5, MaxSize: -1},
-		{Distance: 1, MinPI: 0.5, Parallelism: -2},
 		{Distance: 1, MinPI: 0.5, TopK: -1},
 	}
 	for _, cfg := range bad {
@@ -335,12 +344,17 @@ func TestConfigValidate(t *testing.T) {
 
 // TestParseConfig: strictness of the wire decoder.
 func TestParseConfig(t *testing.T) {
-	cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"parallelism":2,"topK":5}`))
+	cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"topK":5}`))
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	if cfg.Distance != 2 || cfg.MinPI != 0.4 || cfg.MaxSize != 3 || cfg.Parallelism != 2 || cfg.TopK != 5 {
+	if cfg.Distance != 2 || cfg.MinPI != 0.4 || cfg.MaxSize != 3 || cfg.TopK != 5 {
 		t.Fatalf("cfg = %+v", cfg)
+	}
+	// The pool width is not a config member: every pool is GOMAXPROCS
+	// wide, and a config that names a width is refused by name.
+	if _, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"parallelism":2}`)); err == nil || !strings.Contains(err.Error(), `"parallelism"`) {
+		t.Errorf("ParseConfig with parallelism: err = %v, want an unknown field naming it", err)
 	}
 	for _, bad := range []string{
 		``,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 
 // TestColocationMatchesBruteForceOnGeneratedScenes is the property test
 // mirroring TestEnginesEquivalentOnGeneratedScenes: across generated
-// planted scenes × distances × minPI × Parallelism ∈ {1, 4}, the
+// planted scenes × distances × minPI × GOMAXPROCS ∈ {1, 4}, the
 // R-tree + participation-index engine must report exactly
 // the oracle's prevalent patterns — same sets, same PI floats, same row
 // counts, same order — unrestricted, capped at MaxSize 2, and cut to
@@ -49,7 +50,7 @@ func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
 				}
 				for _, par := range []int{1, 4} {
 					for _, v := range variants {
-						cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: par}
+						cfg := colocation.Config{Distance: dist, MinPI: minPI}
 						v.adjust(&cfg)
 						want := v.expect(full.Prevalent)
 						t.Run(fmt.Sprintf("%s/dist=%v/minpi=%v/par=%d/%s", sc.name, dist, minPI, par, v.name), func(t *testing.T) {
@@ -60,10 +61,7 @@ func TestColocationMatchesBruteForceOnGeneratedScenes(t *testing.T) {
 							if !reflect.DeepEqual(oracle.Prevalent, want) {
 								t.Fatalf("oracle != reference:\n got %+v\nwant %+v", oracle.Prevalent, want)
 							}
-							got, err := colocation.Mine(ds, cfg)
-							if err != nil {
-								t.Fatalf("Mine: %v", err)
-							}
+							got := mustMineAt(t, par, ds, cfg)
 							if !reflect.DeepEqual(got.Prevalent, want) {
 								t.Fatalf("engine != oracle:\n got %+v\nwant %+v", got.Prevalent, want)
 							}
@@ -124,7 +122,7 @@ func plantedScenes(t *testing.T) []oracleScene {
 
 // TestColocationInvariantUnderPermutation is a metamorphic property of
 // Mine: on the planted scenes, at each of their distances, at MinPI 0.2
-// and 0.5 and at Parallelism 1 and 4, shuffling the features within
+// and 0.5 and at GOMAXPROCS 1 and 4, shuffling the features within
 // every layer and the order of the layers (the first becomes the
 // reference) leaves the prevalent patterns (types, PI bits, row counts),
 // CandidatePairs and RefinedPairs as they were. The neighbour join
@@ -140,10 +138,10 @@ func TestColocationInvariantUnderPermutation(t *testing.T) {
 		for _, dist := range sc.dists {
 			for _, minPI := range []float64{0.2, 0.5} {
 				for _, par := range []int{1, 4} {
-					cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: par}
-					want := mustMine(t, sc.ds, cfg)
+					cfg := colocation.Config{Distance: dist, MinPI: minPI}
+					want := mustMineAt(t, par, sc.ds, cfg)
 					for i, ds := range shuffled {
-						got := mustMine(t, ds, cfg)
+						got := mustMineAt(t, par, ds, cfg)
 						if got.CandidatePairs != want.CandidatePairs || got.RefinedPairs != want.RefinedPairs ||
 							!samePatterns(got.Prevalent, want.Prevalent) {
 							t.Fatalf("%s/dist=%v/minpi=%v/par=%d: permutation %d moved the result:\n got %d/%d %+v\nwant %d/%d %+v",
@@ -163,11 +161,12 @@ func TestColocationInvariantUnderPermutation(t *testing.T) {
 // square far from every point, which sends every type to prepared
 // geometry. The square neighbours nothing, so the prevalent patterns
 // (types, PI bits, row counts), CandidatePairs and RefinedPairs must
-// agree, at each distance, MinPI 0.2 and 0.5, and Parallelism 1 and 4;
+// agree, at each distance, MinPI 0.2 and 0.5, and GOMAXPROCS 1 and 4;
 // coloc.prepared shows which side each mine took.
 func TestPointSideMatchesPreparedSide(t *testing.T) {
-	mine := func(ds *dataset.Dataset, cfg colocation.Config) (*colocation.Result, int64) {
+	mine := func(procs int, ds *dataset.Dataset, cfg colocation.Config) (*colocation.Result, int64) {
 		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		tr := obs.New(nil)
 		res, err := colocation.MineContext(obs.WithTrace(context.Background(), tr), ds, cfg)
 		if err != nil {
@@ -182,9 +181,9 @@ func TestPointSideMatchesPreparedSide(t *testing.T) {
 		for _, dist := range sc.dists {
 			for _, minPI := range []float64{0.2, 0.5} {
 				for _, par := range []int{1, 4} {
-					cfg := colocation.Config{Distance: dist, MinPI: minPI, Parallelism: par}
-					points, pointsPrepared := mine(sc.ds, cfg)
-					prepared, preparedPrepared := mine(mixed, cfg)
+					cfg := colocation.Config{Distance: dist, MinPI: minPI}
+					points, pointsPrepared := mine(par, sc.ds, cfg)
+					prepared, preparedPrepared := mine(par, mixed, cfg)
 					name := fmt.Sprintf("%s/dist=%v/minpi=%v/par=%d", sc.name, dist, minPI, par)
 					if pointsPrepared != 0 || preparedPrepared != int64(prepared.Instances) {
 						t.Fatalf("%s: coloc.prepared = %d and %d, want 0 and %d", name, pointsPrepared, preparedPrepared, prepared.Instances)
@@ -206,7 +205,7 @@ func TestPointSideMatchesPreparedSide(t *testing.T) {
 // two (2, 1/2 and 4, exact in floating point) leaves the prevalent
 // patterns (types, PI bits, row counts) as they were. It runs on the
 // planted scenes at their distances and on a default 12×12 polygon
-// scene at distances 0, 1 and 5, at MinPI 0.2 and Parallelism 1 and 4.
+// scene at distances 0, 1 and 5, at MinPI 0.2 and GOMAXPROCS 1 and 4.
 func TestColocationInvariantUnderScaling(t *testing.T) {
 	polygons, err := datagen.GenerateScene(datagen.DefaultScene(12, 12, 5))
 	if err != nil {
@@ -217,13 +216,13 @@ func TestColocationInvariantUnderScaling(t *testing.T) {
 		prevalent := 0
 		for _, dist := range sc.dists {
 			for _, par := range []int{1, 4} {
-				cfg := colocation.Config{Distance: dist, MinPI: 0.2, Parallelism: par}
-				want := mustMine(t, sc.ds, cfg)
+				cfg := colocation.Config{Distance: dist, MinPI: 0.2}
+				want := mustMineAt(t, par, sc.ds, cfg)
 				prevalent += len(want.Prevalent)
 				for _, k := range []float64{2, 0.5, 4} {
 					scaled := cfg
 					scaled.Distance = k * dist
-					if got := mustMine(t, scaledScene(sc.ds, k), scaled); !samePatterns(got.Prevalent, want.Prevalent) {
+					if got := mustMineAt(t, par, scaledScene(sc.ds, k), scaled); !samePatterns(got.Prevalent, want.Prevalent) {
 						t.Fatalf("%s/dist=%v/par=%d: scaled by %v, the prevalent patterns moved:\n got %+v\nwant %+v",
 							sc.name, dist, par, k, got.Prevalent, want.Prevalent)
 					}

@@ -99,7 +99,7 @@ func fuzzScene(data []byte) (*dataset.Dataset, colocation.Config, bool) {
 }
 
 // FuzzColocationBruteForce is the engine-vs-oracle differential over
-// tiny decoded scenes (see fuzzScene): Mine at Parallelism 1 and 4 must
+// tiny decoded scenes (see fuzzScene): Mine at GOMAXPROCS 1 and 4 must
 // report exactly MineBruteForce's prevalent patterns, types and
 // instance count. The seeds are the Eps-band scenes of
 // TestColocationMatchesBruteForceOnGeneratedScenes on the 2^-30 grid
@@ -124,15 +124,11 @@ func FuzzColocationBruteForce(f *testing.F) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		for _, par := range []int{1, 4} {
-			cfg.Parallelism = par
-			got, err := colocation.Mine(ds, cfg)
-			if err != nil {
-				t.Fatalf("Mine at parallelism %d: %v", par, err)
-			}
+		for _, procs := range []int{1, 4} {
+			got := mustMineAt(t, procs, ds, cfg)
 			if !reflect.DeepEqual(got.Prevalent, want.Prevalent) || !reflect.DeepEqual(got.Types, want.Types) || got.Instances != want.Instances {
-				t.Fatalf("parallelism %d, distance %v, minPI %v: engine != oracle:\n got %v %d %+v\nwant %v %d %+v",
-					par, cfg.Distance, cfg.MinPI, got.Types, got.Instances, got.Prevalent, want.Types, want.Instances, want.Prevalent)
+				t.Fatalf("GOMAXPROCS %d, distance %v, minPI %v: engine != oracle:\n got %v %d %+v\nwant %v %d %+v",
+					procs, cfg.Distance, cfg.MinPI, got.Types, got.Instances, got.Prevalent, want.Types, want.Instances, want.Prevalent)
 			}
 		}
 	})

@@ -17,8 +17,8 @@ import (
 // the full-size planted scene of the cli-colocate workload at seeds 2007
 // and 3, and the 20×20 DefaultScene of serve-mix's first client at the
 // same two seeds (DefaultScene seeds 32113 and 49), each read back from
-// its JSON as the benchmark reads it. At Distance 1 and MinPI 0.2, on one
-// worker and on four, the digest of the prevalent patterns and the
+// its JSON as the benchmark reads it. At Distance 1 and MinPI 0.2, at
+// GOMAXPROCS 1 and 4, the digest of the prevalent patterns and the
 // filter, refine and instance counts must not move. The values were
 // recorded before the neighbour search moved onto index.Layer.
 func TestColocationGoldenAtScale(t *testing.T) {
@@ -60,10 +60,7 @@ func TestColocationGoldenAtScale(t *testing.T) {
 	for _, in := range inputs {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/par=%d", in.name, par), func(t *testing.T) {
-				res, err := colocation.Mine(in.d, colocation.Config{Distance: 1, MinPI: 0.2, Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := mustMineAt(t, par, in.d, colocation.Config{Distance: 1, MinPI: 0.2})
 				prevalent, err := json.Marshal(res.Prevalent)
 				if err != nil {
 					t.Fatal(err)

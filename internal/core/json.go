@@ -25,7 +25,6 @@ type jsonConfig struct {
 	Algorithm     Algorithm       `json:"algorithm"`
 	MinSupport    float64         `json:"minSupport"`
 	Dependencies  []jsonPair      `json:"dependencies,omitempty"`
-	Parallelism   int             `json:"parallelism,omitempty"`
 	MinConfidence float64         `json:"minConfidence,omitempty"`
 	GenerateRules bool            `json:"generateRules,omitempty"`
 	PostFilter    PostFilter      `json:"postFilter,omitempty"`
@@ -38,7 +37,9 @@ type jsonPair struct {
 	B string `json:"b"`
 }
 
-// jsonExtraction is the wire form of transact.Options.
+// jsonExtraction is the wire form of transact.Options, less its two
+// Go-only fields: NoPrepare, and the pool width, so a request's pools
+// are GOMAXPROCS wide.
 type jsonExtraction struct {
 	Topological     bool                 `json:"topological,omitempty"`
 	IncludeDisjoint bool                 `json:"includeDisjoint,omitempty"`
@@ -50,7 +51,6 @@ type jsonExtraction struct {
 	Granularity     transact.Granularity `json:"granularity,omitempty"`
 	Index           transact.IndexKind   `json:"index,omitempty"`
 	Discretizer     *jsonDiscretizer     `json:"discretizer,omitempty"`
-	Parallelism     int                  `json:"parallelism,omitempty"`
 }
 
 // jsonThresholds spells qsr.DistanceThresholds.
@@ -76,7 +76,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 	jc := jsonConfig{
 		Algorithm:     c.Algorithm,
 		MinSupport:    c.MinSupport,
-		Parallelism:   c.Parallelism,
 		MinConfidence: c.MinConfidence,
 		GenerateRules: c.GenerateRules,
 		PostFilter:    c.PostFilter,
@@ -106,7 +105,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	out := Config{
 		Algorithm:     jc.Algorithm,
 		MinSupport:    jc.MinSupport,
-		Parallelism:   jc.Parallelism,
 		MinConfidence: jc.MinConfidence,
 		GenerateRules: jc.GenerateRules,
 		PostFilter:    jc.PostFilter,
@@ -139,7 +137,6 @@ func extractionToJSON(o transact.Options) (*jsonExtraction, error) {
 		IncludeIsA:      o.IncludeIsA,
 		Granularity:     o.Granularity,
 		Index:           o.Index,
-		Parallelism:     o.Parallelism,
 	}
 	if o.Thresholds != (qsr.DistanceThresholds{}) {
 		je.Thresholds = &jsonThresholds{VeryCloseMax: o.Thresholds.VeryCloseMax, CloseMax: o.Thresholds.CloseMax}
@@ -165,7 +162,6 @@ func extractionFromJSON(je *jsonExtraction) (transact.Options, error) {
 		IncludeIsA:      je.IncludeIsA,
 		Granularity:     je.Granularity,
 		Index:           je.Index,
-		Parallelism:     je.Parallelism,
 	}
 	if je.Thresholds != nil {
 		o.Thresholds = qsr.DistanceThresholds{VeryCloseMax: je.Thresholds.VeryCloseMax, CloseMax: je.Thresholds.CloseMax}

@@ -36,12 +36,10 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 				Granularity:     transact.InstanceLevel,
 				Index:           transact.NoIndex,
 				Discretizer:     transact.EqualWidth{Bins: 4},
-				Parallelism:     3,
 			},
 			Algorithm:     AlgAprioriKC,
 			MinSupport:    0.07,
 			Dependencies:  []mining.Pair{{A: "contains_street", B: "contains_illuminationPoint"}, {A: "x", B: "y"}},
-			Parallelism:   8,
 			MinConfidence: 0.9,
 			GenerateRules: true,
 			PostFilter:    MaximalFilter,

@@ -80,11 +80,6 @@ type Config struct {
 	MinSupport float64
 	// Dependencies is the background knowledge Φ (used by KC and KC+).
 	Dependencies []mining.Pair
-	// Parallelism bounds the mining fan-out (vertical counting workers,
-	// Eclat walk workers): 1 or negative is sequential, 0 uses
-	// GOMAXPROCS, and no pool grows past its work. Results are
-	// identical at any setting.
-	Parallelism int
 	// MinConfidence is the least confidence a generated rule must
 	// reach. It is read only when GenerateRules is set: GenerateRules
 	// alone decides whether the rules stage runs, whatever
@@ -192,7 +187,6 @@ func EffectiveMiningConfig(cfg Config) (mining.Config, error) {
 	mcfg := mining.Config{
 		MinSupport:   cfg.MinSupport,
 		Dependencies: cfg.Dependencies,
-		Parallelism:  cfg.Parallelism,
 	}
 	switch cfg.Algorithm {
 	case AlgApriori:

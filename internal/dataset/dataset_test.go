@@ -274,8 +274,17 @@ func TestReadJSONErrors(t *testing.T) {
 	}
 }
 
+// nullListScenes are scenes WriteJSON writes with a null list: Porto
+// Alegre plus a layer of no features ("features": null), and its
+// reference layer alone ("relevant": null).
+func nullListScenes() []*Dataset {
+	withEmpty := PortoAlegreScene()
+	withEmpty.Relevant = append(withEmpty.Relevant, NewLayer("emptyLayer"))
+	return []*Dataset{withEmpty, {Reference: PortoAlegreScene().Reference}}
+}
+
 func TestDecodeCanonicalTakesWriteJSONOutput(t *testing.T) {
-	for _, d := range []*Dataset{PortoAlegreScene(), Table2ReconstructionScene()} {
+	for _, d := range append([]*Dataset{PortoAlegreScene(), Table2ReconstructionScene()}, nullListScenes()...) {
 		var buf bytes.Buffer
 		if err := d.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

@@ -27,7 +27,6 @@ var canonicalFallbacks = map[string]string{
 	"duplicate id":      `{"reference":{"features":[{"id":"a","id":"b","wkt":"POINT (1 1)"}]}}`,
 	"case-variant key":  `{"Reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)"}]}}`,
 	"unknown key":       `{"reference":{"type":"d","features":[]},"extra":1}`,
-	"null features":     `{"reference":{"type":"d","features":null},"relevant":null}`,
 	"null attr":         `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)","attrs":{"a":null}}]}}`,
 	"nested attr":       `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)","attrs":{"a":{"b":[1]}}}]}}`,
 	"out-of-range":      `{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT (1 1)","attrs":{"a":1e400}}]}}`,
@@ -67,6 +66,14 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add([]byte(`{"reference":{"features":[{"wkt":"POLYGON((0 0, 1 0, 1 1, 0 0))"}]}}`))
 	f.Add([]byte(`{"reference":{"type":"d","features":[{"id":"x","wkt":"POINT(NaN Inf)"}]}}`))
 	f.Add([]byte(`{"relevant":[],"nonSpatialAttrs":[],"reference":{"features":[{"attrs":{"n":-0.5e+3,"t":true,"f":false,"s":"v","n":1}}]}}`))
+	f.Add([]byte(`{"reference":{"type":"d","features":null},"relevant":null}`))
+	for _, d := range nullListScenes() {
+		buf.Reset()
+		if err := d.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
+	}
 	f.Add([]byte(`[`))
 	f.Add([]byte("\x00\xff"))
 	for _, in := range canonicalFallbacks {

@@ -680,8 +680,12 @@ func (s *canonicalScanner) dataset(jd *jsonDataset) {
 }
 
 // layers, features and texts consume arrays. Like encoding/json, they
-// return a non-nil slice even for [].
+// return a non-nil slice even for [], and layers and features return
+// nil for the null WriteJSON writes for an empty list.
 func (s *canonicalScanner) layers() []jsonLayer {
+	if s.null() {
+		return nil
+	}
 	jls := []jsonLayer{}
 	for i := 0; s.elem(i, '[', ']'); i++ {
 		jls = append(jls, jsonLayer{})
@@ -694,6 +698,9 @@ func (s *canonicalScanner) layers() []jsonLayer {
 // reuses, and returns a copy of exactly the array's length, so the
 // slice grows once per document, not once per layer.
 func (s *canonicalScanner) features() []jsonFeature {
+	if s.null() {
+		return nil
+	}
 	jfs := s.feats[:0]
 	for i := 0; s.elem(i, '[', ']'); i++ {
 		jfs = append(jfs, jsonFeature{})
@@ -770,6 +777,16 @@ func (s *canonicalScanner) scalar() Value {
 	}
 	s.bad = true
 	return nil
+}
+
+// null consumes a null if it comes next.
+func (s *canonicalScanner) null() bool {
+	s.space()
+	if !strings.HasPrefix(s.data[s.pos:], "null") {
+		return false
+	}
+	s.pos += len("null")
+	return true
 }
 
 // literal consumes lit, which must come next.

@@ -56,60 +56,6 @@ func dedupePoints(points []Point) []Point {
 	return out
 }
 
-// Simplify reduces a linestring with the Douglas-Peucker algorithm: the
-// result deviates from the input by at most tolerance. Endpoints are
-// always kept.
-func Simplify(l LineString, tolerance float64) LineString {
-	if len(l.Coords) <= 2 || tolerance <= 0 {
-		return LineString{Coords: append([]Point{}, l.Coords...)}
-	}
-	keep := make([]bool, len(l.Coords))
-	keep[0], keep[len(l.Coords)-1] = true, true
-	douglasPeucker(l.Coords, 0, len(l.Coords)-1, tolerance, keep)
-	out := make([]Point, 0, len(l.Coords))
-	for i, k := range keep {
-		if k {
-			out = append(out, l.Coords[i])
-		}
-	}
-	return LineString{Coords: out}
-}
-
-// douglasPeucker marks the points to keep between indices lo and hi.
-func douglasPeucker(coords []Point, lo, hi int, tol float64, keep []bool) {
-	if hi <= lo+1 {
-		return
-	}
-	seg := Segment{coords[lo], coords[hi]}
-	worst, worstDist := -1, tol
-	for i := lo + 1; i < hi; i++ {
-		if d := seg.DistanceToPoint(coords[i]); d > worstDist {
-			worst, worstDist = i, d
-		}
-	}
-	if worst < 0 {
-		return
-	}
-	keep[worst] = true
-	douglasPeucker(coords, lo, worst, tol, keep)
-	douglasPeucker(coords, worst, hi, tol, keep)
-}
-
-// SimplifyRing applies Douglas-Peucker to a ring, keeping at least a
-// triangle. The vertex with the lowest index is treated as both endpoints.
-func SimplifyRing(r Ring, tolerance float64) Ring {
-	if len(r.Coords) <= 4 || tolerance <= 0 {
-		return Ring{Coords: append([]Point{}, r.Coords...)}
-	}
-	closed := append(append([]Point{}, r.Coords...), r.Coords[0])
-	simplified := Simplify(LineString{Coords: closed}, tolerance).Coords
-	simplified = simplified[:len(simplified)-1] // drop the closing copy
-	if len(simplified) < 3 {
-		return Ring{Coords: append([]Point{}, r.Coords...)}
-	}
-	return Ring{Coords: simplified}
-}
-
 // Affine is a 2-D affine transform: x' = A·x + b, row-major
 // [XX XY; YX YY] with translation (TX, TY).
 type Affine struct {

@@ -67,76 +67,6 @@ func TestConvexHullContainsAllPoints(t *testing.T) {
 	}
 }
 
-func TestSimplifyStraightLine(t *testing.T) {
-	l := Line(Pt(0, 0), Pt(1, 0.001), Pt(2, -0.001), Pt(3, 0), Pt(4, 0))
-	s := Simplify(l, 0.01)
-	if len(s.Coords) != 2 {
-		t.Errorf("near-straight line simplified to %d points, want 2", len(s.Coords))
-	}
-	if !s.Coords[0].Equal(Pt(0, 0)) || !s.Coords[1].Equal(Pt(4, 0)) {
-		t.Error("endpoints not preserved")
-	}
-}
-
-func TestSimplifyKeepsSignificantVertices(t *testing.T) {
-	l := Line(Pt(0, 0), Pt(2, 5), Pt(4, 0))
-	s := Simplify(l, 0.5)
-	if len(s.Coords) != 3 {
-		t.Errorf("significant vertex dropped: %v", s.Coords)
-	}
-	// Tolerance above the deviation removes it.
-	s = Simplify(l, 10)
-	if len(s.Coords) != 2 {
-		t.Errorf("simplification with huge tolerance = %v", s.Coords)
-	}
-}
-
-func TestSimplifyWithinTolerance(t *testing.T) {
-	// Property: every dropped vertex lies within tolerance of the
-	// simplified polyline.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		coords := make([]Point, 40)
-		x := 0.0
-		for i := range coords {
-			x += rng.Float64()
-			coords[i] = Pt(x, rng.Float64()*4)
-		}
-		tol := 0.5
-		s := Simplify(LineString{Coords: coords}, tol)
-		for _, p := range coords {
-			best := math.Inf(1)
-			for i := 0; i < s.NumSegments(); i++ {
-				if d := s.Segment(i).DistanceToPoint(p); d < best {
-					best = d
-				}
-			}
-			if best > tol+1e-9 {
-				t.Fatalf("vertex %v deviates %v > tolerance", p, best)
-			}
-		}
-	}
-}
-
-func TestSimplifyRing(t *testing.T) {
-	// A square with redundant edge midpoints.
-	r := Ring{Coords: []Point{
-		Pt(0, 0), Pt(2, 0), Pt(4, 0), Pt(4, 2), Pt(4, 4), Pt(2, 4), Pt(0, 4), Pt(0, 2),
-	}}
-	s := SimplifyRing(r, 0.1)
-	if len(s.Coords) != 4 {
-		t.Errorf("ring simplified to %d coords, want 4: %v", len(s.Coords), s.Coords)
-	}
-	if s.Area() != 16 {
-		t.Errorf("simplified ring area = %v", s.Area())
-	}
-	// Small rings pass through unchanged.
-	tri := Ring{Coords: []Point{Pt(0, 0), Pt(2, 0), Pt(1, 2)}}
-	if got := SimplifyRing(tri, 1); len(got.Coords) != 3 {
-		t.Error("triangle must be preserved")
-	}
-}
-
 func TestAffineBasics(t *testing.T) {
 	id := IdentityAffine()
 	p := Pt(3, 4)

@@ -271,29 +271,3 @@ func TestCentroidGeneric(t *testing.T) {
 		t.Errorf("degenerate line centroid = %v", c)
 	}
 }
-
-func TestGenericAreaLength(t *testing.T) {
-	cases := []struct {
-		g            Geometry
-		area, length float64
-	}{
-		{Pt(1, 1), 0, 0},
-		{MultiPoint{Points: []Point{Pt(0, 0)}}, 0, 0},
-		{Line(Pt(0, 0), Pt(3, 4)), 0, 5},
-		{MultiLineString{Lines: []LineString{Line(Pt(0, 0), Pt(1, 0)), Line(Pt(0, 0), Pt(0, 2))}}, 0, 3},
-		{Rect(0, 0, 4, 3), 12, 14},
-		{Polygon{
-			Shell: Ring{Coords: []Point{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)}},
-			Holes: []Ring{{Coords: []Point{Pt(2, 2), Pt(4, 2), Pt(4, 4), Pt(2, 4)}}},
-		}, 96, 48},
-		{MultiPolygon{Polygons: []Polygon{Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)}}, 2, 8},
-	}
-	for _, tc := range cases {
-		if got := Area(tc.g); got != tc.area {
-			t.Errorf("Area(%s) = %v, want %v", tc.g.WKT(), got, tc.area)
-		}
-		if got := Length(tc.g); got != tc.length {
-			t.Errorf("Length(%s) = %v, want %v", tc.g.WKT(), got, tc.length)
-		}
-	}
-}

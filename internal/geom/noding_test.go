@@ -91,7 +91,7 @@ func TestNodeSoupsCrossing(t *testing.T) {
 	// The pieces must partition the original segment.
 	var total float64
 	for _, ts := range res.SubA {
-		total += ts.Seg.Length()
+		total += ts.Seg.A.DistanceTo(ts.Seg.B)
 	}
 	if math.Abs(total-4) > 1e-9 {
 		t.Errorf("subA total length = %v, want 4", total)

@@ -15,9 +15,6 @@ type Segment struct {
 // Envelope returns the segment's bounding box.
 func (s Segment) Envelope() Envelope { return NewEnvelope(s.A, s.B) }
 
-// Length returns the Euclidean length of the segment.
-func (s Segment) Length() float64 { return s.A.DistanceTo(s.B) }
-
 // Midpoint returns the parametric midpoint of the segment.
 func (s Segment) Midpoint() Point {
 	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}

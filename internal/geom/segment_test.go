@@ -24,9 +24,6 @@ func TestOrientation(t *testing.T) {
 
 func TestSegmentBasics(t *testing.T) {
 	s := Segment{Pt(0, 0), Pt(3, 4)}
-	if s.Length() != 5 {
-		t.Errorf("Length = %v", s.Length())
-	}
 	if m := s.Midpoint(); !m.Equal(Pt(1.5, 2)) {
 		t.Errorf("Midpoint = %v", m)
 	}

@@ -60,15 +60,17 @@ func TestMineContextCancelBetweenPasses(t *testing.T) {
 }
 
 // TestMineParallelismDeterministic asserts identical frequent itemsets
-// at Parallelism 1 and GOMAXPROCS — run under -race in CI, this is also
-// the data-race canary for the counting worker pool.
+// at GOMAXPROCS 1 and at the host's GOMAXPROCS — run under -race in CI,
+// this is also the data-race canary for the counting worker pool.
 func TestMineParallelismDeterministic(t *testing.T) {
 	table := ctxTable()
-	seq, err := Mine(itemset.NewDB(table), Config{MinSupport: 0.1, Parallelism: 1})
+	var seq *Result
+	var err error
+	withProcs(1, func() { seq, err = Mine(itemset.NewDB(table), Config{MinSupport: 0.1}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Mine(itemset.NewDB(table), Config{MinSupport: 0.1, Parallelism: 0})
+	par, err := Mine(itemset.NewDB(table), Config{MinSupport: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

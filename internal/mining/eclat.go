@@ -34,12 +34,12 @@ func Eclat(db *itemset.DB, cfg Config) (*Result, error) {
 // stats report Candidates equal to Frequent; prunes from the Φ and
 // same-feature filters are totalled on the k=2 stat.
 //
-// Config.Parallelism shards the root equivalence class across a par
-// pool: each top-level subtree is independent (later siblings only ever
+// The root equivalence class is sharded across a par pool GOMAXPROCS
+// wide: each top-level subtree is independent (later siblings only ever
 // combine among themselves against read-only bitmaps), so workers claim
 // subtrees one at a time, mine them with private bitmap pools and
 // result buffers, and the buffers are merged and sorted afterwards —
-// the output is identical to the sequential walk at any setting.
+// the output is identical to the sequential walk at any width.
 func EclatContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, error) {
 	minCount, err := resolveMinSupport(db, cfg)
 	if err != nil {
@@ -112,7 +112,7 @@ func eclatWalk(ctx context.Context, tr *obs.Trace, db *itemset.DB, cfg Config, m
 	// siblings) never idles the rest of the pool. Root bitmaps are the
 	// DB's shared read-only tidsets, never pooled; everything deeper is
 	// built from the worker's private pool.
-	workers := par.Workers(cfg.Parallelism, len(root))
+	workers := par.Workers(0, len(root))
 	miners := make([]*eclatMiner, workers)
 	for w := range miners {
 		miners[w] = newMiner()

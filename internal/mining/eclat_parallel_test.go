@@ -13,6 +13,13 @@ import (
 	"repro/internal/obs"
 )
 
+// withProcs runs fn with GOMAXPROCS set to procs, the width of the
+// counting pool and of the Eclat walk; procs 0 leaves it as it is.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 // parallelTestDB builds a datagen workload deep enough that the walk
 // recurses several levels below the root class.
 func parallelTestDB(t testing.TB) *itemset.DB {
@@ -26,7 +33,7 @@ func parallelTestDB(t testing.TB) *itemset.DB {
 
 // TestEclatParallelByteIdentical asserts the parallel walk's output is
 // exactly the sequential walk's — same itemsets, same supports, same
-// order — across worker counts, minsups, and the KC+ filters.
+// order — across GOMAXPROCS widths, minsups, and the KC+ filters.
 func TestEclatParallelByteIdentical(t *testing.T) {
 	db := parallelTestDB(t)
 	deps := make([]Pair, 0, len(datagen.Dataset1Dependencies))
@@ -35,19 +42,20 @@ func TestEclatParallelByteIdentical(t *testing.T) {
 	}
 	for _, minsup := range []float64{0.05, 0.15} {
 		for _, kc := range []bool{false, true} {
-			cfg := Config{MinSupport: minsup, Parallelism: 1}
+			cfg := Config{MinSupport: minsup}
 			if kc {
 				cfg.FilterSameFeature = true
 				cfg.Dependencies = deps
 			}
-			seq, err := Eclat(db, cfg)
+			var seq *Result
+			var err error
+			withProcs(1, func() { seq, err = Eclat(db, cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				pcfg := cfg
-				pcfg.Parallelism = workers
-				par, err := Eclat(db, pcfg)
+				var par *Result
+				withProcs(workers, func() { par, err = Eclat(db, cfg) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +88,9 @@ func TestEclatParallelWorkerCounters(t *testing.T) {
 	const workers = 4
 	tr := obs.New(nil)
 	ctx := obs.WithTrace(context.Background(), tr)
-	res, err := EclatContext(ctx, db, Config{MinSupport: 0.05, Parallelism: workers})
+	var res *Result
+	var err error
+	withProcs(workers, func() { res, err = EclatContext(ctx, db, Config{MinSupport: 0.05}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,9 @@ func TestEclatParallelCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, pollsBeforeCancel := range []int{5, 40, 200} {
 		ctx := &cancelAfterCtx{Context: context.Background(), left: pollsBeforeCancel}
-		res, err := EclatContext(ctx, db, Config{MinSupport: 0.03, Parallelism: 8})
+		var res *Result
+		var err error
+		withProcs(8, func() { res, err = EclatContext(ctx, db, Config{MinSupport: 0.03}) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("polls=%d: err = %v, want context.Canceled", pollsBeforeCancel, err)
 		}

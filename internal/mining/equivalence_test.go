@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -14,12 +15,12 @@ import (
 // TestEnginesEquivalentOnGeneratedScenes is the cross-engine property
 // test: on seeded datagen workloads of several sizes and minimum
 // supports, Apriori, Apriori-KC+, and Eclat produce identical
-// frequent-itemset sets and supports, at sequential, GOMAXPROCS, and
-// forced-multi-worker parallelism alike (Parallelism drives both the
-// Apriori counting pool and the sharded Eclat walk), and the Apriori
-// and Apriori-KC+ results are exact by row scan (checkByRowScan). Run
-// under -race in CI at GOMAXPROCS 1, 2, and 8, this also proves the
-// workers share the DB's read-only bitmaps safely.
+// frequent-itemset sets and supports at GOMAXPROCS 1, 4 and the host's
+// own (GOMAXPROCS sizes both the Apriori counting pool and the sharded
+// Eclat walk), and the Apriori and Apriori-KC+ results are exact by row
+// scan (checkByRowScan). Run under -race in CI at GOMAXPROCS 1, 2, and
+// 8, this also proves the workers share the DB's read-only bitmaps
+// safely.
 func TestEnginesEquivalentOnGeneratedScenes(t *testing.T) {
 	deps := make([]Pair, 0, len(datagen.Dataset1Dependencies))
 	for _, d := range datagen.Dataset1Dependencies {
@@ -55,9 +56,10 @@ func TestEnginesEquivalentOnGeneratedScenes(t *testing.T) {
 		for _, minsup := range []float64{0.05, 0.12, 0.3} {
 			for _, par := range []int{1, 0, 4} {
 				t.Run(fmt.Sprintf("%s/minsup=%g/par=%d", name, minsup, par), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 					db := itemset.NewDB(table)
-					plain := Config{MinSupport: minsup, Parallelism: par}
-					kcplus := Config{MinSupport: minsup, Parallelism: par,
+					plain := Config{MinSupport: minsup}
+					kcplus := Config{MinSupport: minsup,
 						FilterSameFeature: true, Dependencies: deps}
 
 					apriori, err := Apriori(db, plain)

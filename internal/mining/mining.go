@@ -45,12 +45,6 @@ type Config struct {
 	// FilterSameFeature enables the Apriori-KC+ step: remove every C2
 	// pair whose items are spatial predicates with the same feature type.
 	FilterSameFeature bool
-	// Parallelism bounds the mining fan-out: vertical support counting
-	// in the Apriori engines and the equivalence-class walk in Eclat
-	// both shard over this many workers, capped at the candidates or
-	// root subtrees to hand out. 1 (or negative) is sequential, 0 uses
-	// GOMAXPROCS. Results are identical at any setting.
-	Parallelism int
 }
 
 // PassStat records one Apriori pass for the efficiency figures.
@@ -272,7 +266,7 @@ func MineContext(ctx context.Context, db *itemset.DB, cfg Config) (*Result, erro
 			res.PrunedSameFeature = stat.PrunedSameFeature
 		}
 
-		supports := countVertical(ctx, db, candidates, cfg.Parallelism)
+		supports := countVertical(ctx, db, candidates)
 		// A cancellation inside the counters leaves partial supports;
 		// discard them rather than emit a wrong level.
 		if err := ctx.Err(); err != nil {
@@ -494,14 +488,15 @@ func compareItems(a, b itemset.Itemset) int {
 const cancelCheckStride = 256
 
 // countVertical computes candidate supports with a prefix-cached
-// vertical counter, fanning large candidate sets out over a par pool:
-// candidates are independent, and the sorted stream is cut into one
-// contiguous chunk per worker so each chunk's counter keeps its prefix
-// cache warm. A cancelled ctx makes the counters bail out early; the
-// caller must check ctx before using the (then partial) supports.
-func countVertical(ctx context.Context, db *itemset.DB, candidates []itemset.Itemset, parallelism int) []int {
+// vertical counter, fanning large candidate sets out over a par pool
+// GOMAXPROCS wide: candidates are independent, and the sorted stream is
+// cut into one contiguous chunk per worker so each chunk's counter keeps
+// its prefix cache warm. A cancelled ctx makes the counters bail out
+// early; the caller must check ctx before using the (then partial)
+// supports.
+func countVertical(ctx context.Context, db *itemset.DB, candidates []itemset.Itemset) []int {
 	supports := make([]int, len(candidates))
-	workers := par.Workers(parallelism, len(candidates))
+	workers := par.Workers(0, len(candidates))
 	// Below a few hundred candidates the goroutine overhead dominates.
 	if len(candidates) < 256 {
 		workers = 1

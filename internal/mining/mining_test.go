@@ -419,7 +419,8 @@ func TestParallelCountingDeterministic(t *testing.T) {
 	var baseline *Result
 	for _, workers := range []int{1, 0, 3, 16} {
 		db := itemset.NewDB(table)
-		res, err := Apriori(db, Config{MinSupport: 0.2, Parallelism: workers})
+		var res *Result
+		withProcs(workers, func() { res, err = Apriori(db, Config{MinSupport: 0.2}) })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

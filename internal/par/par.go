@@ -13,10 +13,12 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a Parallelism setting for n units of work: 0 means
+// Workers resolves a pool width for n units of work: 0 means
 // GOMAXPROCS, anything below 1 means one worker, and the pool is never
 // wider than n. The result is always at least 1, so it can size
-// per-worker scratch even when n is 0.
+// per-worker scratch even when n is 0. No request or flag sets a width:
+// every pool passes 0 or a width derived from GOMAXPROCS, except that a
+// Go caller may narrow extraction with transact.Options.Parallelism.
 func Workers(parallelism, n int) int {
 	w := parallelism
 	if w == 0 {

@@ -18,9 +18,14 @@ import (
 // CacheKey canonicalises a mining request to its result-cache key:
 // the dataset digest plus the deterministic JSON encoding of the config
 // with the dependency set Φ normalised (each unordered pair spelled
-// smaller-item-first, pairs sorted, duplicates dropped). Two requests
-// that cannot produce different results therefore share a key.
+// smaller-item-first, pairs sorted, duplicates dropped) and, when rules
+// are off, MinConfidence zeroed, since only the rules stage reads it.
+// Two requests that cannot produce different results therefore share a
+// key.
 func CacheKey(digest string, cfg core.Config) (string, error) {
+	if !cfg.GenerateRules {
+		cfg.MinConfidence = 0
+	}
 	if len(cfg.Dependencies) > 0 {
 		deps := make([]mining.Pair, len(cfg.Dependencies))
 		copy(deps, cfg.Dependencies)

@@ -144,7 +144,7 @@ func TestColocateAsyncJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	info := uploadSampleScene(t, ts.Client(), ts.URL+"/v1")
-	body := colocateBody(t, info.Digest, colocation.Config{Distance: 3, MinPI: 0.2, Parallelism: 2})
+	body := colocateBody(t, info.Digest, colocation.Config{Distance: 3, MinPI: 0.2})
 
 	var st api.JobStatus
 	status, raw := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/colocate/jobs", body, &st)
@@ -221,9 +221,10 @@ func TestColocateCacheKeyDisjoint(t *testing.T) {
 // TestCacheKeysGolden pins the exact bytes of both result-cache keys.
 // Persisted -data-dir results are filed under these keys, so a change in
 // their encoding would silently orphan every stored result. The golden
-// strings are what the keys were before the co-location engine knob and
-// the FP-growth algorithm were removed; removing them must not move any
-// surviving key.
+// strings are what the keys were before the co-location engine knob,
+// the FP-growth algorithm and the pool widths were removed; removing
+// them must not move any surviving key. With rules off, minConfidence
+// keys as if unset, since only the rules stage reads it.
 func TestCacheKeysGolden(t *testing.T) {
 	mine := []struct {
 		cfg  core.Config
@@ -232,9 +233,11 @@ func TestCacheKeysGolden(t *testing.T) {
 		{core.Config{Algorithm: core.AlgEclatKCPlus, MinSupport: 0.3},
 			`d1|{"algorithm":"eclat-kc+","minSupport":0.3}`},
 		{core.Config{Algorithm: core.AlgAprioriKC, MinSupport: 0.25,
-			Dependencies: []mining.Pair{{A: "y", B: "x"}, {A: "p", B: "q"}},
-			Parallelism:  2, GenerateRules: true, MinConfidence: 0.7, PostFilter: core.ClosedFilter},
-			`d1|{"algorithm":"apriori-kc","minSupport":0.25,"dependencies":[{"a":"p","b":"q"},{"a":"x","b":"y"}],"parallelism":2,"minConfidence":0.7,"generateRules":true,"postFilter":"closed"}`},
+			Dependencies:  []mining.Pair{{A: "y", B: "x"}, {A: "p", B: "q"}},
+			GenerateRules: true, MinConfidence: 0.7, PostFilter: core.ClosedFilter},
+			`d1|{"algorithm":"apriori-kc","minSupport":0.25,"dependencies":[{"a":"p","b":"q"},{"a":"x","b":"y"}],"minConfidence":0.7,"generateRules":true,"postFilter":"closed"}`},
+		{core.Config{Algorithm: core.AlgAprioriKCPlus, MinSupport: 0.3, MinConfidence: 0.9},
+			`d1|{"algorithm":"apriori-kc+","minSupport":0.3}`},
 	}
 	for _, tc := range mine {
 		got, err := CacheKey("d1", tc.cfg)
@@ -251,8 +254,8 @@ func TestCacheKeysGolden(t *testing.T) {
 	}{
 		{colocation.Config{Distance: 3, MinPI: 0.2},
 			`d2|{"colocate":{"distance":3,"minPI":0.2}}`},
-		{colocation.Config{Distance: 1, MinPI: 0.5, MaxSize: 3, Parallelism: 4, TopK: 2},
-			`d2|{"colocate":{"distance":1,"minPI":0.5,"maxSize":3,"parallelism":4,"topK":2}}`},
+		{colocation.Config{Distance: 1, MinPI: 0.5, MaxSize: 3, TopK: 2},
+			`d2|{"colocate":{"distance":1,"minPI":0.5,"maxSize":3,"topK":2}}`},
 	}
 	for _, tc := range coloc {
 		got, err := ColocateCacheKey("d2", tc.cfg)

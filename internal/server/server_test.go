@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -197,6 +198,44 @@ func TestEndToEndAsyncJobMatchesLibraryRun(t *testing.T) {
 	}
 	if third.Cached {
 		t.Error("different config must not hit the cache")
+	}
+}
+
+// TestMinConfidenceWithoutRulesSharesCacheEntry: only the rules stage
+// reads minConfidence, so with rules off a request that sets it is
+// served the cached result of one that does not: one mine, one cache
+// hit, one entry.
+func TestMinConfidenceWithoutRulesSharesCacheEntry(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	info := uploadSampleScene(t, client, ts.URL+"/v1")
+
+	mine := func(cfg string) MineResponse {
+		t.Helper()
+		var resp MineResponse
+		body := []byte(fmt.Sprintf(`{"dataset":%q,"config":%s}`, info.Digest, cfg))
+		if status, raw := doJSON(t, client, "POST", ts.URL+"/v1/mine", body, &resp); status != http.StatusOK {
+			t.Fatalf("mine %s: %d %s", cfg, status, raw)
+		}
+		return resp
+	}
+	first := mine(`{"minSupport":0.3}`)
+	second := mine(`{"minSupport":0.3,"minConfidence":0.9}`)
+	if !second.Cached {
+		t.Error("minConfidence without rules must be served from the cache")
+	}
+	if c := s.trace.Counters(); c["server.mine.runs"] != 1 {
+		t.Errorf("server.mine.runs = %d, want 1", c["server.mine.runs"])
+	}
+	if st := s.cache.Stats(); st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("cache stats = %+v, want 1 hit and 1 entry", st)
+	}
+	second.Cached = false
+	if !reflect.DeepEqual(first, second) {
+		t.Error("the cached response differs from the first")
 	}
 }
 
@@ -423,6 +462,9 @@ func TestRequestValidationAndErrors(t *testing.T) {
 		{"mine bad algorithm", "POST", "/v1/mine", `{"dataset":"beef","config":{"algorithm":"quantum","minSupport":0.5}}`, 400, "unknown algorithm"},
 		{"mine counting field", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5,"counting":"vertical"}}`, 400, "counting"},
 		{"job counting field", "POST", "/v1/jobs", `{"dataset":"beef","config":{"minSupport":0.5,"counting":"vertical"}}`, 400, "counting"},
+		{"mine parallelism field", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5,"parallelism":2}}`, 400, `unknown field \"parallelism\"`},
+		{"mine extraction parallelism field", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5,"extraction":{"topological":true,"parallelism":2}}}`, 400, `unknown field \"parallelism\"`},
+		{"colocate parallelism field", "POST", "/v1/colocate", `{"dataset":"beef","config":{"distance":1,"minPI":0.5,"parallelism":2}}`, 400, `unknown field \"parallelism\"`},
 		{"mine unknown body field", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":0.5},"cfg":{}}`, 400, "unknown field"},
 		{"mine missing dataset", "POST", "/v1/mine", `{"config":{"minSupport":0.5}}`, 400, "dataset"},
 		{"mine bad minsup", "POST", "/v1/mine", `{"dataset":"beef","config":{"minSupport":7}}`, 400, "minSupport"},

@@ -61,7 +61,8 @@ func TestUnprefixedPathsNotFound(t *testing.T) {
 }
 
 // TestRemovedKnobsRejected pins the wire contract for the removed
-// co-location engine field, FP-growth algorithm names and grid index:
+// co-location engine field, FP-growth algorithm names, grid index and
+// pool widths:
 // each request in testdata/removed_knobs.json is a 400 bad_request
 // whose message names the offending field or the values that remain
 // valid.

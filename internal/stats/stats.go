@@ -1,6 +1,6 @@
 // Package stats provides the small reporting utilities the experiment
-// harness uses: labelled numeric series, summary statistics, and an ASCII
-// bar-chart renderer for terminal-friendly figure reproduction.
+// harness uses: labelled numeric series and an ASCII bar-chart renderer
+// for terminal-friendly figure reproduction.
 package stats
 
 import (
@@ -14,39 +14,6 @@ import (
 type Series struct {
 	Name   string
 	Values []float64
-}
-
-// Summary holds basic descriptive statistics.
-type Summary struct {
-	Min, Max, Mean, StdDev float64
-	N                      int
-}
-
-// Summarize computes descriptive statistics of a slice. Empty input
-// yields a zero Summary.
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	s := Summary{Min: values[0], Max: values[0], N: len(values)}
-	sum := 0.0
-	for _, v := range values {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		sum += v
-	}
-	s.Mean = sum / float64(len(values))
-	var sq float64
-	for _, v := range values {
-		d := v - s.Mean
-		sq += d * d
-	}
-	s.StdDev = math.Sqrt(sq / float64(len(values)))
-	return s
 }
 
 // BarChart renders grouped horizontal ASCII bars: one group per x label,

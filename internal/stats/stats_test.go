@@ -1,30 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Min != 2 || s.Max != 9 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.Mean != 5 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if math.Abs(s.StdDev-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", s.StdDev)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-	one := Summarize([]float64{3})
-	if one.Min != 3 || one.Max != 3 || one.StdDev != 0 {
-		t.Errorf("single summary = %+v", one)
-	}
-}
 
 func TestBarChart(t *testing.T) {
 	out := BarChart(

@@ -354,7 +354,7 @@ var (
 // pipeline (every layer a peer type, no extraction, no transactions).
 type (
 	// ColocationConfig parameterises a co-location run (distance, minPI,
-	// optional maxSize, parallelism, and topK); its JSON form is the wire
+	// optional maxSize, and topK); its JSON form is the wire
 	// configuration of POST /v1/colocate.
 	ColocationConfig = colocation.Config
 	// ColocationResult is a co-location run's output.
