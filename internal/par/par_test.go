@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,29 @@ func TestWorkers(t *testing.T) {
 		if got := Workers(tc.parallelism, tc.n); got != tc.want {
 			t.Errorf("Workers(%d, %d) = %d, want %d", tc.parallelism, tc.n, got, tc.want)
 		}
+	}
+}
+
+// TestWorkersFollowsGOMAXPROCS: no request or flag sets a width, so
+// every pool passes 0 and is exactly GOMAXPROCS wide, capped by its
+// work, at whatever GOMAXPROCS the process runs with.
+func TestWorkersFollowsGOMAXPROCS(t *testing.T) {
+	for _, procs := range []int{1, 2, 4, 9} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, tc := range []struct{ n, want int }{
+				{1 << 20, procs},
+				{procs, procs},
+				{procs + 1, procs},
+				{3, min(procs, 3)},
+				{1, 1},
+				{0, 1},
+			} {
+				if got := Workers(0, tc.n); got != tc.want {
+					t.Errorf("Workers(0, %d) = %d, want %d", tc.n, got, tc.want)
+				}
+			}
+		})
 	}
 }
 
