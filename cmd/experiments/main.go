@@ -41,8 +41,7 @@ func main() {
 		runOne(*run, *timing)
 		return
 	}
-	// Run stage by stage (rather than experiments.All at once) so each
-	// stage's wall time is attributable.
+	// Run stage by stage so each stage's wall time is attributable.
 	var total time.Duration
 	var lines []string
 	for _, id := range experiments.IDs() {

@@ -12,6 +12,7 @@ import (
 
 	qsrmine "repro"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 )
 
 func TestPublicRunContextCancelled(t *testing.T) {
@@ -50,7 +51,7 @@ func TestPublicTraceEndToEnd(t *testing.T) {
 	collector := qsrmine.NewTraceCollector()
 	tr := qsrmine.NewTrace(qsrmine.MultiTraceSink(qsrmine.NewTextTraceSink(&text), collector))
 	ctx := qsrmine.WithTrace(context.Background(), tr)
-	if qsrmine.TraceFromContext(ctx) != tr {
+	if obs.FromContext(ctx) != tr {
 		t.Fatal("trace did not round-trip through the public context helpers")
 	}
 	_, err := qsrmine.RunContext(ctx, qsrmine.PortoAlegreScene(), qsrmine.Config{

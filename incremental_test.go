@@ -10,6 +10,7 @@ import (
 	qsrmine "repro"
 	"repro/internal/datagen"
 	"repro/internal/qsr"
+	"repro/internal/transact"
 )
 
 // The incremental-pipeline property: replaying any sequence of random
@@ -50,7 +51,7 @@ func runIncrementalProperty(t *testing.T, parallelism int, seed int64) {
 				MinSupport: 0.25,
 				Extraction: opts,
 			}
-			st, err := qsrmine.NewExtractState(d, opts)
+			st, err := transact.NewState(d, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

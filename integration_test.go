@@ -6,6 +6,7 @@ import (
 
 	qsrmine "repro"
 	"repro/internal/datagen"
+	"repro/internal/qsr"
 	"repro/internal/transact"
 )
 
@@ -58,7 +59,7 @@ func TestCityScaleIntegration(t *testing.T) {
 		if strings.ContainsRune(it, '=') {
 			continue
 		}
-		if _, err := qsrmine.ParsePredicate(it); err != nil {
+		if _, err := qsr.ParsePredicate(it); err != nil {
 			t.Errorf("unparseable extracted item %q", it)
 		}
 	}

@@ -342,19 +342,20 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestParseConfig: strictness of the wire decoder.
+// TestParseConfig: strictness of the wire decoding POST /v1/colocate
+// applies to a config.
 func TestParseConfig(t *testing.T) {
-	cfg, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"topK":5}`))
+	cfg, err := decodeConfig([]byte(`{"distance":2,"minPI":0.4,"maxSize":3,"topK":5}`))
 	if err != nil {
-		t.Fatalf("ParseConfig: %v", err)
+		t.Fatalf("decodeConfig: %v", err)
 	}
 	if cfg.Distance != 2 || cfg.MinPI != 0.4 || cfg.MaxSize != 3 || cfg.TopK != 5 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	// The pool width is not a config member: every pool is GOMAXPROCS
 	// wide, and a config that names a width is refused by name.
-	if _, err := colocation.ParseConfig([]byte(`{"distance":2,"minPI":0.4,"parallelism":2}`)); err == nil || !strings.Contains(err.Error(), `"parallelism"`) {
-		t.Errorf("ParseConfig with parallelism: err = %v, want an unknown field naming it", err)
+	if _, err := decodeConfig([]byte(`{"distance":2,"minPI":0.4,"parallelism":2}`)); err == nil || !strings.Contains(err.Error(), `"parallelism"`) {
+		t.Errorf("decodeConfig with parallelism: err = %v, want an unknown field naming it", err)
 	}
 	for _, bad := range []string{
 		``,
@@ -368,8 +369,8 @@ func TestParseConfig(t *testing.T) {
 		`{"distance":1,"minPI":0.5,"engine":"joinless"}`, // removed field
 		`{"distance":1,"minPI":0.5,"topK":-3}`,           // negative topK
 	} {
-		if _, err := colocation.ParseConfig([]byte(bad)); err == nil {
-			t.Errorf("ParseConfig(%q) accepted", bad)
+		if _, err := decodeConfig([]byte(bad)); err == nil {
+			t.Errorf("decodeConfig(%q) accepted", bad)
 		}
 	}
 }

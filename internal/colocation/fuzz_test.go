@@ -11,10 +11,21 @@ import (
 	"repro/internal/geom"
 )
 
-// FuzzColocationConfig fuzzes the strict wire-config decoder shared by
-// the CLI and POST /v1/colocate, in the ReadJSON/ReadGeoJSON mold:
-// arbitrary bytes must either produce an error or a Config that
-// validates and survives a marshal/reparse round trip unchanged.
+// decodeConfig decodes a co-location config the way POST /v1/colocate
+// does: strictly (dataset.DecodeStrict: one document, no unknown
+// field), then Validate.
+func decodeConfig(data []byte) (colocation.Config, error) {
+	var cfg colocation.Config
+	if err := dataset.DecodeStrict(data, &cfg); err != nil {
+		return colocation.Config{}, err
+	}
+	return cfg, cfg.Validate()
+}
+
+// FuzzColocationConfig fuzzes the two steps POST /v1/colocate applies
+// to a config, in the ReadJSON mold: arbitrary bytes must either produce
+// an error or a Config that validates and survives a marshal/reparse
+// round trip unchanged.
 func FuzzColocationConfig(f *testing.F) {
 	seeds := []string{
 		`{"distance":2,"minPI":0.4}`,
@@ -39,7 +50,7 @@ func FuzzColocationConfig(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := colocation.ParseConfig(data)
+		cfg, err := decodeConfig(data)
 		if err != nil {
 			return
 		}
@@ -50,7 +61,7 @@ func FuzzColocationConfig(f *testing.F) {
 		if merr != nil {
 			t.Fatalf("accepted config does not marshal: %v", merr)
 		}
-		back, perr := colocation.ParseConfig(out)
+		back, perr := decodeConfig(out)
 		if perr != nil {
 			t.Fatalf("marshalled config does not reparse: %v (%s)", perr, out)
 		}

@@ -32,14 +32,6 @@ func (f *Feature) Attr(name string) (Value, bool) {
 	return v, ok
 }
 
-// SetAttr sets an attribute, allocating the map on first use.
-func (f *Feature) SetAttr(name string, v Value) {
-	if f.Attrs == nil {
-		f.Attrs = make(map[string]Value)
-	}
-	f.Attrs[name] = v
-}
-
 // Layer is a homogeneous collection of features of one feature type
 // ("district", "slum", "school", ...).
 type Layer struct {
@@ -107,15 +99,6 @@ type Dataset struct {
 	Relevant []*Layer
 	// NonSpatialAttrs names the Reference attributes included as items.
 	NonSpatialAttrs []string
-}
-
-// RelevantTypes returns the relevant feature-type names in layer order.
-func (d *Dataset) RelevantTypes() []string {
-	out := make([]string, len(d.Relevant))
-	for i, l := range d.Relevant {
-		out[i] = l.Type
-	}
-	return out
 }
 
 // Validate checks every layer and structural consistency (distinct layer

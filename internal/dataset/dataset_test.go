@@ -48,7 +48,7 @@ func TestFeatureAttrs(t *testing.T) {
 	if _, ok := f.Attr("x"); ok {
 		t.Error("empty feature has no attrs")
 	}
-	f.SetAttr("murderRate", "high")
+	f.Attrs = map[string]Value{"murderRate": "high"}
 	v, ok := f.Attr("murderRate")
 	if !ok || v != "high" {
 		t.Errorf("Attr = %v, %v", v, ok)
@@ -69,9 +69,6 @@ func TestDatasetValidate(t *testing.T) {
 	d = &Dataset{Reference: ref, Relevant: []*Layer{NewLayer("slum"), NewLayer("school")}}
 	if err := d.Validate(); err != nil {
 		t.Errorf("valid dataset: %v", err)
-	}
-	if got := d.RelevantTypes(); len(got) != 2 || got[0] != "slum" || got[1] != "school" {
-		t.Errorf("RelevantTypes = %v", got)
 	}
 }
 
@@ -363,7 +360,7 @@ func TestDecodeCanonicalFallsBack(t *testing.T) {
 
 func TestWriteJSONErrorLeavesWriterUntouched(t *testing.T) {
 	d := PortoAlegreScene()
-	d.Relevant[0].Features[0].SetAttr("bad", math.NaN())
+	d.Relevant[0].Features[0].Attrs = map[string]Value{"bad": math.NaN()}
 	buf := bytes.NewBufferString("kept")
 	if err := d.WriteJSON(buf); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
 		t.Errorf("WriteJSON error = %v, want encoding/json's unsupported value", err)

@@ -101,19 +101,6 @@ func (cs *ChangeSet) Layer(name string) *LayerDiff {
 	return cs.ByLayer[name]
 }
 
-// Empty reports whether nothing changed.
-func (cs *ChangeSet) Empty() bool {
-	if cs == nil {
-		return true
-	}
-	for _, ld := range cs.ByLayer {
-		if !ld.Empty() {
-			return false
-		}
-	}
-	return true
-}
-
 // Count returns the total number of changed features across layers.
 func (cs *ChangeSet) Count() int {
 	if cs == nil {

@@ -89,17 +89,6 @@ func BenchmarkRelateLinePolygon(b *testing.B) {
 	}
 }
 
-func BenchmarkClassify(b *testing.B) {
-	a := ngon(16, 0, 0, 10)
-	c := ngon(16, 3, 0, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := Classify(a, c); got != Contains {
-			b.Fatalf("relation = %v", got)
-		}
-	}
-}
-
 // BenchmarkPrepareAll prepares every layer of one 28×28 cli-scene scene,
 // one PrepareAll per layer, as extraction does at Parallelism 1.
 func BenchmarkPrepareAll(b *testing.B) {

@@ -1,7 +1,7 @@
 // Package de9im computes the dimensionally extended nine-intersection
-// model (DE-9IM) of Clementini/Egenhofer for pairs of planar geometries and
-// derives the named topological relations the paper's predicate extraction
-// uses: equals, disjoint, touches, contains, within, covers, coveredBy,
+// model (DE-9IM) of Clementini/Egenhofer for pairs of planar geometries.
+// Package qsr reads the paper's topological relations off the matrix:
+// equals, disjoint, touches, contains, within, covers, coveredBy,
 // crosses, and overlaps — the vocabulary of Egenhofer & Franzosa's
 // 9-intersection model cited as [10] in the paper.
 //
@@ -100,32 +100,6 @@ func (m Matrix) String() string {
 	return b.String()
 }
 
-// ParseMatrix parses a 9-character DE-9IM string ("T*F**FFF*" patterns are
-// parsed by ParsePattern instead; this accepts only F, 0, 1, 2).
-func ParseMatrix(s string) (Matrix, error) {
-	if len(s) != 9 {
-		return Matrix{}, fmt.Errorf("de9im: matrix string must have 9 characters, got %d", len(s))
-	}
-	var m Matrix
-	for i := 0; i < 9; i++ {
-		var d Dim
-		switch s[i] {
-		case 'F', 'f':
-			d = F
-		case '0':
-			d = D0
-		case '1':
-			d = D1
-		case '2':
-			d = D2
-		default:
-			return Matrix{}, fmt.Errorf("de9im: invalid matrix character %q", s[i])
-		}
-		m[i/3][i%3] = d
-	}
-	return m, nil
-}
-
 // Matches reports whether the matrix satisfies a 9-character DE-9IM
 // pattern. Pattern characters: 'T' (non-empty), 'F' (empty), '*' (any),
 // and '0'/'1'/'2' (exact dimension).
@@ -163,6 +137,12 @@ func (m Matrix) Matches(pattern string) bool {
 	}
 	return true
 }
+
+// IsEquals reports point-set equality.
+func (m Matrix) IsEquals() bool { return m.Matches("T*F**FFF*") }
+
+// IsDisjoint reports an empty intersection.
+func (m Matrix) IsDisjoint() bool { return m.Matches("FF*FF****") }
 
 // locToCol maps a geom.Location to the matrix column index for the second
 // geometry.

@@ -90,30 +90,20 @@ func TestRelateDonutAgainstSamplingOracle(t *testing.T) {
 	}
 }
 
-func TestClassifyAgreesWithOracleContainment(t *testing.T) {
-	// Containment relations must agree with a pure point-sampling test:
-	// b within a iff no sample of b's interior is outside a.
+func TestContainmentEntriesAgreeWithOracle(t *testing.T) {
+	// The entries qsr's classifier reads containment from must agree
+	// with a pure point-sampling test: b lies in the closure of a
+	// (EI and EB empty, shared by contains, covers and equals) iff no
+	// sample of b's interior is outside a.
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
 		a := randomOracleRect(rng)
 		b := randomOracleRect(rng)
-		rel := Classify(a, b)
+		m := Relate(a, b)
 		_, _, ei := sampleOracle(a, b, 0.125, 0.125, 13, 13, 0.25)
-		containsLike := rel == Contains || rel == Covers || rel == Equals
-		if containsLike && ei {
-			t.Fatalf("trial %d: %v but b has interior outside a\n a=%s\n b=%s",
-				trial, rel, a.WKT(), b.WKT())
-		}
-		if !containsLike && rel != Disjoint && rel != Touches && !ei {
-			// Interiors intersect and b pokes nowhere outside a: must be
-			// a containment-like classification (or within/coveredBy
-			// when a is the smaller operand — those have ei=false only
-			// if b covers a... not possible here since ei is about b's
-			// interior outside a).
-			if rel != Within && rel != CoveredBy {
-				t.Fatalf("trial %d: rel=%v but b fully inside a\n a=%s\n b=%s",
-					trial, rel, a.WKT(), b.WKT())
-			}
+		if inside := m[Ext][Int] == F && m[Ext][Bnd] == F; inside == ei {
+			t.Fatalf("trial %d: matrix %s says b inside a = %v, sampled interior outside a = %v\n a=%s\n b=%s",
+				trial, m, inside, ei, a.WKT(), b.WKT())
 		}
 	}
 }

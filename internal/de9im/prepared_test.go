@@ -85,10 +85,6 @@ func TestRelatePreparedMatchesRelate(t *testing.T) {
 			t.Fatalf("trial %d: RelatePrepared=%s Relate=%s\n a=%s\n b=%s",
 				trial, got, want, a.WKT(), b.WKT())
 		}
-		if cw, cg := Classify(a, b), ClassifyPrepared(pa, pb); cw != cg {
-			t.Fatalf("trial %d: ClassifyPrepared=%v Classify=%v\n a=%s\n b=%s",
-				trial, cg, cw, a.WKT(), b.WKT())
-		}
 		// Prepared values are immutable: a second relate of the same pair
 		// must not be perturbed by the first.
 		if again := RelatePrepared(pa, pb); again != want {

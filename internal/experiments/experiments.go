@@ -46,52 +46,44 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// All runs every experiment in paper order.
-func All() []*Report {
-	return []*Report{
-		Table1(), Table2(), Analysis41(), Table3(), Figure3(),
-		Figure4(), Figure5(), Figure6(), Figure7(), GainChecks42(),
-		Redundancy(),
-	}
+// registry lists the experiments in paper order under their
+// identifiers.
+var registry = []struct {
+	id  string
+	run func() *Report
+}{
+	{"table1", Table1},
+	{"table2", Table2},
+	{"analysis", Analysis41},
+	{"table3", Table3},
+	{"figure3", Figure3},
+	{"figure4", Figure4},
+	{"figure5", Figure5},
+	{"figure6", Figure6},
+	{"figure7", Figure7},
+	{"gainchecks", GainChecks42},
+	{"redundancy", Redundancy},
 }
 
-// ByID runs a single experiment by identifier; ok is false for unknown
-// IDs.
+// ByID runs a single experiment by identifier, ignoring case; ok is
+// false for unknown IDs.
 func ByID(id string) (*Report, bool) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return Table1(), true
-	case "table2":
-		return Table2(), true
-	case "table3":
-		return Table3(), true
-	case "figure3":
-		return Figure3(), true
-	case "figure4":
-		return Figure4(), true
-	case "figure5":
-		return Figure5(), true
-	case "figure6":
-		return Figure6(), true
-	case "figure7":
-		return Figure7(), true
-	case "analysis":
-		return Analysis41(), true
-	case "gainchecks":
-		return GainChecks42(), true
-	case "redundancy":
-		return Redundancy(), true
+	id = strings.ToLower(id)
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(), true
+		}
 	}
 	return nil, false
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{
-		"table1", "table2", "analysis", "table3", "figure3",
-		"figure4", "figure5", "figure6", "figure7", "gainchecks",
-		"redundancy",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Table1 prints the paper's Table 1 sample verbatim.

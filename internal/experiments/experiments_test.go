@@ -8,12 +8,13 @@ import (
 )
 
 func TestAllExperimentsRun(t *testing.T) {
-	reports := All()
-	if len(reports) != 11 {
-		t.Fatalf("experiments = %d, want 11", len(reports))
+	ids := IDs()
+	if len(ids) != 11 {
+		t.Fatalf("experiments = %d, want 11", len(ids))
 	}
 	seen := map[string]bool{}
-	for _, r := range reports {
+	for _, id := range ids {
+		r, _ := ByID(id)
 		if r.ID == "" || r.Title == "" {
 			t.Errorf("report missing metadata: %+v", r)
 		}

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +18,7 @@ func TestConvexHullSquarePlusInterior(t *testing.T) {
 	if got := len(hull.Coords); got != 4 {
 		t.Fatalf("hull size = %d, want 4 (%v)", got, hull.Coords)
 	}
-	if !hull.IsCCW() {
+	if hull.SignedArea() <= 0 {
 		t.Error("hull must be counterclockwise")
 	}
 	if hull.Area() != 16 {
@@ -127,13 +128,13 @@ func TestTransformGeometryTypes(t *testing.T) {
 	}
 	for _, g := range cases {
 		moved := Transform(g, tr)
-		if moved.GeomType() != g.GeomType() {
-			t.Errorf("%v: type changed", g.GeomType())
+		if reflect.TypeOf(moved) != reflect.TypeOf(g) {
+			t.Errorf("%T: type changed to %T", g, moved)
 		}
 		wantEnv := g.Envelope()
 		gotEnv := moved.Envelope()
 		if gotEnv.MinX != wantEnv.MinX+10 || gotEnv.MinY != wantEnv.MinY+20 {
-			t.Errorf("%v: envelope = %+v", g.GeomType(), gotEnv)
+			t.Errorf("%T: envelope = %+v", g, gotEnv)
 		}
 	}
 }

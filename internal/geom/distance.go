@@ -87,15 +87,3 @@ func anyPointInside(pts []Point, g Geometry) bool {
 	}
 	return false
 }
-
-// Intersects reports whether the point-sets of a and b share at least one
-// point. It is cheaper than a full DE-9IM relate.
-func Intersects(a, b Geometry) bool {
-	if a.IsEmpty() || b.IsEmpty() {
-		return false
-	}
-	if !a.Envelope().Buffer(Eps).Intersects(b.Envelope()) {
-		return false
-	}
-	return Distance(a, b) == 0
-}

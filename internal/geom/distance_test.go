@@ -83,29 +83,6 @@ func TestDistanceEmpty(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	cases := []struct {
-		a, b Geometry
-		want bool
-	}{
-		{Rect(0, 0, 2, 2), Rect(1, 1, 3, 3), true},
-		{Rect(0, 0, 2, 2), Rect(2, 0, 4, 2), true}, // touch
-		{Rect(0, 0, 2, 2), Rect(3, 3, 4, 4), false},
-		{Pt(1, 1), Rect(0, 0, 2, 2), true},
-		{Pt(5, 5), Rect(0, 0, 2, 2), false},
-		{Line(Pt(-1, 1), Pt(3, 1)), Rect(0, 0, 2, 2), true},
-		{MultiPoint{}, Rect(0, 0, 2, 2), false},
-	}
-	for _, tc := range cases {
-		if got := Intersects(tc.a, tc.b); got != tc.want {
-			t.Errorf("Intersects(%s, %s) = %v, want %v", tc.a.WKT(), tc.b.WKT(), got, tc.want)
-		}
-		if got := Intersects(tc.b, tc.a); got != tc.want {
-			t.Errorf("Intersects(%s, %s) = %v, want %v (symmetry)", tc.b.WKT(), tc.a.WKT(), got, tc.want)
-		}
-	}
-}
-
 func TestDistanceHoledPolygon(t *testing.T) {
 	donut := Polygon{
 		Shell: Ring{Coords: []Point{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)}},

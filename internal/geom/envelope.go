@@ -45,9 +45,6 @@ func (e Envelope) Height() float64 {
 	return e.MaxY - e.MinY
 }
 
-// Area returns the covered area, or 0 when empty.
-func (e Envelope) Area() float64 { return e.Width() * e.Height() }
-
 // Perimeter returns half the boundary length (width + height), the usual
 // R-tree enlargement metric.
 func (e Envelope) Perimeter() float64 { return e.Width() + e.Height() }

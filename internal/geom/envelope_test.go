@@ -11,7 +11,7 @@ func TestEmptyEnvelope(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyEnvelope not empty")
 	}
-	if e.Width() != 0 || e.Height() != 0 || e.Area() != 0 {
+	if e.Width() != 0 || e.Height() != 0 {
 		t.Error("empty envelope extents should be 0")
 	}
 	if e.Intersects(Envelope{0, 0, 1, 1}) {
@@ -38,7 +38,7 @@ func TestEnvelopeBasics(t *testing.T) {
 	if e.MinX != 0 || e.MinY != 1 || e.MaxX != 4 || e.MaxY != 5 {
 		t.Fatalf("NewEnvelope normalisation failed: %+v", e)
 	}
-	if e.Width() != 4 || e.Height() != 4 || e.Area() != 16 || e.Perimeter() != 8 {
+	if e.Width() != 4 || e.Height() != 4 || e.Perimeter() != 8 {
 		t.Error("extent accessors wrong")
 	}
 	if c := e.Center(); !c.Equal(Pt(2, 3)) {

@@ -19,44 +19,10 @@ import (
 	"math"
 )
 
-// Type identifies the concrete geometry type.
-type Type int
-
-// Geometry type tags, mirroring the simple-features hierarchy.
-const (
-	TypePoint Type = iota
-	TypeMultiPoint
-	TypeLineString
-	TypeMultiLineString
-	TypePolygon
-	TypeMultiPolygon
-)
-
-// String returns the WKT keyword of the type.
-func (t Type) String() string {
-	switch t {
-	case TypePoint:
-		return "POINT"
-	case TypeMultiPoint:
-		return "MULTIPOINT"
-	case TypeLineString:
-		return "LINESTRING"
-	case TypeMultiLineString:
-		return "MULTILINESTRING"
-	case TypePolygon:
-		return "POLYGON"
-	case TypeMultiPolygon:
-		return "MULTIPOLYGON"
-	}
-	return fmt.Sprintf("geom.Type(%d)", int(t))
-}
-
 // Geometry is the interface implemented by every geometry type in this
 // package. Implementations are value types; copying is cheap (slices are
 // shared) and safe as long as the shared coordinates are not mutated.
 type Geometry interface {
-	// GeomType reports the concrete type tag.
-	GeomType() Type
 	// Envelope returns the minimal axis-aligned bounding box. Empty
 	// geometries return an empty envelope.
 	Envelope() Envelope
@@ -76,9 +42,6 @@ type Point struct {
 
 // Pt is shorthand for constructing a Point.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
-
-// GeomType implements Geometry.
-func (p Point) GeomType() Type { return TypePoint }
 
 // Envelope implements Geometry.
 func (p Point) Envelope() Envelope { return Envelope{p.X, p.Y, p.X, p.Y} }
@@ -128,9 +91,6 @@ type MultiPoint struct {
 	Points []Point
 }
 
-// GeomType implements Geometry.
-func (m MultiPoint) GeomType() Type { return TypeMultiPoint }
-
 // Envelope implements Geometry.
 func (m MultiPoint) Envelope() Envelope {
 	e := EmptyEnvelope()
@@ -154,9 +114,6 @@ type LineString struct {
 // Line constructs a LineString from coordinates.
 func Line(coords ...Point) LineString { return LineString{Coords: coords} }
 
-// GeomType implements Geometry.
-func (l LineString) GeomType() Type { return TypeLineString }
-
 // Envelope implements Geometry.
 func (l LineString) Envelope() Envelope {
 	e := EmptyEnvelope()
@@ -178,15 +135,6 @@ func (l LineString) IsClosed() bool {
 	return n > 2 && l.Coords[0].Equal(l.Coords[n-1])
 }
 
-// Length returns the sum of segment lengths.
-func (l LineString) Length() float64 {
-	var sum float64
-	for i := 1; i < len(l.Coords); i++ {
-		sum += l.Coords[i-1].DistanceTo(l.Coords[i])
-	}
-	return sum
-}
-
 // NumSegments returns the number of line segments.
 func (l LineString) NumSegments() int {
 	if len(l.Coords) < 2 {
@@ -205,9 +153,6 @@ type MultiLineString struct {
 	Lines []LineString
 }
 
-// GeomType implements Geometry.
-func (m MultiLineString) GeomType() Type { return TypeMultiLineString }
-
 // Envelope implements Geometry.
 func (m MultiLineString) Envelope() Envelope {
 	e := EmptyEnvelope()
@@ -222,15 +167,6 @@ func (m MultiLineString) IsEmpty() bool { return len(m.Lines) == 0 }
 
 // Dimension implements Geometry.
 func (m MultiLineString) Dimension() int { return 1 }
-
-// Length returns the total length of all member lines.
-func (m MultiLineString) Length() float64 {
-	var sum float64
-	for _, l := range m.Lines {
-		sum += l.Length()
-	}
-	return sum
-}
 
 // Ring is a closed ring of coordinates. The closing coordinate is implicit:
 // a Ring with coordinates [a b c] denotes the closed loop a-b-c-a. Rings
@@ -275,9 +211,6 @@ func (r Ring) SignedArea() float64 {
 // Area returns the absolute enclosed area.
 func (r Ring) Area() float64 { return math.Abs(r.SignedArea()) }
 
-// IsCCW reports whether the ring winds counterclockwise.
-func (r Ring) IsCCW() bool { return r.SignedArea() > 0 }
-
 // Envelope returns the bounding box of the ring.
 func (r Ring) Envelope() Envelope {
 	e := EmptyEnvelope()
@@ -303,9 +236,6 @@ func Poly(shell ...Point) Polygon { return Polygon{Shell: Ring{Coords: shell}} }
 func Rect(minX, minY, maxX, maxY float64) Polygon {
 	return Poly(Pt(minX, minY), Pt(maxX, minY), Pt(maxX, maxY), Pt(minX, maxY))
 }
-
-// GeomType implements Geometry.
-func (p Polygon) GeomType() Type { return TypePolygon }
 
 // Envelope implements Geometry.
 func (p Polygon) Envelope() Envelope { return p.Shell.Envelope() }
@@ -393,9 +323,6 @@ type MultiPolygon struct {
 	Polygons []Polygon
 }
 
-// GeomType implements Geometry.
-func (m MultiPolygon) GeomType() Type { return TypeMultiPolygon }
-
 // Envelope implements Geometry.
 func (m MultiPolygon) Envelope() Envelope {
 	e := EmptyEnvelope()
@@ -410,15 +337,6 @@ func (m MultiPolygon) IsEmpty() bool { return len(m.Polygons) == 0 }
 
 // Dimension implements Geometry.
 func (m MultiPolygon) Dimension() int { return 2 }
-
-// Area returns the total area of all member polygons.
-func (m MultiPolygon) Area() float64 {
-	var a float64
-	for _, p := range m.Polygons {
-		a += p.Area()
-	}
-	return a
-}
 
 // Translate returns a copy of g shifted by (dx, dy). The returned geometry
 // shares no coordinate storage with the input.

@@ -2,31 +2,13 @@ package geom
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
-func TestTypeString(t *testing.T) {
-	cases := map[Type]string{
-		TypePoint:           "POINT",
-		TypeMultiPoint:      "MULTIPOINT",
-		TypeLineString:      "LINESTRING",
-		TypeMultiLineString: "MULTILINESTRING",
-		TypePolygon:         "POLYGON",
-		TypeMultiPolygon:    "MULTIPOLYGON",
-	}
-	for typ, want := range cases {
-		if got := typ.String(); got != want {
-			t.Errorf("Type(%d).String() = %q, want %q", typ, got, want)
-		}
-	}
-	if got := Type(99).String(); got != "geom.Type(99)" {
-		t.Errorf("unknown type string = %q", got)
-	}
-}
-
 func TestPointBasics(t *testing.T) {
 	p := Pt(3, 4)
-	if p.GeomType() != TypePoint || p.Dimension() != 0 || p.IsEmpty() {
+	if p.Dimension() != 0 || p.IsEmpty() {
 		t.Fatalf("point metadata wrong: %+v", p)
 	}
 	if d := p.DistanceTo(Pt(0, 0)); d != 5 {
@@ -58,7 +40,7 @@ func TestPointBasics(t *testing.T) {
 
 func TestLineStringBasics(t *testing.T) {
 	l := Line(Pt(0, 0), Pt(3, 0), Pt(3, 4))
-	if l.GeomType() != TypeLineString || l.Dimension() != 1 {
+	if l.Dimension() != 1 {
 		t.Fatal("linestring metadata wrong")
 	}
 	if l.IsEmpty() {
@@ -66,9 +48,6 @@ func TestLineStringBasics(t *testing.T) {
 	}
 	if l.IsClosed() {
 		t.Error("open line reported closed")
-	}
-	if got := l.Length(); got != 7 {
-		t.Errorf("Length = %v, want 7", got)
 	}
 	if got := l.NumSegments(); got != 2 {
 		t.Errorf("NumSegments = %d, want 2", got)
@@ -94,15 +73,9 @@ func TestRingAreaAndOrientation(t *testing.T) {
 	if got := ccw.SignedArea(); got != 12 {
 		t.Errorf("SignedArea = %v, want 12", got)
 	}
-	if !ccw.IsCCW() {
-		t.Error("CCW ring reported CW")
-	}
 	cw := Ring{Coords: []Point{Pt(0, 0), Pt(0, 3), Pt(4, 3), Pt(4, 0)}}
 	if got := cw.SignedArea(); got != -12 {
 		t.Errorf("SignedArea = %v, want -12", got)
-	}
-	if cw.IsCCW() {
-		t.Error("CW ring reported CCW")
 	}
 	if got := cw.Area(); got != 12 {
 		t.Errorf("Area = %v, want 12", got)
@@ -128,7 +101,7 @@ func TestPolygonAreaWithHole(t *testing.T) {
 	if got := poly.Area(); got != 96 {
 		t.Errorf("Area = %v, want 96", got)
 	}
-	if poly.Dimension() != 2 || poly.GeomType() != TypePolygon {
+	if poly.Dimension() != 2 {
 		t.Error("polygon metadata wrong")
 	}
 	rings := poly.Rings()
@@ -179,7 +152,7 @@ func TestPolygonCentroid(t *testing.T) {
 
 func TestMultiGeometries(t *testing.T) {
 	mp := MultiPoint{Points: []Point{Pt(0, 0), Pt(2, 2)}}
-	if mp.IsEmpty() || mp.Dimension() != 0 || mp.GeomType() != TypeMultiPoint {
+	if mp.IsEmpty() || mp.Dimension() != 0 {
 		t.Error("multipoint metadata wrong")
 	}
 	env := mp.Envelope()
@@ -194,18 +167,12 @@ func TestMultiGeometries(t *testing.T) {
 		Line(Pt(0, 0), Pt(1, 0)),
 		Line(Pt(0, 1), Pt(3, 1)),
 	}}
-	if ml.Length() != 4 {
-		t.Errorf("multiline length = %v, want 4", ml.Length())
-	}
-	if ml.GeomType() != TypeMultiLineString || ml.Dimension() != 1 {
+	if ml.Dimension() != 1 {
 		t.Error("multiline metadata wrong")
 	}
 
 	mpoly := MultiPolygon{Polygons: []Polygon{Rect(0, 0, 1, 1), Rect(2, 0, 4, 1)}}
-	if mpoly.Area() != 3 {
-		t.Errorf("multipolygon area = %v, want 3", mpoly.Area())
-	}
-	if mpoly.GeomType() != TypeMultiPolygon || mpoly.Dimension() != 2 {
+	if mpoly.Dimension() != 2 {
 		t.Error("multipolygon metadata wrong")
 	}
 	env = mpoly.Envelope()
@@ -228,10 +195,10 @@ func TestTranslate(t *testing.T) {
 		wantEnv := g.Envelope()
 		gotEnv := moved.Envelope()
 		if gotEnv.MinX != wantEnv.MinX+10 || gotEnv.MinY != wantEnv.MinY+20 {
-			t.Errorf("%s: translate envelope = %+v", g.GeomType(), gotEnv)
+			t.Errorf("%T: translate envelope = %+v", g, gotEnv)
 		}
-		if moved.GeomType() != g.GeomType() {
-			t.Errorf("translate changed type of %s", g.GeomType())
+		if reflect.TypeOf(moved) != reflect.TypeOf(g) {
+			t.Errorf("translate changed type of %T to %T", g, moved)
 		}
 	}
 	// Translation must not share storage with the original.

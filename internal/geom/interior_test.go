@@ -203,15 +203,15 @@ func TestInteriorPointCombsLinear(t *testing.T) {
 			elapsed := time.Duration(math.MaxInt64)
 			for run := 0; run < 3 && elapsed > bound; run++ {
 				start := time.Now()
-				ip, ok := InteriorPoint(p)
+				ip, ok := polygonInteriorPoint(p)
 				elapsed = min(elapsed, time.Since(start))
 				if !ok || LocateInPolygon(ip, p) != Interior {
-					t.Fatalf("InteriorPoint = %v %v, not interior", ip, ok)
+					t.Fatalf("polygonInteriorPoint = %v %v, not interior", ip, ok)
 				}
 			}
-			t.Logf("InteriorPoint: %v", elapsed)
+			t.Logf("polygonInteriorPoint: %v", elapsed)
 			if elapsed > bound {
-				t.Fatalf("InteriorPoint took %v, want at most %v", elapsed, bound)
+				t.Fatalf("polygonInteriorPoint took %v, want at most %v", elapsed, bound)
 			}
 		})
 	}

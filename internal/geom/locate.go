@@ -172,47 +172,6 @@ func locateOnMultiLine(p Point, m MultiLineString) Location {
 	return Exterior
 }
 
-// InteriorPoint returns a point guaranteed to lie in the interior of the
-// geometry (for polygons possibly away from the centroid when the centroid
-// falls outside, e.g. for C-shaped or holed polygons). The second return
-// value is false only for empty geometries.
-func InteriorPoint(g Geometry) (Point, bool) {
-	switch t := g.(type) {
-	case Point:
-		return t, true
-	case MultiPoint:
-		if len(t.Points) == 0 {
-			return Point{}, false
-		}
-		return t.Points[0], true
-	case LineString:
-		if t.NumSegments() == 0 {
-			if len(t.Coords) == 1 {
-				return t.Coords[0], true
-			}
-			return Point{}, false
-		}
-		return t.Segment(t.NumSegments() / 2).Midpoint(), true
-	case MultiLineString:
-		for _, l := range t.Lines {
-			if p, ok := InteriorPoint(l); ok {
-				return p, true
-			}
-		}
-		return Point{}, false
-	case Polygon:
-		return polygonInteriorPoint(t)
-	case MultiPolygon:
-		for _, p := range t.Polygons {
-			if ip, ok := polygonInteriorPoint(p); ok {
-				return ip, true
-			}
-		}
-		return Point{}, false
-	}
-	panic(fmt.Sprintf("geom: unknown geometry type %T", g))
-}
-
 // polygonInteriorPoint returns a point strictly inside the polygon. It
 // tries the centroid first and falls back to a horizontal scanline through
 // the middle of the envelope, taking the midpoint of the widest inside

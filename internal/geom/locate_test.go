@@ -164,29 +164,18 @@ func TestLocateMultiLineMod2(t *testing.T) {
 }
 
 func TestInteriorPoint(t *testing.T) {
-	cases := []Geometry{
-		Pt(3, 3),
-		MultiPoint{Points: []Point{Pt(1, 1)}},
-		Line(Pt(0, 0), Pt(4, 0)),
-		MultiLineString{Lines: []LineString{Line(Pt(0, 0), Pt(4, 0))}},
-		Rect(0, 0, 4, 4),
-		MultiPolygon{Polygons: []Polygon{Rect(0, 0, 4, 4)}},
-	}
-	for _, g := range cases {
-		p, ok := InteriorPoint(g)
+	for _, poly := range []Polygon{Rect(0, 0, 4, 4), Poly(Pt(0, 0), Pt(4, 0), Pt(0, 4))} {
+		p, ok := polygonInteriorPoint(poly)
 		if !ok {
-			t.Errorf("%s: no interior point", g.GeomType())
+			t.Errorf("%s: no interior point", poly.WKT())
 			continue
 		}
-		if Locate(p, g) == Exterior {
-			t.Errorf("%s: interior point %v is exterior", g.GeomType(), p)
+		if Locate(p, poly) == Exterior {
+			t.Errorf("%s: interior point %v is exterior", poly.WKT(), p)
 		}
 	}
-	if _, ok := InteriorPoint(MultiPoint{}); ok {
-		t.Error("empty multipoint should have no interior point")
-	}
-	if _, ok := InteriorPoint(LineString{}); ok {
-		t.Error("empty line should have no interior point")
+	if _, ok := polygonInteriorPoint(Polygon{}); ok {
+		t.Error("empty polygon should have no interior point")
 	}
 }
 
@@ -195,7 +184,7 @@ func TestInteriorPointConcaveAndHoled(t *testing.T) {
 	u := Poly(
 		Pt(0, 0), Pt(6, 0), Pt(6, 6), Pt(4, 6), Pt(4, 2), Pt(2, 2), Pt(2, 6), Pt(0, 6),
 	)
-	p, ok := InteriorPoint(u)
+	p, ok := polygonInteriorPoint(u)
 	if !ok {
 		t.Fatal("no interior point for U polygon")
 	}
@@ -207,7 +196,7 @@ func TestInteriorPointConcaveAndHoled(t *testing.T) {
 		Shell: Ring{Coords: []Point{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)}},
 		Holes: []Ring{{Coords: []Point{Pt(2, 2), Pt(8, 2), Pt(8, 8), Pt(2, 8)}}},
 	}
-	p, ok = InteriorPoint(donut)
+	p, ok = polygonInteriorPoint(donut)
 	if !ok {
 		t.Fatal("no interior point for donut")
 	}

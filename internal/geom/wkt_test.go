@@ -2,6 +2,7 @@ package geom
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,8 +35,8 @@ func TestWKTRoundTrip(t *testing.T) {
 		if parsed.WKT() != wkt {
 			t.Errorf("round trip mismatch:\n  in:  %s\n  out: %s", wkt, parsed.WKT())
 		}
-		if parsed.GeomType() != g.GeomType() {
-			t.Errorf("%s: type changed to %s", wkt, parsed.GeomType())
+		if reflect.TypeOf(parsed) != reflect.TypeOf(g) {
+			t.Errorf("%s: type changed to %T", wkt, parsed)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package obs is the pipeline observability layer: stage spans with wall
-// time (and optionally allocation deltas), monotonic named counters, and
+// time, monotonic named counters, and
 // per-Apriori-pass events carrying candidate/pruned/frequent counts, all
 // delivered to a pluggable Sink.
 //
@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -29,8 +28,7 @@ type EventKind uint8
 const (
 	// KindStageBegin marks the start of a named pipeline stage.
 	KindStageBegin EventKind = iota + 1
-	// KindStageEnd carries the stage's wall time (and allocation delta
-	// when allocation tracking is enabled).
+	// KindStageEnd carries the stage's wall time.
 	KindStageEnd
 	// KindPass carries one mining pass's candidate/pruned/frequent
 	// counts.
@@ -85,9 +83,6 @@ type Event struct {
 	Stage string `json:"stage,omitempty"`
 	// Duration is the stage wall time (KindStageEnd only).
 	Duration time.Duration `json:"wallNanos,omitempty"`
-	// AllocBytes is the heap allocation delta of the stage, populated on
-	// KindStageEnd when allocation tracking is enabled.
-	AllocBytes uint64 `json:"allocBytes,omitempty"`
 	// Pass is the pass payload (KindPass only).
 	Pass PassEvent `json:"pass"`
 	// Detail is the annotation text (KindAnnotation only).
@@ -104,8 +99,7 @@ type Sink interface {
 // a valid no-op: every method checks the receiver, so call sites need no
 // guards and pay no measurable cost when tracing is off.
 type Trace struct {
-	sink        Sink
-	trackAllocs bool
+	sink Sink
 
 	mu       sync.Mutex
 	counters map[string]int64
@@ -117,24 +111,12 @@ func New(sink Sink) *Trace {
 	return &Trace{sink: sink, counters: make(map[string]int64)}
 }
 
-// TrackAllocations enables heap-allocation deltas on stage spans. It
-// calls runtime.ReadMemStats at both span edges, which briefly stops the
-// world — leave it off for latency-sensitive runs. Returns t for
-// chaining; must be called before the trace is shared.
-func (t *Trace) TrackAllocations() *Trace {
-	if t != nil {
-		t.trackAllocs = true
-	}
-	return t
-}
-
 // Span measures one pipeline stage. It is a value type: the no-op span
 // (zero value, or any span from a nil Trace) costs nothing to End.
 type Span struct {
-	t          *Trace
-	name       string
-	start      time.Time
-	startAlloc uint64
+	t     *Trace
+	name  string
+	start time.Time
 }
 
 // Stage starts a span for a named stage. Safe on a nil receiver.
@@ -143,11 +125,6 @@ func (t *Trace) Stage(name string) Span {
 		return Span{}
 	}
 	sp := Span{t: t, name: name, start: time.Now()}
-	if t.trackAllocs {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		sp.startAlloc = ms.TotalAlloc
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{Kind: KindStageBegin, Time: sp.start, Stage: name})
 	}
@@ -162,13 +139,6 @@ func (s Span) End() {
 	}
 	now := time.Now()
 	e := Event{Kind: KindStageEnd, Time: now, Stage: s.name, Duration: now.Sub(s.start)}
-	if s.t.trackAllocs {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.TotalAlloc >= s.startAlloc {
-			e.AllocBytes = ms.TotalAlloc - s.startAlloc
-		}
-	}
 	s.t.Add("stage."+s.name+".nanos", int64(e.Duration))
 	if s.t.sink != nil {
 		s.t.sink.Emit(e)

@@ -17,8 +17,6 @@ type StageRecord struct {
 	Start time.Time `json:"start"`
 	// Duration is the stage wall time.
 	Duration time.Duration `json:"wallNanos"`
-	// AllocBytes is the allocation delta (0 unless tracking was enabled).
-	AllocBytes uint64 `json:"allocBytes,omitempty"`
 }
 
 // Collector is an in-memory Sink retaining every event, with typed views
@@ -78,14 +76,6 @@ func (c *Collector) snapshot() []Event {
 	return out
 }
 
-// Events returns a snapshot copy of the retained events in emission
-// order.
-func (c *Collector) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.snapshot()
-}
-
 // Stages returns the completed stages in completion order.
 func (c *Collector) Stages() []StageRecord {
 	c.mu.Lock()
@@ -94,10 +84,9 @@ func (c *Collector) Stages() []StageRecord {
 	for _, e := range c.snapshot() {
 		if e.Kind == KindStageEnd {
 			out = append(out, StageRecord{
-				Name:       e.Stage,
-				Start:      e.Time.Add(-e.Duration),
-				Duration:   e.Duration,
-				AllocBytes: e.AllocBytes,
+				Name:     e.Stage,
+				Start:    e.Time.Add(-e.Duration),
+				Duration: e.Duration,
 			})
 		}
 	}
@@ -160,11 +149,7 @@ func (s *TextSink) Emit(e Event) {
 	defer s.mu.Unlock()
 	switch e.Kind {
 	case KindStageEnd:
-		if e.AllocBytes > 0 {
-			fmt.Fprintf(s.w, "[trace] stage %-12s %12v  alloc %s\n", e.Stage, e.Duration, formatBytes(e.AllocBytes))
-		} else {
-			fmt.Fprintf(s.w, "[trace] stage %-12s %12v\n", e.Stage, e.Duration)
-		}
+		fmt.Fprintf(s.w, "[trace] stage %-12s %12v\n", e.Stage, e.Duration)
 	case KindPass:
 		p := e.Pass
 		fmt.Fprintf(s.w, "[trace]   pass k=%d  candidates=%d pruned_deps=%d pruned_same=%d frequent=%d  (%v)\n",
@@ -172,37 +157,6 @@ func (s *TextSink) Emit(e Event) {
 	case KindAnnotation:
 		fmt.Fprintf(s.w, "[trace] note  %-12s %s\n", e.Stage, e.Detail)
 	}
-}
-
-// formatBytes renders a byte count with a binary unit suffix.
-func formatBytes(b uint64) string {
-	const unit = 1024
-	if b < unit {
-		return fmt.Sprintf("%dB", b)
-	}
-	div, exp := uint64(unit), 0
-	for n := b / unit; n >= unit; n /= unit {
-		div *= unit
-		exp++
-	}
-	return fmt.Sprintf("%.1f%ciB", float64(b)/float64(div), "KMGTPE"[exp])
-}
-
-// JSONSink streams every event as one JSON object per line (NDJSON).
-type JSONSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewJSONSink returns a JSONSink writing to w.
-func NewJSONSink(w io.Writer) *JSONSink { return &JSONSink{enc: json.NewEncoder(w)} }
-
-// Emit implements Sink.
-func (s *JSONSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Encoding errors are unreportable from a sink; drop them.
-	_ = s.enc.Encode(e)
 }
 
 // multiSink fans events out to several sinks.

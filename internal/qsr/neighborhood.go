@@ -27,10 +27,6 @@ var rcc8Neighbors = map[RCC8]RCC8Set{
 	EQ:    NewRCC8Set(TPP, TPPi),
 }
 
-// Neighbors returns the conceptual neighborhood of an RCC8 relation: the
-// relations reachable by one continuous transformation step.
-func Neighbors(r RCC8) RCC8Set { return rcc8Neighbors[r] }
-
 // IsNeighborhoodMove reports whether a transition from r to s is
 // continuously possible in one step (staying put counts).
 func IsNeighborhoodMove(r, s RCC8) bool {

@@ -8,8 +8,8 @@ import (
 
 func TestNeighborhoodSymmetric(t *testing.T) {
 	for _, r := range allRCC8() {
-		for _, s := range Neighbors(r).Relations() {
-			if !Neighbors(s).Has(r) {
+		for _, s := range rcc8Neighbors[r].Relations() {
+			if !rcc8Neighbors[s].Has(r) {
 				t.Errorf("neighborhood not symmetric: %v -> %v", r, s)
 			}
 		}

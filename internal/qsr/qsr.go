@@ -5,9 +5,14 @@
 // Predicate type that couples a relation with a relevant feature type
 // ("contains_slum", "closeTo_policeCenter").
 //
-// The same-feature-type reasoning at the heart of Apriori-KC+ lives here:
-// two predicates are "meaningless together" exactly when their feature
-// types coincide, regardless of the relations involved.
+// The topological classifier lives here too: de9im computes the DE-9IM
+// matrix of two geometries and Topological reads the one Egenhofer
+// relation off it.
+//
+// Two predicates are "meaningless together" for Apriori-KC+ exactly when
+// their feature types coincide, regardless of the relations involved.
+// SameFeatureType states that rule over predicates; production KC+
+// applies it to interned items with itemset.Dictionary.SameFeatureType.
 package qsr
 
 import (
@@ -19,34 +24,11 @@ import (
 	"repro/internal/geom"
 )
 
-// Family groups qualitative relations by kind, following the paper's
-// "topological, distance, or order" taxonomy (citing Güting).
-type Family int
-
-// Relation families.
-const (
-	FamilyTopological Family = iota
-	FamilyDistance
-	FamilyDirectional
-)
-
-// String implements fmt.Stringer.
-func (f Family) String() string {
-	switch f {
-	case FamilyTopological:
-		return "topological"
-	case FamilyDistance:
-		return "distance"
-	case FamilyDirectional:
-		return "directional"
-	}
-	return fmt.Sprintf("qsr.Family(%d)", int(f))
-}
-
 // Relation is a qualitative spatial relation from any family.
 type Relation int
 
-// Topological relations mirror de9im's canonical Egenhofer set.
+// Topological relations: the canonical, mutually exclusive Egenhofer set
+// that Topological classifies.
 const (
 	Equals Relation = iota
 	Disjoint
@@ -111,18 +93,6 @@ func (r Relation) String() string {
 	return fmt.Sprintf("qsr.Relation(%d)", int(r))
 }
 
-// Family reports which family the relation belongs to.
-func (r Relation) Family() Family {
-	switch r {
-	case VeryClose, CloseTo, FarFrom:
-		return FamilyDistance
-	case NorthOf, SouthOf, EastOf, WestOf:
-		return FamilyDirectional
-	default:
-		return FamilyTopological
-	}
-}
-
 // ParseRelation inverts Relation.String.
 func ParseRelation(s string) (Relation, error) {
 	for r := Equals; r <= WestOf; r++ {
@@ -133,54 +103,72 @@ func ParseRelation(s string) (Relation, error) {
 	return 0, fmt.Errorf("qsr: unknown relation %q", s)
 }
 
-// TopologicalRelations lists the nine named 9-intersection relations in
-// the order the paper enumerates them.
-func TopologicalRelations() []Relation {
-	return []Relation{Contains, Within, Touches, Crosses, Covers, CoveredBy, Overlaps, Equals, Disjoint}
-}
-
-// DistanceRelations lists the qualitative distance vocabulary.
-func DistanceRelations() []Relation { return []Relation{VeryClose, CloseTo, FarFrom} }
-
-// DirectionalRelations lists the order vocabulary.
-func DirectionalRelations() []Relation { return []Relation{NorthOf, SouthOf, EastOf, WestOf} }
-
-// fromDE9IM maps the de9im canonical relation onto the qsr vocabulary.
-func fromDE9IM(r de9im.Relation) (Relation, bool) {
-	switch r {
-	case de9im.Equals:
-		return Equals, true
-	case de9im.Disjoint:
-		return Disjoint, true
-	case de9im.Touches:
-		return Touches, true
-	case de9im.Contains:
-		return Contains, true
-	case de9im.Within:
-		return Within, true
-	case de9im.Covers:
-		return Covers, true
-	case de9im.CoveredBy:
-		return CoveredBy, true
-	case de9im.Crosses:
-		return Crosses, true
-	case de9im.Overlaps:
-		return Overlaps, true
-	}
-	return 0, false
-}
-
 // Topological classifies the canonical Egenhofer relation between two
 // geometries. The boolean is false for empty operands.
 func Topological(a, b geom.Geometry) (Relation, bool) {
-	return fromDE9IM(de9im.Classify(a, b))
+	if a == nil || b == nil || a.IsEmpty() || b.IsEmpty() {
+		return 0, false
+	}
+	return classify(de9im.Relate(a, b), a.Dimension(), b.Dimension()), true
 }
 
-// TopologicalPrepared is Topological over prepared geometries, reusing
-// their cached soups, sample points, and edge trees. The result is
-// identical to Topological on the wrapped geometries.
+// TopologicalPrepared is Topological over prepared geometries, computing
+// the matrix through de9im.RelatePrepared's cached soups, sample points,
+// and edge trees. The result is identical to Topological on the wrapped
+// geometries.
 func TopologicalPrepared(a, b *geom.Prepared) (Relation, bool) {
-	return fromDE9IM(de9im.ClassifyPrepared(a, b))
+	if a.IsEmpty() || b.IsEmpty() {
+		return 0, false
+	}
+	return classify(de9im.RelatePrepared(a, b), a.Geometry().Dimension(), b.Geometry().Dimension()), true
+}
+
+// classify returns the single canonical Egenhofer relation of a matrix
+// between non-empty operands of dimensions dimA and dimB. The relations
+// are mutually exclusive and exhaustive: exactly one of equals, disjoint,
+// touches, contains, covers, within, coveredBy, crosses, overlaps holds.
+//
+// The decision rules follow the 9-intersection reading used by the paper:
+// contains/within are strict (no boundary contact), covers/coveredBy have
+// boundary contact, touches has meeting boundaries but disjoint interiors,
+// crosses is the mixed-dimension (or 0-dimensional line/line) interior
+// crossing, and overlaps is the same-dimension partial overlap.
+func classify(m de9im.Matrix, dimA, dimB int) Relation {
+	if m.IsDisjoint() {
+		return Disjoint
+	}
+	if m.IsEquals() {
+		return Equals
+	}
+	const in, bd, ex = de9im.Int, de9im.Bnd, de9im.Ext
+	if m[in][in] == de9im.F {
+		return Touches
+	}
+	// Interiors intersect. Containment of b in a?
+	if m[ex][in] == de9im.F && m[ex][bd] == de9im.F {
+		// b inside closure(a); strict when b avoids a's boundary.
+		if m[bd][in] == de9im.F && m[bd][bd] == de9im.F {
+			return Contains
+		}
+		return Covers
+	}
+	if m[in][ex] == de9im.F && m[bd][ex] == de9im.F {
+		if m[in][bd] == de9im.F && m[bd][bd] == de9im.F {
+			return Within
+		}
+		return CoveredBy
+	}
+	// Partial intersection: crosses when the interior intersection has
+	// lower dimension than the higher-dimensional operand, overlaps
+	// otherwise.
+	maxDim := dimA
+	if dimB > maxDim {
+		maxDim = dimB
+	}
+	if int(m[in][in]) < maxDim {
+		return Crosses
+	}
+	return Overlaps
 }
 
 // DistanceThresholds cuts continuous distance into the qualitative

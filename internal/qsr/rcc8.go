@@ -103,28 +103,6 @@ func ToRCC8(r Relation) (RCC8, bool) {
 	return 0, false
 }
 
-// FromRCC8 maps an RCC8 base relation back to the paper's vocabulary.
-func FromRCC8(r RCC8) Relation {
-	switch r {
-	case DC:
-		return Disjoint
-	case EC:
-		return Touches
-	case PO:
-		return Overlaps
-	case EQ:
-		return Equals
-	case TPP:
-		return CoveredBy
-	case NTPP:
-		return Within
-	case TPPi:
-		return Covers
-	default:
-		return Contains
-	}
-}
-
 // RCC8Of classifies two region geometries directly into RCC8. ok is
 // false for empty operands or a non-region relation (crosses between
 // mixed dimensions).
@@ -328,9 +306,6 @@ func NewNetwork(n int) *Network {
 	}
 	return net
 }
-
-// Size returns the number of regions.
-func (net *Network) Size() int { return net.n }
 
 // Constraint returns the current constraint between regions i and j.
 func (net *Network) Constraint(i, j int) RCC8Set { return net.edges[i*net.n+j] }

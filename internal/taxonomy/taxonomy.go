@@ -13,7 +13,6 @@ package taxonomy
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/qsr"
@@ -54,20 +53,6 @@ func (h *Hierarchy) Add(child, parent string) error {
 	return nil
 }
 
-// MustAdd is Add that panics, for static hierarchy literals.
-func (h *Hierarchy) MustAdd(child, parent string) *Hierarchy {
-	if err := h.Add(child, parent); err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Parent returns the immediate parent and whether one exists.
-func (h *Hierarchy) Parent(t string) (string, bool) {
-	p, ok := h.parent[t]
-	return p, ok
-}
-
 // Ancestors returns the chain from t's parent up to its root, nearest
 // first.
 func (h *Hierarchy) Ancestors(t string) []string {
@@ -82,9 +67,6 @@ func (h *Hierarchy) Ancestors(t string) []string {
 	}
 }
 
-// Depth returns t's distance from its root (0 for roots).
-func (h *Hierarchy) Depth(t string) int { return len(h.Ancestors(t)) }
-
 // AtLevel returns the ancestor of t whose depth from the root equals
 // level (level 0 is the root; higher levels are more specific). When t is
 // already at or above the requested level it is returned unchanged.
@@ -96,21 +78,6 @@ func (h *Hierarchy) AtLevel(t string, level int) string {
 		return t
 	}
 	return chain[idx]
-}
-
-// Types lists every feature type mentioned by the hierarchy, sorted.
-func (h *Hierarchy) Types() []string {
-	set := map[string]struct{}{}
-	for c, p := range h.parent {
-		set[c] = struct{}{}
-		set[p] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // GeneralizeTable rewrites every spatial predicate of the table to the
@@ -142,16 +109,4 @@ func generalizeItem(item string, h *Hierarchy, level int) string {
 		return item
 	}
 	return qsr.Predicate{Relation: p.Relation, FeatureType: gen}.String()
-}
-
-// Levels returns the maximum depth across the hierarchy (0 for an empty
-// hierarchy): the number of distinct granularity levels minus one.
-func (h *Hierarchy) Levels() int {
-	max := 0
-	for c := range h.parent {
-		if d := h.Depth(c); d > max {
-			max = d
-		}
-	}
-	return max
 }

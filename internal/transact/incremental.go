@@ -296,12 +296,6 @@ func (s *State) prepareLayers(ctx context.Context, d *dataset.Dataset, prep [][]
 	return total, err
 }
 
-// Dataset returns the dataset the state currently reflects.
-func (s *State) Dataset() *dataset.Dataset { return s.d }
-
-// Options returns the extraction options the state was built with.
-func (s *State) Options() Options { return s.opts }
-
 // Table renders the current transaction table: each row's normalised
 // items (sorted by byte order, deduplicated) as strings. The rows are
 // normalised when rendered, so Table only looks names up; all rows'

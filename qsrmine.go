@@ -84,35 +84,13 @@ var (
 	Rect = geom.Rect
 	// ParseWKT parses well-known text.
 	ParseWKT = geom.ParseWKT
-	// MustParseWKT parses WKT and panics on error.
-	MustParseWKT = geom.MustParseWKT
-	// ValidateGeometry checks structural validity.
-	ValidateGeometry = geom.Validate
-	// GeomDistance returns the minimal distance between two geometries.
-	GeomDistance = geom.Distance
-	// GeomIntersects reports whether two geometries share a point.
-	GeomIntersects = geom.Intersects
 )
 
 // DE9IM is a computed 9-intersection matrix.
 type DE9IM = de9im.Matrix
 
-// PreparedGeometry caches derived structures (envelope, segment soup,
-// sample points, an edge R-tree) for a geometry that takes part in many
-// comparisons, e.g. one side of a spatial join. Build one with Prepare;
-// it is immutable and safe for concurrent use.
-type PreparedGeometry = geom.Prepared
-
-var (
-	// Relate computes the DE-9IM matrix of two geometries.
-	Relate = de9im.Relate
-	// Prepare builds the derived structures that accelerate repeated
-	// relates, distances, and point locations against one geometry.
-	Prepare = geom.Prepare
-	// RelatePrepared computes the DE-9IM matrix from prepared operands;
-	// the result is byte-identical to Relate on the raw geometries.
-	RelatePrepared = de9im.RelatePrepared
-)
+// Relate computes the DE-9IM matrix of two geometries.
+var Relate = de9im.Relate
 
 // Qualitative relation vocabulary.
 type (
@@ -153,14 +131,6 @@ var (
 	DistanceRelation = qsr.DistanceRelation
 	// Directional classifies the dominant cardinal direction.
 	Directional = qsr.Directional
-	// TopologicalPrepared, DistanceRelationPrepared, and
-	// DirectionalPrepared are the prepared-operand forms of the three
-	// classifiers; they return exactly what the unprepared forms return.
-	TopologicalPrepared      = qsr.TopologicalPrepared
-	DistanceRelationPrepared = qsr.DistanceRelationPrepared
-	DirectionalPrepared      = qsr.DirectionalPrepared
-	// ParsePredicate parses "contains_slum" notation.
-	ParsePredicate = qsr.ParsePredicate
 )
 
 // Spatial data model.
@@ -206,8 +176,6 @@ var (
 	LoadDataset = dataset.LoadJSON
 	// LoadTable reads a transaction table from a CSV file.
 	LoadTable = dataset.LoadTableCSV
-	// ReadGeoJSONLayer parses a GeoJSON FeatureCollection into a layer.
-	ReadGeoJSONLayer = dataset.ReadGeoJSON
 	// LoadMutation reads a mutation batch ({"ops":[...]}) from a JSON
 	// file.
 	LoadMutation = dataset.LoadMutation
@@ -243,11 +211,9 @@ var (
 	// DefaultExtractOptions is topological extraction at type
 	// granularity with R-tree acceleration.
 	DefaultExtractOptions = transact.DefaultOptions
-	// NewExtractState runs a full extraction and keeps the
-	// intermediate structures for incremental re-extraction.
-	NewExtractState = transact.NewState
-	// NewExtractStateContext is NewExtractState with cancellation and
-	// tracing.
+	// NewExtractStateContext runs a full extraction, with cancellation
+	// and tracing, and keeps the intermediate structures for
+	// incremental re-extraction.
 	NewExtractStateContext = transact.NewStateContext
 )
 
@@ -328,22 +294,6 @@ var (
 	// string rows, so the Outcome's Table is nil (ExtractState.Table
 	// renders them).
 	RunStateContext = core.RunStateContext
-	// ParseAlgorithm parses "apriori", "apriori-kc", "apriori-kc+",
-	// "eclat-kc+".
-	ParseAlgorithm = core.ParseAlgorithm
-	// ParsePostFilter parses "none", "closed", "maximal".
-	ParsePostFilter = core.ParsePostFilter
-	// GenerateRules derives association rules from a mining result.
-	GenerateRules = mining.GenerateRules
-	// ClosedOnly filters to closed itemsets.
-	ClosedOnly = mining.ClosedOnly
-	// MaximalOnly filters to maximal itemsets.
-	MaximalOnly = mining.MaximalOnly
-	// NonRedundantRules drops rules implied by more general equal-quality
-	// rules.
-	NonRedundantRules = mining.NonRedundantRules
-	// MineTopK mines the k best-supported itemsets without a threshold.
-	MineTopK = mining.MineTopK
 	// ProfileTable summarises a table's predicate statistics.
 	ProfileTable = transact.Profile
 )
@@ -363,17 +313,9 @@ type (
 	ColocationPattern = colocation.Pattern
 )
 
-var (
-	// Colocate mines co-location patterns over a dataset's layers.
-	Colocate = colocation.Mine
-	// ColocateContext is Colocate with cancellation and tracing.
-	ColocateContext = colocation.MineContext
-	// ColocateBruteForce is the exhaustive oracle the engine is
-	// cross-checked against.
-	ColocateBruteForce = colocation.MineBruteForce
-	// ParseColocationConfig strictly decodes a JSON co-location config.
-	ParseColocationConfig = colocation.ParseConfig
-)
+// ColocateContext mines co-location patterns over a dataset's layers,
+// with cancellation and tracing.
+var ColocateContext = colocation.MineContext
 
 // Gain analysis (the paper's Formula 1).
 var (
@@ -392,8 +334,8 @@ var (
 type (
 	// Trace is the per-run observability handle (nil is a valid no-op).
 	Trace = obs.Trace
-	// TraceSink receives trace events; see NewTraceCollector,
-	// NewTextTraceSink, NewJSONTraceSink.
+	// TraceSink receives trace events; see NewTraceCollector and
+	// NewTextTraceSink.
 	TraceSink = obs.Sink
 	// TraceEvent is one observation (stage begin/end or mining pass).
 	TraceEvent = obs.Event
@@ -415,14 +357,10 @@ var (
 	NewTrace = obs.New
 	// WithTrace attaches a Trace to a context.
 	WithTrace = obs.WithTrace
-	// TraceFromContext recovers the attached Trace (nil when absent).
-	TraceFromContext = obs.FromContext
 	// NewTraceCollector creates an in-memory event collector.
 	NewTraceCollector = obs.NewCollector
 	// NewTextTraceSink streams human-readable trace lines to a writer.
 	NewTextTraceSink = obs.NewTextSink
-	// NewJSONTraceSink streams NDJSON trace events to a writer.
-	NewJSONTraceSink = obs.NewJSONSink
 	// MultiTraceSink fans events out to several sinks.
 	MultiTraceSink = obs.Multi
 	// FormatTraceCounters renders a counter snapshot as sorted lines.

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	qsrmine "repro"
+	"repro/internal/core"
+	"repro/internal/geom"
 )
 
 // TestPublicAPIQuickstart exercises the documented quick-start path.
@@ -33,15 +35,14 @@ func TestPublicGeometryAPI(t *testing.T) {
 	if !ok || rel != qsrmine.Contains {
 		t.Errorf("Topological = %v, %v", rel, ok)
 	}
-	m := qsrmine.Relate(district, slum)
-	if !m.IsContains() {
-		t.Errorf("Relate = %s", m)
+	if m := qsrmine.Relate(district, slum); m.String() != "212FF1FF2" {
+		t.Errorf("Relate = %s, want 212FF1FF2", m)
 	}
 	g, err := qsrmine.ParseWKT("POINT (1 2)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qsrmine.GeomDistance(g, qsrmine.Pt(1, 2)) != 0 {
+	if geom.Distance(g, qsrmine.Pt(1, 2)) != 0 {
 		t.Error("distance to self")
 	}
 	p := qsrmine.Predicate{Relation: qsrmine.Touches, FeatureType: "school"}
@@ -81,7 +82,7 @@ func TestPublicTableAPI(t *testing.T) {
 	if len(out.Rules) == 0 {
 		t.Error("expected rules")
 	}
-	alg, err := qsrmine.ParseAlgorithm("apriori-kc+")
+	alg, err := core.ParseAlgorithm("apriori-kc+")
 	if err != nil || alg != qsrmine.AprioriKCPlus {
 		t.Errorf("ParseAlgorithm = %v, %v", alg, err)
 	}
